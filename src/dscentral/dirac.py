@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .algebra import Poly, bareiss_det, bareiss_adjugate
 from . import liealg
-from .liealg import mzero, madd, mscale, mcomm, flatten, nullspace, rank
+from .liealg import mzero, madd, mscale, mcomm, nullspace
 
 
 LAM = ('lam', 0, 0)
@@ -137,10 +137,7 @@ def dirac_tensors(alg, slices=None):
         return [[sum((A[i][t] * B[t][j] for t in range(len(B))), Poly())
                  for j in range(len(B[0]))] for i in range(len(A))]
 
-    def pt(A):
-        return [list(r) for r in zip(*A)]
-
-    Rt, St = pt(R), pt(S)
+    Rt, St = _transpose(R), _transpose(S)
     r0 = pm(R, adj)              # R P^-1 * det
     s0 = pm(S, adj)
     QA = pm(Q, adj)
@@ -197,6 +194,10 @@ def mneg(A):
     return [[-e for e in row] for row in A]
 
 
+def _transpose(A):
+    return [list(r) for r in zip(*A)]
+
+
 def char_poly(tensors, n):
     """p(z; u) = det(g2 - z g1) as a Poly in z and the u^i."""
     z = Poly.of('z')
@@ -209,15 +210,36 @@ def central_invariants_dirac(tensors, n, upoint):
     """Evaluate the defect formula of the reduced pencil at a point with
     rational canonical coordinates.
 
+    The tensors are evaluated at the point first: p(z) = det(g2 - z g1)
+    is a univariate determinant there, and each partial derivative
+    d_k p comes from Jacobi's formula, as the sum over rows r of the
+    determinant with row r replaced by d_k g2 - z d_k g1.
+
     upoint: values of u^1..u^n.  Returns (roots, invariants).
     """
     from .invariants import _rational_roots, DegeneratePoint
     usub = {('u', i + 1, 0): Fraction(v) for i, v in enumerate(upoint)}
-    p = char_poly(tensors, n)
-    dp = [p.diff(('u', k + 1, 0)).subs(usub) for k in range(n)]
-    p0 = p.subs(usub)
-    pz = p0.diff(('z', 0, 0))
-    cz = {e: c.constant() for e, c in p0.coeffs_in(('z', 0, 0)).items()}
+    zvar = ('z', 0, 0)
+    z = Poly.of('z')
+
+    def at_point(M, v=None):
+        return [[(e if v is None else e.diff(v)).subs(usub).constant()
+                 for e in row] for row in M]
+
+    def pencil(v=None):
+        return [[Poly.num(a) - z * b for a, b in zip(r2, r1)]
+                for r2, r1 in zip(at_point(tensors['g2'], v),
+                                  at_point(tensors['g1'], v))]
+
+    M = pencil()
+    p0 = bareiss_det(M)
+    dp = []
+    for k in range(n):
+        dM = pencil(('u', k + 1, 0))
+        dp.append(sum((bareiss_det(M[:r] + [dM[r]] + M[r + 1:])
+                       for r in range(n)), Poly()))
+    pz = p0.diff(zvar)
+    cz = {e: c.constant() for e, c in p0.coeffs_in(zvar).items()}
     roots = _rational_roots(cz)
     if roots is None:
         raise DegeneratePoint("irrational canonical coordinates")
@@ -225,14 +247,11 @@ def central_invariants_dirac(tensors, n, upoint):
 
     def at(pol, z):
         return sum((c.constant() * z ** e
-                    for e, c in pol.coeffs_in(('z', 0, 0)).items()), Fraction(0))
+                    for e, c in pol.coeffs_in(zvar).items()), Fraction(0))
 
-    g1 = [[tensors['g1'][i][j].subs(usub).constant() for j in range(n)]
-          for i in range(n)]
-    A22 = [[tensors['A22'][i][j].subs(usub).constant() for j in range(n)]
-           for i in range(n)]
-    A21 = [[tensors['A21'][i][j].subs(usub).constant() for j in range(n)]
-           for i in range(n)]
+    g1 = at_point(tensors['g1'])
+    A22 = at_point(tensors['A22'])
+    A21 = at_point(tensors['A21'])
     out = []
     for z in roots:
         d = [at(x, z) for x in dp]
@@ -245,36 +264,30 @@ def central_invariants_dirac(tensors, n, upoint):
     return roots, out
 
 
-def _tensors_at(alg, slices, qshift, qfull):
-    """The three second-bracket blocks as Fraction matrices at a single
-    point: qfull = I_- + q, qshift = q (both matrices)."""
-    gups, fs = slices['gamma_ups'], slices['f']
-    n, m2 = alg.n, len(fs)
-    P = [[Fraction(0)] * m2 for _ in range(m2)]
-    Q = [[alg.form(fa, fb) for fb in fs] for fa in fs]
-    for a in range(m2):
-        for b in range(a + 1, m2):
-            v = -alg.form(qfull, mcomm(fs[a], fs[b]))
-            P[a][b] = v
-            P[b][a] = -v
-    R = [[-alg.form(qshift, mcomm(gu, fa)) for fa in fs] for gu in gups]
-    S = [[alg.form(gu, fa) for fa in fs] for gu in gups]
+def _blocks_at(P, Q, R, S):
+    """The three second-bracket blocks G2, T12, T22 at a single point,
+    from the constraint blocks P (antisymmetric, invertible), Q, R, S as
+    Fraction matrices."""
+    m2 = len(P)
     aug = liealg.rref([list(r) + [Fraction(1) if i == j else Fraction(0)
                                   for j in range(m2)]
                        for i, r in enumerate(P)])[0]
     if any(aug[i][i] != 1 for i in range(m2)):
         raise ValueError("degenerate constraint matrix at this point")
     Pinv = [row[m2:] for row in aug]
-    mm, mt = liealg.mmul, lambda A: [list(r) for r in zip(*A)]
-    Rt, St = mt(R), mt(S)
+    mm = liealg.mmul
+
+    def qp(M):                   # M P^-1 Q P^-1 = (M P^-1) Q P^-1
+        return mm(mm(M, Q), Pinv)
+
+    Rt, St = _transpose(R), _transpose(S)
     r0 = mm(R, Pinv)
     s0 = mm(S, Pinv)
-    QP = mm(Q, Pinv)
-    r1 = mm(r0, QP)
-    s1 = mm(s0, QP)
-    s2 = mm(s1, QP)
-    r2 = mm(r1, QP)
-    r3 = mm(r2, QP)
+    r1 = qp(r0)
+    s1 = qp(s0)
+    s2 = qp(s1)
+    r2 = qp(r1)
+    r3 = qp(r2)
     add, neg = liealg.madd, lambda A: liealg.mscale(A, -1)
     G2 = add(mm(r1, Rt), add(neg(mm(s0, Rt)), mm(r0, St)))
     T12 = add(neg(mm(r2, Rt)), add(mm(r1, St),
@@ -286,16 +299,44 @@ def _tensors_at(alg, slices, qshift, qfull):
 
 def numeric_pencil(alg, slices, upoint):
     """All six reduced tensors as Fraction matrices at one slice point,
-    via evaluations at three values of the shift parameter."""
-    gammas = slices['gammas']
+    via evaluations at three values of the shift parameter.
+
+    The constraint blocks pair a point with brackets of the f_a, which do
+    not depend on the shift.  Invariance of the form turns each pairing
+    <q, [x, f_b]> into <[q, x], f_b>, so only the brackets [q, f_a] and
+    [q, gamma^i] are formed, once per shift value, and every pairing with
+    f_b runs over the few nonzero entries of f_b.
+    """
+    gammas, gups, fs = slices['gammas'], slices['gamma_ups'], slices['f']
     alpha = gammas[-1]
-    vals = {}
+    n, m2 = alg.n, len(fs)
+    scale = alg.form_scale
+    # <M, f> = tr(M f) * scale over the nonzero entries (r, c, x) of f
+    fnz = [[(r, c, x) for r, row in enumerate(f) for c, x in enumerate(row) if x]
+           for f in fs]
+
+    def pair(M, nz):
+        return sum(M[c][r] * x for r, c, x in nz if M[c][r]) * scale
+
+    q = mzero(len(alpha))
+    for u, gam in zip(upoint, gammas):
+        q = madd(q, gam, Fraction(u))
+    Q = [[pair(fa, nz) for nz in fnz] for fa in fs]
+    S = [[pair(gu, nz) for nz in fnz] for gu in gups]
+    vals = []
     for lam in (0, 1, 2):
-        q = liealg.mzero(len(alpha))
-        for u, gam in zip(upoint, gammas):
-            q = madd(q, gam, Fraction(u))
-        q = madd(q, alpha, Fraction(lam))
-        vals[lam] = _tensors_at(alg, slices, q, madd(q, alg.I_minus, 1))
+        ql = madd(q, alpha, Fraction(lam))
+        qfull = madd(ql, alg.I_minus)
+        P = mzero(m2)
+        for a, fa in enumerate(fs):
+            K = mcomm(qfull, fa)        # <qfull, [f_a, f_b]> = <[qfull, f_a], f_b>
+            for b in range(a + 1, m2):
+                v = -pair(K, fnz[b])
+                P[a][b] = v
+                P[b][a] = -v
+        R = [[-pair(K, nz) for nz in fnz]
+             for K in (mcomm(ql, gu) for gu in gups)]
+        vals.append(_blocks_at(P, Q, R, S))
     out = {}
     for idx, (k2, k1) in enumerate((('g2', 'g1'), ('A12', 'A11'),
                                     ('A22', 'A21'))):

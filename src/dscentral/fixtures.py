@@ -14,7 +14,7 @@ import os
 from fractions import Fraction
 
 from .algebra import Poly
-from .liealg import mzero, MatrixLieAlgebra
+from .liealg import mzero, madd, mscale, MatrixLieAlgebra
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), 'data')
 ENV_VAR = 'DSCENTRAL_FIXTURE_DIR'
@@ -166,8 +166,7 @@ def build_algebra(name):
             m = _transpose(X[i - 1])
             rest = spec[len('transpose'):].strip()
             if rest:
-                corr = parse_triplets(rest, size)
-                m = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(m, corr)]
+                m = madd(m, parse_triplets(rest, size))
         else:
             m = parse_triplets(spec, size)
         Y.append(m)
@@ -245,19 +244,17 @@ def load_gammas(name, alg):
             self.m = m
 
         def __add__(self, o):
-            return MWrap([[a + b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.m, o.m)])
+            return MWrap(madd(self.m, o.m))
 
         def __sub__(self, o):
-            return MWrap([[a - b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.m, o.m)])
+            return MWrap(madd(self.m, o.m, -1))
 
         def __neg__(self):
-            return MWrap([[-a for a in r] for r in self.m])
+            return MWrap(mscale(self.m, -1))
 
         def __mul__(self, o):
             if isinstance(o, Fraction):
-                return MWrap([[a * o for a in r] for r in self.m])
+                return MWrap(mscale(self.m, o))
             raise FixtureError("matrix product not allowed here")
 
         def __rmul__(self, o):

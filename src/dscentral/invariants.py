@@ -69,13 +69,6 @@ def _rational_roots(coeffs):
     return out if tot == deg else None
 
 
-def _numeric_roots(coeffs):
-    import mpmath
-    deg = max(coeffs)
-    cl = [complex(coeffs.get(e, Fraction(0))) for e in range(deg, -1, -1)]
-    return [complex(r) for r in mpmath.polyroots(cl, maxsteps=200, extraprec=80)]
-
-
 def canonical_coordinates(series, n, u):
     """Critical points and values of the symbol: list of (r, lam).
 
@@ -83,48 +76,41 @@ def canonical_coordinates(series, n, u):
     capital variable) plus the distinguished pair (0, Lam(0)) in the last
     slot; D: Lam~ = Lam/P at the roots of P Lam' - Lam.
 
-    Results are exact Fractions whenever all critical points are
-    rational, floats otherwise.
+    All values are exact Fractions; a point whose critical points are not
+    all rational raises DegeneratePoint.
     """
     u = u_list(series, n, u)
     cp = _poly_coeffs(critical_polynomial(series, n, u), 'p' if series == 'A' else 'P')
     roots = _rational_roots(cp)
     if roots is None:
-        roots = _numeric_roots(cp)
-        roots = [r.real if abs(r.imag) < 1e-12 else r for r in roots]
-    exact = all(isinstance(r, Fraction) for r in roots)
+        raise DegeneratePoint("critical points not all rational")
     if series == 'A':
         lam = _poly_coeffs(lambda_xpoly(series, n, u, 'p'), 'p')
-        pts = sorted(((r, _eval1(lam, r)) for r in roots),
-                     key=lambda t: (t[0].real, t[0].imag) if not exact else t)
+        pts = sorted((r, _eval1(lam, r)) for r in roots)
     else:
         Lam = _poly_coeffs(capital_lambda(n, u, 'P'), 'P')
         if series == 'D':
             if not u[0].constant():
                 raise DegeneratePoint("u_1 = 0 for the D series")
-            if any((abs(r) < 1e-12 if not isinstance(r, Fraction) else r == 0)
-                   for r in roots):
+            if any(r == 0 for r in roots):
                 raise DegeneratePoint("critical point at the origin")
-            pts = sorted(((r, _eval1(Lam, r) / r) for r in roots),
-                         key=lambda t: (t[0].real, t[0].imag) if not exact else t)
+            pts = sorted((r, _eval1(Lam, r) / r) for r in roots)
         else:
-            pts = sorted(((r, _eval1(Lam, r)) for r in roots),
-                         key=lambda t: (t[0].real, t[0].imag) if not exact else t)
+            pts = sorted((r, _eval1(Lam, r)) for r in roots)
             pts.append((Fraction(0), _eval1(Lam, Fraction(0))))
     if len(pts) != n:
         raise DegeneratePoint("expected %d critical points, got %d" % (n, len(pts)))
     vals = [lam for _, lam in pts]
     for i in range(n):
         for j in range(i + 1, n):
-            d = vals[i] - vals[j]
-            if (d == 0) if exact else (abs(d) < 1e-10):
+            if vals[i] == vals[j]:
                 raise DegeneratePoint("coinciding critical values")
     return pts
 
 
 def _eval_table(table, series, s, x, y):
     capital = series != 'A'
-    tot = Fraction(0) if isinstance(x, Fraction) and isinstance(y, Fraction) else 0.0
+    tot = Fraction(0)
     for (i, j, t), pol in table.items():
         if t != s:
             continue
@@ -158,22 +144,17 @@ def central_invariants(series, n, u, K=4, tables=None):
             v = v / (rs[k] * rs[i])
         return v
 
-    exact = all(isinstance(r, Fraction) for r in rs)
-
-    def zero(v):
-        return v == 0 if exact else abs(v) < 1e-9 * (1 + max(abs(x) for x in f + [1]))
-
     f = []
     for i in range(n):
         for k in range(n):
             v = E(1, 1, k, i)
-            if k != i and not zero(v):
+            if k != i and v != 0:
                 raise DegeneratePoint("first metric not diagonal")
             if k == i:
                 f.append(v)
-        if not zero(E(2, 1, i, i) - lams[i] * f[i]):
+        if E(2, 1, i, i) != lams[i] * f[i]:
             raise DegeneratePoint("second metric not lam * first")
-    if any(zero(x) for x in f):
+    if any(x == 0 for x in f):
         raise DegeneratePoint("vanishing diagonal metric entry")
     P1 = {(k, i): E(1, 2, k, i) for k in range(n) for i in range(n)}
     P2 = {(k, i): E(2, 2, k, i) for k in range(n) for i in range(n)}

@@ -1,7 +1,9 @@
 """Exact Lie algebra data: Cartan matrices, matrix realizations,
 principal gradings and slice bases.
 
-All linear algebra here is dense and exact over Fraction.
+All linear algebra here is exact over Fraction.  Matrices are lists of
+rows; the matrix kernels visit nonzero entries only and share a single
+zero object, since the Chevalley bases they act on are very sparse.
 """
 
 from fractions import Fraction
@@ -124,7 +126,7 @@ def fold(typ, n):
 
 
 # ---------------------------------------------------------------------------
-# exact dense linear algebra over Fraction
+# exact linear algebra over Fraction
 
 def rref(rows):
     """Reduced row echelon form; returns (rows, pivot columns)."""
@@ -140,11 +142,13 @@ def rref(rows):
             continue
         M[r], M[pr] = M[pr], M[r]
         inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
+        M[r] = [x * inv if x else x for x in M[r]]
+        pivot = _nonzeros(M[r])
         for i in range(nr):
             if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+                f, row = M[i][c], M[i]
+                for j, y in pivot:
+                    row[j] -= f * y
         piv.append(c)
         r += 1
         if r == nr:
@@ -186,56 +190,99 @@ def rank(rows):
     return len(rref(rows)[1])
 
 
-# matrices over Fraction stored as list of lists
+# Matrices over Fraction are stored as lists of rows.  The matrices of a
+# Chevalley basis are very sparse, so the kernels below touch nonzero
+# entries only, and every zero they write is the one shared ZERO.
+
+ZERO = Fraction(0)
+
+
+def _nonzeros(row):
+    """(column, entry) for the nonzero entries of a row."""
+    return [(j, x) for j, x in enumerate(row) if x is not ZERO and x]
+
+
+def _dense_row(acc, m):
+    row = [ZERO] * m
+    for j, x in acc.items():
+        if x:
+            row[j] = x
+    return row
+
 
 def mzero(n, m=None):
-    return [[Fraction(0)] * (m or n) for _ in range(n)]
+    return [[ZERO] * (m or n) for _ in range(n)]
 
 
 def madd(A, B, s=1):
-    return [[a + s * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    """A + s B."""
+    out = [list(r) for r in A]
+    for ro, rb in zip(out, B):
+        for j, b in enumerate(rb):
+            if b is not ZERO and b:
+                v = ro[j] + s * b
+                ro[j] = v if v else ZERO
+    return out
 
 
 def mscale(A, s):
-    return [[a * s for a in row] for row in A]
+    return [[a * s if a is not ZERO and a else ZERO for a in row] for row in A]
 
 
 def mmul(A, B):
-    n, m = len(A), len(B[0])
-    C = [[Fraction(0)] * m for _ in range(n)]
-    for i, ra in enumerate(A):
-        ci = C[i]
-        for k, a in enumerate(ra):
-            if a:
-                for j, b in enumerate(B[k]):
-                    if b:
-                        ci[j] += a * b
+    m = len(B[0])
+    Bnz = [_nonzeros(r) for r in B]
+    C = []
+    for ra in A:
+        acc = {}
+        for k, a in _nonzeros(ra):
+            for j, b in Bnz[k]:
+                v = acc.get(j)
+                acc[j] = a * b if v is None else v + a * b
+        C.append(_dense_row(acc, m))
     return C
 
 
 def mcomm(A, B):
-    return madd(mmul(A, B), mmul(B, A), -1)
+    """AB - BA, both products accumulated in one pass over the per-row
+    nonzeros of the two factors."""
+    m = len(A[0])
+    Anz = [_nonzeros(r) for r in A]
+    Bnz = [_nonzeros(r) for r in B]
+    C = []
+    for ra, rb in zip(Anz, Bnz):
+        acc = {}
+        for k, a in ra:
+            for j, b in Bnz[k]:
+                v = acc.get(j)
+                acc[j] = a * b if v is None else v + a * b
+        for k, b in rb:
+            for j, a in Anz[k]:
+                v = acc.get(j)
+                acc[j] = -(b * a) if v is None else v - b * a
+        C.append(_dense_row(acc, m))
+    return C
 
 
 def mtrace_prod(A, B):
-    tot = Fraction(0)
+    """tr(AB), over the nonzeros of A."""
+    tot = ZERO
     for i, ra in enumerate(A):
         for j, a in enumerate(ra):
-            if a and B[j][i]:
-                tot += a * B[j][i]
+            if a is not ZERO and a:
+                b = B[j][i]
+                if b is not ZERO and b:
+                    tot += a * b
     return tot
-
-
-def flatten(A):
-    return [x for row in A for x in row]
 
 
 class MatrixLieAlgebra:
     """A simple Lie algebra realized by matrices, generated by Chevalley
     triples (X_i, Y_i) in some faithful representation.
 
-    The basis is built by bracket closure and consists of eigenvectors of
-    the principal grading.
+    The basis is built by bracket closure and consists of root vectors:
+    `weights[k]` holds the coefficients of the root of `basis[k]` over the
+    simple roots (zero for the Cartan elements).
     """
 
     def __init__(self, name, typ, n, X, Y, form_scale, dim):
@@ -257,7 +304,7 @@ class MatrixLieAlgebra:
         """Reduce a sparse flat vector against the stored pivot rows,
         tracking the combination of basis vectors used."""
         r = dict(fl)
-        expr = [Fraction(0)] * len(self.basis)
+        expr = [ZERO] * len(self.basis)
         for p, (row, ex) in self._red.items():
             f = r.get(p)
             if f:
@@ -278,16 +325,17 @@ class MatrixLieAlgebra:
         k = 0
         for row in m:
             for x in row:
-                if x:
+                if x is not ZERO and x:
                     out[k] = x
                 k += 1
         return out
 
     def _close_basis(self):
         self.basis = []
+        self.weights = []
         self._red = {}      # pivot column -> (normalized sparse row, basis expr)
 
-        def try_add(m):
+        def try_add(m, w):
             r, used = self._reduce(self._sparse(m))
             if not r:
                 return False
@@ -297,20 +345,26 @@ class MatrixLieAlgebra:
             inv = 1 / r[piv]
             row = {c: x * inv for c, x in r.items()}
             # row = inv * (m - sum used_i basis_i) in flat coordinates
-            ex = [-inv * u for u in used] + [inv]
+            ex = [-inv * u if u else ZERO for u in used] + [inv]
             self._red[piv] = (row, ex)
+            self.weights.append(w)
             return True
 
-        for m in self.X + self.H + self.Y:
-            try_add(m)
-        frontier = list(self.basis)
+        n = self.n
+        unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        gens = ([(x, w) for x, w in zip(self.X, unit)]
+                + [(y, tuple(-e for e in w)) for y, w in zip(self.Y, unit)])
+        for m, w in gens[:n] + [(h, (0,) * n) for h in self.H] + gens[n:]:
+            try_add(m, w)
+        frontier = list(zip(self.basis, self.weights))
         while len(self.basis) < self.dim and frontier:
             new = []
-            for g in self.X + self.Y:
-                for b in frontier:
+            for g, wg in gens:
+                for b, wb in frontier:
                     c = mcomm(g, b)
-                    if try_add(c):
-                        new.append(c)
+                    w = tuple(x + y for x, y in zip(wg, wb))
+                    if try_add(c, w):
+                        new.append((c, w))
             frontier = new
         if len(self.basis) != self.dim:
             raise ValueError("closure gave dim %d, expected %d"
@@ -416,20 +470,11 @@ class MatrixLieAlgebra:
     def root_vector(self, nvec):
         """The root space element for the root sum n_i alpha_i, scaled so
         that the first nonzero entry in row-major order is 1."""
-        C = self.realized_cartan()
-        lams = [sum(C[i][j] * nvec[j] for j in range(self.n))
-                for i in range(self.n)]
-        rows = []
-        for i, Hi in enumerate(self.H):
-            ad = self.ad_matrix(Hi)
-            for r in range(self.dim):
-                row = [ad[r][c] for c in range(self.dim)]
-                row[r] -= lams[i]
-                rows.append(row)
-        ker = nullspace(rows)
-        if len(ker) != 1:
-            raise ValueError("root space has dimension %d" % len(ker))
-        m = self.from_coords(ker[0])
+        nvec = tuple(nvec)
+        found = [b for b, w in zip(self.basis, self.weights) if w == nvec]
+        if len(found) != 1:
+            raise ValueError("root space has dimension %d" % len(found))
+        m = found[0]
         lead = next(x for row in m for x in row if x)
         return mscale(m, 1 / lead)
 

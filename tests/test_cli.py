@@ -111,6 +111,17 @@ def test_exit_code_degenerate_sample():
     assert_fails(r, 2)
 
 
+def test_irrational_critical_points_exit_2():
+    # irrational (0,-2) and complex (1,1; 1,-3,0) critical points have no
+    # exact canonical coordinates: a clean exit 2, never a float
+    for sample, rank in (('0,-2', '2'), ('1,1', '2'), ('1,-3,0', '3')):
+        r = run('compute', '--series', 'A', '--rank', rank,
+                '--sample=' + sample)
+        assert_fails(r, 2)
+        assert 'not all rational' in r.stderr, (sample, r.stderr)
+        assert r.stdout == '', (sample, r.stdout)
+
+
 def test_exit_code_fixture_problem():
     r = run('compute', '--algebra', 'F4', '--fixture-dir', '/no/such/dir')
     assert_fails(r, 3)

@@ -149,3 +149,90 @@ def test_default_slice_agrees_up_to_scaling(g2):
                     k = Fraction(y) / Fraction(x)
                 else:
                     assert Fraction(y) == k * Fraction(x)
+
+
+def _symbolic_invariants(tensors, n, upoint):
+    """Reference for central_invariants_dirac: expand det(g2 - z g1) in z
+    and all u^i with char_poly, differentiate symbolically and only then
+    substitute the point."""
+    from dscentral.invariants import _rational_roots, DegeneratePoint
+    usub = {('u', i + 1, 0): Fraction(v) for i, v in enumerate(upoint)}
+    p = char_poly(tensors, n)
+    dp = [p.diff(('u', k + 1, 0)).subs(usub) for k in range(n)]
+    p0 = p.subs(usub)
+    pz = p0.diff(('z', 0, 0))
+    cz = {e: c.constant() for e, c in p0.coeffs_in(('z', 0, 0)).items()}
+    roots = _rational_roots(cz)
+    if roots is None:
+        raise DegeneratePoint("irrational canonical coordinates")
+    roots = sorted(roots)
+
+    def at(pol, z):
+        return sum((c.constant() * z ** e
+                    for e, c in pol.coeffs_in(('z', 0, 0)).items()), Fraction(0))
+
+    def ev(key):
+        return [[tensors[key][i][j].subs(usub).constant() for j in range(n)]
+                for i in range(n)]
+    g1, A22, A21 = ev('g1'), ev('A22'), ev('A21')
+    out = []
+    for z in roots:
+        d = [at(x, z) for x in dp]
+        num = sum(d[k] * d[l] * (A22[k][l] - z * A21[k][l])
+                  for k in range(n) for l in range(n))
+        den = sum(d[k] * d[l] * g1[k][l] for k in range(n) for l in range(n))
+        if den == 0:
+            raise DegeneratePoint("degenerate first metric direction")
+        out.append(Fraction(1, 3) * at(pz, z) ** 2 * num / den ** 2)
+    return roots, out
+
+
+def _outcome(fn, *args):
+    from dscentral.invariants import DegeneratePoint
+    try:
+        return fn(*args)
+    except DegeneratePoint as ex:
+        return 'DegeneratePoint: %s' % ex
+
+
+def test_pointwise_defect_formula_matches_symbolic_g2(g2):
+    _, _, tens, _ = g2
+    rng = random.Random(23)
+    points = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(-3)],
+              [Fraction(2), Fraction(0)], [Fraction(0), Fraction(0)]]
+    points += [[Fraction(rng.randint(-9, 9), rng.randint(1, 3)),
+                Fraction(rng.randint(-9, 9), rng.randint(1, 3))]
+               for _ in range(20)]
+    outcomes = []
+    for u in points:
+        want = _outcome(_symbolic_invariants, tens, 2, u)
+        assert _outcome(central_invariants_dirac, tens, 2, u) == want, u
+        outcomes.append(want)
+    assert any(isinstance(o, str) for o in outcomes)
+    assert sum(not isinstance(o, str) for o in outcomes) >= 15
+
+
+def test_pointwise_defect_formula_matches_symbolic_f4(monkeypatch):
+    rng = random.Random(29)
+    points = []
+    for _ in range(4):          # the perfect-square family: rational roots
+        k = rng.randint(1, 5)
+        t4 = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        points.append([Fraction(rng.randint(-5, 5)),
+                       Fraction(57 * k * k - 2736 * t4 ** 4, 361),
+                       Fraction(0), t4])
+    points += [[Fraction(1), Fraction(2), Fraction(0), Fraction(0)],
+               [Fraction(0), Fraction(0), Fraction(0), Fraction(0)],
+               [Fraction(3), Fraction(-1), Fraction(1, 2), Fraction(2)]]
+    fast = [_outcome(fixtures.fixture_invariants, 'f4', t) for t in points]
+    calls = []
+
+    def reference(*args):
+        calls.append(args)
+        return _symbolic_invariants(*args)
+    monkeypatch.setattr(dirac, 'central_invariants_dirac', reference)
+    slow = [_outcome(fixtures.fixture_invariants, 'f4', t) for t in points]
+    assert len(calls) == len(points)
+    assert fast == slow
+    assert sum(isinstance(o, str) for o in fast) >= 2
+    assert sum(not isinstance(o, str) for o in fast) >= 4

@@ -246,10 +246,8 @@ def test_e8_generator_relations():
 
 
 # ---------------------------------------------------------------------------
-# optional full rank 4 reduction (slow, enable explicitly)
+# full rank 4 reduction at one slice point
 
-@pytest.mark.skipif(not os.environ.get('DSCENTRAL_F4_FULL'),
-                    reason='set DSCENTRAL_F4_FULL=1 to run the full reduction')
 def test_f4_full_reduction(f4):
     from dscentral.dirac import slice_bases, numeric_pencil
     alg, gammas = f4

@@ -125,3 +125,88 @@ def test_matrix_algebra_rejects_bad_sl2():
     Y = [[[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]]
     with pytest.raises(Exception):
         liealg.MatrixLieAlgebra('bad', 'A', 1, X, Y, Fraction(1), 3)
+
+
+def _roots(C):
+    """All roots as coefficient tuples over the simple roots: the orbit of
+    the simple roots under the simple reflections, with the pairing
+    <beta, alpha_i^> = sum_j C[i][j] n_j read off the realized Cartan
+    matrix."""
+    n = len(C)
+    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    seen, todo = set(simple), list(simple)
+    while todo:
+        beta = todo.pop()
+        for i in range(n):
+            k = sum(C[i][j] * beta[j] for j in range(n))
+            img = tuple(b - k * (j == i) for j, b in enumerate(beta))
+            if img not in seen:
+                seen.add(img)
+                todo.append(img)
+    return sorted(seen)
+
+
+@pytest.mark.parametrize('name', ['g2', 'f4'])
+def test_root_vector_every_root(name):
+    from dscentral import fixtures
+    alg = g2_algebra() if name == 'g2' else fixtures.build_algebra(name)
+    C = alg.realized_cartan()
+    roots = _roots(C)
+    assert len(roots) == alg.dim - alg.n
+    assert sum(1 for r in roots if min(r) >= 0) == len(roots) // 2
+    size = len(alg.X[0])
+    for nvec in roots:
+        m = alg.root_vector(list(nvec))
+        assert m != mzero(size)
+        assert next(x for row in m for x in row if x) == 1
+        for i, Hi in enumerate(alg.H):
+            lam = sum(C[i][j] * nvec[j] for j in range(alg.n))
+            assert mcomm(Hi, m) == mscale(m, lam), (nvec, i)
+
+
+def test_root_vector_rejects_non_roots():
+    alg = g2_algebra()
+    with pytest.raises(ValueError, match='root space has dimension 2'):
+        alg.root_vector([0, 0])
+    with pytest.raises(ValueError, match='root space has dimension 0'):
+        alg.root_vector([2, 0])
+
+
+def _random_sparse(rng, n, m, density):
+    # fresh zero objects on purpose: the kernels must not rely on sharing
+    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+             if rng.random() < density else Fraction(0) for _ in range(m)]
+            for _ in range(n)]
+
+
+def test_matrix_kernels_match_dense_formulas():
+    rng = random.Random(11)
+    for trial in range(30):
+        n = rng.randint(1, 9)
+        density = rng.choice([0.0, 0.05, 0.2, 0.6, 1.0])
+        A = _random_sparse(rng, n, n, density)
+        B = _random_sparse(rng, n, n, density)
+        s = rng.choice([1, -1, 0, Fraction(rng.randint(-5, 5), 3)])
+        prod = [[sum((A[i][k] * B[k][j] for k in range(n)), Fraction(0))
+                 for j in range(n)] for i in range(n)]
+        rprod = [[sum((B[i][k] * A[k][j] for k in range(n)), Fraction(0))
+                  for j in range(n)] for i in range(n)]
+        want = {
+            'madd': [[a + s * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)],
+            'mscale': [[a * s for a in row] for row in A],
+            'mmul': prod,
+            'mcomm': [[x - y for x, y in zip(rx, ry)] for rx, ry in zip(prod, rprod)],
+        }
+        got = {'madd': madd(A, B, s), 'mscale': mscale(A, s),
+               'mmul': liealg.mmul(A, B), 'mcomm': mcomm(A, B)}
+        for key, M in got.items():
+            assert M == want[key], (trial, key)
+            assert all(type(x) is Fraction for row in M for x in row), (trial, key)
+        assert liealg.mtrace_prod(A, B) == sum(
+            (prod[i][i] for i in range(n)), Fraction(0))
+    # rectangular products
+    A = _random_sparse(rng, 3, 5, 0.3)
+    B = _random_sparse(rng, 5, 2, 0.3)
+    assert liealg.mmul(A, B) == [[sum((A[i][k] * B[k][j] for k in range(5)),
+                                      Fraction(0)) for j in range(2)]
+                                 for i in range(3)]
