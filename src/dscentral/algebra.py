@@ -39,6 +39,15 @@ def _mono_divides(m2, m1):
     return all(d.get(v, 0) >= e for v, e in m2)
 
 
+def _accumulate(terms, m, c):
+    """terms[m] += c in place, dropping the monomial when it cancels."""
+    c2 = terms.get(m, 0) + c
+    if c2:
+        terms[m] = c2
+    else:
+        terms.pop(m, None)
+
+
 class Poly:
     __slots__ = ("terms",)
 
@@ -179,9 +188,9 @@ class Poly:
         >>> p.xdiff() == 2 * Poly.of('u', 1) * Poly.of('u', 1, 1) + Poly.of('u', 2, 2)
         True
         """
-        out = Poly()
+        t = {}
         for m, c in self.terms.items():
-            for i, (v, e) in enumerate(m):
+            for v, e in m:
                 if v[0] in frozen:
                     continue
                 d = dict(m)
@@ -193,33 +202,37 @@ class Poly:
                 d[v2] = d.get(v2, 0) + 1
                 if d[v2] == 0:
                     del d[v2]
-                m2 = tuple(sorted(d.items()))
-                out = out + Poly({m2: c * e})
-        return out
+                _accumulate(t, tuple(sorted(d.items())), c * e)
+        return Poly(t)
 
     def subs(self, mapping):
         """Substitute variables by Polys or numbers.  Variables occurring
         with negative exponent may only be mapped to nonzero numbers."""
-        out = Poly()
+        t = {}
         for m, c in self.terms.items():
-            term = Poly.num(c)
+            rest = []
+            factors = []
             for v, e in m:
-                if v in mapping:
-                    val = mapping[v]
-                    if isinstance(val, Poly):
-                        if e < 0:
-                            if not val.is_constant():
-                                raise ValueError("negative power substitution")
-                            term = term * (Fraction(1) / val.constant()) ** (-e)
-                        else:
-                            term = term * val ** e
+                if v not in mapping:
+                    rest.append((v, e))
+                    continue
+                val = mapping[v]
+                if isinstance(val, Poly):
+                    if e < 0:
+                        if not val.is_constant():
+                            raise ValueError("negative power substitution")
+                        c = c * (Fraction(1) / val.constant()) ** (-e)
                     else:
-                        val = Fraction(val)
-                        term = term * (val ** e if e >= 0 else (1 / val) ** (-e))
+                        factors.append(val ** e)
                 else:
-                    term = term * Poly({((v, e),): Fraction(1)})
-            out = out + term
-        return out
+                    val = Fraction(val)
+                    c = c * (val ** e if e >= 0 else (1 / val) ** (-e))
+            term = Poly({tuple(rest): c})
+            for f in factors:
+                term = term * f
+            for m2, c2 in term.terms.items():
+                _accumulate(t, m2, c2)
+        return Poly(t)
 
     def coeffs_in(self, v):
         """Split as a polynomial in one variable: dict exponent -> Poly."""
@@ -307,13 +320,13 @@ def antiderivative(p, frozen=frozenset()):
     """Inverse of the total x-derivative; raises ValueError if `p` is not
     a total derivative.  Greedy: repeatedly strip the term with the
     highest-order jet variable."""
-    rem = p
-    out = Poly()
+    rem = dict(p.terms)
+    out = {}
     for _ in range(20000):
-        if rem.is_zero():
-            return out
+        if not rem:
+            return Poly(out)
         best = None
-        for m, c in rem.terms.items():
+        for m, c in rem.items():
             top = max(((v[2], v) for v, e in m if v[0] not in frozen), default=None)
             if top is None or top[1][2] == 0:
                 raise ValueError("not a total x-derivative")
@@ -330,8 +343,10 @@ def antiderivative(p, frozen=frozenset()):
         v2 = (v[0], v[1], v[2] - 1)
         d[v2] = d.get(v2, 0) + 1
         cand = Poly({tuple(sorted(d.items())): c / Fraction(d[v2])})
-        out = out + cand
-        rem = rem - cand.xdiff(frozen)
+        for m2, c2 in cand.terms.items():
+            _accumulate(out, m2, c2)
+        for m2, c2 in cand.xdiff(frozen).terms.items():
+            _accumulate(rem, m2, -c2)
     raise ValueError("antiderivative did not terminate")
 
 

@@ -16,7 +16,7 @@ variables.
 
 from fractions import Fraction
 
-from .algebra import Poly, antiderivative
+from .algebra import Poly, _accumulate, antiderivative
 from .symbols import Symbol
 from .lax import NU, dispersionless_symbol, lambda_xpoly, capital_lambda, \
     capital_lambda_tilde, u_list
@@ -60,76 +60,90 @@ def gy_exact(lsym, ysym, frozen=frozenset()):
     return out
 
 
-def bracket_density(series, n, which, u=None, K=4, suppress_jets=True, lsym=None):
+def bracket_density(series, n, which, K=4):
     """Residue density of the bracket (without the overall 1/eps) as a
-    dict eps-power -> Poly."""
-    frozen = frozenset({'u', 'rho'}) if suppress_jets else frozenset()
-    if lsym is None:
-        lsym = dispersionless_symbol(series, n, u, K)
+    dict eps-power -> Poly, symbolic in u with the u-jets suppressed.
+
+    The density is res(sum of sign * left * right) over a few signed
+    pairs; only the p^-1 part of each last product is formed.
+    """
+    frozen = frozenset({'u', 'rho'})
+    lsym = dispersionless_symbol(series, n, K=K)
     X = variational_symbol(series, n, 'a', K)
     Y = variational_symbol(series, n, 'b', K)
     st = lambda A, B: A.star(B, frozen)
     if which == 2:
-        t = st(st(st(lsym, Y).positive(), lsym), X) \
-            - st(st(X, lsym), st(Y, lsym).positive())
+        pairs = [(1, st(st(lsym, Y).positive(), lsym), X),
+                 (-1, st(X, lsym), st(Y, lsym).positive())]
         if series == 'A':
             g = gy_exact(lsym, Y, frozen)
-            t = t + st(X, lsym.commutator(g, frozen)).scale(Fraction(1, n + 1))
+            pairs.append((Fraction(1, n + 1), X, lsym.commutator(g, frozen)))
     elif which == 1:
         if series == 'A':
-            t = st(Y.commutator(X, frozen), lsym)
+            pairs = [(1, Y.commutator(X, frozen), lsym)]
         elif series == 'B':
             Ds = Symbol.from_p_poly({1: 1}, K)
-            t = st(lsym, st(st(Y, Ds), X) - st(st(X, Ds), Y))
+            pairs = [(1, lsym, st(st(Y, Ds), X) - st(st(X, Ds), Y))]
         elif series == 'C':
-            t = st(lsym, Y.commutator(X, frozen))
+            pairs = [(1, lsym, Y.commutator(X, frozen))]
         elif series == 'D':
             Ds = Symbol.from_p_poly({1: 1}, K)
             Xp, Xm = X.positive(), X.negative()
             Yp, Ym = Y.positive(), Y.negative()
-            t = st(lsym, st(st(Xp, Ds), Yp) - st(st(Yp, Ds), Xp)
-                   + st(st(Ym, Ds), Xm) - st(st(Xm, Ds), Ym))
+            pairs = [(1, lsym, st(st(Xp, Ds), Yp) - st(st(Yp, Ds), Xp)
+                      + st(st(Ym, Ds), Xm) - st(st(Xm, Ds), Ym))]
         else:
             raise ValueError("unknown series %r" % series)
     else:
         raise ValueError("which must be 1 or 2")
-    return t.residue()
+    out = {}
+    for sign, left, right in pairs:
+        for e, pol in left.star_residue(right, frozen).items():
+            acc = out.setdefault(e, {})
+            for m, c in pol.terms.items():
+                _accumulate(acc, m, c * sign)
+    return {e: Poly(t) for e, t in out.items() if t}
 
 
 def ibp_reduce(pol, fam='a', frozen=FROZEN):
     """Move all x-derivatives off the `fam` variables, modulo total
     derivatives."""
-    out = Poly()
-    rem = pol
-    while not rem.is_zero():
-        again = Poly()
-        for m, c in rem.terms.items():
+    out = {}
+    rem = pol.terms
+    while rem:
+        again = {}
+        for m, c in rem.items():
             target = None
             for v, e in m:
                 if v[0] == fam and v[2] > 0:
                     target = (v, e)
                     break
             if target is None:
-                out = out + Poly({m: c})
+                _accumulate(out, m, c)
                 continue
             v, e = target
             if e != 1:
                 raise ValueError("nonlinear density in %s" % fam)
             rest = Poly({tuple(x for x in m if x[0] != v): c})
             low = Poly.from_var((v[0], v[1], v[2] - 1))
-            again = again - low * rest.xdiff(frozen)
+            for m2, c2 in (low * rest.xdiff(frozen)).terms.items():
+                _accumulate(again, m2, -c2)
         rem = again
-    return out
+    return Poly(out)
 
 
-def bracket_table(series, n, which, u=None, K=4):
-    """Normal-form coefficient table: dict (i, j, s) -> Poly in u.
+def bracket_table(series, n, which, K=4):
+    """Normal-form coefficient table: dict (i, j, s) -> Poly in u."""
+    return normal_form(bracket_density(series, n, which, K))
+
+
+def normal_form(dens):
+    """Coefficient table dict (i, j, s) -> Poly of a residue density.
 
     Sanity conditions verified on the way: the density is bilinear in the
     two test densities, the eps^0 part cancels, and each a_i b_j^(s)
     coefficient sits at eps power s exactly.
     """
-    dens = bracket_density(series, n, which, u, K)
     table = {}
     for e, pol in dens.items():
         nf = ibp_reduce(pol)
@@ -151,10 +165,8 @@ def bracket_table(series, n, which, u=None, K=4):
                 raise ValueError("density not bilinear: %s" % (m,))
             if s != e:
                 raise ValueError("eps grading violated at %s (eps^%d)" % (m, e))
-            key = (ia, jb, s)
-            cur = table.get(key, Poly())
-            table[key] = cur + Poly({tuple(rest): c})
-    table = {k: v for k, v in table.items() if not v.is_zero()}
+            _accumulate(table.setdefault((ia, jb, s), {}), tuple(rest), c)
+    table = {k: Poly(t) for k, t in table.items() if t}
     if any(s == 0 for (_, _, s) in table):
         raise ValueError("eps^-1 terms did not cancel")
     return table

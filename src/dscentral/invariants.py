@@ -10,10 +10,11 @@ Jacobian of the critical values, feed the defect formula
           / (3 f_i^2).
 """
 
+import functools
 from fractions import Fraction
 
 from .algebra import Poly
-from .brackets import bracket_table, small_power
+from .brackets import bracket_table
 from .lax import NU, u_list, lambda_xpoly, capital_lambda, capital_lambda_tilde
 from . import liealg
 
@@ -108,38 +109,57 @@ def canonical_coordinates(series, n, u):
     return pts
 
 
-def _eval_table(table, series, s, x, y):
-    capital = series != 'A'
-    tot = Fraction(0)
-    for (i, j, t), pol in table.items():
-        if t != s:
-            continue
-        c = pol.constant()
-        if capital:
-            tot += c * x ** (i - 1) * y ** (j - 1)
-        else:
-            tot += c * x ** small_power(series, i) * y ** small_power(series, j)
-    return tot
+@functools.lru_cache(maxsize=None)
+def _symbolic_tables(series, n, K):
+    # shared by every call on one algebra: never hand these Polys out
+    return (bracket_table(series, n, 1, K=K), bracket_table(series, n, 2, K=K))
 
 
-def central_invariants(series, n, u, K=4, tables=None):
+def tables_at(series, n, u, K=4):
+    """The two bracket tables at a point: dict (i, j, s) -> Fraction,
+    without the entries that vanish there.  The symbolic tables are
+    built once per (series, n, K)."""
+    vals = {('u', k, 0): x.constant() for k, x in enumerate(u_list(series, n, u), 1)}
+    out = []
+    for table in _symbolic_tables(series, n, K):
+        at = {}
+        for key, pol in table.items():
+            c = pol.subs(vals).constant()
+            if c:
+                at[key] = c
+        out.append(at)
+    return tuple(out)
+
+
+def _blocks(table):
+    """Table at a point -> dict s -> [(i, j, c)]."""
+    out = {}
+    for (i, j, s), c in table.items():
+        out.setdefault(s, []).append((i, j, c))
+    return out
+
+
+def central_invariants(series, n, u, K=4):
     """Full evaluation chain at a single point of the orbit space.
 
     Returns a dict with canonical points, the diagonal metric entries f,
     the contracted delta''/delta''' blocks P, Q and the invariants c.
+    The bracket tables are built symbolically once per (series, n, K),
+    kept for the life of the process, and evaluated at the point.
     """
     u = u_list(series, n, u)
     pts = canonical_coordinates(series, n, u)
-    if tables is None:
-        tables = (bracket_table(series, n, 1, u, K),
-                  bracket_table(series, n, 2, u, K))
-    t1, t2 = tables
+    blocks = [_blocks(t) for t in tables_at(series, n, u, K)]
     rs = [r for r, _ in pts]
     lams = [l for _, l in pts]
+    # the delta^(s) coefficient at (x, y) is sum c x^(i-1) y^(j-1) in the
+    # small variable for A and in the capital one otherwise
+    pw = [[r ** e for e in range(n)] for r in rs]
 
     def E(a, s, k, i):
-        t = t1 if a == 1 else t2
-        v = _eval_table(t, series, s, rs[k], rs[i])
+        x, y = pw[k], pw[i]
+        v = sum((c * x[ia - 1] * y[jb - 1] for ia, jb, c in blocks[a - 1].get(s, ())),
+                Fraction(0))
         if series == 'D':
             v = v / (rs[k] * rs[i])
         return v

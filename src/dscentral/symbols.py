@@ -11,7 +11,7 @@ act termwise.  Laurent powers of p are allowed.
 
 from fractions import Fraction
 
-from .algebra import Poly
+from .algebra import Poly, _accumulate
 
 
 class Symbol:
@@ -84,15 +84,6 @@ class Symbol:
     def xdiff(self, frozen=frozenset()):
         return Symbol({k: p.xdiff(frozen) for k, p in self.c.items()}, self.K)
 
-    def fmul(self, other):
-        """Plain function multiplication (no eps corrections)."""
-        out = Symbol({}, self.K)
-        for (i, e1), p1 in self.c.items():
-            for (j, e2), p2 in other.c.items():
-                if e1 + e2 <= self.K:
-                    out._merge((i + j, e1 + e2), p1 * p2)
-        return out
-
     def star(self, other, frozen=frozenset()):
         """Symbol product, truncated at eps^K.
 
@@ -116,6 +107,40 @@ class Symbol:
                         if not prod.is_zero():
                             out._merge((i - k + j, e1 + e2 + k), prod)
         return out
+
+    def star_residue(self, other, frozen=frozenset()):
+        """star(other, frozen).residue() without the other p-powers.
+
+        A term p^i of self meets the k-th x-derivative of the p^j terms
+        of other only where i - k + j = -1, so the x-derivative tower of
+        other is indexed by p-power and taken no higher than needed.
+        """
+        K = self.K
+        towers = {}                     # j -> [(e2, [p2, p2', ...])]
+        for (j, e2), p2 in other.c.items():
+            towers.setdefault(j, []).append((e2, [p2]))
+        out = {}
+        for (i, e1), p1 in self.c.items():
+            fall = Fraction(1)
+            for k in range(K - e1 + 1):
+                if k:
+                    fall = fall * (i - k + 1) / k
+                    if not fall:
+                        break
+                matches = towers.get(k - 1 - i)
+                if not matches:
+                    continue
+                p1f = p1 if k == 0 else p1 * fall
+                for e2, tower in matches:
+                    e = e1 + e2 + k
+                    if e > K:
+                        continue
+                    while len(tower) <= k:
+                        tower.append(tower[-1].xdiff(frozen))
+                    acc = out.setdefault(e, {})
+                    for m, c in (p1f * tower[k]).terms.items():
+                        _accumulate(acc, m, c)
+        return {e: Poly(t) for e, t in out.items() if t}
 
     def commutator(self, other, frozen=frozenset()):
         return self.star(other, frozen) - other.star(self, frozen)
@@ -173,25 +198,3 @@ class Symbol:
                           for (i, e), p in sorted(self.c.items()))
 
     __repr__ = __str__
-
-
-def gy_correction(lsym, ysym, frozen=frozenset()):
-    """Scalar symbol g with eps d_x g = residue([L, Y]), in closed form
-    valid when the operator coefficients carry no x-dependence beyond
-    the variational densities:
-
-        g = sum_{k>=1} eps^(k-1)/k! res_q( d_q^k L . d_x^(k-1) Y )
-    """
-    K = lsym.K
-    out = Symbol({}, K)
-    fact = Fraction(1)
-    ydx = ysym
-    for k in range(1, K + 2):
-        fact = fact / k
-        if k > 1:
-            ydx = ydx.xdiff(frozen)
-        prod = lsym.pdiff(k).fmul(ydx)
-        for e, p in prod.residue().items():
-            if e + k - 1 <= K:
-                out._merge((0, e + k - 1), p * fact)
-    return out

@@ -4,16 +4,20 @@ The table computation runs the full symbol pipeline; every comparison
 here is an exact identity of Laurent polynomials, no tolerances.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from dscentral.algebra import Poly
-from dscentral import brackets
+from dscentral import brackets, invariants
 from dscentral.brackets import (bracket_density, bracket_table, ibp_reduce,
                                 generating_poly, table_coeff,
                                 closed_form_small, closed_form_capital,
-                                dispersionless_pencil)
+                                dispersionless_pencil, gy_exact, normal_form,
+                                variational_symbol)
+from dscentral.lax import dispersionless_symbol
+from dscentral.symbols import Symbol
 
 
 def _swap_ab(p):
@@ -134,3 +138,46 @@ def _swap_pq(p):
         key = tuple(sorted(nm))
         out[key] = out.get(key, Fraction(0)) + c
     return Poly(out)
+
+
+def full_product_density(series, n, which, u, K=4):
+    """Reference: the residue of the whole last star product, at a
+    numeric point u, with the u-jets suppressed."""
+    frozen = frozenset({'u', 'rho'})
+    lsym = dispersionless_symbol(series, n, u, K)
+    X = variational_symbol(series, n, 'a', K)
+    Y = variational_symbol(series, n, 'b', K)
+    st = lambda A, B: A.star(B, frozen)
+    if which == 2:
+        t = st(st(st(lsym, Y).positive(), lsym), X) \
+            - st(st(X, lsym), st(Y, lsym).positive())
+        if series == 'A':
+            g = gy_exact(lsym, Y, frozen)
+            t = t + st(X, lsym.commutator(g, frozen)).scale(Fraction(1, n + 1))
+    elif series == 'A':
+        t = st(Y.commutator(X, frozen), lsym)
+    elif series == 'B':
+        Ds = Symbol.from_p_poly({1: 1}, K)
+        t = st(lsym, st(st(Y, Ds), X) - st(st(X, Ds), Y))
+    elif series == 'C':
+        t = st(lsym, Y.commutator(X, frozen))
+    else:
+        Ds = Symbol.from_p_poly({1: 1}, K)
+        Xp, Xm = X.positive(), X.negative()
+        Yp, Ym = Y.positive(), Y.negative()
+        t = st(lsym, st(st(Xp, Ds), Yp) - st(st(Yp, Ds), Xp)
+               + st(st(Ym, Ds), Xm) - st(st(Xm, Ds), Ym))
+    return t.residue()
+
+
+@pytest.mark.parametrize('series,n', [('A', 2), ('B', 3), ('C', 3), ('D', 4)])
+def test_cached_tables_at_a_point_match_full_product(series, n):
+    # the cached symbolic tables, evaluated at a point, equal the tables
+    # built from the full last product with the point substituted first
+    rng = random.Random(41)
+    for _ in range(2):
+        u = invariants.random_sample(series, n, rng)
+        at = invariants.tables_at(series, n, u)
+        for a in (1, 2):
+            ref = normal_form(full_product_density(series, n, a, u))
+            assert at[a - 1] == {k: p.constant() for k, p in ref.items()}, a

@@ -2,11 +2,13 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import dscentral
+from dscentral import cli, invariants
 
 # The directory that holds the imported package goes first on the child's
 # PYTHONPATH, so the CLI under test is the code the other tests import.
@@ -166,3 +168,17 @@ def test_verify_suites():
         assert r.returncode == 0, (suite, r.stdout)
         assert 'FAIL' not in r.stdout
     assert_fails(run('verify', 'nope'), 4)
+
+
+def test_verify_bcd_checks_the_slot_order(monkeypatch):
+    # a swap of the ordinary and exceptional slots must not pass
+    assert all(ok for _, ok in cli._suite_bcd(random.Random(0)))
+    real = invariants.central_invariants
+
+    def reversed_c(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res['c'] = res['c'][::-1]
+        return res
+    monkeypatch.setattr(invariants, 'central_invariants', reversed_c)
+    lines = dict(cli._suite_bcd(random.Random(0)))
+    assert lines['B2 invariants'] is False

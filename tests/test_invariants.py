@@ -162,3 +162,21 @@ def test_series_scale_links_both_computations():
 def test_foldings():
     for key, (direct, folded) in folding_check().items():
         assert direct == folded, key
+
+
+def test_second_call_reuses_the_tables(monkeypatch):
+    calls = []
+    build = invariants.bracket_table
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+    monkeypatch.setattr(invariants, 'bracket_table', counting)
+    invariants._symbolic_tables.cache_clear()
+    rng = random.Random(37)
+    u, v = random_sample('C', 3, rng), random_sample('C', 3, rng)
+    first = central_invariants('C', 3, u)
+    assert len(calls) == 2
+    assert central_invariants('C', 3, u) == first
+    assert central_invariants('C', 3, v)['c'] == first['c']
+    assert len(calls) == 2

@@ -105,3 +105,12 @@ def test_scale_and_shift():
     assert (s.scale(Fraction(1, 2)) + s.scale(Fraction(1, 2)) - s).is_zero()
     t = s.eps_shift(1)
     assert (t.coeff(1, 1) - Poly.of('u', 1)).is_zero()
+
+
+def test_star_residue_matches_full_product():
+    rng = random.Random(7)
+    for K in (2, 4):
+        for frozen in (frozenset(), frozenset({'u'})):
+            for _ in range(15):
+                x, y = rnd_symbol(rng, K=K), rnd_symbol(rng, K=K)
+                assert x.star_residue(y, frozen) == x.star(y, frozen).residue()
