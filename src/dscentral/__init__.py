@@ -3,8 +3,8 @@ their central invariants.
 
 Subpackage layout:
 
-    algebra     sparse differential polynomials, rational functions,
-                fraction-free matrix elimination
+    algebra     sparse differential polynomials, fraction-free matrix
+                elimination
     symbols     truncated symbol calculus for pseudodifferential operators
     lax         scalar Lax operators for the classical series
     brackets    Poisson bracket tables from the symbol calculus
@@ -13,6 +13,8 @@ Subpackage layout:
     dirac       bracket tensors through Dirac reduction on a slice
     frobenius   Frobenius manifold / orbit space constructions
     fixtures    bundled exceptional-algebra data files
+    reference   the paper's reference values (invariant table, foldings,
+                classical values) and the rational sample families
     cli         command line interface
 """
 

@@ -1,5 +1,5 @@
-"""Sparse exact arithmetic: differential polynomials, rational functions,
-fraction-free matrix elimination.
+"""Sparse exact arithmetic: differential polynomials and fraction-free
+matrix elimination.
 
 A variable is a tuple (family, index, order), e.g. ('u', 2, 0) for u_2 or
 ('a', 1, 3) for the third x-derivative of a_1.  A monomial is a sorted
@@ -8,11 +8,6 @@ A Poly maps monomials to Fraction coefficients.
 """
 
 from fractions import Fraction
-from math import gcd as _igcd
-
-
-def var(family, index=0, order=0):
-    return (family, index, order)
 
 
 def _mono_mul(m1, m2):
@@ -348,230 +343,6 @@ def antiderivative(p, frozen=frozenset()):
         for m2, c2 in cand.xdiff(frozen).terms.items():
             _accumulate(rem, m2, -c2)
     raise ValueError("antiderivative did not terminate")
-
-
-def _to_sympy(p, symmap):
-    import sympy
-    expr = sympy.Integer(0)
-    for m, c in p.terms.items():
-        t = sympy.Rational(c.numerator, c.denominator)
-        for v, e in m:
-            if v not in symmap:
-                symmap[v] = sympy.Symbol("x%d" % len(symmap))
-            t *= symmap[v] ** e
-        expr += t
-    return expr
-
-
-def _from_sympy(expr, revmap):
-    import sympy
-    p = sympy.Poly(expr, *revmap.keys()) if revmap else None
-    out = Poly()
-    if p is None:
-        c = sympy.Rational(expr)
-        return Poly.num(Fraction(int(c.p), int(c.q)))
-    gens = list(revmap.keys())
-    for exps, coeff in p.terms():
-        coeff = sympy.Rational(coeff)
-        mono = tuple(sorted((revmap[g], e) for g, e in zip(gens, exps) if e))
-        out = out + Poly({mono: Fraction(int(coeff.p), int(coeff.q))})
-    return out
-
-
-def poly_gcd(a, b):
-    """Multivariate gcd through sympy, used to keep rational functions small."""
-    if a.is_zero():
-        return b
-    if b.is_zero():
-        return a
-    sa, sb = a._laurent_shift(), b._laurent_shift()
-    if sa or sb:
-        a = Poly({_mono_mul(m, sa): c for m, c in a.terms.items()})
-        b = Poly({_mono_mul(m, sb): c for m, c in b.terms.items()})
-    import sympy
-    symmap = {}
-    ea = _to_sympy(a, symmap)
-    eb = _to_sympy(b, symmap)
-    g = sympy.gcd(ea, eb)
-    revmap = {s: v for v, s in symmap.items()}
-    return _from_sympy(g, revmap)
-
-
-class RatFunc:
-    """Quotient of two Polys, reduced opportunistically."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None, reduce=True):
-        if not isinstance(num, Poly):
-            num = Poly.num(num)
-        if den is None:
-            den = Poly.num(1)
-        elif not isinstance(den, Poly):
-            den = Poly.num(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if reduce and not den.is_constant() and not num.is_zero():
-            try:
-                num = num.divexact(den)
-                den = Poly.num(1)
-            except ValueError:
-                g = poly_gcd(num, den)
-                if not g.is_constant():
-                    num = num.divexact(g)
-                    den = den.divexact(g)
-        if den.is_constant():
-            c = den.constant()
-            if c != 1:
-                num = num * (Fraction(1) / c)
-                den = Poly.num(1)
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def of(x):
-        if isinstance(x, RatFunc):
-            return x
-        if isinstance(x, Poly):
-            return RatFunc(x, reduce=False)
-        return RatFunc(Poly.num(x), reduce=False)
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __eq__(self, other):
-        other = RatFunc.of(other)
-        return (self.num * other.den - other.num * self.den).is_zero()
-
-    def __add__(self, other):
-        other = RatFunc.of(other)
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den, reduce=False)
-
-    def __sub__(self, other):
-        return self + (-RatFunc.of(other))
-
-    def __rsub__(self, other):
-        return RatFunc.of(other) - self
-
-    def __mul__(self, other):
-        other = RatFunc.of(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = RatFunc.of(other)
-        if other.num.is_zero():
-            raise ZeroDivisionError
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return RatFunc.of(other) / self
-
-    def subs(self, mapping):
-        n = self.num.subs(mapping)
-        d = self.den.subs(mapping)
-        return RatFunc(n, d)
-
-    def __str__(self):
-        if self.den.is_constant():
-            return str(self.num)
-        return "(%s)/(%s)" % (self.num, self.den)
-
-    __repr__ = __str__
-
-
-def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    return [[sum((A[i][t] * B[t][j] for t in range(k)), Poly() if isinstance(A[i][0], Poly) else 0)
-             for j in range(m)] for i in range(n)]
-
-
-class RFMatrix:
-    """Matrix over the rational function field.
-
-    Inversion and determinants go through fraction-free (Bareiss style)
-    elimination on a denominator-cleared polynomial matrix.
-    """
-
-    def __init__(self, rows):
-        self.rows = [[RatFunc.of(e) for e in row] for row in rows]
-        self.n = len(self.rows)
-        self.m = len(self.rows[0]) if self.rows else 0
-
-    @staticmethod
-    def identity(n):
-        return RFMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
-    def __eq__(self, other):
-        return (self.n == other.n and self.m == other.m and
-                all(self.rows[i][j] == other.rows[i][j]
-                    for i in range(self.n) for j in range(self.m)))
-
-    def __add__(self, other):
-        return RFMatrix([[self.rows[i][j] + other.rows[i][j] for j in range(self.m)]
-                         for i in range(self.n)])
-
-    def __sub__(self, other):
-        return RFMatrix([[self.rows[i][j] - other.rows[i][j] for j in range(self.m)]
-                         for i in range(self.n)])
-
-    def __mul__(self, other):
-        if isinstance(other, RFMatrix):
-            if self.m != other.n:
-                raise ValueError("shape mismatch")
-            return RFMatrix([[sum((self.rows[i][k] * other.rows[k][j]
-                                   for k in range(self.m)), RatFunc.of(0))
-                              for j in range(other.m)] for i in range(self.n)])
-        return RFMatrix([[e * other for e in row] for row in self.rows])
-
-    __rmul__ = __mul__
-
-    def transpose(self):
-        return RFMatrix([[self.rows[i][j] for i in range(self.n)] for j in range(self.m)])
-
-    def _cleared(self):
-        # multiply each row by its common denominator: returns (poly rows, row factors)
-        rows, facs = [], []
-        for row in self.rows:
-            d = Poly.num(1)
-            for e in row:
-                d = d * e.den
-            rows.append([e.num * d.divexact(e.den) for e in row])
-            facs.append(d)
-        return rows, facs
-
-    def det(self):
-        if self.n != self.m:
-            raise ValueError("not square")
-        rows, facs = self._cleared()
-        d = bareiss_det(rows)
-        f = Poly.num(1)
-        for x in facs:
-            f = f * x
-        return RatFunc(d, f)
-
-    def inverse(self):
-        """Exact inverse; raises ValueError on singular input."""
-        if self.n != self.m:
-            raise ValueError("not square")
-        rows, facs = self._cleared()
-        adj, det = bareiss_adjugate(rows)
-        if det.is_zero():
-            raise ValueError("singular matrix")
-        # self = diag(1/facs) * rows, so inverse = rows^-1 * diag(facs)
-        out = [[RatFunc(adj[i][j] * facs[j], det) for j in range(self.n)]
-               for i in range(self.n)]
-        return RFMatrix(out)
 
 
 def bareiss_det(rows):

@@ -16,7 +16,8 @@ from fractions import Fraction
 import click
 
 from .algebra import Poly
-from . import brackets, dirac, fixtures, frobenius, invariants, liealg
+from . import (brackets, dirac, fixtures, frobenius, invariants, liealg,
+               reference)
 
 SERIES = ('A', 'B', 'C', 'D')
 EXCEPTIONAL = {'G2': ('G', 2), 'F4': ('F', 4), 'E6': ('E', 6),
@@ -32,9 +33,15 @@ class Mismatch(Exception):
 
 
 def _rat(x, decimal=None):
-    if decimal is not None:
-        return '%.*f' % (decimal, float(x))
     f = Fraction(x)
+    if decimal is not None:
+        # exact: round half to even at `decimal` digits, then format
+        q = round(f * 10 ** decimal)
+        digits = str(abs(q)).rjust(decimal + 1, '0')
+        sign = '-' if q < 0 else ''
+        if not decimal:
+            return sign + digits
+        return '%s%s.%s' % (sign, digits[:-decimal], digits[-decimal:])
     if f.denominator == 1:
         return str(f.numerator)
     return '%d/%d' % (f.numerator, f.denominator)
@@ -77,64 +84,35 @@ def _invariant_report(algebra, method, pairs, diagnostics, decimal):
             'invariants': inv, 'diagnostics': diagnostics}
 
 
-def _series_sample(series, n, seed, sample):
+def _sample(n, seed, sample, draw):
+    """Explicit --sample coordinates, or draw(rng) from the seed."""
     if sample:
         u = _parse_rats(sample)
         if len(u) != n:
             raise ConfigError('sample needs %d coordinates' % n)
         return u, {'sample': [_rat(x) for x in u]}
-    rng = random.Random(seed)
-    u = invariants.random_sample(series, n, rng)
+    u = draw(random.Random(seed))
     return u, {'seed': seed, 'sample': [_rat(x) for x in u]}
 
 
-def _compute_series(series, n, method, seed, sample, order):
-    if method == 'lie':
-        cs = invariants.lie_formula(series, n)
-        return [(None, c) for c in cs], {'normalization': 'normalized-form'}
-    u, diag = _series_sample(series, n, seed, sample)
+def _compute_series(series, n, seed, sample, order):
+    u, diag = _sample(n, seed, sample,
+                      lambda rng: invariants.random_sample(series, n, rng))
     res = invariants.central_invariants(series, n, u, K=order)
     diag['order'] = order
     return list(zip(res['lambdas'], res['c'])), diag
 
 
-def _compute_g2(method, seed, sample):
-    if method == 'lie':
-        return ([(None, c) for c in invariants.lie_formula('G', 2)],
-                {'normalization': 'normalized-form'})
+def _compute_g2(seed, sample):
+    u, diag = _sample(2, seed, sample, reference.g2_sample)
     alg = liealg.g2_algebra()
     tens = dirac.dirac_tensors(alg, dirac.g2_slice(alg))
-    if sample:
-        u = _parse_rats(sample)
-        if len(u) != 2:
-            raise ConfigError('sample needs 2 coordinates')
-        diag = {'sample': [_rat(x) for x in u]}
-    else:
-        rng = random.Random(seed)
-        u = [Fraction(rng.randint(1, 9)), Fraction(rng.randint(-9, 9))]
-        diag = {'seed': seed, 'sample': [_rat(x) for x in u]}
     roots, cs = dirac.central_invariants_dirac(tens, 2, u)
     return list(zip(roots, cs)), diag
 
 
-def _compute_f4(method, seed, sample):
-    if method == 'lie':
-        return ([(None, c) for c in invariants.lie_formula('F', 4)],
-                {'normalization': 'normalized-form'})
-    if sample:
-        t = _parse_rats(sample)
-        if len(t) != 4:
-            raise ConfigError('sample needs 4 coordinates')
-        diag = {'sample': [_rat(x) for x in t]}
-    else:
-        # the quartic in the root formula becomes a perfect square on
-        # this family, so the canonical coordinates stay rational
-        rng = random.Random(seed)
-        k = rng.randint(1, 5)
-        t4 = Fraction(rng.randint(1, 4), rng.randint(1, 3))
-        t = [Fraction(rng.randint(-5, 5)),
-             Fraction(57 * k * k - 2736 * t4 ** 4, 361), Fraction(0), t4]
-        diag = {'seed': seed, 'sample': [_rat(x) for x in t]}
+def _compute_f4(seed, sample):
+    t, diag = _sample(4, seed, sample, reference.f4_sample)
     roots, cs = fixtures.fixture_invariants('f4', t)
     return list(zip(roots, cs)), diag
 
@@ -155,10 +133,13 @@ def main():
 @click.option('--seed', type=int, default=0)
 @click.option('--sample', default=None,
               help='comma separated rational coordinates')
-@click.option('--order', type=int, default=4, help='epsilon order')
+@click.option('--order', type=click.IntRange(min=3), default=4,
+              help='epsilon order (at least 3: the defect formula reads '
+                   'the delta\'\'\' block)')
 @click.option('--format', 'fmt',
               type=click.Choice(['json', 'tsv', 'pretty']), default='json')
-@click.option('--decimal', type=int, default=None)
+@click.option('--decimal', type=click.IntRange(min=0), default=None,
+              help='exact decimals with this many digits')
 @click.option('--fixture-dir', default=None)
 def compute(series, rank, algebra, method, seed, sample, order, fmt,
             decimal, fixture_dir):
@@ -170,59 +151,32 @@ def compute(series, rank, algebra, method, seed, sample, order, fmt,
         if rank is None or rank < 1 or (series != 'A' and rank < 2) \
                 or (series == 'D' and rank < 3):
             raise ConfigError('bad rank for series %s' % series)
-        method = method or 'symbol'
-        if method not in ('symbol', 'lie'):
-            raise ConfigError('series methods: symbol, lie')
-        pairs, diag = _compute_series(series, rank, method, seed, sample, order)
-        name = '%s%d' % (series, rank)
+        name, typ, n, default = '%s%d' % (series, rank), series, rank, 'symbol'
     else:
-        algebra = algebra.upper()
-        if algebra not in EXCEPTIONAL:
-            raise ConfigError('unknown algebra %r' % algebra)
-        if algebra == 'G2':
-            method = method or 'dirac'
-            if method not in ('dirac', 'lie'):
-                raise ConfigError('G2 methods: dirac, lie')
-            pairs, diag = _compute_g2(method, seed, sample)
-        elif algebra == 'F4':
-            method = method or 'fixture'
-            if method not in ('fixture', 'lie'):
-                raise ConfigError('F4 methods: fixture, lie')
-            pairs, diag = _compute_f4(method, seed, sample)
-        else:
-            if method not in (None, 'lie'):
-                raise ConfigError('%s supports --method lie only' % algebra)
-            method = 'lie'
-            typ, n = EXCEPTIONAL[algebra]
-            pairs = [(None, c) for c in invariants.lie_formula(typ, n)]
-            diag = {'normalization': 'normalized-form'}
-        name = algebra
+        name = algebra.upper()
+        if name not in EXCEPTIONAL:
+            raise ConfigError('unknown algebra %r' % name)
+        typ, n = EXCEPTIONAL[name]
+        default = {'G2': 'dirac', 'F4': 'fixture'}.get(name, 'lie')
+    method = method or default
+    if method not in (default, 'lie'):
+        raise ConfigError('%s methods: %s' % (
+            'series' if series else name, ', '.join(dict.fromkeys((default, 'lie')))))
+    if method == 'lie':
+        pairs = [(None, c) for c in liealg.lie_central_invariants(typ, n)]
+        diag = {'normalization': 'normalized-form'}
+    elif method == 'symbol':
+        pairs, diag = _compute_series(series, rank, seed, sample, order)
+    elif method == 'dirac':
+        pairs, diag = _compute_g2(seed, sample)
+    else:
+        pairs, diag = _compute_f4(seed, sample)
     _emit(_invariant_report(name, method, pairs, diag, decimal), fmt, decimal)
 
 
-TABLE_EXPECTED = {
-    ('A', 4): [Fraction(1, 24)] * 4,
-    ('B', 4): [Fraction(1, 24)] * 3 + [Fraction(1, 12)],
-    ('C', 4): [Fraction(1, 12)] * 3 + [Fraction(1, 24)],
-    ('D', 4): [Fraction(1, 24)] * 4,
-    ('E', 6): [Fraction(1, 24)] * 6,
-    ('E', 7): [Fraction(1, 24)] * 7,
-    ('E', 8): [Fraction(1, 24)] * 8,
-    ('F', 4): [Fraction(1, 24)] * 2 + [Fraction(1, 12)] * 2,
-    ('G', 2): [Fraction(1, 8), Fraction(1, 24)],
-}
-
-FOLDINGS = {
-    ('B3', 'G2'): ('G', 3, ('G', 2)),
-    ('D4', 'G2'): ('G', 4, ('G', 2)),
-    ('D5', 'B4'): ('B', 4, ('B', 4)),
-    ('A7', 'C4'): ('C', 4, ('C', 4)),
-    ('E6', 'F4'): ('F', 4, ('F', 4)),
-}
-
-
 @main.command()
-@click.option('--rank', type=int, default=4, help='rank for the classical rows')
+@click.option('--rank', type=click.IntRange(min=2), default=4,
+              help='rank for the classical rows (at least 2)')
 @click.option('--check', is_flag=True)
 @click.option('--fold', nargs=2, default=None,
               help='source and target diagram, e.g. --fold B3 G2')
@@ -232,12 +186,11 @@ def table(rank, check, fold, fmt):
     """Invariant table in the normalized bilinear form."""
     if fold:
         src, dst = fold[0].upper(), fold[1].upper()
-        key = (src, dst)
-        if key not in FOLDINGS:
+        if (src, dst) not in reference.FOLDINGS:
             raise ConfigError('unknown folding %s -> %s' % (src, dst))
-        ftyp, frank, (dtyp, drank) = FOLDINGS[key]
+        ftyp, frank, target = reference.FOLDINGS[(src, dst)]
         folded = liealg.fold(ftyp, frank)
-        direct = invariants.lie_formula(dtyp, drank)
+        direct = liealg.lie_central_invariants(*target)
         ok = folded == direct
         click.echo('fold %s -> %s: folded %s direct %s %s'
                    % (src, dst, [_rat(c) for c in folded],
@@ -250,10 +203,10 @@ def table(rank, check, fold, fmt):
     bad = []
     out = []
     for typ, n in rows:
-        cs = invariants.lie_formula(typ, n)
+        cs = liealg.lie_central_invariants(typ, n)
         line = '%s%d\t%s' % (typ, n, '\t'.join(_rat(c) for c in cs))
-        if check and (typ, n) in TABLE_EXPECTED:
-            ok = cs == TABLE_EXPECTED[(typ, n)]
+        if check and (typ, n) in reference.TABLE:
+            ok = cs == reference.TABLE[(typ, n)]
             line += '\t%s' % ('ok' if ok else 'MISMATCH')
             if not ok:
                 bad.append('%s%d' % (typ, n))
@@ -334,19 +287,17 @@ def _suite_an(rng):
     for n in (1, 2, 3):
         u = invariants.random_sample('A', n, rng)
         cs = invariants.central_invariants('A', n, u)['c']
-        yield 'A%d invariants' % n, all(c == Fraction(1, 24) for c in cs)
+        yield 'A%d invariants' % n, cs == reference.classical_invariants('A', n)
 
 
 def _suite_bcd(rng):
-    want = {'B': lambda n: [Fraction(1, 12)] * (n - 1) + [Fraction(1, 6)],
-            'C': lambda n: [Fraction(1, 12)] * (n - 1) + [Fraction(1, 24)],
-            'D': lambda n: [Fraction(1, 12)] * n}
     for series, n in (('B', 2), ('C', 2), ('D', 3)):
         u = invariants.random_sample(series, n, rng)
         res = invariants.central_invariants(series, n, u)
         # the exceptional value sits at the extra canonical point, which
         # is the last one in the engine ordering
-        yield '%s%d invariants' % (series, n), res['c'] == want[series](n)
+        yield '%s%d invariants' % (series, n), \
+            res['c'] == reference.classical_invariants(series, n)
 
 
 def _suite_g2(rng):
@@ -364,18 +315,13 @@ def _suite_g2(rng):
             if not (tens[key][i - 1][j - 1] - want).is_zero():
                 ok = False
     yield 'G2 reduced tensors', ok
-    u = [Fraction(rng.randint(1, 9)), Fraction(rng.randint(-9, 9))]
-    roots, cs = dirac.central_invariants_dirac(tens, 2, u)
-    yield 'G2 invariants', sorted(cs) == [Fraction(1, 24), Fraction(1, 8)]
+    roots, cs = dirac.central_invariants_dirac(tens, 2, reference.g2_sample(rng))
+    yield 'G2 invariants', sorted(cs) == sorted(reference.TABLE[('G', 2)])
 
 
 def _suite_f4(rng):
-    k = rng.randint(1, 5)
-    t4 = Fraction(rng.randint(1, 4), rng.randint(1, 3))
-    t = [Fraction(rng.randint(-5, 5)),
-         Fraction(57 * k * k - 2736 * t4 ** 4, 361), Fraction(0), t4]
-    roots, cs = fixtures.fixture_invariants('f4', t)
-    yield 'F4 invariants', sorted(cs) == [Fraction(1, 24)] * 2 + [Fraction(1, 12)] * 2
+    roots, cs = fixtures.fixture_invariants('f4', reference.f4_sample(rng))
+    yield 'F4 invariants', sorted(cs) == sorted(reference.TABLE[('F', 4)])
 
 
 def _suite_frobenius(rng):

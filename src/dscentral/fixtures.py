@@ -9,6 +9,7 @@ ast (no eval).  A 'checksum:' header pins each document.
 """
 
 import ast
+import functools
 import hashlib
 import os
 from fractions import Fraction
@@ -268,12 +269,11 @@ def load_gammas(name, alg):
     return out
 
 
-def fixture_invariants(name, tpoint):
-    """Central invariants at a flat-coordinate point, from the stored
-    potential (leading metrics) and the stored dispersive tensors A22_ij
-    (A21 is the t1 derivative of A22).  Returns (roots, invariants)."""
+@functools.lru_cache(maxsize=None)
+def _fixture_tensors(directory, name):
+    # keyed by the directory load_frobenius reads from; shared by every
+    # call on one document, so never hand these Polys out
     from . import frobenius
-    from .dirac import central_invariants_dirac
     fx = load_frobenius(name)
     n = fx['rank']
     pen = frobenius.pencil_from_potential(fx['F'], fx['E'], fx['e'], n)
@@ -300,6 +300,16 @@ def fixture_invariants(name, tpoint):
     }
     tensors['A21'] = [[tensors['A22'][i][j].diff(('u', 1, 0))
                        for j in range(n)] for i in range(n)]
+    return n, tensors
+
+
+def fixture_invariants(name, tpoint):
+    """Central invariants at a flat-coordinate point, from the stored
+    potential (leading metrics) and the stored dispersive tensors A22_ij
+    (A21 is the t1 derivative of A22).  The tensors are built once per
+    fixture directory and document.  Returns (roots, invariants)."""
+    from .dirac import central_invariants_dirac
+    n, tensors = _fixture_tensors(data_dir(), name)
     return central_invariants_dirac(tensors, n, list(tpoint))
 
 

@@ -146,7 +146,10 @@ def central_invariants(series, n, u, K=4):
     the contracted delta''/delta''' blocks P, Q and the invariants c.
     The bracket tables are built symbolically once per (series, n, K),
     kept for the life of the process, and evaluated at the point.
+    The formula reads the delta''' blocks, which need K >= 3.
     """
+    if K < 3:
+        raise ValueError("epsilon order K = %d < 3: no delta''' blocks" % K)
     u = u_list(series, n, u)
     pts = canonical_coordinates(series, n, u)
     blocks = [_blocks(t) for t in tables_at(series, n, u, K)]
@@ -237,28 +240,11 @@ def transform_invariants(lams, cs, kappa):
     return newl, newc
 
 
-def lie_formula(typ, n):
-    """Central invariants from the coroot norms, in the normalized
-    bilinear form; the vertex labeling is the one of liealg.cartan_matrix."""
-    return liealg.lie_central_invariants(typ, n)
-
-
 def series_scale(series):
     """Multiply the normalized-form values by this factor to get the
     values of the scalar-Lax computation (which uses the trace form on
     the defining representation)."""
     return 1 / liealg.defining_form_ratio(series)
-
-
-def folding_check():
-    """Foldings of simply laced diagrams versus the direct values."""
-    out = {}
-    out[('B', 4)] = (lie_formula('B', 4), liealg.fold('B', 4))
-    out[('C', 4)] = (lie_formula('C', 4), liealg.fold('C', 4))
-    out[('F', 4)] = (lie_formula('F', 4), liealg.fold('F', 4))
-    out[('G', 2, 'B3')] = (lie_formula('G', 2), liealg.fold('G', 3))
-    out[('G', 2, 'D4')] = (lie_formula('G', 2), liealg.fold('G', 4))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -84,11 +84,6 @@ def capital_lambda_tilde(n, u=None, Pname='P'):
     return capital_lambda(n, u, Pname) * Poly.of(Pname, 0, 0, -1)
 
 
-def build_lax_a(n, K=4):
-    """Full Lax symbol of the A series (symbolic u with jets)."""
-    return dispersionless_symbol('A', n, None, K)
-
-
 def build_lax_bcd(series, n, K=4):
     """Full Lax symbol with the v_i solved from the symmetry constraint.
 

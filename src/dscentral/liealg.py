@@ -22,6 +22,8 @@ def cartan_matrix(typ, n):
     with 1, 2 long.  G2: 1 short, 2 long.
     """
     if typ == 'A':
+        if n < 1:
+            raise ValueError("A needs rank >= 1")
         A = [[0] * n for _ in range(n)]
         for i in range(n):
             A[i][i] = 2
@@ -29,6 +31,8 @@ def cartan_matrix(typ, n):
                 A[i][i + 1] = A[i + 1][i] = -1
         return A
     if typ in ('B', 'C'):
+        if n < 2:
+            raise ValueError("%s needs rank >= 2" % typ)
         A = cartan_matrix('A', n)
         if typ == 'B':
             A[n - 1][n - 2] = -2       # alpha_n short
@@ -92,12 +96,6 @@ def defining_form_ratio(series):
     """normalized form / trace form on the defining representation."""
     return {'A': Fraction(1), 'B': Fraction(1, 2),
             'C': Fraction(1), 'D': Fraction(1, 2)}[series]
-
-
-FOLDINGS = {
-    # target: (source, groups of identified source vertices per target vertex)
-    ('B', 'from_D'): None,   # built dynamically, see fold()
-}
 
 
 def fold(typ, n):
@@ -477,12 +475,6 @@ class MatrixLieAlgebra:
         m = found[0]
         lead = next(x for row in m for x in row if x)
         return mscale(m, 1 / lead)
-
-    def form_vec(self, x, y):
-        """Bilinear form on coordinate vectors."""
-        a = self.from_coords(x)
-        b = self.from_coords(y)
-        return self.form(a, b)
 
 
 def g2_algebra():

@@ -12,7 +12,8 @@ from fractions import Fraction
 
 from dscentral.algebra import Poly, antiderivative
 from dscentral.symbols import Symbol
-from dscentral import brackets, dirac, fixtures, frobenius, invariants, liealg
+from dscentral import (brackets, dirac, fixtures, frobenius, invariants,
+                       liealg, reference)
 
 
 def _report(num, label, ok):
@@ -28,7 +29,7 @@ def test_criterion_01_a_series_values():
         for _ in range(3):
             u = invariants.random_sample('A', n, rng)
             cs = invariants.central_invariants('A', n, u)['c']
-            if cs != [Fraction(1, 24)] * n:
+            if cs != reference.classical_invariants('A', n):
                 ok = False
     elapsed = time.time() - t0
     _report(1, 'A1..A6 all 1/24, 3 samples each', ok and elapsed < 60)
@@ -37,15 +38,12 @@ def test_criterion_01_a_series_values():
 def test_criterion_02_bcd_series_values():
     t0 = time.time()
     rng = random.Random(202)
-    want = {'B': lambda n: [Fraction(1, 12)] * (n - 1) + [Fraction(1, 6)],
-            'C': lambda n: [Fraction(1, 12)] * (n - 1) + [Fraction(1, 24)],
-            'D': lambda n: [Fraction(1, 12)] * n}
     ok = True
     for series, lo in (('B', 2), ('C', 2), ('D', 3)):
         for n in range(lo, 6):
             u = invariants.random_sample(series, n, rng)
             cs = invariants.central_invariants(series, n, u)['c']
-            if cs != want[series](n):
+            if cs != reference.classical_invariants(series, n):
                 ok = False
     elapsed = time.time() - t0
     _report(2, 'B2..5, C2..5, D3..5 exact values', ok and elapsed < 300)
@@ -111,32 +109,19 @@ def test_criterion_05_f4_values():
     rng = random.Random(505)
     ok = True
     for _ in range(3):
-        k = rng.randint(1, 5)
-        t4 = Fraction(rng.randint(1, 4), rng.randint(1, 3))
-        t = [Fraction(rng.randint(-5, 5)),
-             Fraction(57 * k * k - 2736 * t4 ** 4, 361), Fraction(0), t4]
+        t = reference.f4_sample(rng)
         roots, cs = fixtures.fixture_invariants('f4', t)
-        if sorted(cs) != [Fraction(1, 24)] * 2 + [Fraction(1, 12)] * 2:
+        if sorted(cs) != sorted(reference.TABLE[('F', 4)]):
             ok = False
     _report(5, 'rank 4 fixture pipeline c = {1/24, 1/24, 1/12, 1/12}', ok)
 
 
 def test_criterion_06_table_and_foldings():
-    expected = {
-        ('A', 4): [Fraction(1, 24)] * 4,
-        ('B', 4): [Fraction(1, 24)] * 3 + [Fraction(1, 12)],
-        ('C', 4): [Fraction(1, 12)] * 3 + [Fraction(1, 24)],
-        ('D', 4): [Fraction(1, 24)] * 4,
-        ('E', 6): [Fraction(1, 24)] * 6,
-        ('E', 7): [Fraction(1, 24)] * 7,
-        ('E', 8): [Fraction(1, 24)] * 8,
-        ('F', 4): [Fraction(1, 24)] * 2 + [Fraction(1, 12)] * 2,
-        ('G', 2): [Fraction(1, 8), Fraction(1, 24)],
-    }
-    ok = all(invariants.lie_formula(t, n) == v
-             for (t, n), v in expected.items())
-    for key, (direct, folded) in invariants.folding_check().items():
-        if direct != folded:
+    ok = len(reference.TABLE) == 9 and all(
+        liealg.lie_central_invariants(t, n) == v
+        for (t, n), v in reference.TABLE.items())
+    for typ, n, target in reference.FOLDINGS.values():
+        if liealg.fold(typ, n) != liealg.lie_central_invariants(*target):
             ok = False
     _report(6, 'nine-row table and folding identities', ok)
 

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dscentral.algebra import (Poly, RatFunc, RFMatrix, antiderivative,
-                               bareiss_det, bareiss_adjugate, poly_gcd)
+from dscentral.algebra import (Poly, antiderivative, bareiss_det,
+                               bareiss_adjugate)
 
 
 def rnd_poly(rng, nterms=3, families=('u',), maxorder=2):
@@ -100,15 +100,6 @@ def test_divexact():
         assert ((a * b).divexact(b) - a).is_zero()
 
 
-def test_poly_gcd_divides_both():
-    u1, u2 = Poly.of('u', 1), Poly.of('u', 2)
-    a = (u1 + u2) * (u1 - u2)
-    b = (u1 + u2) * u1
-    g = poly_gcd(a, b)
-    a.divexact(g)
-    b.divexact(g)
-
-
 def rnd_frac_matrix(rng, n):
     return [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
              for _ in range(n)] for _ in range(n)]
@@ -150,21 +141,3 @@ def test_bareiss_adjugate_identity():
             want = det if i == j else Poly()
             assert (acc - want).is_zero()
 
-
-def test_ratfunc_arithmetic():
-    u = Poly.of('u', 1)
-    a = RatFunc(Poly.num(1), u)
-    b = RatFunc(u, u + 1)
-    s = a + b
-    # 1/u + u/(u+1) = (u+1+u^2) / (u(u+1))
-    want = RatFunc(u * u + u + 1, u * (u + 1))
-    assert (s - want).is_zero()
-    assert ((a * b) / b - a).is_zero()
-
-
-def test_rfmatrix_inverse():
-    u = Poly.of('u', 1)
-    M = RFMatrix([[RatFunc.of(u), RatFunc.of(Poly.num(1))],
-                  [RatFunc.of(Poly.num(1)), RatFunc.of(u)]])
-    I = RFMatrix.identity(2)
-    assert M * M.inverse() == I

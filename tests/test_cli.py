@@ -107,6 +107,37 @@ def test_exit_code_config_errors():
                      '--sample', 'x,y'), 4)
 
 
+def test_exit_code_bad_ranks_orders_and_digits():
+    # B1 and C1 have no Cartan matrix of their own; below order 3 the
+    # defect formula has no delta''' block; no negative digit count
+    assert_fails(run('table', '--rank', '0'), 4)
+    assert_fails(run('table', '--rank', '1'), 4)
+    for order in ('1', '2'):
+        assert_fails(run('compute', '--series', 'A', '--rank', '2',
+                         '--order', order), 4)
+    assert_fails(run('compute', '--series', 'A', '--rank', '1',
+                     '--decimal', '-1'), 4)
+
+
+def test_compute_order_3_agrees_with_4():
+    a = json.loads(run('compute', '--series', 'A', '--rank', '2',
+                       '--order', '3').stdout)
+    b = json.loads(run('compute', '--series', 'A', '--rank', '2').stdout)
+    assert a['invariants'] == b['invariants']
+
+
+def test_decimal_is_exact():
+    assert cli._rat(Fraction(1, 3), 20) == '0.33333333333333333333'
+    assert cli._rat(Fraction(1, 24), 6) == '0.041667'
+    assert cli._rat(Fraction(-2, 3), 2) == '-0.67'
+    assert cli._rat(Fraction(5, 2), 0) == '2'       # half to even
+    assert cli._rat(Fraction(-883601), 1) == '-883601.0'
+    r = run('compute', '--series', 'A', '--rank', '1', '--decimal', '20')
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)['invariants'][0]['c'] == \
+        '0.04166666666666666667'
+
+
 def test_exit_code_degenerate_sample():
     # u2 = 0 gives a repeated critical point of p^3 + u1
     r = run('compute', '--series', 'A', '--rank', '2', '--sample', '1,0')
@@ -182,3 +213,70 @@ def test_verify_bcd_checks_the_slot_order(monkeypatch):
     monkeypatch.setattr(invariants, 'central_invariants', reversed_c)
     lines = dict(cli._suite_bcd(random.Random(0)))
     assert lines['B2 invariants'] is False
+
+
+# stdout of fixed-seed commands, byte for byte; a refactor must keep them
+GOLDEN = [
+    (('compute', '--series', 'A', '--rank', '3', '--seed', '1'),
+     '{"algebra":"A3","diagnostics":{"order":4,"sample":["-4","384","-104"],'
+     '"seed":1},"invariants":[{"c":"1/24","index":1,"lambda":"-5636"},'
+     '{"c":"1/24","index":2,"lambda":"364"},'
+     '{"c":"1/24","index":3,"lambda":"-148"}],"method":"symbol"}\n'),
+    (('compute', '--series', 'B', '--rank', '3', '--seed', '1'),
+     '{"algebra":"B3","diagnostics":{"order":4,"sample":["-4","-144","3"],'
+     '"seed":1},"invariants":[{"c":"1/12","index":1,"lambda":"828"},'
+     '{"c":"1/12","index":2,"lambda":"-544"},'
+     '{"c":"1/6","index":3,"lambda":"-4"}],"method":"symbol"}\n'),
+    (('compute', '--series', 'C', '--rank', '3', '--seed', '1'),
+     '{"algebra":"C3","diagnostics":{"order":4,"sample":["-4","-144","3"],'
+     '"seed":1},"invariants":[{"c":"1/12","index":1,"lambda":"828"},'
+     '{"c":"1/12","index":2,"lambda":"-544"},'
+     '{"c":"1/24","index":3,"lambda":"-4"}],"method":"symbol"}\n'),
+    (('compute', '--series', 'D', '--rank', '4', '--seed', '1'),
+     '{"algebra":"D4","diagnostics":{"order":4,"sample":["-11664","2",'
+     '"-1089","-39"],"seed":1},"invariants":['
+     '{"c":"1/12","index":1,"lambda":"7211"},'
+     '{"c":"1/12","index":2,"lambda":"6586"},'
+     '{"c":"1/12","index":3,"lambda":"-7477"},'
+     '{"c":"1/12","index":4,"lambda":"-43414"}],"method":"symbol"}\n'),
+    (('compute', '--algebra', 'G2', '--seed', '0'),
+     '{"algebra":"G2","diagnostics":{"sample":["7","4"],"seed":0},'
+     '"invariants":[{"c":"1/8","index":1,"lambda":"-24196/125"},'
+     '{"c":"1/24","index":2,"lambda":"11516/135"}],"method":"dirac"}\n'),
+    (('compute', '--algebra', 'F4', '--seed', '0'),
+     '{"algebra":"F4","diagnostics":{"sample":["-1","-36816/19","0","4"],'
+     '"seed":0},"invariants":[{"c":"1/24","index":1,"lambda":"-883601"},'
+     '{"c":"1/24","index":2,"lambda":"-883569"},'
+     '{"c":"1/12","index":3,"lambda":"883567"},'
+     '{"c":"1/12","index":4,"lambda":"883599"}],"method":"fixture"}\n'),
+    (('table', '--check', '--format', 'json'),
+     '[{"algebra":"A4","invariants":["1/24","1/24","1/24","1/24"]},'
+     '{"algebra":"B4","invariants":["1/24","1/24","1/24","1/12"]},'
+     '{"algebra":"C4","invariants":["1/12","1/12","1/12","1/24"]},'
+     '{"algebra":"D4","invariants":["1/24","1/24","1/24","1/24"]},'
+     '{"algebra":"E6","invariants":["1/24","1/24","1/24","1/24","1/24",'
+     '"1/24"]},'
+     '{"algebra":"E7","invariants":["1/24","1/24","1/24","1/24","1/24",'
+     '"1/24","1/24"]},'
+     '{"algebra":"E8","invariants":["1/24","1/24","1/24","1/24","1/24",'
+     '"1/24","1/24","1/24"]},'
+     '{"algebra":"F4","invariants":["1/24","1/24","1/12","1/12"]},'
+     '{"algebra":"G2","invariants":["1/8","1/24"]}]\n'),
+    (('table', '--fold', 'E6', 'F4'),
+     "fold E6 -> F4: folded ['1/24', '1/24', '1/12', '1/12'] "
+     "direct ['1/24', '1/24', '1/12', '1/12'] ok\n"),
+    (('verify', 'all', '--seed', '0'),
+     'A1 invariants: ok\nA2 invariants: ok\nA3 invariants: ok\n'
+     'B2 invariants: ok\nC2 invariants: ok\nD3 invariants: ok\n'
+     'F4 invariants: ok\nA2 orbit pencil (up to sign): ok\n'
+     'G2 potential roundtrip: ok\nG2 reduced tensors: ok\n'
+     'G2 invariants: ok\nresidue identity: ok\n'
+     'star product and adjoint: ok\nall checks passed\n'),
+]
+
+
+def test_golden_stdout():
+    for args, want in GOLDEN:
+        r = run(*args)
+        assert r.returncode == 0, (args, r.stderr)
+        assert r.stdout == want, args

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from dscentral.algebra import Poly
-from dscentral import dirac, fixtures, liealg
+from dscentral import dirac, fixtures, liealg, reference
 from dscentral.dirac import (slice_bases, dirac_tensors, char_poly,
                              central_invariants_dirac, numeric_pencil,
                              g2_slice)
@@ -87,7 +87,7 @@ def test_canonical_roots_are_critical_values(g2):
     _, _, tens, fx = g2
     rng = random.Random(7)
     for _ in range(4):
-        u = [Fraction(rng.randint(1, 9)), Fraction(rng.randint(-9, 9))]
+        u = reference.g2_sample(rng)
         usub = {('u', i + 1, 0): Poly.num(u[i]) for i in range(2)}
         t = [x.subs(usub).constant() for x in fx['t']]
         roots, _cs = central_invariants_dirac(tens, 2, u)
@@ -216,21 +216,17 @@ def test_pointwise_defect_formula_matches_symbolic_f4(monkeypatch):
     rng = random.Random(29)
     points = []
     for _ in range(4):          # the perfect-square family: rational roots
-        k = rng.randint(1, 5)
-        t4 = Fraction(rng.randint(1, 4), rng.randint(1, 3))
-        points.append([Fraction(rng.randint(-5, 5)),
-                       Fraction(57 * k * k - 2736 * t4 ** 4, 361),
-                       Fraction(0), t4])
+        points.append(reference.f4_sample(rng))
     points += [[Fraction(1), Fraction(2), Fraction(0), Fraction(0)],
                [Fraction(0), Fraction(0), Fraction(0), Fraction(0)],
                [Fraction(3), Fraction(-1), Fraction(1, 2), Fraction(2)]]
     fast = [_outcome(fixtures.fixture_invariants, 'f4', t) for t in points]
     calls = []
 
-    def reference(*args):
+    def symbolic(*args):
         calls.append(args)
         return _symbolic_invariants(*args)
-    monkeypatch.setattr(dirac, 'central_invariants_dirac', reference)
+    monkeypatch.setattr(dirac, 'central_invariants_dirac', symbolic)
     slow = [_outcome(fixtures.fixture_invariants, 'f4', t) for t in points]
     assert len(calls) == len(points)
     assert fast == slow

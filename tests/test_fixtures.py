@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from dscentral.algebra import Poly
-from dscentral import fixtures, frobenius, liealg
+from dscentral import fixtures, frobenius, liealg, reference
 from dscentral.fixtures import (FixtureError, parse_expr, parse_triplets,
                                 load_document, build_algebra, load_frobenius,
                                 load_gammas, fixture_invariants)
@@ -143,9 +143,33 @@ def test_f4_invariants_exact():
         (Fraction(2), 4, Fraction(2, 3)),
     ]
     for t1, k, t4 in samples:
-        t2 = Fraction(57 * k * k - 2736 * t4 ** 4, 361)
-        roots, cs = fixture_invariants('f4', [t1, t2, Fraction(0), t4])
-        assert sorted(cs) == [Fraction(1, 24)] * 2 + [Fraction(1, 12)] * 2
+        roots, cs = fixture_invariants('f4', reference.f4_point(t1, k, t4))
+        assert sorted(cs) == sorted(reference.TABLE[('F', 4)])
+
+
+def test_second_call_reuses_the_tables(monkeypatch, tmp_path):
+    calls = []
+    load = fixtures.load_frobenius
+
+    def counting(name):
+        calls.append((fixtures.data_dir(), name))
+        return load(name)
+    monkeypatch.setattr(fixtures, 'load_frobenius', counting)
+    fixtures._fixture_tensors.cache_clear()
+    try:
+        t = reference.f4_point(1, 2, Fraction(1, 2))
+        first = fixture_invariants('f4', t)
+        assert fixture_invariants('f4', t) == first
+        assert len(calls) == 1
+        # another directory is another document: read and checked again
+        shutil.copy(os.path.join(fixtures.DATA_DIR, 'f4.txt'),
+                    tmp_path / 'f4.txt')
+        fixtures.set_data_dir(str(tmp_path))
+        assert fixture_invariants('f4', t) == first
+        assert calls[-1] == (str(tmp_path), 'f4') and len(calls) == 2
+    finally:
+        fixtures.set_data_dir(None)
+        fixtures._fixture_tensors.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -213,25 +237,27 @@ def _parsed_generators(name):
     return h, X, Y, scale
 
 
+def _nonzero(m):
+    """Sparse view of a dense matrix: (row, col) -> nonzero entry."""
+    return {(r, c): x for r, row in enumerate(m) for c, x in enumerate(row) if x}
+
+
 def _check_chevalley(name, typ, rank):
-    h, X, Y, scale = _parsed_generators(name)
-    size = int(h['rep_size'])
+    _, X, Y, scale = _parsed_generators(name)
     C = cartan_matrix(typ, rank)
     H = [mcomm(X[i], Y[i]) for i in range(rank)]
     for i in range(rank):
-        for r in range(size):
-            for c in range(size):
-                if r != c:
-                    assert H[i][r][c] == 0, (name, 'H%d' % (i + 1))
+        assert all(r == c for r, c in _nonzero(H[i])), (name, 'H%d' % (i + 1))
+    Xnz = [_nonzero(x) for x in X]
     for i in range(rank):
         for j in range(rank):
-            got = mcomm(H[i], X[j])
-            want = [[C[i][j] * x for x in row] for row in X[j]]
+            got = _nonzero(mcomm(H[i], X[j]))
+            want = {rc: C[i][j] * x for rc, x in Xnz[j].items()} if C[i][j] else {}
             assert got == want, (name, i + 1, j + 1)
     for i in range(rank):
         for j in range(rank):
-            tr = sum(X[i][r][c] * Y[j][c][r]
-                     for r in range(size) for c in range(size))
+            tr = sum((x * Y[j][c][r] for (r, c), x in Xnz[i].items()),
+                     Fraction(0))
             want = Fraction(1) / scale if i == j else Fraction(0)
             assert tr == want, (name, 'pairing', i + 1, j + 1)
 
@@ -241,7 +267,7 @@ def test_e7_generator_relations():
 
 
 def test_e8_generator_relations():
-    # 248 x 248 commutators; the slowest check in the suite
+    # 248 x 248 commutators, compared as maps of their nonzero entries
     _check_chevalley('e8', 'E', 8)
 
 

@@ -1,14 +1,9 @@
 """Canonical coordinates and the invariant evaluation chain.
 
-Expected invariant values used below:
-
-    A_n : all 1/24
-    B_n : 1/12 (n-1 times) and 1/6 at the distinguished point
-    C_n : 1/12 (n-1 times) and 1/24 at the distinguished point
-    D_n : all 1/12
-
-in the trace form of the defining representation; the normalized-form
-table divides these by the form ratio of the series.
+The expected invariant values come from dscentral.reference: the
+classical values are in the trace form of the defining representation,
+and the normalized-form table divides them by the form ratio of the
+series.
 """
 
 import random
@@ -16,12 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from dscentral import invariants, liealg
+from dscentral import invariants, liealg, reference
 from dscentral.invariants import (DegeneratePoint, canonical_coordinates,
                                   central_invariants, residue_identity,
                                   transform_invariants, sample_from_roots,
-                                  random_sample, lie_formula, series_scale,
-                                  folding_check)
+                                  random_sample, series_scale)
+from dscentral.liealg import lie_central_invariants
 
 
 def test_sample_from_roots_a_roundtrip():
@@ -64,7 +59,7 @@ def test_invariants_a(n):
     rng = random.Random(100 + n)
     u = random_sample('A', n, rng)
     res = central_invariants('A', n, u)
-    assert res['c'] == [Fraction(1, 24)] * n
+    assert res['c'] == reference.classical_invariants('A', n)
 
 
 @pytest.mark.parametrize('series,n,last', [
@@ -77,7 +72,7 @@ def test_invariants_bc(series, n, last):
     rng = random.Random(hash((series, n)) % 10000)
     u = random_sample(series, n, rng)
     res = central_invariants(series, n, u)
-    assert res['c'][:-1] == [Fraction(1, 12)] * (n - 1)
+    assert res['c'] == reference.classical_invariants(series, n)
     # the exceptional value sits at the distinguished canonical point
     assert res['points'][-1][0] == 0
     assert res['c'][-1] == last
@@ -88,7 +83,7 @@ def test_invariants_d(n):
     rng = random.Random(300 + n)
     u = random_sample('D', n, rng)
     res = central_invariants('D', n, u)
-    assert res['c'] == [Fraction(1, 12)] * n
+    assert res['c'] == reference.classical_invariants('D', n)
 
 
 def test_invariants_constant_across_samples():
@@ -139,13 +134,15 @@ def test_transform_invariants_rejects_singular():
 
 
 def test_lie_formula_table():
-    assert lie_formula('A', 5) == [Fraction(1, 24)] * 5
-    assert lie_formula('D', 4) == [Fraction(1, 24)] * 4
-    assert lie_formula('E', 7) == [Fraction(1, 24)] * 7
-    assert lie_formula('B', 3) == [Fraction(1, 24)] * 2 + [Fraction(1, 12)]
-    assert lie_formula('C', 3) == [Fraction(1, 12)] * 2 + [Fraction(1, 24)]
-    assert lie_formula('F', 4) == [Fraction(1, 24)] * 2 + [Fraction(1, 12)] * 2
-    assert lie_formula('G', 2) == [Fraction(1, 8), Fraction(1, 24)]
+    for (typ, n), want in reference.TABLE.items():
+        assert lie_central_invariants(typ, n) == want, (typ, n)
+    # other ranks: the normalized-form values times the form ratio are
+    # the scalar-Lax values, slot by slot
+    for series, lo in (('A', 1), ('B', 2), ('C', 2), ('D', 3)):
+        for n in range(lo, 7):
+            got = [c * series_scale(series)
+                   for c in lie_central_invariants(series, n)]
+            assert got == reference.classical_invariants(series, n)
 
 
 def test_series_scale_links_both_computations():
@@ -155,13 +152,14 @@ def test_series_scale_links_both_computations():
     for series, n in (('B', 3), ('C', 3), ('D', 3)):
         u = random_sample(series, n, rng)
         cs = sorted(central_invariants(series, n, u)['c'])
-        lie = sorted(c * series_scale(series) for c in lie_formula(series, n))
+        lie = sorted(c * series_scale(series)
+                     for c in lie_central_invariants(series, n))
         assert cs == lie
 
 
 def test_foldings():
-    for key, (direct, folded) in folding_check().items():
-        assert direct == folded, key
+    for key, (typ, n, target) in reference.FOLDINGS.items():
+        assert liealg.fold(typ, n) == lie_central_invariants(*target), key
 
 
 def test_second_call_reuses_the_tables(monkeypatch):

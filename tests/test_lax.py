@@ -7,7 +7,7 @@ import pytest
 from dscentral.algebra import Poly
 from dscentral.lax import (NU, u_list, dispersionless_symbol, lambda_xpoly,
                            capital_lambda, capital_lambda_tilde,
-                           build_lax_a, build_lax_bcd)
+                           build_lax_bcd)
 
 
 def test_u_list_length_check():
@@ -46,7 +46,7 @@ def test_lambda_xpoly_matches_symbol():
 
 
 def test_build_lax_a_truncation():
-    L = build_lax_a(2, K=3)
+    L = dispersionless_symbol('A', 2, None, 3)
     assert L.K == 3
     assert (L.coeff(3) - Poly.num(1)).is_zero()
 
