@@ -9,6 +9,7 @@ tensors of the pencil.
 from fractions import Fraction
 
 from .algebra import Poly, bareiss_det, bareiss_adjugate
+from .invariants import DegeneratePoint, _rational_roots
 from . import liealg
 from .liealg import mzero, madd, mscale, mcomm, nullspace
 
@@ -217,7 +218,6 @@ def central_invariants_dirac(tensors, n, upoint):
 
     upoint: values of u^1..u^n.  Returns (roots, invariants).
     """
-    from .invariants import _rational_roots, DegeneratePoint
     usub = {('u', i + 1, 0): Fraction(v) for i, v in enumerate(upoint)}
     zvar = ('z', 0, 0)
     z = Poly.of('z')

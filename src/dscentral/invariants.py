@@ -11,6 +11,7 @@ Jacobian of the critical values, feed the defect formula
 """
 
 import functools
+import math
 from fractions import Fraction
 
 from .algebra import Poly
@@ -32,42 +33,175 @@ def _poly_coeffs(p, vname):
 
 
 def _eval1(coeffs, x):
-    return sum((c * x ** e for e, c in coeffs.items()), Fraction(0))
+    """A polynomial (dict power -> Fraction, nonnegative powers) at x,
+    by Horner's rule in integers: with x = a/b, L the common denominator
+    and d the degree, the value is sum (L c_e) a^e b^(d-e) / (L b^d)."""
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    deg = max(coeffs)
+    a, b = x.numerator, x.denominator
+    v, bpow = 0, 1
+    for e in range(deg, -1, -1):
+        c = coeffs.get(e, 0)
+        v = v * a + c.numerator * (den // c.denominator) * bpow
+        bpow *= b
+    return Fraction(v, den * b ** deg)
 
 
-def critical_polynomial(series, n, u):
-    """The polynomial whose roots are the finite critical points: lam'
-    for A (variable p); Lam' for B, C; P Lam' - Lam for D (variable P)."""
-    u = u_list(series, n, u)
-    if series == 'A':
-        lam = lambda_xpoly(series, n, u, 'p')
-        return lam.diff(('p', 0, 0))
-    L = capital_lambda(n, u, 'P')
-    dL = L.diff(('P', 0, 0))
-    if series in ('B', 'C'):
-        return dL
-    return Poly.of('P') * dL - L
+# Integer polynomials below are coefficient lists, constant term first,
+# with a nonzero last entry.
+
+def _value(p, x):
+    v = 0
+    for c in reversed(p):
+        v = v * x + c
+    return v
+
+
+def _primitive(p):
+    g = math.gcd(*p)
+    return [c // g for c in p]
+
+
+def _prem(a, b):
+    """A positive multiple of the remainder of a by b."""
+    r = list(a)
+    m, s = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    while len(r) >= len(b):
+        c, k = s * r[-1], len(r) - len(b)
+        r = [m * x for x in r]
+        for i, y in enumerate(b):
+            r[i + k] -= c * y
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _exquo(a, b):
+    """a / b for a monic b that divides a."""
+    a = list(a)
+    out = [0] * (len(a) - len(b) + 1)
+    for k in reversed(range(len(out))):
+        c = out[k] = a[k + len(b) - 1]
+        for i, y in enumerate(b):
+            a[i + k] -= c * y
+    return out
+
+
+def _sturm(q):
+    """Sturm sequence of q, each term a positive multiple of the classical
+    one, so the signs are the same; the last term is gcd(q, q')."""
+    seq = [q, _primitive([i * c for i, c in enumerate(q)][1:])]
+    while len(seq[-1]) > 1:
+        r = _prem(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append([-c for c in _primitive(r)])
+    return seq
+
+
+def _variations(values):
+    signs = [v > 0 for v in values if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _single_root(q, a, b):
+    """The root of q in (a, b], where q has exactly one, simple root, if
+    it is an integer, else None.  Bisects on the sign of q alone."""
+    vb = _value(q, b)
+    if vb == 0:
+        return b
+    while b - a > 1:
+        m = (a + b) // 2
+        vm = _value(q, m)
+        if vm == 0:
+            return m
+        if (vm > 0) == (vb > 0):
+            b, vb = m, vm
+        else:
+            a = m
+    return None
+
+
+def _integer_roots(seq):
+    """Ascending integer roots of the squarefree monic q = seq[0], given
+    its Sturm sequence."""
+    q = seq[0]
+    d = len(q) - 1
+    # V is constant beyond the roots of q, so the values at -B and B are
+    # the signs of the leading coefficients at -inf and +inf
+    vlo = _variations([p[-1] * (-1) ** (len(p) - 1) for p in seq])
+    vhi = _variations([p[-1] for p in seq])
+    if vlo - vhi == d:
+        # all roots real: their squares sum to q_{d-1}^2 - 2 q_{d-2}
+        bound = math.isqrt(q[d - 1] ** 2 - 2 * (q[d - 2] if d > 1 else 0)) + 1
+    else:
+        bound = 1 + max(abs(c) for c in q[:-1])   # Cauchy
+    out = []
+    # (a, V(a), b, V(b)): V(a) - V(b) roots lie in (a, b]
+    stack = [(-bound, vlo, bound, vhi)]
+    while stack:
+        a, va, b, vb = stack.pop()
+        if va - vb == 1:
+            y = _single_root(q, a, b)
+            if y is not None:
+                out.append(y)
+        elif va - vb > 1:
+            if b - a == 1:
+                # several roots, and only b can be an integer
+                if _value(q, b) == 0:
+                    out.append(b)
+                continue
+            m = (a + b) // 2
+            vm = _variations([_value(p, m) for p in seq])
+            stack += [(m, vm, b, vb), (a, va, m, vm)]
+    return sorted(out)
 
 
 def _rational_roots(coeffs):
-    """All roots of a rational-coefficient polynomial if they are all
-    rational, else None.  coeffs: dict power -> Fraction."""
-    import sympy
-    x = sympy.Symbol('x')
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** e
-               for e, c in coeffs.items())
-    roots = sympy.roots(sympy.Poly(expr, x))
+    """All roots of a rational-coefficient polynomial, ascending, if they
+    are all rational and simple, else None.  A repeated rational root
+    raises DegeneratePoint, also next to irrational ones.  coeffs: dict
+    power -> Fraction over nonnegative powers; the largest key is the
+    degree, so a zero entry there leaves a root missing and gives None.
+
+    Exact, float-free and without factoring: a rational root x of the
+    primitive integer polynomial p (degree d, leading coefficient
+    lc > 0) is y / lc for an integer root y of the monic integer
+    polynomial q(y) = lc^(d-1) p(y / lc).  The real roots of q are
+    isolated with a Sturm sequence by bisecting on integers, and an
+    interval that holds one root is bisected on the sign of q until q
+    vanishes at an integer or the interval is (l, l+1).
+
+    >>> _rational_roots({2: Fraction(6), 1: Fraction(-1), 0: Fraction(-1)})
+    [Fraction(-1, 3), Fraction(1, 2)]
+    >>> print(_rational_roots({2: Fraction(1), 0: Fraction(-2)}))
+    None
+    """
     deg = max(coeffs)
-    tot = 0
-    out = []
-    for r, mult in roots.items():
-        if not r.is_rational:
-            return None
-        if mult > 1:
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    p = [c.numerator * (den // c.denominator)
+         for c in (coeffs.get(e, 0) for e in range(deg + 1))]
+    while p and not p[-1]:
+        p.pop()
+    if len(p) < 2:
+        return [] if deg == 0 else None
+    p = _primitive(p if p[-1] > 0 else [-c for c in p])
+    d, lc = len(p) - 1, p[-1]
+    q = [c * lc ** (d - 1 - i) for i, c in enumerate(p[:-1])] + [1]
+    seq = _sturm(q)
+    g = seq[-1]
+    if len(g) > 1:
+        # g = gcd(q, q') holds the repeated roots; the integer ones are
+        # among the integer roots of the squarefree part q / g
+        g = g if g[-1] > 0 else [-c for c in g]
+        if any(_value(g, y) == 0
+               for y in _integer_roots(_sturm(_exquo(q, g)))):
             raise DegeneratePoint("repeated critical point")
-        out.append(Fraction(int(r.p), int(r.q)))
-        tot += mult
-    return out if tot == deg else None
+        return None
+    ys = _integer_roots(seq)
+    if len(ys) != deg:
+        return None
+    return [Fraction(y, lc) for y in ys]
 
 
 def canonical_coordinates(series, n, u):
@@ -81,24 +215,28 @@ def canonical_coordinates(series, n, u):
     all rational raises DegeneratePoint.
     """
     u = u_list(series, n, u)
-    cp = _poly_coeffs(critical_polynomial(series, n, u), 'p' if series == 'A' else 'P')
-    roots = _rational_roots(cp)
+    if series == 'A':
+        lam = _poly_coeffs(lambda_xpoly(series, n, u, 'p'), 'p')
+    else:
+        lam = _poly_coeffs(capital_lambda(n, u, 'P'), 'P')
+    if series == 'D':
+        crit = {e: (e - 1) * c for e, c in lam.items() if e != 1}
+    else:
+        crit = {e - 1: e * c for e, c in lam.items() if e}
+    roots = _rational_roots(crit)
     if roots is None:
         raise DegeneratePoint("critical points not all rational")
     if series == 'A':
-        lam = _poly_coeffs(lambda_xpoly(series, n, u, 'p'), 'p')
         pts = sorted((r, _eval1(lam, r)) for r in roots)
+    elif series == 'D':
+        if not u[0].constant():
+            raise DegeneratePoint("u_1 = 0 for the D series")
+        if any(r == 0 for r in roots):
+            raise DegeneratePoint("critical point at the origin")
+        pts = sorted((r, _eval1(lam, r) / r) for r in roots)
     else:
-        Lam = _poly_coeffs(capital_lambda(n, u, 'P'), 'P')
-        if series == 'D':
-            if not u[0].constant():
-                raise DegeneratePoint("u_1 = 0 for the D series")
-            if any(r == 0 for r in roots):
-                raise DegeneratePoint("critical point at the origin")
-            pts = sorted((r, _eval1(Lam, r) / r) for r in roots)
-        else:
-            pts = sorted((r, _eval1(Lam, r)) for r in roots)
-            pts.append((Fraction(0), _eval1(Lam, Fraction(0))))
+        pts = sorted((r, _eval1(lam, r)) for r in roots)
+        pts.append((Fraction(0), _eval1(lam, Fraction(0))))
     if len(pts) != n:
         raise DegeneratePoint("expected %d critical points, got %d" % (n, len(pts)))
     vals = [lam for _, lam in pts]

@@ -7,6 +7,8 @@ on which the exact pipelines stay rational.
 
 from fractions import Fraction
 
+from . import liealg
+
 # central invariants in the normalized bilinear form, classical rows at
 # rank 4, in the vertex labeling of liealg.cartan_matrix
 TABLE = {
@@ -44,6 +46,16 @@ def classical_invariants(series, n):
     if series == 'D':
         return [Fraction(1, 12)] * n
     raise ValueError("unknown series %r" % series)
+
+
+def table_row(typ, n):
+    """The expected normalized-form row of the table: a classical row at
+    any rank is classical_invariants scaled by the form ratio of its
+    series, an exceptional row is read from TABLE."""
+    if typ in ('A', 'B', 'C', 'D'):
+        ratio = liealg.defining_form_ratio(typ)
+        return [c * ratio for c in classical_invariants(typ, n)]
+    return TABLE[(typ, n)]
 
 
 def g2_sample(rng):

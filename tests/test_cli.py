@@ -168,6 +168,16 @@ def test_table_check():
     assert all(l.endswith('ok') for l in lines)
 
 
+def test_table_check_other_ranks():
+    # the classical rows are derived for any rank, so every row is checked
+    for rank in ('2', '3', '5'):
+        r = run('table', '--check', '--rank', rank)
+        assert r.returncode == 0, (rank, r.stderr)
+        lines = [l for l in r.stdout.splitlines() if l]
+        assert len(lines) == 9, rank
+        assert all(l.endswith('\tok') for l in lines), (rank, r.stdout)
+
+
 def test_table_json():
     r = run('table', '--format', 'json')
     assert r.returncode == 0, r.stderr
@@ -273,6 +283,22 @@ GOLDEN = [
      'G2 invariants: ok\nresidue identity: ok\n'
      'star product and adjoint: ok\nall checks passed\n'),
 ]
+
+
+def test_exact_routes_run_without_sympy():
+    script = (
+        'import sys\n'
+        'from dscentral import cli\n'
+        'for args in (["compute", "--series", "A", "--rank", "3"],\n'
+        '             ["compute", "--algebra", "G2"],\n'
+        '             ["compute", "--algebra", "F4"],\n'
+        '             ["verify", "all"]):\n'
+        '    cli.main(args, standalone_mode=False)\n'
+        'print("sympy" in sys.modules)\n')
+    r = subprocess.run([sys.executable, '-c', script], capture_output=True,
+                       text=True, env=child_env())
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == 'False'
 
 
 def test_golden_stdout():

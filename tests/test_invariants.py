@@ -6,16 +6,19 @@ and the normalized-form table divides them by the form ratio of the
 series.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dscentral import invariants, liealg, reference
 from dscentral.invariants import (DegeneratePoint, canonical_coordinates,
                                   central_invariants, residue_identity,
                                   transform_invariants, sample_from_roots,
-                                  random_sample, series_scale)
+                                  random_sample, series_scale,
+                                  _rational_roots)
 from dscentral.liealg import lie_central_invariants
 
 
@@ -178,3 +181,92 @@ def test_second_call_reuses_the_tables(monkeypatch):
     assert central_invariants('C', 3, u) == first
     assert central_invariants('C', 3, v)['c'] == first['c']
     assert len(calls) == 2
+
+
+def test_table_row_derivation_matches_the_stored_rank_4_rows():
+    for series in ('A', 'B', 'C', 'D'):
+        assert reference.table_row(series, 4) == reference.TABLE[(series, 4)]
+
+
+def _expand(c, factors):
+    """c times the product of the factors (coefficient lists, constant
+    term first) as a dict power -> Fraction."""
+    out = [Fraction(c)]
+    for f in factors:
+        prod = [Fraction(0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return {e: x for e, x in enumerate(out) if x}
+
+
+def _outcome(coeffs):
+    try:
+        return _rational_roots(coeffs)
+    except DegeneratePoint as ex:
+        return 'raise: %s' % ex
+
+
+def _lin(r):
+    return [-Fraction(r), 1]
+
+
+X2M2 = [-2, 0, 1]
+BIG = 10 ** 50 + 151
+SIX = [Fraction(-7, 2), -2, Fraction(-1, 3), 0, Fraction(5, 4), 6]
+REPEATED = 'raise: repeated critical point'
+
+# polynomial -> roots in ascending order, None (a root that is not
+# rational) or the DegeneratePoint text (a repeated rational root)
+FINDER_CASES = [
+    (_expand(3, [[-2, 3]]), [Fraction(2, 3)]),                    # degree 1
+    (_expand(1, [[0, -4, 0, 1]]), [-2, 0, 2]),                   # simple 0
+    (_expand(6, [_lin(Fraction(1, 2)), _lin(Fraction(-1, 3))]),
+     [Fraction(-1, 3), Fraction(1, 2)]),                         # lc != 1
+    (_expand(Fraction(-5, 7), [_lin(r) for r in SIX]), SIX),     # six roots
+    (_expand(1, [X2M2]), None),                                  # x^2 - 2
+    (_expand(1, [[1, 0, 1]]), None),                             # x^2 + 1
+    (_expand(1, [[5]]), []),                                     # constant
+    ({2: Fraction(0), 1: Fraction(1), 0: Fraction(-1)}, None),  # key 2 is 0
+    (_expand(BIG, [_lin(Fraction(BIG + 2, 3)),
+                   _lin(Fraction(-BIG, BIG - 2))]),              # 100 digits
+     [Fraction(-BIG, BIG - 2), Fraction(BIG + 2, 3)]),
+    (_expand(1, [[-(10 ** 100 + 1), 0, 1]]), None),              # 100 digits
+    # x^2 - 3 shares the unit intervals (-2, -1] and (1, 2] with -1 and 2
+    (_expand(1, [_lin(-1), _lin(2), [-3, 0, 1]]), None),
+    (_expand(1, [_lin(2), _lin(2), [-3, 0, 1]]), REPEATED),
+    # complex roots, so the bisection starts from the Cauchy bound
+    (_expand(1, [_lin(50), _lin(50), [1, 0, 1]]), REPEATED),
+    # a repeated root; a Sturm sequence term has a negative lead
+    (_expand(1, [_lin(-1), _lin(-1), _lin(-4), [7, -1, 1]]), REPEATED),
+    # the mixed cases: a repeated root next to roots that are not
+    # rational; sympy's `roots` gave these outcomes
+    (_expand(1, [_lin(1), _lin(1), X2M2]), REPEATED),
+    (_expand(1, [_lin(1), _lin(1), [1, 0, 1]]), REPEATED),
+    (_expand(1, [_lin(3), X2M2, X2M2]), None),
+    (_expand(1, [_lin(Fraction(1, 2)), _lin(Fraction(1, 2)), [-1, -1, 0, 1]]),
+     REPEATED),
+    (_expand(1, [_lin(-2), _lin(-2), _lin(-2), _lin(5)]), REPEATED),
+    (_expand(1, [_lin(1), _lin(1), [-1, -1, 0, 0, 0, 1]]), REPEATED),
+    # sympy returned None here; a repeated rational root always raises
+    (_expand(1, [[0, 0, 1], X2M2]), REPEATED),
+]
+
+
+@pytest.mark.parametrize('coeffs,want', FINDER_CASES)
+def test_rational_roots_table(coeffs, want):
+    assert _outcome(coeffs) == want
+
+
+rationals = st.fractions(min_value=-100, max_value=100, max_denominator=60)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(rationals, min_size=1, max_size=6, unique=True),
+       rationals.filter(bool),
+       st.integers(2, 400).filter(lambda m: math.isqrt(m) ** 2 != m))
+def test_rational_roots_recovers_distinct_rationals(roots, c, m):
+    factors = [_lin(r) for r in roots]
+    assert _rational_roots(_expand(c, factors)) == sorted(roots)
+    assert _rational_roots(_expand(c, factors + [[-m, 0, 1]])) is None
