@@ -4,10 +4,44 @@ matrix elimination.
 A variable is a tuple (family, index, order), e.g. ('u', 2, 0) for u_2 or
 ('a', 1, 3) for the third x-derivative of a_1.  A monomial is a sorted
 tuple of (variable, exponent) pairs; exponents may be negative (Laurent).
-A Poly maps monomials to Fraction coefficients.
+A Poly maps monomials to exact coefficients in one canonical form: an int
+when the value is integral, else a Fraction, never a float or a bool.
+Every quotient of coefficients goes through Fraction.  `constant()` and
+`coeff_of()` return Fractions.
 """
 
+import heapq
 from fractions import Fraction
+
+
+def _canon(c):
+    """The canonical coefficient of an exact value: an int when it is
+    integral, else a Fraction.
+
+    >>> _canon(Fraction(6, 3)), _canon(Fraction(1, 2)), _canon(True)
+    (2, Fraction(1, 2), 1)
+    """
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _quo(a, b):
+    """a / b for canonical coefficients, canonical again."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return _canon(Fraction(a) / b)
+
+
+def _settle(terms):
+    """Canonical coefficients in place, after arithmetic that may have
+    left an integral Fraction."""
+    for m, c in terms.items():
+        if type(c) is not int:
+            terms[m] = _canon(c)
+    return terms
 
 
 def _mono_mul(m1, m2):
@@ -38,7 +72,7 @@ def _accumulate(terms, m, c):
     """terms[m] += c in place, dropping the monomial when it cancels."""
     c2 = terms.get(m, 0) + c
     if c2:
-        terms[m] = c2
+        terms[m] = c2 if type(c2) is int else _canon(c2)
     else:
         terms.pop(m, None)
 
@@ -51,20 +85,20 @@ class Poly:
 
     @staticmethod
     def num(c):
-        c = Fraction(c)
+        c = _canon(c)
         return Poly({(): c} if c else {})
 
     @staticmethod
     def of(family, index=0, order=0, exp=1):
         if exp == 0:
             return Poly.num(1)
-        return Poly({(((family, index, order), exp),): Fraction(1)})
+        return Poly({(((family, index, order), exp),): 1})
 
     @staticmethod
     def from_var(v, exp=1):
         if exp == 0:
             return Poly.num(1)
-        return Poly({((v, exp),): Fraction(1)})
+        return Poly({((v, exp),): 1})
 
     def is_zero(self):
         return not self.terms
@@ -76,7 +110,7 @@ class Poly:
         """Value of a constant Poly as a Fraction."""
         if not self.is_constant():
             raise ValueError("not a constant: %s" % self)
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.terms.get((), 0))
 
     def variables(self):
         out = set()
@@ -100,7 +134,7 @@ class Poly:
         for m, c in other.terms.items():
             c2 = t.get(m, 0) + c
             if c2:
-                t[m] = c2
+                t[m] = c2 if type(c2) is int else _canon(c2)
             else:
                 t.pop(m, None)
         return Poly(t)
@@ -111,17 +145,17 @@ class Poly:
         return Poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Poly) else Poly.num(-Fraction(other)))
+        return self + -(other if isinstance(other, Poly) else Poly.num(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            c0 = Fraction(other)
+            c0 = _canon(other)
             if not c0:
                 return Poly()
-            return Poly({m: c * c0 for m, c in self.terms.items()})
+            return Poly(_settle({m: c * c0 for m, c in self.terms.items()}))
         t = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -131,7 +165,7 @@ class Poly:
                     t[m] = c
                 else:
                     t.pop(m, None)
-        return Poly(t)
+        return Poly(_settle(t))
 
     __rmul__ = __mul__
 
@@ -164,12 +198,7 @@ class Poly:
                 del d[v]
             else:
                 d[v] = e - 1
-            m2 = tuple(sorted(d.items()))
-            c2 = t.get(m2, 0) + c * e
-            if c2:
-                t[m2] = c2
-            else:
-                t.pop(m2, None)
+            _accumulate(t, tuple(sorted(d.items())), c * e)
         return Poly(t)
 
     def xdiff(self, frozen=frozenset()):
@@ -213,16 +242,15 @@ class Poly:
                     continue
                 val = mapping[v]
                 if isinstance(val, Poly):
-                    if e < 0:
-                        if not val.is_constant():
-                            raise ValueError("negative power substitution")
-                        c = c * (Fraction(1) / val.constant()) ** (-e)
-                    else:
+                    if e >= 0:
                         factors.append(val ** e)
-                else:
-                    val = Fraction(val)
-                    c = c * (val ** e if e >= 0 else (1 / val) ** (-e))
-            term = Poly({tuple(rest): c})
+                        continue
+                    if not val.is_constant():
+                        raise ValueError("negative power substitution")
+                    val = val.constant()
+                val = _canon(val)
+                c = c * val ** e if e >= 0 else _quo(c, val ** -e)
+            term = Poly({tuple(rest): _canon(c)})
             for f in factors:
                 term = term * f
             for m2, c2 in term.terms.items():
@@ -236,30 +264,25 @@ class Poly:
             d = dict(m)
             e = d.pop(v, 0)
             m2 = tuple(sorted(d.items()))
-            p = out.setdefault(e, Poly())
-            c2 = p.terms.get(m2, 0) + c
-            if c2:
-                p.terms[m2] = c2
-            else:
-                p.terms.pop(m2, None)
+            _accumulate(out.setdefault(e, Poly()).terms, m2, c)
         return {e: p for e, p in out.items() if not p.is_zero()}
 
     def coeff_of(self, mono):
-        return self.terms.get(tuple(sorted(mono)), Fraction(0))
+        return Fraction(self.terms.get(tuple(sorted(mono)), 0))
 
-    def _laurent_shift(self):
-        # minimal exponent per variable, to clear negative powers
-        lo = {}
-        for m in self.terms:
-            for v, e in m:
-                if e < lo.get(v, 0):
-                    lo[v] = e
-        return tuple((v, -e) for v, e in sorted(lo.items()) if e < 0)
+    def _content(self):
+        # the monomial of least exponents (absent counts as 0): it divides
+        # every term, and what is left has no monomial factor
+        ds = [dict(m) for m in self.terms]
+        lo = {v: min(d.get(v, 0) for d in ds) for v in self.variables()}
+        return tuple((v, e) for v, e in sorted(lo.items()) if e)
 
     def divexact(self, other):
-        """Exact division; raises ValueError when not divisible.
+        """Exact division in the Laurent ring; raises ValueError when not
+        divisible.
 
-        Laurent exponents are cleared by a monomial shift first.
+        Both sides are first divided by their monomial content, so the
+        division that is left is one of polynomials, in graded order.
         """
         if not isinstance(other, Poly):
             return self * (Fraction(1) / Fraction(other))
@@ -269,34 +292,50 @@ class Poly:
             return Poly()
         if other.is_constant():
             return self * (Fraction(1) / other.constant())
-        s1 = self._laurent_shift()
-        s2 = other._laurent_shift()
+        s1, s2 = self._content(), other._content()
         if s1 or s2:
-            a = Poly({_mono_mul(m, s1): c for m, c in self.terms.items()})
-            b = Poly({_mono_mul(m, s2): c for m, c in other.terms.items()})
-            q = a.divexact(b)
-            back = _mono_div(s2, s1)
-            return Poly({_mono_mul(m, back): c for m, c in q.terms.items()})
+            a = Poly({_mono_div(m, s1): c for m, c in self.terms.items()})
+            b = Poly({_mono_div(m, s2): c for m, c in other.terms.items()})
+            back = _mono_div(s1, s2)
+            return Poly({_mono_mul(m, back): c for m, c in a.divexact(b).terms.items()})
         allv = sorted(self.variables() | other.variables())
+        pos = {v: i for i, v in enumerate(allv)}
 
         def key(m):
-            d = dict(m)
-            vec = tuple(d.get(v, 0) for v in allv)
-            return (sum(vec), vec)
+            # graded lex, negated so that the heap pops the largest first
+            vec = [0] * len(allv)
+            for v, e in m:
+                vec[pos[v]] = -e
+            return sum(vec), vec
 
-        lead = max(other.terms, key=key)
+        lead = min(other.terms, key=key)
         lc = other.terms[lead]
-        rem = Poly(dict(self.terms))
+        rest = [(m, c) for m, c in other.terms.items() if m != lead]
+        rem = dict(self.terms)
+        heap = [(key(m), m) for m in rem]
+        heapq.heapify(heap)
         quot = {}
-        while not rem.is_zero():
-            m = max(rem.terms, key=key)
+        while heap:
+            m = heapq.heappop(heap)[1]
+            c = rem.pop(m, 0)
+            if not c:
+                continue        # cancelled since it was pushed
             if not _mono_divides(lead, m):
                 raise ValueError("not an exact division")
             qm = _mono_div(m, lead)
-            qc = rem.terms[m] / lc
-            quot[qm] = quot.get(qm, 0) + qc
-            rem = rem - Poly({qm: qc}) * other
-        return Poly({m: c for m, c in quot.items() if c})
+            qc = quot[qm] = _quo(c, lc)
+            # rem -= qc * qm * rest: every new monomial is below m
+            for m2, c2 in rest:
+                mm = _mono_mul(qm, m2)
+                old = rem.get(mm)
+                c3 = (old or 0) - qc * c2
+                if c3:
+                    rem[mm] = c3 if type(c3) is int else _canon(c3)
+                    if old is None:
+                        heapq.heappush(heap, (key(mm), mm))
+                elif old is not None:
+                    del rem[mm]
+        return Poly(quot)
 
     def __str__(self):
         if not self.terms:
@@ -337,7 +376,7 @@ def antiderivative(p, frozen=frozenset()):
             d[v] = e - 1
         v2 = (v[0], v[1], v[2] - 1)
         d[v2] = d.get(v2, 0) + 1
-        cand = Poly({tuple(sorted(d.items())): c / Fraction(d[v2])})
+        cand = Poly({tuple(sorted(d.items())): _quo(c, d[v2])})
         for m2, c2 in cand.terms.items():
             _accumulate(out, m2, c2)
         for m2, c2 in cand.xdiff(frozen).terms.items():

@@ -193,20 +193,22 @@ def generating_poly(table, series, n, s, capital=False, pname=None, qname=None):
 
 
 class _Frac:
-    # tiny Poly-fraction accumulator; reduced only at the very end
-    def __init__(self, num, den=None):
+    # num / base**k, where every term of one closed form has the same base;
+    # a sum keeps the larger power, so expand() is one exact division
+    def __init__(self, num, base=None, k=1):
         self.num = num if isinstance(num, Poly) else Poly.num(num)
-        self.den = den if den is not None else Poly.num(1)
+        self.base, self.k = base, 0 if base is None else k
 
     def __add__(self, other):
-        return _Frac(self.num * other.den + other.num * self.den,
-                     self.den * other.den)
+        lo, hi = sorted((self, other), key=lambda f: f.k)
+        num = lo.num * hi.base ** (hi.k - lo.k) if hi.k > lo.k else lo.num
+        return _Frac(num + hi.num, hi.base, hi.k)
 
     def __sub__(self, other):
-        return self + _Frac(-other.num, other.den)
+        return self + _Frac(-other.num, other.base, other.k)
 
     def expand(self):
-        return self.num.divexact(self.den)
+        return self.num if self.base is None else self.num.divexact(self.base ** self.k)
 
 
 def _lam_tower(series, n, u, name, capital=False, tilde=False, depth=4):
@@ -239,20 +241,20 @@ def closed_form_small(series, n, a, s, u=None):
             return (_Frac(lp[1] * lq[0] - lq[1] * lp[0], p - q)
                     + _Frac(lp[1] * lq[1] * nn)).expand()
         if (a, s) == (1, 2):
-            return (_Frac(lq[1] - lp[1], qp ** 2)
-                    - _Frac(lq[2] + lp[2], qp * 2)).expand()
+            return (_Frac(lq[1] - lp[1], qp, 2)
+                    - _Frac((lq[2] + lp[2]) / 2, qp)).expand()
         if (a, s) == (1, 3):
-            return (_Frac(lq[1] - lp[1], qp ** 3)
-                    - _Frac(lq[2] + lp[2], qp ** 2 * 2)
-                    + _Frac(lq[3] - lp[3], qp * 6)).expand()
+            return (_Frac(lq[1] - lp[1], qp, 3)
+                    - _Frac((lq[2] + lp[2]) / 2, qp, 2)
+                    + _Frac((lq[3] - lp[3]) / 6, qp)).expand()
         if (a, s) == (2, 2):
-            return (_Frac(lq[1] * lp[0] - lq[0] * lp[1], qp ** 2)
-                    - _Frac(lq[2] * lp[0] - 2 * lq[1] * lp[1] + lq[0] * lp[2], qp * 2)
+            return (_Frac(lq[1] * lp[0] - lq[0] * lp[1], qp, 2)
+                    - _Frac((lq[2] * lp[0] - 2 * lq[1] * lp[1] + lq[0] * lp[2]) / 2, qp)
                     - _Frac((lq[2] * lp[1] - lq[1] * lp[2]) * Fraction(1, 2) * nn)).expand()
         if (a, s) == (2, 3):
-            return (_Frac(lq[1] * lp[0] - lq[0] * lp[1], qp ** 3)
-                    - _Frac(lq[2] * lp[0] - 2 * lq[1] * lp[1] + lq[0] * lp[2], qp ** 2 * 2)
-                    + _Frac(lq[3] * lp[0] - 3 * lq[2] * lp[1] + 3 * lq[1] * lp[2] - lq[0] * lp[3], qp * 6)
+            return (_Frac(lq[1] * lp[0] - lq[0] * lp[1], qp, 3)
+                    - _Frac((lq[2] * lp[0] - 2 * lq[1] * lp[1] + lq[0] * lp[2]) / 2, qp, 2)
+                    + _Frac((lq[3] * lp[0] - 3 * lq[2] * lp[1] + 3 * lq[1] * lp[2] - lq[0] * lp[3]) / 6, qp)
                     + _Frac((2 * lq[3] * lp[1] - 3 * lq[2] * lp[2] + 2 * lq[1] * lp[3]) * Fraction(1, 12) * nn)).expand()
         raise ValueError("no closed form for (a, s) = %r" % ((a, s),))
     if a != 2:
@@ -262,10 +264,10 @@ def closed_form_small(series, n, a, s, u=None):
     if s == 2:
         return Poly()
     if s == 3:
-        return (_Frac(lq[1] * lp[0] - lp[1] * lq[0], qp ** 3 * 2)
-                - _Frac(lq[2] * lp[0] - 2 * lq[1] * lp[1] + lp[2] * lq[0], qp ** 2 * 4)
-                + _Frac(lq[1] * lp[2] - lp[1] * lq[2], qp * 4)
-                + _Frac(lq[3] * lp[0] - lq[0] * lp[3], qp * 6)).expand()
+        return (_Frac((lq[1] * lp[0] - lp[1] * lq[0]) / 2, qp, 3)
+                - _Frac((lq[2] * lp[0] - 2 * lq[1] * lp[1] + lp[2] * lq[0]) / 4, qp, 2)
+                + _Frac((lq[1] * lp[2] - lp[1] * lq[2]) / 4, qp)
+                + _Frac((lq[3] * lp[0] - lq[0] * lp[3]) / 6, qp)).expand()
     raise ValueError("no closed form for s = %r" % s)
 
 
@@ -287,50 +289,51 @@ def closed_form_capital(series, n, a, s, u=None):
         raise ValueError("no closed form for (a, s) = %r" % ((a, s),))
     if series == 'B':
         if a == 2:
-            f = (_Frac((P + Q) ** 2 * (L[1] * M[0] - M[1] * L[0]), PQ ** 3)
-                 + _Frac(4 * (P ** 2 * L[3] * M[0] - Q ** 2 * M[3] * L[0]), PQ * 3)
+            f = (_Frac((P + Q) ** 2 * (L[1] * M[0] - M[1] * L[0]), PQ, 3)
+                 + _Frac(4 * (P ** 2 * L[3] * M[0] - Q ** 2 * M[3] * L[0]) / 3, PQ)
                  + _Frac(2 * P * Q * (L[1] * M[2] - M[1] * L[2]), PQ)
                  + _Frac(2 * (P * L[2] * M[0] - Q * M[2] * L[0]), PQ)
                  + _Frac(3 * L[1] * M[1])
-                 - _Frac(2 * P * Q * (L[2] * M[0] - 2 * L[1] * M[1] + L[0] * M[2]), PQ ** 2))
+                 - _Frac(2 * P * Q * (L[2] * M[0] - 2 * L[1] * M[1] + L[0] * M[2]), PQ, 2))
         else:
-            f = (_Frac((P + Q) ** 2 * (L[1] - M[1]), PQ ** 3)
-                 + _Frac(4 * (P ** 2 * L[3] - Q ** 2 * M[3]), PQ * 3)
+            f = (_Frac((P + Q) ** 2 * (L[1] - M[1]), PQ, 3)
+                 + _Frac(4 * (P ** 2 * L[3] - Q ** 2 * M[3]) / 3, PQ)
                  + _Frac(2 * (P * L[2] - Q * M[2]), PQ)
-                 - _Frac(2 * P * Q * (L[2] + M[2]), PQ ** 2))
+                 - _Frac(2 * P * Q * (L[2] + M[2]), PQ, 2))
         return f.expand()
     if series == 'C':
         PQ2 = P ** 2 + 6 * P * Q + Q ** 2
         if a == 2:
-            f = (_Frac(PQ2 * (L[1] * M[0] - M[1] * L[0]), PQ ** 3 * 2)
-                 + _Frac(4 * (P ** 2 * L[3] * M[0] - Q ** 2 * M[3] * L[0]), PQ * 3)
+            f = (_Frac(PQ2 * (L[1] * M[0] - M[1] * L[0]) / 2, PQ, 3)
+                 + _Frac(4 * (P ** 2 * L[3] * M[0] - Q ** 2 * M[3] * L[0]) / 3, PQ)
                  + _Frac(2 * P * Q * (L[1] * M[2] - M[1] * L[2]), PQ)
                  + _Frac(P * L[2] * M[0] - Q * M[2] * L[0], PQ)
                  + _Frac(L[1] * M[1])
-                 - _Frac(2 * P * Q * (L[2] * M[0] - 2 * L[1] * M[1] + L[0] * M[2]), PQ ** 2))
+                 - _Frac(2 * P * Q * (L[2] * M[0] - 2 * L[1] * M[1] + L[0] * M[2]), PQ, 2))
         else:
-            f = (_Frac(PQ2 * (L[1] - M[1]), PQ ** 3 * 2)
-                 + _Frac(4 * (P ** 2 * L[3] - Q ** 2 * M[3]), PQ * 3)
+            f = (_Frac(PQ2 * (L[1] - M[1]) / 2, PQ, 3)
+                 + _Frac(4 * (P ** 2 * L[3] - Q ** 2 * M[3]) / 3, PQ)
                  + _Frac(P * L[2] - Q * M[2], PQ)
-                 - _Frac(2 * P * Q * (L[2] + M[2]), PQ ** 2))
+                 - _Frac(2 * P * Q * (L[2] + M[2]), PQ, 2))
         return f.expand()
     if series == 'D':
         Lt = _lam_tower(series, n, u, 'P', capital=True, tilde=True)
         Mt = _lam_tower(series, n, u, 'Q', capital=True, tilde=True)
+        pq_inv = Poly.of('P', exp=-1) * Poly.of('Q', exp=-1)
         if a == 2:
-            f = (_Frac(4 * P * Q * (L[1] * M[0] - M[1] * L[0]), PQ ** 3)
-                 + _Frac(4 * (P ** 2 * L[3] * M[0] - Q ** 2 * M[3] * L[0]), PQ * 3)
+            f = (_Frac(4 * P * Q * (L[1] * M[0] - M[1] * L[0]), PQ, 3)
+                 + _Frac(4 * (P ** 2 * L[3] * M[0] - Q ** 2 * M[3] * L[0]) / 3, PQ)
                  + _Frac(2 * P * Q * (L[1] * M[2] - M[1] * L[2]), PQ)
                  - _Frac(L[1] * M[1])
-                 - _Frac(2 * P * Q * (L[2] * M[0] - 2 * L[1] * M[1] + L[0] * M[2]), PQ ** 2)
-                 + _Frac(P ** 2 * L[1] * M[0] - Q ** 2 * M[1] * L[0], P * Q * PQ)
-                 - _Frac(lam0 * (P * L[1] + Q * M[1]), P * Q))
+                 - _Frac(2 * P * Q * (L[2] * M[0] - 2 * L[1] * M[1] + L[0] * M[2]), PQ, 2)
+                 + _Frac((P ** 2 * L[1] * M[0] - Q ** 2 * M[1] * L[0]) * pq_inv, PQ)
+                 - _Frac(lam0 * (P * L[1] + Q * M[1]) * pq_inv))
         else:
-            f = (_Frac(4 * P * Q * (P * L[3] - Q * M[3]), PQ * 3)
-                 - _Frac(2 * P * Q * (P * L[2] + Q * M[2]), PQ ** 2)
-                 + _Frac(4 * P * Q * (P ** 2 * Lt[1] - Q ** 2 * Mt[1]), PQ ** 3)
+            f = (_Frac(4 * P * Q * (P * L[3] - Q * M[3]) / 3, PQ)
+                 - _Frac(2 * P * Q * (P * L[2] + Q * M[2]), PQ, 2)
+                 + _Frac(4 * P * Q * (P ** 2 * Lt[1] - Q ** 2 * Mt[1]), PQ, 3)
                  + _Frac(P * Q * (Lt[1] - Mt[1]), PQ)
-                 - _Frac(lam0 * (P + Q), P * Q))
+                 - _Frac(lam0 * (P + Q) * pq_inv))
         return f.expand()
     raise ValueError("unknown series %r" % series)
 
@@ -350,10 +353,10 @@ def dispersionless_pencil(series, n, u=None):
         pq = p - q
         nn = Fraction(1, n + 1)
         out[('delta_prime', 1)] = _Frac(lp[1] - lq[1], pq).expand()
-        out[('delta', 1)] = (_Frac(lxp - lxq, pq ** 2) - _Frac(lxq1, pq)).expand()
+        out[('delta', 1)] = (_Frac(lxp - lxq, pq, 2) - _Frac(lxq1, pq)).expand()
         out[('delta_prime', 2)] = (_Frac(lp[1] * lq[0] - lq[1] * lp[0], pq)
                                    + _Frac(lp[1] * lq[1] * nn)).expand()
-        out[('delta', 2)] = (_Frac(lxp * lq[0] - lxq * lp[0], pq ** 2)
+        out[('delta', 2)] = (_Frac(lxp * lq[0] - lxq * lp[0], pq, 2)
                              + _Frac(lxq * lp[1] - lxq1 * lp[0], pq)
                              + _Frac(lp[1] * lxq1 * nn)).expand()
         return out
@@ -365,10 +368,10 @@ def dispersionless_pencil(series, n, u=None):
     P, Q = Poly.of('P'), Poly.of('Q')
     PQ = P - Q
     out[('delta_prime', 1)] = _Frac(2 * (P * L[1] - Q * M[1]), PQ).expand()
-    out[('delta', 1)] = (_Frac((P + Q) * (Lx - Mx), PQ ** 2)
+    out[('delta', 1)] = (_Frac((P + Q) * (Lx - Mx), PQ, 2)
                          - _Frac(2 * Q * Mx1, PQ)).expand()
     out[('delta_prime', 2)] = _Frac(2 * (P * L[1] * M[0] - Q * M[1] * L[0]), PQ).expand()
-    out[('delta', 2)] = (_Frac((P + Q) * (Lx * M[0] - Mx * L[0]), PQ ** 2)
+    out[('delta', 2)] = (_Frac((P + Q) * (Lx * M[0] - Mx * L[0]), PQ, 2)
                          + _Frac(2 * (P * L[1] * Mx - Q * Mx1 * L[0]), PQ)).expand()
     return out
 

@@ -94,7 +94,7 @@ def _affine(alg, const_m, gammas, alpha, probe):
             out = out + Poly.of('u', i + 1) * c
     c = alg.form(alpha, probe)
     if c:
-        out = out + Poly({((LAM, 1),): Fraction(1)}) * c
+        out = out + Poly.from_var(LAM) * c
     return out
 
 

@@ -229,10 +229,8 @@ def canonical_coordinates(series, n, u):
     if series == 'A':
         pts = sorted((r, _eval1(lam, r)) for r in roots)
     elif series == 'D':
-        if not u[0].constant():
-            raise DegeneratePoint("u_1 = 0 for the D series")
-        if any(r == 0 for r in roots):
-            raise DegeneratePoint("critical point at the origin")
+        # a root at 0 needs u_1 = -crit(0) = 0; then 0 is a double root,
+        # which _rational_roots has already refused
         pts = sorted((r, _eval1(lam, r) / r) for r in roots)
     else:
         pts = sorted((r, _eval1(lam, r)) for r in roots)

@@ -144,6 +144,15 @@ def test_exit_code_degenerate_sample():
     assert_fails(r, 2)
 
 
+def test_d_series_u1_zero_is_a_repeated_critical_point():
+    # with u1 = 0 the D critical polynomial has no P^0 and no P^1 term,
+    # so 0 is a double root; this is the only way to reach P = 0
+    for rank, sample in (('4', '0,1,2,3'), ('3', '0,-1,-4')):
+        r = run('compute', '--series', 'D', '--rank', rank, '--sample', sample)
+        assert_fails(r, 2)
+        assert 'repeated critical point' in r.stderr, (sample, r.stderr)
+
+
 def test_irrational_critical_points_exit_2():
     # irrational (0,-2) and complex (1,1; 1,-3,0) critical points have no
     # exact canonical coordinates: a clean exit 2, never a float
@@ -282,6 +291,78 @@ GOLDEN = [
      'G2 potential roundtrip: ok\nG2 reduced tensors: ok\n'
      'G2 invariants: ok\nresidue identity: ok\n'
      'star product and adjoint: ok\nall checks passed\n'),
+    (('coeffs', '--series', 'A', '--rank', '3', '--check'),
+     'a=1 s=1: 4*p_0^(0)*q_0^(0) + 4*p_0^(0)**2 + 4*q_0^(0)**2 + '
+     '2*u_3^(0)\n'
+     '  closed form: ok\n'
+     'a=1 s=2: 2*p_0^(0) + -2*q_0^(0)\n'
+     '  closed form: ok\n'
+     'a=1 s=3: 2\n'
+     '  closed form: ok\n'
+     'a=2 s=1: 4*p_0^(0)*q_0^(0)*u_1^(0) + '
+     '-1*p_0^(0)*q_0^(0)*u_3^(0)**2 + 3*p_0^(0)*q_0^(0)**2*u_2^(0) + '
+     '-1/2*p_0^(0)*u_2^(0)*u_3^(0) + 3*p_0^(0)**2*q_0^(0)*u_2^(0) + '
+     '2*p_0^(0)**2*q_0^(0)**2*u_3^(0) + 4*p_0^(0)**2*u_1^(0) + '
+     '-1/2*q_0^(0)*u_2^(0)*u_3^(0) + 4*q_0^(0)**2*u_1^(0) + '
+     '2*u_1^(0)*u_3^(0) + -3/4*u_2^(0)**2\n'
+     '  closed form: ok\n'
+     'a=2 s=2: 2*p_0^(0)*q_0^(0)**2*u_3^(0) + 2*p_0^(0)*u_1^(0) + '
+     '1/2*p_0^(0)*u_3^(0)**2 + -2*p_0^(0)**2*q_0^(0)*u_3^(0) + '
+     '-3/2*p_0^(0)**2*u_2^(0) + -2*q_0^(0)*u_1^(0) + '
+     '-1/2*q_0^(0)*u_3^(0)**2 + 3/2*q_0^(0)**2*u_2^(0)\n'
+     '  closed form: ok\n'
+     'a=2 s=3: -4*p_0^(0)*q_0^(0)*u_3^(0) + -2*p_0^(0)*u_2^(0) + '
+     '5*p_0^(0)**2*q_0^(0)**2 + 3/2*p_0^(0)**2*u_3^(0) + '
+     '-2*q_0^(0)*u_2^(0) + 3/2*q_0^(0)**2*u_3^(0) + 2*u_1^(0) + '
+     '3/4*u_3^(0)**2\n'
+     '  closed form: ok\n'
+     'a=2 s=4: 5*p_0^(0)*q_0^(0)**2 + 5/2*p_0^(0)*u_3^(0) + '
+     '-5*p_0^(0)**2*q_0^(0) + -5/2*q_0^(0)*u_3^(0)\n'),
+    (('coeffs', '--series', 'C', '--rank', '4', '--check'),
+     'a=1 s=1: 6*P_0^(0)*Q_0^(0)*u_4^(0) + 8*P_0^(0)*Q_0^(0)**2 + '
+     '4*P_0^(0)*u_3^(0) + 8*P_0^(0)**2*Q_0^(0) + '
+     '6*P_0^(0)**2*u_4^(0) + 8*P_0^(0)**3 + 4*Q_0^(0)*u_3^(0) + '
+     '6*Q_0^(0)**2*u_4^(0) + 8*Q_0^(0)**3 + 2*u_2^(0)\n'
+     '  closed form: ok\n'
+     'a=1 s=3: 38*P_0^(0)*Q_0^(0) + 31/2*P_0^(0)*u_4^(0) + '
+     '46*P_0^(0)**2 + 31/2*Q_0^(0)*u_4^(0) + 46*Q_0^(0)**2 + '
+     '3*u_3^(0)\n'
+     '  closed form: ok\n'
+     'a=2 s=1: 6*P_0^(0)*Q_0^(0)*u_1^(0)*u_4^(0) + '
+     '2*P_0^(0)*Q_0^(0)*u_2^(0)*u_3^(0) + '
+     '8*P_0^(0)*Q_0^(0)**2*u_1^(0) + '
+     '4*P_0^(0)*Q_0^(0)**2*u_2^(0)*u_4^(0) + '
+     '6*P_0^(0)*Q_0^(0)**3*u_2^(0) + 4*P_0^(0)*u_1^(0)*u_3^(0) + '
+     '8*P_0^(0)**2*Q_0^(0)*u_1^(0) + '
+     '4*P_0^(0)**2*Q_0^(0)*u_2^(0)*u_4^(0) + '
+     '6*P_0^(0)**2*Q_0^(0)**2*u_2^(0) + '
+     '2*P_0^(0)**2*Q_0^(0)**2*u_3^(0)*u_4^(0) + '
+     '4*P_0^(0)**2*Q_0^(0)**3*u_3^(0) + '
+     '6*P_0^(0)**2*u_1^(0)*u_4^(0) + 6*P_0^(0)**3*Q_0^(0)*u_2^(0) + '
+     '4*P_0^(0)**3*Q_0^(0)**2*u_3^(0) + '
+     '2*P_0^(0)**3*Q_0^(0)**3*u_4^(0) + 8*P_0^(0)**3*u_1^(0) + '
+     '4*Q_0^(0)*u_1^(0)*u_3^(0) + 6*Q_0^(0)**2*u_1^(0)*u_4^(0) + '
+     '8*Q_0^(0)**3*u_1^(0) + 2*u_1^(0)*u_2^(0)\n'
+     '  closed form: ok\n'
+     'a=2 s=3: 38*P_0^(0)*Q_0^(0)*u_1^(0) + '
+     '11*P_0^(0)*Q_0^(0)*u_2^(0)*u_4^(0) + '
+     '5*P_0^(0)*Q_0^(0)*u_3^(0)**2 + '
+     '67/2*P_0^(0)*Q_0^(0)**2*u_2^(0) + '
+     '11*P_0^(0)*Q_0^(0)**2*u_3^(0)*u_4^(0) + '
+     '17*P_0^(0)*Q_0^(0)**3*u_3^(0) + 31/2*P_0^(0)*u_1^(0)*u_4^(0) + '
+     '3/2*P_0^(0)*u_2^(0)*u_3^(0) + 67/2*P_0^(0)**2*Q_0^(0)*u_2^(0) + '
+     '11*P_0^(0)**2*Q_0^(0)*u_3^(0)*u_4^(0) + '
+     '27*P_0^(0)**2*Q_0^(0)**2*u_3^(0) + '
+     '35/2*P_0^(0)**2*Q_0^(0)**2*u_4^(0)**2 + '
+     '65/2*P_0^(0)**2*Q_0^(0)**3*u_4^(0) + 46*P_0^(0)**2*u_1^(0) + '
+     '5/2*P_0^(0)**2*u_2^(0)*u_4^(0) + '
+     '17*P_0^(0)**3*Q_0^(0)*u_3^(0) + '
+     '65/2*P_0^(0)**3*Q_0^(0)**2*u_4^(0) + 42*P_0^(0)**3*Q_0^(0)**3 + '
+     '7/2*P_0^(0)**3*u_2^(0) + 31/2*Q_0^(0)*u_1^(0)*u_4^(0) + '
+     '3/2*Q_0^(0)*u_2^(0)*u_3^(0) + 46*Q_0^(0)**2*u_1^(0) + '
+     '5/2*Q_0^(0)**2*u_2^(0)*u_4^(0) + 7/2*Q_0^(0)**3*u_2^(0) + '
+     '3*u_1^(0)*u_3^(0) + 1/2*u_2^(0)**2\n'
+     '  closed form: ok\n'),
 ]
 
 
