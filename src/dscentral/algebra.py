@@ -103,6 +103,9 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def is_constant(self):
         return all(m == () for m in self.terms)
 
@@ -376,6 +379,8 @@ def antiderivative(p, frozen=frozenset()):
             d[v] = e - 1
         v2 = (v[0], v[1], v[2] - 1)
         d[v2] = d.get(v2, 0) + 1
+        if not d[v2]:           # v / v2 integrates to a logarithm
+            raise ValueError("not a total x-derivative")
         cand = Poly({tuple(sorted(d.items())): _quo(c, d[v2])})
         for m2, c2 in cand.terms.items():
             _accumulate(out, m2, c2)

@@ -342,7 +342,8 @@ def dispersionless_pencil(series, n, u=None):
     """delta' and delta coefficients of the dispersionless pencil, as
     generating Laurent polynomials (small variables for A, capital
     variables otherwise).  u-jets of first order appear in the delta
-    parts."""
+    parts; the delta' parts are the s = 1 closed forms, times 1/(P Q)
+    for D."""
     out = {}
     if series == 'A':
         lp = _lam_tower(series, n, u, 'p')
@@ -352,13 +353,12 @@ def dispersionless_pencil(series, n, u=None):
         p, q = Poly.of('p'), Poly.of('q')
         pq = p - q
         nn = Fraction(1, n + 1)
-        out[('delta_prime', 1)] = _Frac(lp[1] - lq[1], pq).expand()
         out[('delta', 1)] = (_Frac(lxp - lxq, pq, 2) - _Frac(lxq1, pq)).expand()
-        out[('delta_prime', 2)] = (_Frac(lp[1] * lq[0] - lq[1] * lp[0], pq)
-                                   + _Frac(lp[1] * lq[1] * nn)).expand()
         out[('delta', 2)] = (_Frac(lxp * lq[0] - lxq * lp[0], pq, 2)
                              + _Frac(lxq * lp[1] - lxq1 * lp[0], pq)
                              + _Frac(lp[1] * lxq1 * nn)).expand()
+        for a in (1, 2):
+            out[('delta_prime', a)] = closed_form_small(series, n, a, 1, u)
         return out
     tilde = series == 'D'
     L = _lam_tower(series, n, u, 'P', capital=True, tilde=tilde)
@@ -367,12 +367,13 @@ def dispersionless_pencil(series, n, u=None):
     Mx1 = M[1].xdiff(PQ_FROZEN)
     P, Q = Poly.of('P'), Poly.of('Q')
     PQ = P - Q
-    out[('delta_prime', 1)] = _Frac(2 * (P * L[1] - Q * M[1]), PQ).expand()
     out[('delta', 1)] = (_Frac((P + Q) * (Lx - Mx), PQ, 2)
                          - _Frac(2 * Q * Mx1, PQ)).expand()
-    out[('delta_prime', 2)] = _Frac(2 * (P * L[1] * M[0] - Q * M[1] * L[0]), PQ).expand()
     out[('delta', 2)] = (_Frac((P + Q) * (Lx * M[0] - Mx * L[0]), PQ, 2)
                          + _Frac(2 * (P * L[1] * Mx - Q * Mx1 * L[0]), PQ)).expand()
+    unit = Poly.of('P', exp=-1) * Poly.of('Q', exp=-1) if tilde else 1
+    for a in (1, 2):
+        out[('delta_prime', a)] = closed_form_capital(series, n, a, 1, u) * unit
     return out
 
 

@@ -1,9 +1,17 @@
 """Reduction of the bihamiltonian structure to a transversal slice by
 second class constraints, for exact matrix Lie algebra data.
 
-All tensors are computed symbolically in the slice coordinates u^i and
-an auxiliary shift parameter; the shift-linear parts are the level-one
-tensors of the pencil.
+At the slice point q = I_- + sum u^k gamma_k + lam gamma_n the
+constraint blocks are affine in (1, u^1, ..., u^n), the shift lam riding
+on u^n.  `_constraint_parts` builds their parts once, and one chain,
+`_reduce`, turns them into the second-bracket blocks, whose parts of
+degree 0 and 1 in lam are the two levels of the pencil.  The chain runs
+over either scalar ring:
+
+- `dirac_tensors`: Poly in the u^k and lam, with P^-1 = W / d from a
+  single fraction-free adjugate;
+- `numeric_pencil`: Fraction at one point, with the exact inverse of P
+  at lam = 0, 1, 2, the levels read off the differences.
 """
 
 from fractions import Fraction
@@ -11,7 +19,8 @@ from fractions import Fraction
 from .algebra import Poly, bareiss_det, bareiss_adjugate
 from .invariants import DegeneratePoint, _rational_roots
 from . import liealg
-from .liealg import mzero, madd, mscale, mcomm, nullspace
+from .liealg import (ZERO, inverse, madd, mcomm, mscale, mzero, nullspace,
+                     transpose)
 
 
 LAM = ('lam', 0, 0)
@@ -84,18 +93,87 @@ def slice_bases(alg, gammas=None):
             'exponents': exps}
 
 
-def _affine(alg, const_m, gammas, alpha, probe):
-    """Poly  <const + sum u_i gamma_i + lam alpha, probe>  for a fixed
-    probe matrix."""
-    out = Poly.num(alg.form(const_m, probe)) if const_m is not None else Poly()
-    for i, gam in enumerate(gammas):
-        c = alg.form(gam, probe)
-        if c:
-            out = out + Poly.of('u', i + 1) * c
-    c = alg.form(alpha, probe)
-    if c:
-        out = out + Poly.from_var(LAM) * c
-    return out
+def _constraint_parts(alg, slices):
+    """The parts of the constraint blocks at q = I_- + sum u^k gamma_k.
+
+    P[a][b] = -<q, [f_a, f_b]> and R[i][a] = -<q, [gamma^i, f_a]> are
+    affine in (1, u^1, ..., u^n): their parts come from x_0 = I_- and
+    x_k = gamma_k, with <x, [f_a, f_b]> = <[x, f_a], f_b>, so only the
+    brackets [x_k, f_a] and [x_k, gamma^i] are formed.  Each part is a
+    list of its nonzero entries (row, column, value); P's parts are
+    antisymmetric and list the upper triangle, and R has no constant
+    part.  Returns (P parts, R parts, Q, S) with the constant
+    Q[a][b] = <f_a, f_b> and S[i][a] = <gamma^i, f_a>.
+    """
+    gammas, gups, fs = slices['gammas'], slices['gamma_ups'], slices['f']
+    scale = alg.form_scale
+    # <M, f> = tr(M f) * scale over the nonzero entries (r, c, x) of f
+    fnz = [[(r, c, x) for r, row in enumerate(f) for c, x in enumerate(row) if x]
+           for f in fs]
+
+    def pair(M, nz):
+        return sum(M[c][r] * x for r, c, x in nz if M[c][r]) * scale
+
+    def nonzero(entries):
+        return [e for e in entries if e[2]]
+
+    Pparts = [nonzero((a, b, -pair(K, fnz[b]))
+                      for a, K in enumerate(mcomm(x, fa) for fa in fs)
+                      for b in range(a + 1, len(fs)))
+              for x in [alg.I_minus] + gammas]
+    Rparts = [nonzero((i, a, -pair(K, nz))
+                      for i, K in enumerate(mcomm(gam, gu) for gu in gups)
+                      for a, nz in enumerate(fnz))
+              for gam in gammas]
+    Q = [[pair(fa, nz) for nz in fnz] for fa in fs]
+    S = [[pair(gu, nz) for nz in fnz] for gu in gups]
+    return Pparts, Rparts, Q, S
+
+
+def _reduce(parts, coeffs, zero, invert):
+    """The second-bracket blocks G2, T12, T22 from the constraint parts
+    with the coefficients (1, c^1, ..., c^n), over the ring of `zero`;
+    invert(P) gives (W, d) with P^-1 = W / d."""
+    Pparts, Rparts, Q, S = parts
+    m2 = len(Q)
+    P = [[zero] * m2 for _ in range(m2)]
+    for c, part in zip(coeffs, Pparts):
+        for a, b, v in part:
+            P[a][b] += c * v
+            P[b][a] -= c * v
+    R = [[zero] * m2 for _ in range(len(S))]
+    for c, part in zip(coeffs[1:], Rparts):
+        for i, a, v in part:
+            R[i][a] += c * v
+    W, d = invert(P)
+    mm = liealg.mmul
+    QW = mm(Q, W)
+    r, s = [mm(R, W)], [mm(S, W)]    # r[k] = R P^-1 (Q P^-1)^k d^(k+1)
+    for _ in range(3):
+        r.append(mm(r[-1], QW))
+    for _ in range(2):
+        s.append(mm(s[-1], QW))
+    Rt, St = transpose(R), transpose(S)
+
+    def block(terms, power):
+        # terms: (sign, product, power of d it lacks); sum, then divide
+        out = mzero(len(R))
+        for sign, M, k in terms:
+            out = madd(out, M, sign * d ** k)
+        dp = d ** power
+        return [[x / dp if x else x for x in row] for row in out]
+
+    # signs fixed by expanding -(1/eps) N M^-1 N+ with M = P + Q eps d,
+    # N = R + S eps d at constant coefficients
+    return (block([(1, mm(r[1], Rt), 0), (-1, mm(s[0], Rt), 1),
+                   (1, mm(r[0], St), 1)], 2),
+            block([(-1, mm(r[2], Rt), 0), (1, mm(r[1], St), 1),
+                   (-1, mm(s[1], Rt), 1), (1, mm(s[0], St), 2)], 3),
+            block([(1, mm(r[3], Rt), 0), (1, mm(r[2], St), 1),
+                   (-1, mm(s[2], Rt), 1), (-1, mm(s[1], St), 2)], 4))
+
+
+LEVELS = (('g2', 'g1'), ('A12', 'A11'), ('A22', 'A21'))
 
 
 def dirac_tensors(alg, slices=None):
@@ -104,99 +182,28 @@ def dirac_tensors(alg, slices=None):
 
     Returns a dict of n x n Poly matrices: 'g2', 'g1', 'A12', 'A11',
     'A22', 'A21' (second index = shift level), entries polynomial in
-    the u^i.
+    the u^i.  The shift lam is kept symbolic, so P has one adjugate.
     """
     if slices is None:
         slices = slice_bases(alg)
-    gammas, gups, fs = slices['gammas'], slices['gamma_ups'], slices['f']
-    n = alg.n
-    m2 = len(fs)
-    alpha = gammas[-1]
+    parts = _constraint_parts(alg, slices)
+    coeffs = [Poly.num(1)] + [Poly.of('u', k + 1) for k in range(alg.n)]
+    coeffs[-1] = coeffs[-1] + Poly.from_var(LAM)
 
-    # P(u, lam) and the constant Q
-    P = [[Poly() for _ in range(m2)] for _ in range(m2)]
-    Q = [[Poly.num(alg.form(fa, fb)) for fb in fs] for fa in fs]
-    for a in range(m2):
-        for b in range(a + 1, m2):
-            br = mcomm(fs[a], fs[b])
-            pol = -_affine(alg, alg.I_minus, gammas, alpha, br)
-            P[a][b] = pol
-            P[b][a] = -pol
-    # R(u, lam) and the constant S, n x 2m
-    R = [[Poly() for _ in range(m2)] for _ in range(n)]
-    S = [[Poly.num(alg.form(gu, fa)) for fa in fs] for gu in gups]
-    for i in range(n):
-        for a in range(m2):
-            br = mcomm(gups[i], fs[a])
-            R[i][a] = -_affine(alg, None, gammas, alpha, br)
+    def adjugate(P):
+        W, d = bareiss_adjugate(P)
+        if d.is_zero():
+            raise ValueError("degenerate constraint matrix")
+        return W, d
 
-    adj, det = bareiss_adjugate(P)
-    if det.is_zero():
-        raise ValueError("degenerate constraint matrix")
-
-    def pm(A, B):
-        return [[sum((A[i][t] * B[t][j] for t in range(len(B))), Poly())
-                 for j in range(len(B[0]))] for i in range(len(A))]
-
-    Rt, St = _transpose(R), _transpose(S)
-    r0 = pm(R, adj)              # R P^-1 * det
-    s0 = pm(S, adj)
-    QA = pm(Q, adj)
-    r1 = pm(r0, QA)              # R P^-1 Q P^-1 * det^2
-    s1 = pm(s0, QA)
-    s2 = pm(s1, QA)
-    r2 = pm(r1, QA)
-    r3 = pm(r2, QA)
-
-    def combine(terms, power):
-        """terms: list of (num matrix, det-power deficit); divide the
-        total by det**power exactly."""
-        out = [[Poly() for _ in range(n)] for _ in range(n)]
-        for M, d in terms:
-            f = det ** d
-            for i in range(n):
-                for j in range(n):
-                    out[i][j] = out[i][j] + M[i][j] * f
-        dp = det ** power
-        return [[e.divexact(dp) if not e.is_zero() else e for e in row]
-                for row in out]
-
-    # signs fixed by expanding -(1/eps) N M^-1 N+ with M = P + Q eps d,
-    # N = R + S eps d at constant coefficients
-    G2 = combine([(pm(r1, Rt), 0), (mneg(pm(s0, Rt)), 1), (pm(r0, St), 1)], 2)
-    T12 = combine([(mneg(pm(r2, Rt)), 0), (pm(r1, St), 1),
-                   (mneg(pm(s1, Rt)), 1), (pm(s0, St), 2)], 3)
-    T22 = combine([(pm(r3, Rt), 0), (pm(r2, St), 1),
-                   (mneg(pm(s2, Rt)), 1), (mneg(pm(s1, St)), 2)], 4)
-
-    def split(M, linear_only=True):
-        a0 = [[Poly() for _ in range(n)] for _ in range(n)]
-        a1 = [[Poly() for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                parts = M[i][j].coeffs_in(LAM)
-                for e, pol in parts.items():
-                    if e == 0:
-                        a0[i][j] = pol
-                    elif e == 1:
-                        a1[i][j] = pol
-                    elif linear_only and not pol.is_zero():
-                        raise ValueError("shift dependence not linear")
-        return a0, a1
-
-    g2, g1 = split(G2)
-    A12, A11 = split(T12)
-    A22, A21 = split(T22)
-    return {'g2': g2, 'g1': g1, 'A12': A12, 'A11': A11,
-            'A22': A22, 'A21': A21}
-
-
-def mneg(A):
-    return [[-e for e in row] for row in A]
-
-
-def _transpose(A):
-    return [list(r) for r in zip(*A)]
+    out = {}
+    for (k2, k1), M in zip(LEVELS, _reduce(parts, coeffs, Poly(), adjugate)):
+        split = [[x.coeffs_in(LAM) if x else {} for x in row] for row in M]
+        if any(e > 1 for row in split for c in row for e in c):
+            raise ValueError("shift dependence not linear")
+        out[k2], out[k1] = ([[c.get(e, Poly()) for c in row] for row in split]
+                            for e in (0, 1))
+    return out
 
 
 def char_poly(tensors, n):
@@ -264,82 +271,17 @@ def central_invariants_dirac(tensors, n, upoint):
     return roots, out
 
 
-def _blocks_at(P, Q, R, S):
-    """The three second-bracket blocks G2, T12, T22 at a single point,
-    from the constraint blocks P (antisymmetric, invertible), Q, R, S as
-    Fraction matrices."""
-    m2 = len(P)
-    aug = liealg.rref([list(r) + [Fraction(1) if i == j else Fraction(0)
-                                  for j in range(m2)]
-                       for i, r in enumerate(P)])[0]
-    if any(aug[i][i] != 1 for i in range(m2)):
-        raise ValueError("degenerate constraint matrix at this point")
-    Pinv = [row[m2:] for row in aug]
-    mm = liealg.mmul
-
-    def qp(M):                   # M P^-1 Q P^-1 = (M P^-1) Q P^-1
-        return mm(mm(M, Q), Pinv)
-
-    Rt, St = _transpose(R), _transpose(S)
-    r0 = mm(R, Pinv)
-    s0 = mm(S, Pinv)
-    r1 = qp(r0)
-    s1 = qp(s0)
-    s2 = qp(s1)
-    r2 = qp(r1)
-    r3 = qp(r2)
-    add, neg = liealg.madd, lambda A: liealg.mscale(A, -1)
-    G2 = add(mm(r1, Rt), add(neg(mm(s0, Rt)), mm(r0, St)))
-    T12 = add(neg(mm(r2, Rt)), add(mm(r1, St),
-              add(neg(mm(s1, Rt)), mm(s0, St))))
-    T22 = add(mm(r3, Rt), add(mm(r2, St),
-              add(neg(mm(s2, Rt)), neg(mm(s1, St)))))
-    return G2, T12, T22
-
-
 def numeric_pencil(alg, slices, upoint):
     """All six reduced tensors as Fraction matrices at one slice point,
-    via evaluations at three values of the shift parameter.
-
-    The constraint blocks pair a point with brackets of the f_a, which do
-    not depend on the shift.  Invariance of the form turns each pairing
-    <q, [x, f_b]> into <[q, x], f_b>, so only the brackets [q, f_a] and
-    [q, gamma^i] are formed, once per shift value, and every pairing with
-    f_b runs over the few nonzero entries of f_b.
-    """
-    gammas, gups, fs = slices['gammas'], slices['gamma_ups'], slices['f']
-    alpha = gammas[-1]
-    n, m2 = alg.n, len(fs)
-    scale = alg.form_scale
-    # <M, f> = tr(M f) * scale over the nonzero entries (r, c, x) of f
-    fnz = [[(r, c, x) for r, row in enumerate(f) for c, x in enumerate(row) if x]
-           for f in fs]
-
-    def pair(M, nz):
-        return sum(M[c][r] * x for r, c, x in nz if M[c][r]) * scale
-
-    q = mzero(len(alpha))
-    for u, gam in zip(upoint, gammas):
-        q = madd(q, gam, Fraction(u))
-    Q = [[pair(fa, nz) for nz in fnz] for fa in fs]
-    S = [[pair(gu, nz) for nz in fnz] for gu in gups]
+    via evaluations at three values of the shift parameter."""
+    parts = _constraint_parts(alg, slices)
     vals = []
     for lam in (0, 1, 2):
-        ql = madd(q, alpha, Fraction(lam))
-        qfull = madd(ql, alg.I_minus)
-        P = mzero(m2)
-        for a, fa in enumerate(fs):
-            K = mcomm(qfull, fa)        # <qfull, [f_a, f_b]> = <[qfull, f_a], f_b>
-            for b in range(a + 1, m2):
-                v = -pair(K, fnz[b])
-                P[a][b] = v
-                P[b][a] = -v
-        R = [[-pair(K, nz) for nz in fnz]
-             for K in (mcomm(ql, gu) for gu in gups)]
-        vals.append(_blocks_at(P, Q, R, S))
+        coeffs = [Fraction(1)] + [Fraction(u) for u in upoint]
+        coeffs[-1] += lam
+        vals.append(_reduce(parts, coeffs, ZERO, lambda P: (inverse(P), 1)))
     out = {}
-    for idx, (k2, k1) in enumerate((('g2', 'g1'), ('A12', 'A11'),
-                                    ('A22', 'A21'))):
+    for idx, (k2, k1) in enumerate(LEVELS):
         a0 = vals[0][idx]
         a1 = madd(vals[1][idx], a0, -1)
         chk = madd(madd(vals[2][idx], a0, -1), a1, -2)

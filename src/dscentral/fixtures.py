@@ -15,7 +15,7 @@ import os
 from fractions import Fraction
 
 from .algebra import Poly
-from .liealg import mzero, madd, mscale, MatrixLieAlgebra
+from .liealg import mzero, madd, mscale, transpose, MatrixLieAlgebra
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), 'data')
 ENV_VAR = 'DSCENTRAL_FIXTURE_DIR'
@@ -144,10 +144,6 @@ def load_document(name):
     return {'header': header, 'sections': sections}
 
 
-def _transpose(m):
-    return [list(r) for r in zip(*m)]
-
-
 def build_algebra(name):
     """MatrixLieAlgebra from a fixture document.  Y entries may be given
     as explicit triplets or as 'transpose' plus optional correction
@@ -164,7 +160,7 @@ def build_algebra(name):
     for i in range(1, rank + 1):
         spec = gens['Y%d' % i]
         if spec.startswith('transpose'):
-            m = _transpose(X[i - 1])
+            m = transpose(X[i - 1])
             rest = spec[len('transpose'):].strip()
             if rest:
                 m = madd(m, parse_triplets(rest, size))

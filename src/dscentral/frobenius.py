@@ -6,7 +6,6 @@ their component lists (Poly or numbers).
 """
 
 from fractions import Fraction
-from itertools import combinations
 
 from .algebra import Poly
 from . import liealg
@@ -44,21 +43,13 @@ def eta_from_potential(F, e, n):
     return eta
 
 
-def invert_const(eta):
-    M = liealg.rref([list(r) + [Fraction(1) if i == j else Fraction(0)
-                                for j in range(len(eta))]
-                     for i, r in enumerate(eta)])[0]
-    n = len(eta)
-    return [row[n:] for row in M]
-
-
 def pencil_from_potential(F, E, e, n):
     """Contravariant metrics of the Frobenius pencil:
 
         g2^ij = sum_m E^m eta^ik eta^jl F_mkl,   g1^ij = eta^ij.
     """
     eta = eta_from_potential(F, e, n)
-    etainv = invert_const(eta)
+    etainv = liealg.inverse(eta)
     g2 = [[Poly() for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -110,7 +101,7 @@ def potential_from_metrics(g2, eta, degrees, n):
     degree 2h + 2; raises ValueError if the system is inconsistent.
     """
     h = max(degrees)
-    etainv = invert_const(eta)
+    etainv = liealg.inverse(eta)
     # target Hessian: H_kl = eta_ki eta_lj h/(di+dj-2) g2^ij
     H = [[Poly() for _ in range(n)] for _ in range(n)]
     for k in range(n):

@@ -188,6 +188,17 @@ def rank(rows):
     return len(rref(rows)[1])
 
 
+def inverse(rows):
+    """Exact inverse of a square matrix, from the rref of [rows | I];
+    raises ValueError when it is singular."""
+    n = len(rows)
+    M, piv = rref([list(r) + [1 if i == j else 0 for j in range(n)]
+                   for i, r in enumerate(rows)])
+    if piv and piv[-1] >= n:
+        raise ValueError("singular matrix")
+    return [row[n:] for row in M]
+
+
 # Matrices over Fraction are stored as lists of rows.  The matrices of a
 # Chevalley basis are very sparse, so the kernels below touch nonzero
 # entries only, and every zero they write is the one shared ZERO.
@@ -221,6 +232,10 @@ def madd(A, B, s=1):
                 v = ro[j] + s * b
                 ro[j] = v if v else ZERO
     return out
+
+
+def transpose(A):
+    return [list(r) for r in zip(*A)]
 
 
 def mscale(A, s):

@@ -86,9 +86,10 @@ def test_antiderivative_roundtrip():
 
 
 def test_antiderivative_rejects_non_exact():
-    # u1 * u1' is exact, u1'^2 is not
-    with pytest.raises(Exception):
-        antiderivative(Poly.of('u', 1, 1) ** 2)
+    # u1 * u1' is exact, u1'^2 is not, and u1' / u1 integrates to log u1
+    for p in (Poly.of('u', 1, 1) ** 2, Poly.of('u', 1, 1) * Poly.of('u', 1, 0, -1)):
+        with pytest.raises(ValueError):
+            antiderivative(p)
 
 
 def test_divexact():

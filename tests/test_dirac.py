@@ -115,13 +115,18 @@ def test_char_poly_degree(g2):
 
 def test_numeric_pencil_matches_symbolic(g2):
     alg, slices, tens, _ = g2
-    u = [Fraction(2), Fraction(-1)]
-    N = numeric_pencil(alg, slices, u)
-    usub = {('u', i + 1, 0): Poly.num(u[i]) for i in range(2)}
-    for key in ('g2', 'g1', 'A12', 'A11', 'A22', 'A21'):
-        for i in range(2):
-            for j in range(2):
-                assert N[key][i][j] == tens[key][i][j].subs(usub).constant()
+    rng = random.Random(17)
+    points = [[Fraction(2), Fraction(-1)]]
+    points += [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2)]
+               for _ in range(10)]
+    for u in points:
+        N = numeric_pencil(alg, slices, u)
+        usub = {('u', i + 1, 0): Poly.num(u[i]) for i in range(2)}
+        for key in ('g2', 'g1', 'A12', 'A11', 'A22', 'A21'):
+            for i in range(2):
+                for j in range(2):
+                    assert N[key][i][j] == tens[key][i][j].subs(usub).constant(), (u, key)
+                    assert type(N[key][i][j]) is Fraction
 
 
 def test_degenerate_directions_detected(g2):

@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 
 from dscentral.algebra import Poly
-from dscentral import brackets, fixtures, frobenius
-from dscentral.frobenius import (eta_from_potential, invert_const,
-                                 pencil_from_potential, potential_from_metrics,
+from dscentral import brackets, fixtures, frobenius, liealg
+from dscentral.frobenius import (eta_from_potential, pencil_from_potential, potential_from_metrics,
                                  orbit_metrics_a, tvar)
 
 
@@ -29,11 +28,13 @@ def test_eta_rejects_nonflat_direction():
 
 def test_invert_const():
     eta = [[Fraction(0), Fraction(2)], [Fraction(2), Fraction(1)]]
-    inv = invert_const(eta)
+    inv = liealg.inverse(eta)
     for i in range(2):
         for j in range(2):
             want = Fraction(1) if i == j else Fraction(0)
             assert sum(eta[i][k] * inv[k][j] for k in range(2)) == want
+    with pytest.raises(ValueError):
+        liealg.inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
 
 
 def test_pencil_matches_stored_g2_tables():

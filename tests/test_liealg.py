@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dscentral import liealg
+from dscentral.algebra import Poly
 from dscentral.liealg import (cartan_matrix, root_lengths, coroot_gram,
                               lie_central_invariants, fold, rref, nullspace,
                               solve, rank, mcomm, mscale, madd, mzero,
@@ -180,33 +181,44 @@ def _random_sparse(rng, n, m, density):
 
 
 def test_matrix_kernels_match_dense_formulas():
-    rng = random.Random(11)
-    for trial in range(30):
-        n = rng.randint(1, 9)
-        density = rng.choice([0.0, 0.05, 0.2, 0.6, 1.0])
-        A = _random_sparse(rng, n, n, density)
-        B = _random_sparse(rng, n, n, density)
-        s = rng.choice([1, -1, 0, Fraction(rng.randint(-5, 5), 3)])
-        prod = [[sum((A[i][k] * B[k][j] for k in range(n)), Fraction(0))
-                 for j in range(n)] for i in range(n)]
-        rprod = [[sum((B[i][k] * A[k][j] for k in range(n)), Fraction(0))
-                  for j in range(n)] for i in range(n)]
-        want = {
-            'madd': [[a + s * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)],
-            'mscale': [[a * s for a in row] for row in A],
-            'mmul': prod,
-            'mcomm': [[x - y for x, y in zip(rx, ry)] for rx, ry in zip(prod, rprod)],
-        }
-        got = {'madd': madd(A, B, s), 'mscale': mscale(A, s),
-               'mmul': liealg.mmul(A, B), 'mcomm': mcomm(A, B)}
-        for key, M in got.items():
-            assert M == want[key], (trial, key)
-            assert all(type(x) is Fraction for row in M for x in row), (trial, key)
-        assert liealg.mtrace_prod(A, B) == sum(
-            (prod[i][i] for i in range(n)), Fraction(0))
-    # rectangular products
-    A = _random_sparse(rng, 3, 5, 0.3)
-    B = _random_sparse(rng, 5, 2, 0.3)
-    assert liealg.mmul(A, B) == [[sum((A[i][k] * B[k][j] for k in range(5)),
-                                      Fraction(0)) for j in range(2)]
-                                 for i in range(3)]
+    # the same draws twice: Fraction entries, then Poly entries x * y,
+    # whose zeros are fresh empty Polys that the kernels must skip
+    y = Poly.of('y')
+    for kind, lift in ((Fraction, lambda x: x), (Poly, lambda x: x * y)):
+        rng = random.Random(11)
+        zero = lift(Fraction(0))
+
+        def sparse(n, m, density):
+            return [[lift(x) for x in row]
+                    for row in _random_sparse(rng, n, m, density)]
+
+        for trial in range(30):
+            n = rng.randint(1, 9)
+            density = rng.choice([0.0, 0.05, 0.2, 0.6, 1.0])
+            A = sparse(n, n, density)
+            B = sparse(n, n, density)
+            s = rng.choice([1, -1, 0, Fraction(rng.randint(-5, 5), 3)])
+            prod = [[sum((A[i][k] * B[k][j] for k in range(n)), zero)
+                     for j in range(n)] for i in range(n)]
+            rprod = [[sum((B[i][k] * A[k][j] for k in range(n)), zero)
+                      for j in range(n)] for i in range(n)]
+            want = {
+                'madd': [[a + s * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)],
+                'mscale': [[a * s for a in row] for row in A],
+                'mmul': prod,
+                'mcomm': [[x - y for x, y in zip(rx, ry)] for rx, ry in zip(prod, rprod)],
+            }
+            got = {'madd': madd(A, B, s), 'mscale': mscale(A, s),
+                   'mmul': liealg.mmul(A, B), 'mcomm': mcomm(A, B)}
+            for key, M in got.items():
+                assert M == want[key], (kind, trial, key)
+                assert all(type(x) is kind or x is liealg.ZERO
+                           for row in M for x in row), (kind, trial, key)
+            assert liealg.mtrace_prod(A, B) == sum(
+                (prod[i][i] for i in range(n)), zero)
+        # rectangular products
+        A = sparse(3, 5, 0.3)
+        B = sparse(5, 2, 0.3)
+        assert liealg.mmul(A, B) == [[sum((A[i][k] * B[k][j] for k in range(5)),
+                                          zero) for j in range(2)]
+                                     for i in range(3)]
