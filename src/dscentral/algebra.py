@@ -356,7 +356,7 @@ class Poly:
 def antiderivative(p, frozen=frozenset()):
     """Inverse of the total x-derivative; raises ValueError if `p` is not
     a total derivative.  Greedy: repeatedly strip the term with the
-    highest-order jet variable."""
+    highest-order jet variable, in which a total derivative is linear."""
     rem = dict(p.terms)
     out = {}
     for _ in range(20000):
@@ -372,11 +372,8 @@ def antiderivative(p, frozen=frozenset()):
                 best = (key, m, c, top[1])
         _, m, c, v = best
         d = dict(m)
-        e = d[v]
-        if e == 1:
-            del d[v]
-        else:
-            d[v] = e - 1
+        if d.pop(v) != 1:
+            raise ValueError("not a total x-derivative")
         v2 = (v[0], v[1], v[2] - 1)
         d[v2] = d.get(v2, 0) + 1
         if not d[v2]:           # v / v2 integrates to a logarithm

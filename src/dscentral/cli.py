@@ -111,10 +111,16 @@ def _compute_g2(seed, sample):
     return list(zip(roots, cs)), diag
 
 
-def _compute_f4(seed, sample):
+def _compute_f4(seed, sample, fixture_dir):
     t, diag = _sample(4, seed, sample, reference.f4_sample)
-    roots, cs = fixtures.fixture_invariants('f4', t)
+    roots, cs = fixtures.fixture_invariants('f4', t, fixture_dir)
     return list(zip(roots, cs)), diag
+
+
+# the option, then the environment variable (unless empty), then the
+# bundled documents
+fixture_dir_option = click.option(
+    '--fixture-dir', envvar='DSCENTRAL_FIXTURE_DIR', default=fixtures.DATA_DIR)
 
 
 @click.group()
@@ -140,11 +146,10 @@ def main():
               type=click.Choice(['json', 'tsv', 'pretty']), default='json')
 @click.option('--decimal', type=click.IntRange(min=0), default=None,
               help='exact decimals with this many digits')
-@click.option('--fixture-dir', default=None)
+@fixture_dir_option
 def compute(series, rank, algebra, method, seed, sample, order, fmt,
             decimal, fixture_dir):
     """Central invariants of one algebra at a sample point."""
-    fixtures.set_data_dir(fixture_dir)
     if (series is None) == (algebra is None):
         raise ConfigError('give exactly one of --series or --algebra')
     if series:
@@ -170,7 +175,7 @@ def compute(series, rank, algebra, method, seed, sample, order, fmt,
     elif method == 'dirac':
         pairs, diag = _compute_g2(seed, sample)
     else:
-        pairs, diag = _compute_f4(seed, sample)
+        pairs, diag = _compute_f4(seed, sample, fixture_dir)
     _emit(_invariant_report(name, method, pairs, diag, decimal), fmt, decimal)
 
 
@@ -255,7 +260,7 @@ def coeffs(series, rank, check):
         raise Mismatch('coefficient mismatch at %s' % bad)
 
 
-def _suite_properties(rng):
+def _suite_properties(rng, data_dir):
     from .symbols import Symbol
     yield 'residue identity', all(
         v == Fraction(1 - n, 2 * (n + 1))
@@ -283,14 +288,14 @@ def _suite_properties(rng):
     yield 'star product and adjoint', ok
 
 
-def _suite_an(rng):
+def _suite_an(rng, data_dir):
     for n in (1, 2, 3):
         u = invariants.random_sample('A', n, rng)
         cs = invariants.central_invariants('A', n, u)['c']
         yield 'A%d invariants' % n, cs == reference.classical_invariants('A', n)
 
 
-def _suite_bcd(rng):
+def _suite_bcd(rng, data_dir):
     for series, n in (('B', 2), ('C', 2), ('D', 3)):
         u = invariants.random_sample(series, n, rng)
         res = invariants.central_invariants(series, n, u)
@@ -300,10 +305,10 @@ def _suite_bcd(rng):
             res['c'] == reference.classical_invariants(series, n)
 
 
-def _suite_g2(rng):
+def _suite_g2(rng, data_dir):
     alg = liealg.g2_algebra()
     tens = dirac.dirac_tensors(alg, dirac.g2_slice(alg))
-    fx = fixtures.load_frobenius('g2')
+    fx = fixtures.load_frobenius('g2', data_dir)
     stored = fx['tensors']
     u1, u2 = Poly.of('u', 1), Poly.of('u', 2)
     names = {'g2': 'g2u', 'g1': 'g1u', 'A22': 'A22u', 'A21': 'A21u'}
@@ -319,12 +324,13 @@ def _suite_g2(rng):
     yield 'G2 invariants', sorted(cs) == sorted(reference.TABLE[('G', 2)])
 
 
-def _suite_f4(rng):
-    roots, cs = fixtures.fixture_invariants('f4', reference.f4_sample(rng))
+def _suite_f4(rng, data_dir):
+    roots, cs = fixtures.fixture_invariants('f4', reference.f4_sample(rng),
+                                            data_dir)
     yield 'F4 invariants', sorted(cs) == sorted(reference.TABLE[('F', 4)])
 
 
-def _suite_frobenius(rng):
+def _suite_frobenius(rng, data_dir):
     orb = frobenius.orbit_metrics_a(2)
     pen = brackets.dispersionless_pencil('A', 2)
     p, q = ('p', 0, 0), ('q', 0, 0)
@@ -339,13 +345,15 @@ def _suite_frobenius(rng):
                 if not (c + o).is_zero():     # one global sign
                     ok = False
     yield 'A2 orbit pencil (up to sign)', ok
-    fx = fixtures.load_frobenius('g2')
+    fx = fixtures.load_frobenius('g2', data_dir)
     pen2 = frobenius.pencil_from_potential(fx['F'], fx['E'], fx['e'], 2)
     F2 = frobenius.potential_from_metrics(
         pen2['g2'], pen2['eta'], [Fraction(6), Fraction(2)], 2)
     yield 'G2 potential roundtrip', (F2 - fx['F']).is_zero()
 
 
+# each suite takes (rng, data_dir), data_dir the directory of the fixture
+# documents, and yields (label, ok) pairs
 SUITES = {'properties': _suite_properties, 'an': _suite_an,
           'bcd': _suite_bcd, 'g2': _suite_g2, 'f4': _suite_f4,
           'frobenius': _suite_frobenius}
@@ -354,15 +362,14 @@ SUITES = {'properties': _suite_properties, 'an': _suite_an,
 @main.command()
 @click.argument('suite', type=click.Choice(sorted(SUITES) + ['all']))
 @click.option('--seed', type=int, default=0)
-@click.option('--fixture-dir', default=None)
+@fixture_dir_option
 def verify(suite, seed, fixture_dir):
     """Run a named check suite."""
-    fixtures.set_data_dir(fixture_dir)
     names = sorted(SUITES) if suite == 'all' else [suite]
     rng = random.Random(seed)
     failed = []
     for name in names:
-        for label, ok in SUITES[name](rng):
+        for label, ok in SUITES[name](rng, fixture_dir):
             click.echo('%s: %s' % (label, 'ok' if ok else 'FAIL'))
             if not ok:
                 failed.append(label)

@@ -6,35 +6,39 @@ File format: '[section]' headers and 'key = value' lines; values are
 either sparse matrix triplets 'i,j,num/den; ...' or expressions in
 Python syntax over rational literals and named variables, parsed with
 ast (no eval).  A 'checksum:' header pins each document.
+
+Every reader takes the directory of the documents as its last argument,
+`data_dir`, which defaults to the bundled DATA_DIR.  A header key,
+section or section key that a reader needs and the document lacks is a
+FixtureError, as is a bad checksum or a missing document.
 """
 
 import ast
 import functools
 import hashlib
 import os
+import re
 from fractions import Fraction
 
 from .algebra import Poly
-from .liealg import mzero, madd, mscale, transpose, MatrixLieAlgebra
+from .liealg import mzero, madd, transpose, MatrixLieAlgebra
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), 'data')
-ENV_VAR = 'DSCENTRAL_FIXTURE_DIR'
-_override = None
-
-
-def set_data_dir(path):
-    """Explicit directory override; None keeps the environment or
-    bundled default."""
-    global _override
-    _override = path
-
-
-def data_dir():
-    return _override or os.environ.get(ENV_VAR) or DATA_DIR
 
 
 class FixtureError(Exception):
     pass
+
+
+class _Entries(dict):
+    """A dict read from a document; a missing key is a FixtureError."""
+
+    def __init__(self, where):
+        super().__init__()
+        self.where = where
+
+    def __missing__(self, key):
+        raise FixtureError("no %r in %s" % (key, self.where))
 
 
 def _parse_fraction(s):
@@ -104,15 +108,15 @@ def parse_triplets(text, size, scale=1):
     return m
 
 
-def load_document(name):
-    """Parse data/<name>.txt into {'header': {...}, sections: {...}};
-    verifies the stored checksum."""
-    path = os.path.join(data_dir(), name + '.txt')
+def load_document(name, data_dir=DATA_DIR):
+    """Parse <data_dir>/<name>.txt into {'header': {...}, 'sections':
+    {...}}; verifies the stored checksum."""
+    path = os.path.join(data_dir, name + '.txt')
     if not os.path.exists(path):
         raise FixtureError("no fixture %r" % name)
     with open(path) as f:
         lines = f.read().splitlines()
-    header = {}
+    header = _Entries('the header of %r' % name)
     body_start = None
     for k, line in enumerate(lines):
         if line.startswith('['):
@@ -127,7 +131,7 @@ def load_document(name):
     digest = hashlib.sha256(body.encode()).hexdigest()
     if header.get('checksum') != digest:
         raise FixtureError("checksum mismatch in %r" % name)
-    sections = {}
+    sections = _Entries(repr(name))
     cur = None
     for line in lines[body_start:]:
         line = line.strip()
@@ -135,7 +139,7 @@ def load_document(name):
             continue
         if line.startswith('[') and line.endswith(']'):
             cur = line[1:-1]
-            sections[cur] = {}
+            sections[cur] = _Entries('[%s] of %r' % (cur, name))
             continue
         if '=' not in line or cur is None:
             raise FixtureError("stray line %r" % line)
@@ -144,11 +148,11 @@ def load_document(name):
     return {'header': header, 'sections': sections}
 
 
-def build_algebra(name):
+def build_algebra(name, data_dir=DATA_DIR):
     """MatrixLieAlgebra from a fixture document.  Y entries may be given
     as explicit triplets or as 'transpose' plus optional correction
     triplets."""
-    doc = load_document(name)
+    doc = load_document(name, data_dir)
     h = doc['header']
     size = int(h['rep_size'])
     dim = int(h['dim'])
@@ -170,21 +174,15 @@ def build_algebra(name):
     return MatrixLieAlgebra(h['algebra'], h['type'], rank, X, Y, scale, dim)
 
 
-def _varmap_families(doc, n):
-    vm = {}
-    for i in range(1, n + 1):
-        vm['u%d' % i] = Poly.of('u', i)
-        vm['t%d' % i] = Poly.of('t', i)
-    return vm
-
-
-def load_frobenius(name):
-    """Potential, Euler/unity fields and flat coordinate expressions."""
-    doc = load_document(name)
+def load_frobenius(name, data_dir=DATA_DIR):
+    """Potential, Euler/unity fields, flat coordinate expressions and
+    stored tensors, each present when the document has its section."""
+    doc = load_document(name, data_dir)
     n = int(doc['header']['rank'])
-    vm = _varmap_families(doc, n)
+    vm = {'%s%d' % (f, i): Poly.of(f, i) for f in 'ut' for i in range(1, n + 1)}
     sec = doc['sections']
-    out = {'rank': n}
+    out = _Entries('the Frobenius data of %r' % name)
+    out['rank'] = n
     if 'potential' in sec:
         out['F'] = parse_expr(sec['potential']['F'], vm)
     if 'euler' in sec:
@@ -196,72 +194,40 @@ def load_frobenius(name):
         out['t'] = [parse_expr(sec['flat_coords']['t%d' % i], vm)
                     for i in range(1, n + 1)]
     if 'tensors' in sec:
-        tens = {}
-        for key, val in sec['tensors'].items():
+        # parsed in place, so a missing tensor stays a FixtureError
+        out['tensors'] = tens = sec['tensors']
+        for key, val in tens.items():
             tens[key] = parse_expr(val, vm)
-        out['tensors'] = tens
-    if 'ktensor' in sec:
-        kt = {}
-        for key, val in sec['ktensor'].items():
-            # K_j^i stored as K<i>_<j>
-            ij = key[1:].split('_')
-            kt[(int(ij[0]), int(ij[1]))] = parse_expr(val, vm)
-        out['K'] = kt
     return out
 
 
-def load_gammas(name, alg):
-    """Slice generators expressed over root vectors X_<n1n2...> and the
-    simple generators X1..Xn."""
-    doc = load_document(name)
-    n = alg.n
-    sec = doc['sections'].get('gamma')
+def load_gammas(name, alg, data_dir=DATA_DIR):
+    """Slice generators: linear forms over root vectors X_<n1n2...> and
+    the simple generators X1..Xn."""
+    sec = load_document(name, data_dir)['sections'].get('gamma')
     if sec is None:
         raise FixtureError("no gamma section in %r" % name)
-    exprs = [sec['gamma%d' % i] for i in range(1, n + 1)]
-    labels = set()
-    for e in exprs:
-        for node in ast.walk(ast.parse(e, mode='eval')):
-            if isinstance(node, ast.Name):
-                labels.add(node.id)
-    vm = {}
+    exprs = [sec['gamma%d' % i] for i in range(1, alg.n + 1)]
+    # every name; parse_expr below rejects what is not an expression
+    labels = set(re.findall(r'[A-Za-z_]\w*', ' '.join(exprs)))
+    matrix_of = {}
     for lab in labels:
         if lab.startswith('X_'):
-            nvec = [int(c) for c in lab[2:]]
-            vm[lab] = alg.root_vector(nvec)
+            matrix_of[lab] = alg.root_vector([int(c) for c in lab[2:]])
         elif lab.startswith('X'):
-            vm[lab] = alg.X[int(lab[1:]) - 1]
+            matrix_of[lab] = alg.X[int(lab[1:]) - 1]
         else:
             raise FixtureError("unknown gamma name %r" % lab)
-
-    class MWrap:
-        """Matrix wrapper so parse_expr arithmetic works on matrices."""
-
-        def __init__(self, m):
-            self.m = m
-
-        def __add__(self, o):
-            return MWrap(madd(self.m, o.m))
-
-        def __sub__(self, o):
-            return MWrap(madd(self.m, o.m, -1))
-
-        def __neg__(self):
-            return MWrap(mscale(self.m, -1))
-
-        def __mul__(self, o):
-            if isinstance(o, Fraction):
-                return MWrap(mscale(self.m, o))
-            raise FixtureError("matrix product not allowed here")
-
-        def __rmul__(self, o):
-            return self.__mul__(o)
-
-    wm = {k: MWrap(v) for k, v in vm.items()}
+    vm = {lab: Poly.of(lab) for lab in labels}
     out = []
     for e in exprs:
-        v = parse_expr(e, wm)
-        out.append(v.m if isinstance(v, MWrap) else v)
+        p = parse_expr(e, vm)
+        g = mzero(len(alg.X[0]))
+        for mono, c in (p.terms if isinstance(p, Poly) else {(): p}).items():
+            if len(mono) != 1 or mono[0][1] != 1:
+                raise FixtureError("gamma %r is not a linear form" % e)
+            g = madd(g, matrix_of[mono[0][0][0]], c)
+        out.append(g)
     return out
 
 
@@ -270,7 +236,7 @@ def _fixture_tensors(directory, name):
     # keyed by the directory load_frobenius reads from; shared by every
     # call on one document, so never hand these Polys out
     from . import frobenius
-    fx = load_frobenius(name)
+    fx = load_frobenius(name, directory)
     n = fx['rank']
     pen = frobenius.pencil_from_potential(fx['F'], fx['E'], fx['e'], n)
     A22 = [[None] * n for _ in range(n)]
@@ -299,15 +265,15 @@ def _fixture_tensors(directory, name):
     return n, tensors
 
 
-def fixture_invariants(name, tpoint):
+def fixture_invariants(name, tpoint, data_dir=DATA_DIR):
     """Central invariants at a flat-coordinate point, from the stored
     potential (leading metrics) and the stored dispersive tensors A22_ij
     (A21 is the t1 derivative of A22).  The tensors are built once per
     fixture directory and document.  Returns (roots, invariants)."""
     from .dirac import central_invariants_dirac
-    n, tensors = _fixture_tensors(data_dir(), name)
+    n, tensors = _fixture_tensors(data_dir, name)
     return central_invariants_dirac(tensors, n, list(tpoint))
 
 
-def available():
-    return sorted(f[:-4] for f in os.listdir(data_dir()) if f.endswith('.txt'))
+def available(data_dir=DATA_DIR):
+    return sorted(f[:-4] for f in os.listdir(data_dir) if f.endswith('.txt'))

@@ -431,19 +431,9 @@ class MatrixLieAlgebra:
         for Yi in self.Y:
             Im = madd(Im, Yi, 1)
         self.I_minus = Im
-        # principal grading of each basis element
-        self.grades = []
-        for b in self.basis:
-            c = mcomm(rho, b)
-            g = None
-            for rowc, rowb in zip(c, b):
-                for xc, xb in zip(rowc, rowb):
-                    if xb:
-                        g2 = xc / xb
-                        if g is not None and g2 != g:
-                            raise ValueError("basis not graded")
-                        g = g2
-            self.grades.append(g if g is not None else Fraction(0))
+        # [rho, X_j] = X_j, so the principal grade of a root vector is the
+        # height of its root
+        self.grades = [Fraction(sum(w)) for w in self.weights]
         if mcomm(Ip, Im) != mscale(rho, 2):
             raise ValueError("principal sl2 relations fail")
 
@@ -452,32 +442,16 @@ class MatrixLieAlgebra:
         cols = [self.coords(mcomm(m, b)) for b in self.basis]
         return [list(r) for r in zip(*cols)]
 
-    def kernel_ad(self, m):
-        ad = self.ad_matrix(m)
-        return nullspace(ad)
-
     def graded_kernel(self, m):
-        """Kernel of ad m split by principal grade: dict grade -> coord
-        vectors."""
+        """Kernel of ad m for a homogeneous m, by principal grade: dict
+        grade -> coord vectors.  ad m then maps each grade to one grade,
+        so every vector of the echelon kernel basis is homogeneous."""
         out = {}
-        for v in self.kernel_ad(m):
+        for v in nullspace(self.ad_matrix(m)):
             grades = {self.grades[i] for i, x in enumerate(v) if x}
-            if len(grades) == 1:
-                out.setdefault(grades.pop(), []).append(v)
-            else:
-                # split the vector into graded pieces; each is in the kernel
-                for g in grades:
-                    w = [x if self.grades[i] == g else Fraction(0)
-                         for i, x in enumerate(v)]
-                    out.setdefault(g, []).append(w)
-        # prune dependent vectors per grade
-        for g, vs in out.items():
-            keep, rows = [], []
-            for v in vs:
-                if rank(rows + [v]) > len(keep):
-                    keep.append(v)
-                    rows.append(v)
-            out[g] = keep
+            if len(grades) != 1:
+                raise ValueError("ad m mixes grades")
+            out.setdefault(grades.pop(), []).append(v)
         return out
 
     def root_vector(self, nvec):

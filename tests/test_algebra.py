@@ -86,9 +86,13 @@ def test_antiderivative_roundtrip():
 
 
 def test_antiderivative_rejects_non_exact():
-    # u1 * u1' is exact, u1'^2 is not, and u1' / u1 integrates to log u1
-    for p in (Poly.of('u', 1, 1) ** 2, Poly.of('u', 1, 1) * Poly.of('u', 1, 0, -1)):
-        with pytest.raises(ValueError):
+    # u1 * u1' is exact; u1'^2 and u1 u1''^2 are not, being nonlinear in
+    # their top jet, and u1' / u1 integrates to log u1; each is rejected
+    # on sight, not at the iteration cap
+    u = Poly.of('u', 1)
+    for p in (Poly.of('u', 1, 1) ** 2, u * Poly.of('u', 1, 2) ** 2,
+              Poly.of('u', 1, 1) * Poly.of('u', 1, 0, -1)):
+        with pytest.raises(ValueError, match='not a total x-derivative'):
             antiderivative(p)
 
 

@@ -1,5 +1,6 @@
 """Command line interface: exit codes, output contract, determinism."""
 
+import hashlib
 import json
 import os
 import random
@@ -8,24 +9,26 @@ import sys
 from fractions import Fraction
 
 import dscentral
-from dscentral import cli, invariants
+from dscentral import cli, fixtures, invariants
 
 # The directory that holds the imported package goes first on the child's
 # PYTHONPATH, so the CLI under test is the code the other tests import.
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(dscentral.__file__)))
 
 
-def child_env():
-    env = dict(os.environ)
+def child_env(**extra):
+    env = dict(os.environ, **extra)
     rest = env.get('PYTHONPATH')
     env['PYTHONPATH'] = PKG_ROOT + (os.pathsep + rest if rest else '')
     return env
 
 
-def run(*args):
-    """Run the CLI's `entry()` in a child interpreter; no install needed."""
+def run(*args, env=None):
+    """Run the CLI's `entry()` in a child interpreter; no install needed.
+    `env` adds variables to the child's environment."""
     return subprocess.run([sys.executable, '-m', 'dscentral.cli'] + list(args),
-                          capture_output=True, text=True, env=child_env())
+                          capture_output=True, text=True,
+                          env=child_env(**(env or {})))
 
 
 def assert_fails(r, code):
@@ -164,9 +167,32 @@ def test_irrational_critical_points_exit_2():
         assert r.stdout == '', (sample, r.stdout)
 
 
-def test_exit_code_fixture_problem():
+def test_exit_code_fixture_problem(tmp_path):
     r = run('compute', '--algebra', 'F4', '--fixture-dir', '/no/such/dir')
     assert_fails(r, 3)
+    # a valid checksum over a document that lacks what the reader needs
+    body = '[flat_coords]\nt1 = u1\n'
+    with open(tmp_path / 'f4.txt', 'w') as f:
+        f.write('rank: 4\nchecksum: %s\n%s'
+                % (hashlib.sha256(body.encode()).hexdigest(), body))
+    for args in (('compute', '--algebra', 'F4'), ('verify', 'f4')):
+        r = run(*args, '--fixture-dir', str(tmp_path))
+        assert_fails(r, 3)
+        assert r.stderr.startswith('fixture error:'), (args, r.stderr)
+
+
+def test_fixture_dir_resolution_order(tmp_path):
+    # the option, then the environment variable, then the bundled documents
+    assert_fails(run('compute', '--algebra', 'F4',
+                     env={'DSCENTRAL_FIXTURE_DIR': str(tmp_path)}), 3)
+    assert_fails(run('compute', '--algebra', 'F4',
+                     env={'DSCENTRAL_FIXTURE_DIR': '/no/such'}), 3)
+    # an empty variable is ignored
+    r = run('compute', '--algebra', 'F4', env={'DSCENTRAL_FIXTURE_DIR': ''})
+    assert r.returncode == 0, r.stderr
+    r = run('compute', '--algebra', 'F4', '--fixture-dir', fixtures.DATA_DIR,
+            env={'DSCENTRAL_FIXTURE_DIR': str(tmp_path)})
+    assert r.returncode == 0, r.stderr
 
 
 def test_table_check():
@@ -222,7 +248,7 @@ def test_verify_suites():
 
 def test_verify_bcd_checks_the_slot_order(monkeypatch):
     # a swap of the ordinary and exceptional slots must not pass
-    assert all(ok for _, ok in cli._suite_bcd(random.Random(0)))
+    assert all(ok for _, ok in cli._suite_bcd(random.Random(0), fixtures.DATA_DIR))
     real = invariants.central_invariants
 
     def reversed_c(*args, **kwargs):
@@ -230,7 +256,7 @@ def test_verify_bcd_checks_the_slot_order(monkeypatch):
         res['c'] = res['c'][::-1]
         return res
     monkeypatch.setattr(invariants, 'central_invariants', reversed_c)
-    lines = dict(cli._suite_bcd(random.Random(0)))
+    lines = dict(cli._suite_bcd(random.Random(0), fixtures.DATA_DIR))
     assert lines['B2 invariants'] is False
 
 

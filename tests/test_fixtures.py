@@ -7,6 +7,7 @@ pairing normalization); closing the full bracket basis there is out of
 test budget.
 """
 
+import hashlib
 import os
 import shutil
 from fractions import Fraction
@@ -38,33 +39,33 @@ def test_tampered_document_rejected(tmp_path):
     bad = text.replace('-7/15', '-7/16')
     with open(tmp_path / 'g2.txt', 'w') as f:
         f.write(bad)
-    fixtures.set_data_dir(str(tmp_path))
-    try:
-        with pytest.raises(FixtureError):
-            load_document('g2')
-    finally:
-        fixtures.set_data_dir(None)
+    with pytest.raises(FixtureError):
+        load_document('g2', str(tmp_path))
+
+
+def write_document(directory, name, header, body):
+    """A document with a valid checksum over `body`."""
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    with open(os.path.join(directory, name + '.txt'), 'w') as f:
+        f.write(header + 'checksum: %s\n' % digest + body)
 
 
 def test_missing_document(tmp_path):
-    fixtures.set_data_dir(str(tmp_path))
-    try:
-        with pytest.raises(FixtureError):
-            load_document('g2')
-    finally:
-        fixtures.set_data_dir(None)
-
-
-def test_dir_resolution_order(tmp_path, monkeypatch):
-    shutil.copy(os.path.join(fixtures.DATA_DIR, 'g2.txt'),
-                tmp_path / 'g2.txt')
-    monkeypatch.setenv(fixtures.ENV_VAR, str(tmp_path))
-    assert fixtures.data_dir() == str(tmp_path)
-    fixtures.set_data_dir('/explicit/override')
-    try:
-        assert fixtures.data_dir() == '/explicit/override'
-    finally:
-        fixtures.set_data_dir(None)
+    with pytest.raises(FixtureError):
+        load_document('g2', str(tmp_path))
+    # a valid checksum over an incomplete body: each lookup names the gap
+    write_document(tmp_path, 'f4', 'rank: 4\n', '[flat_coords]\nt1 = u1\n')
+    with pytest.raises(FixtureError, match="'rep_size'"):
+        build_algebra('f4', str(tmp_path))
+    with pytest.raises(FixtureError, match="'t2'"):
+        load_frobenius('f4', str(tmp_path))
+    write_document(tmp_path, 'g2', 'rank: 2\n',
+                   '[flat_coords]\nt1 = u1\nt2 = u2\n[tensors]\ng2u_11 = t1\n')
+    fx = load_frobenius('g2', str(tmp_path))
+    with pytest.raises(FixtureError, match="'F'"):
+        fx['F']
+    with pytest.raises(FixtureError, match="'A22u_11'"):
+        fx['tensors']['A22u_11']
 
 
 def test_parse_expr():
@@ -151,9 +152,9 @@ def test_second_call_reuses_the_tables(monkeypatch, tmp_path):
     calls = []
     load = fixtures.load_frobenius
 
-    def counting(name):
-        calls.append((fixtures.data_dir(), name))
-        return load(name)
+    def counting(name, data_dir):
+        calls.append((data_dir, name))
+        return load(name, data_dir)
     monkeypatch.setattr(fixtures, 'load_frobenius', counting)
     fixtures._fixture_tensors.cache_clear()
     try:
@@ -164,12 +165,34 @@ def test_second_call_reuses_the_tables(monkeypatch, tmp_path):
         # another directory is another document: read and checked again
         shutil.copy(os.path.join(fixtures.DATA_DIR, 'f4.txt'),
                     tmp_path / 'f4.txt')
-        fixtures.set_data_dir(str(tmp_path))
-        assert fixture_invariants('f4', t) == first
+        assert fixture_invariants('f4', t, str(tmp_path)) == first
         assert calls[-1] == (str(tmp_path), 'f4') and len(calls) == 2
     finally:
-        fixtures.set_data_dir(None)
         fixtures._fixture_tensors.cache_clear()
+
+
+def test_gammas_are_linear_forms(f4, tmp_path):
+    alg, gammas = f4
+    with open(os.path.join(fixtures.DATA_DIR, 'f4.txt')) as f:
+        lines = f.read().splitlines(keepends=True)
+    start = next(k for k, line in enumerate(lines) if line.startswith('['))
+    header = ''.join(l for l in lines[:start] if not l.startswith('checksum:'))
+    body = ''.join(lines[start:])
+    gamma1 = next(l for l in lines if l.startswith('gamma1 ='))
+    # a sum of scaled generators is read term by term ...
+    write_document(tmp_path, 'f4', header,
+                   body.replace(gamma1, gamma1.rstrip('\n') + ' + 2*X1 - X1/2\n'))
+    got = load_gammas('f4', alg, str(tmp_path))
+    assert got[0] == madd(gammas[0], alg.X[0], Fraction(3, 2))
+    assert got[1:] == gammas[1:]
+    # ... and products, powers and constants are not linear forms
+    for bad, why in (('X1*X2', 'not a linear form'), ('X1**2', 'not a linear form'),
+                     ('3', 'not a linear form'), ('X1 + 1', 'not a linear form'),
+                     ('X1 +', 'bad expression'), ('Y1', 'unknown gamma name')):
+        write_document(tmp_path, 'f4', header,
+                       body.replace(gamma1, 'gamma1 = %s\n' % bad))
+        with pytest.raises(FixtureError, match=why):
+            load_gammas('f4', alg, str(tmp_path))
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +225,6 @@ def test_e6_potential_checks():
         for j in range(6):
             want = Fraction(-81, 2) if i + j == 5 else Fraction(0)
             assert eta[i][j] == want
-
-
-def test_e6_rotation_coefficients_present():
-    fx = load_frobenius('e6')
-    assert (1, 6) in fx['K']
-    assert (3, 4) in fx['K']
 
 
 # ---------------------------------------------------------------------------
