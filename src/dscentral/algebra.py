@@ -68,7 +68,7 @@ def _mono_divides(m2, m1):
     return all(d.get(v, 0) >= e for v, e in m2)
 
 
-def _accumulate(terms, m, c):
+def accumulate(terms, m, c):
     """terms[m] += c in place, dropping the monomial when it cancels."""
     c2 = terms.get(m, 0) + c
     if c2:
@@ -201,7 +201,7 @@ class Poly:
                 del d[v]
             else:
                 d[v] = e - 1
-            _accumulate(t, tuple(sorted(d.items())), c * e)
+            accumulate(t, tuple(sorted(d.items())), c * e)
         return Poly(t)
 
     def xdiff(self, frozen=frozenset()):
@@ -229,7 +229,7 @@ class Poly:
                 d[v2] = d.get(v2, 0) + 1
                 if d[v2] == 0:
                     del d[v2]
-                _accumulate(t, tuple(sorted(d.items())), c * e)
+                accumulate(t, tuple(sorted(d.items())), c * e)
         return Poly(t)
 
     def subs(self, mapping):
@@ -257,7 +257,7 @@ class Poly:
             for f in factors:
                 term = term * f
             for m2, c2 in term.terms.items():
-                _accumulate(t, m2, c2)
+                accumulate(t, m2, c2)
         return Poly(t)
 
     def coeffs_in(self, v):
@@ -267,7 +267,7 @@ class Poly:
             d = dict(m)
             e = d.pop(v, 0)
             m2 = tuple(sorted(d.items()))
-            _accumulate(out.setdefault(e, Poly()).terms, m2, c)
+            accumulate(out.setdefault(e, Poly()).terms, m2, c)
         return {e: p for e, p in out.items() if not p.is_zero()}
 
     def coeff_of(self, mono):
@@ -380,9 +380,9 @@ def antiderivative(p, frozen=frozenset()):
             raise ValueError("not a total x-derivative")
         cand = Poly({tuple(sorted(d.items())): _quo(c, d[v2])})
         for m2, c2 in cand.terms.items():
-            _accumulate(out, m2, c2)
+            accumulate(out, m2, c2)
         for m2, c2 in cand.xdiff(frozen).terms.items():
-            _accumulate(rem, m2, -c2)
+            accumulate(rem, m2, -c2)
     raise ValueError("antiderivative did not terminate")
 
 

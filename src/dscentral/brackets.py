@@ -16,7 +16,7 @@ variables.
 
 from fractions import Fraction
 
-from .algebra import Poly, _accumulate, antiderivative
+from .algebra import Poly, accumulate, antiderivative
 from .symbols import Symbol
 from .lax import NU, dispersionless_symbol, lambda_xpoly, capital_lambda, \
     capital_lambda_tilde, u_list
@@ -101,7 +101,7 @@ def bracket_density(series, n, which, K=4):
         for e, pol in left.star_residue(right, frozen).items():
             acc = out.setdefault(e, {})
             for m, c in pol.terms.items():
-                _accumulate(acc, m, c * sign)
+                accumulate(acc, m, c * sign)
     return {e: Poly(t) for e, t in out.items() if t}
 
 
@@ -119,7 +119,7 @@ def ibp_reduce(pol, fam='a', frozen=FROZEN):
                     target = (v, e)
                     break
             if target is None:
-                _accumulate(out, m, c)
+                accumulate(out, m, c)
                 continue
             v, e = target
             if e != 1:
@@ -127,7 +127,7 @@ def ibp_reduce(pol, fam='a', frozen=FROZEN):
             rest = Poly({tuple(x for x in m if x[0] != v): c})
             low = Poly.from_var((v[0], v[1], v[2] - 1))
             for m2, c2 in (low * rest.xdiff(frozen)).terms.items():
-                _accumulate(again, m2, -c2)
+                accumulate(again, m2, -c2)
         rem = again
     return Poly(out)
 
@@ -165,7 +165,7 @@ def normal_form(dens):
                 raise ValueError("density not bilinear: %s" % (m,))
             if s != e:
                 raise ValueError("eps grading violated at %s (eps^%d)" % (m, e))
-            _accumulate(table.setdefault((ia, jb, s), {}), tuple(rest), c)
+            accumulate(table.setdefault((ia, jb, s), {}), tuple(rest), c)
     table = {k: Poly(t) for k, t in table.items() if t}
     if any(s == 0 for (_, _, s) in table):
         raise ValueError("eps^-1 terms did not cancel")
@@ -176,10 +176,9 @@ def small_power(series, i):
     return i - 1 if series == 'A' else 2 * i - 1 - NU[series]
 
 
-def generating_poly(table, series, n, s, capital=False, pname=None, qname=None):
+def generating_poly(table, series, n, s, capital=False):
     """Generating Laurent polynomial of the delta^(s) block of a table."""
-    if pname is None:
-        pname, qname = ('P', 'Q') if capital else ('p', 'q')
+    pname, qname = ('P', 'Q') if capital else ('p', 'q')
     out = Poly()
     for (i, j, t), pol in table.items():
         if t != s:
@@ -211,14 +210,15 @@ class _Frac:
         return self.num if self.base is None else self.num.divexact(self.base ** self.k)
 
 
-def _lam_tower(series, n, u, name, capital=False, tilde=False, depth=4):
+def _lam_tower(series, n, u, name, capital=False, tilde=False):
+    # lam (or Lam, Lam~) in the variable `name` and four derivatives
     if capital:
         base = capital_lambda_tilde(n, u, name) if tilde else capital_lambda(n, u, name)
     else:
         base = lambda_xpoly(series, n, u, name)
     v = (name, 0, 0)
     tower = [base]
-    for _ in range(depth):
+    for _ in range(4):
         tower.append(tower[-1].diff(v))
     return tower
 

@@ -17,10 +17,10 @@ over either scalar ring:
 from fractions import Fraction
 
 from .algebra import Poly, bareiss_det, bareiss_adjugate
-from .invariants import DegeneratePoint, _rational_roots
 from . import liealg
 from .liealg import (ZERO, inverse, madd, mcomm, mscale, mzero, nullspace,
                      transpose)
+from .upoly import DegeneratePoint, derivative, rational_roots, value
 
 
 LAM = ('lam', 0, 0)
@@ -245,29 +245,29 @@ def central_invariants_dirac(tensors, n, upoint):
         dM = pencil(('u', k + 1, 0))
         dp.append(sum((bareiss_det(M[:r] + [dM[r]] + M[r + 1:])
                        for r in range(n)), Poly()))
-    pz = p0.diff(zvar)
-    cz = {e: c.constant() for e, c in p0.coeffs_in(zvar).items()}
-    roots = _rational_roots(cz)
+
+    def coeffs(pol):    # a Poly in z alone -> its coefficient list
+        c = pol.coeffs_in(zvar)
+        return [c[e].constant() if e in c else ZERO for e in range(max(c, default=-1) + 1)]
+
+    p0, dp = coeffs(p0), [coeffs(x) for x in dp]
+    pz = derivative(p0)
+    roots = rational_roots(p0)
     if roots is None:
         raise DegeneratePoint("irrational canonical coordinates")
-    roots = sorted(roots)
-
-    def at(pol, z):
-        return sum((c.constant() * z ** e
-                    for e, c in pol.coeffs_in(zvar).items()), Fraction(0))
 
     g1 = at_point(tensors['g1'])
     A22 = at_point(tensors['A22'])
     A21 = at_point(tensors['A21'])
     out = []
     for z in roots:
-        d = [at(x, z) for x in dp]
+        d = [value(x, z) for x in dp]
         num = sum(d[k] * d[l] * (A22[k][l] - z * A21[k][l])
                   for k in range(n) for l in range(n))
         den = sum(d[k] * d[l] * g1[k][l] for k in range(n) for l in range(n))
         if den == 0:
             raise DegeneratePoint("degenerate first metric direction")
-        out.append(Fraction(1, 3) * at(pz, z) ** 2 * num / den ** 2)
+        out.append(Fraction(1, 3) * value(pz, z) ** 2 * num / den ** 2)
     return roots, out
 
 

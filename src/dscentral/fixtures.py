@@ -40,13 +40,16 @@ class _Entries(dict):
     def __missing__(self, key):
         raise FixtureError("no %r in %s" % (key, self.where))
 
+    def number(self, key, kind=Fraction):
+        return _number(self[key], '%r in %s' % (key, self.where), kind)
 
-def _parse_fraction(s):
-    s = s.strip()
-    if '/' in s:
-        a, b = s.split('/')
-        return Fraction(int(a), int(b))
-    return Fraction(int(s))
+
+def _number(text, where, kind=Fraction):
+    """kind(text) for an int or 'num/den' text, else a FixtureError."""
+    try:
+        return int(text) if kind is int else Fraction(*map(int, text.split('/')))
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise FixtureError("bad number %r in %s" % (text, where)) from None
 
 
 def parse_expr(text, varmap):
@@ -96,15 +99,22 @@ def parse_expr(text, varmap):
     return ev(tree)
 
 
-def parse_triplets(text, size, scale=1):
-    """'i,j,num/den; ...' -> dense Fraction matrix."""
+def parse_triplets(text, size, where='a triplet list'):
+    """'i,j,num/den; ...' -> dense Fraction matrix, 1 <= i, j <= size;
+    a malformed triplet is a FixtureError naming `where`."""
     m = mzero(size)
     for part in text.split(';'):
         part = part.strip()
         if not part:
             continue
-        i, j, c = part.split(',')
-        m[int(i) - 1][int(j) - 1] += _parse_fraction(c) * scale
+        fields = part.split(',')
+        if len(fields) != 3:
+            raise FixtureError("bad triplet %r in %s" % (part, where))
+        i, j = (_number(x, where, int) for x in fields[:2])
+        if not (1 <= i <= size and 1 <= j <= size):
+            raise FixtureError("triplet %r in %s has an index outside 1..%d"
+                               % (part, where, size))
+        m[i - 1][j - 1] += _number(fields[2], where)
     return m
 
 
@@ -154,12 +164,13 @@ def build_algebra(name, data_dir=DATA_DIR):
     triplets."""
     doc = load_document(name, data_dir)
     h = doc['header']
-    size = int(h['rep_size'])
-    dim = int(h['dim'])
-    rank = int(h['rank'])
-    scale = _parse_fraction(h['form_scale'])
+    size, dim, rank = (h.number(k, int) for k in ('rep_size', 'dim', 'rank'))
     gens = doc['sections']['generators']
-    X = [parse_triplets(gens['X%d' % i], size) for i in range(1, rank + 1)]
+
+    def triplets(text, key):
+        return parse_triplets(text, size, '%r in %s' % (key, gens.where))
+
+    X = [triplets(gens['X%d' % i], 'X%d' % i) for i in range(1, rank + 1)]
     Y = []
     for i in range(1, rank + 1):
         spec = gens['Y%d' % i]
@@ -167,18 +178,19 @@ def build_algebra(name, data_dir=DATA_DIR):
             m = transpose(X[i - 1])
             rest = spec[len('transpose'):].strip()
             if rest:
-                m = madd(m, parse_triplets(rest, size))
+                m = madd(m, triplets(rest, 'Y%d' % i))
         else:
-            m = parse_triplets(spec, size)
+            m = triplets(spec, 'Y%d' % i)
         Y.append(m)
-    return MatrixLieAlgebra(h['algebra'], h['type'], rank, X, Y, scale, dim)
+    return MatrixLieAlgebra(h['algebra'], h['type'], rank, X, Y,
+                            h.number('form_scale'), dim)
 
 
 def load_frobenius(name, data_dir=DATA_DIR):
     """Potential, Euler/unity fields, flat coordinate expressions and
     stored tensors, each present when the document has its section."""
     doc = load_document(name, data_dir)
-    n = int(doc['header']['rank'])
+    n = doc['header'].number('rank', int)
     vm = {'%s%d' % (f, i): Poly.of(f, i) for f in 'ut' for i in range(1, n + 1)}
     sec = doc['sections']
     out = _Entries('the Frobenius data of %r' % name)
@@ -231,35 +243,39 @@ def load_gammas(name, alg, data_dir=DATA_DIR):
     return out
 
 
+def load_pencil(name, data_dir=DATA_DIR):
+    """load_frobenius(name) and the pencil of its potential; a singular
+    eta or a unit field that is not flat is a FixtureError."""
+    from . import frobenius
+    fx = load_frobenius(name, data_dir)
+    try:
+        return fx, frobenius.pencil_from_potential(fx['F'], fx['E'], fx['e'], fx['rank'])
+    except ValueError as ex:
+        raise FixtureError("the potential of %r: %s" % (name, ex)) from None
+
+
 @functools.lru_cache(maxsize=None)
 def _fixture_tensors(directory, name):
     # keyed by the directory load_frobenius reads from; shared by every
     # call on one document, so never hand these Polys out
-    from . import frobenius
-    fx = load_frobenius(name, directory)
+    fx, pen = load_pencil(name, directory)
     n = fx['rank']
-    pen = frobenius.pencil_from_potential(fx['F'], fx['E'], fx['e'], n)
     A22 = [[None] * n for _ in range(n)]
     for key, val in fx.get('tensors', {}).items():
         if not key.startswith('A22_'):
             continue
+        m = re.fullmatch('A22_([1-9])([1-9])', key)
+        if m is None or int(max(m.groups())) > n:
+            raise FixtureError("bad tensor key %r in %r" % (key, name))
         i, j = int(key[4]), int(key[5])
-        p = val if isinstance(val, Poly) else Poly.num(val)
-        A22[i - 1][j - 1] = A22[j - 1][i - 1] = p
+        A22[i - 1][j - 1] = A22[j - 1][i - 1] = val
     if any(x is None for row in A22 for x in row):
         raise FixtureError("incomplete A22 table in %r" % name)
     # the invariant engine works in the 'u' family
     ren = {('t', i, 0): Poly.of('u', i) for i in range(1, n + 1)}
-
-    def r(p):
-        p = p if isinstance(p, Poly) else Poly.num(p)
-        return p.subs(ren)
-
-    tensors = {
-        'g2': [[r(pen['g2'][i][j]) for j in range(n)] for i in range(n)],
-        'g1': [[r(pen['g1'][i][j]) for j in range(n)] for i in range(n)],
-        'A22': [[r(A22[i][j]) for j in range(n)] for i in range(n)],
-    }
+    tensors = {key: [[(x if isinstance(x, Poly) else Poly.num(x)).subs(ren)
+                      for x in row] for row in M]
+               for key, M in (('g2', pen['g2']), ('g1', pen['g1']), ('A22', A22))}
     tensors['A21'] = [[tensors['A22'][i][j].diff(('u', 1, 0))
                        for j in range(n)] for i in range(n)]
     return n, tensors

@@ -48,6 +48,7 @@ def pencil_from_potential(F, E, e, n):
 
         g2^ij = sum_m E^m eta^ik eta^jl F_mkl,   g1^ij = eta^ij.
     """
+    F = _as_poly(F)
     eta = eta_from_potential(F, e, n)
     etainv = liealg.inverse(eta)
     g2 = [[Poly() for _ in range(n)] for _ in range(n)]

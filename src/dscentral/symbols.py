@@ -11,7 +11,7 @@ act termwise.  Laurent powers of p are allowed.
 
 from fractions import Fraction
 
-from .algebra import Poly, _accumulate
+from .algebra import Poly, accumulate
 
 
 class Symbol:
@@ -139,7 +139,7 @@ class Symbol:
                         tower.append(tower[-1].xdiff(frozen))
                     acc = out.setdefault(e, {})
                     for m, c in (p1f * tower[k]).terms.items():
-                        _accumulate(acc, m, c)
+                        accumulate(acc, m, c)
         return {e: Poly(t) for e, t in out.items() if t}
 
     def commutator(self, other, frozen=frozenset()):

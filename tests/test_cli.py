@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -179,6 +180,29 @@ def test_exit_code_fixture_problem(tmp_path):
         r = run(*args, '--fixture-dir', str(tmp_path))
         assert_fails(r, 3)
         assert r.stderr.startswith('fixture error:'), (args, r.stderr)
+
+
+def test_malformed_fixture_values_exit_3(tmp_path):
+    from test_fixtures import bundled_parts, write_document
+    header, body = bundled_parts('f4')
+    cases = [
+        # a header value that is not an integer
+        (header.replace('rank: 4', 'rank: four'), body, "'rank'"),
+        # without this term eta is singular
+        (header, body.replace('F = 1/2*t1**2*t4 + ', 'F = '), 'singular'),
+        # a unit field that is not flat
+        (header, body.replace('e2 = 0\n', 'e2 = t2\n'), 'not flat'),
+        # a constant potential: eta vanishes
+        (header, re.sub('(?m)^F = .*$', 'F = 1', body), 'singular'),
+    ]
+    for head, text, why in cases:
+        assert text != body or head != header
+        write_document(tmp_path, 'f4', head, text)
+        for args in (('compute', '--algebra', 'F4'), ('verify', 'f4')):
+            r = run(*args, '--fixture-dir', str(tmp_path))
+            assert_fails(r, 3)
+            assert r.stderr.startswith('fixture error:'), (args, r.stderr)
+            assert why in r.stderr, (args, r.stderr)
 
 
 def test_fixture_dir_resolution_order(tmp_path):

@@ -160,14 +160,14 @@ def _symbolic_invariants(tensors, n, upoint):
     """Reference for central_invariants_dirac: expand det(g2 - z g1) in z
     and all u^i with char_poly, differentiate symbolically and only then
     substitute the point."""
-    from dscentral.invariants import _rational_roots, DegeneratePoint
+    from dscentral.upoly import DegeneratePoint, rational_roots
     usub = {('u', i + 1, 0): Fraction(v) for i, v in enumerate(upoint)}
     p = char_poly(tensors, n)
     dp = [p.diff(('u', k + 1, 0)).subs(usub) for k in range(n)]
     p0 = p.subs(usub)
     pz = p0.diff(('z', 0, 0))
     cz = {e: c.constant() for e, c in p0.coeffs_in(('z', 0, 0)).items()}
-    roots = _rational_roots(cz)
+    roots = rational_roots([cz.get(e, Fraction(0)) for e in range(max(cz) + 1)])
     if roots is None:
         raise DegeneratePoint("irrational canonical coordinates")
     roots = sorted(roots)

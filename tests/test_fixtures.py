@@ -50,6 +50,15 @@ def write_document(directory, name, header, body):
         f.write(header + 'checksum: %s\n' % digest + body)
 
 
+def bundled_parts(name):
+    """(header without the checksum line, body) of a bundled document."""
+    with open(os.path.join(fixtures.DATA_DIR, name + '.txt')) as f:
+        lines = f.read().splitlines(keepends=True)
+    start = next(k for k, line in enumerate(lines) if line.startswith('['))
+    header = ''.join(l for l in lines[:start] if not l.startswith('checksum:'))
+    return header, ''.join(lines[start:])
+
+
 def test_missing_document(tmp_path):
     with pytest.raises(FixtureError):
         load_document('g2', str(tmp_path))
@@ -89,6 +98,38 @@ def test_parse_expr_rejects():
 def test_parse_triplets():
     m = parse_triplets('1,2,3; 2,1,-1/2', 2)
     assert m == [[Fraction(0), Fraction(3)], [Fraction(-1, 2), Fraction(0)]]
+    for bad, why in (('1,2', 'bad triplet'), ('1,2,3,4', 'bad triplet'),
+                     ('0,1,1', 'outside 1..2'), ('1,3,1', 'outside 1..2'),
+                     ('-1,1,1', 'outside 1..2'), ('a,1,1', 'bad number'),
+                     ('1,1,x', 'bad number'), ('1,1,1/0', 'bad number'),
+                     ('1,1,1/2/3', 'bad number'), ('1,1,0.5', 'bad number')):
+        with pytest.raises(FixtureError, match=why):
+            parse_triplets(bad, 2, "'X1' in doc")
+
+
+def test_malformed_values_name_the_key(tmp_path):
+    header, body = bundled_parts('f4')
+    x1 = next(l for l in body.splitlines(keepends=True) if l.startswith('X1 ='))
+    cases = [
+        (header.replace('rank: 4', 'rank: four'), body, build_algebra,
+         "bad number 'four' in 'rank' in the header of 'f4'"),
+        (header.replace('form_scale: 1/6', 'form_scale: 1/six'), body, build_algebra,
+         "'form_scale' in the header"),
+        (header, body.replace(x1, 'X1 = 1,2\n'), build_algebra,
+         "bad triplet '1,2' in 'X1' in \\[generators\\] of 'f4'"),
+        (header, body.replace(x1, 'X1 = 0,2,1\n'), build_algebra,
+         "triplet '0,2,1' in 'X1' .* outside 1..26"),
+        (header.replace('rank: 4', 'rank: four'), body, load_frobenius,
+         "'rank' in the header of 'f4'"),
+    ]
+    for head, text, reader, why in cases:
+        write_document(tmp_path, 'f4', head, text)
+        with pytest.raises(FixtureError, match=why):
+            reader('f4', str(tmp_path))
+    # a stored tensor key outside A22_11..A22_44
+    write_document(tmp_path, 'f4', header, body + 'A22_05 = 0\n')
+    with pytest.raises(FixtureError, match="bad tensor key 'A22_05'"):
+        fixture_invariants('f4', reference.f4_point(1, 2, Fraction(1, 2)), str(tmp_path))
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +214,8 @@ def test_second_call_reuses_the_tables(monkeypatch, tmp_path):
 
 def test_gammas_are_linear_forms(f4, tmp_path):
     alg, gammas = f4
-    with open(os.path.join(fixtures.DATA_DIR, 'f4.txt')) as f:
-        lines = f.read().splitlines(keepends=True)
-    start = next(k for k, line in enumerate(lines) if line.startswith('['))
-    header = ''.join(l for l in lines[:start] if not l.startswith('checksum:'))
-    body = ''.join(lines[start:])
-    gamma1 = next(l for l in lines if l.startswith('gamma1 ='))
+    header, body = bundled_parts('f4')
+    gamma1 = next(l for l in body.splitlines(keepends=True) if l.startswith('gamma1 ='))
     # a sum of scaled generators is read term by term ...
     write_document(tmp_path, 'f4', header,
                    body.replace(gamma1, gamma1.rstrip('\n') + ' + 2*X1 - X1/2\n'))

@@ -17,9 +17,9 @@ from dscentral import invariants, liealg, reference
 from dscentral.invariants import (DegeneratePoint, canonical_coordinates,
                                   central_invariants, residue_identity,
                                   transform_invariants, sample_from_roots,
-                                  random_sample, series_scale,
-                                  _rational_roots)
+                                  random_sample, series_scale)
 from dscentral.liealg import lie_central_invariants
+from dscentral.upoly import rational_roots
 
 
 def test_sample_from_roots_a_roundtrip():
@@ -189,8 +189,8 @@ def test_table_row_derivation_matches_the_stored_rank_4_rows():
 
 
 def _expand(c, factors):
-    """c times the product of the factors (coefficient lists, constant
-    term first) as a dict power -> Fraction."""
+    """c times the product of the factors, each a coefficient list with
+    the constant term first."""
     out = [Fraction(c)]
     for f in factors:
         prod = [Fraction(0)] * (len(out) + len(f) - 1)
@@ -198,12 +198,12 @@ def _expand(c, factors):
             for j, b in enumerate(f):
                 prod[i + j] += a * b
         out = prod
-    return {e: x for e, x in enumerate(out) if x}
+    return out
 
 
 def _outcome(coeffs):
     try:
-        return _rational_roots(coeffs)
+        return rational_roots(coeffs)
     except DegeneratePoint as ex:
         return 'raise: %s' % ex
 
@@ -228,7 +228,7 @@ FINDER_CASES = [
     (_expand(1, [X2M2]), None),                                  # x^2 - 2
     (_expand(1, [[1, 0, 1]]), None),                             # x^2 + 1
     (_expand(1, [[5]]), []),                                     # constant
-    ({2: Fraction(0), 1: Fraction(1), 0: Fraction(-1)}, None),  # key 2 is 0
+    ([Fraction(-1), Fraction(1), Fraction(0)], None),            # last entry 0
     (_expand(BIG, [_lin(Fraction(BIG + 2, 3)),
                    _lin(Fraction(-BIG, BIG - 2))]),              # 100 digits
      [Fraction(-BIG, BIG - 2), Fraction(BIG + 2, 3)]),
@@ -268,5 +268,5 @@ rationals = st.fractions(min_value=-100, max_value=100, max_denominator=60)
        st.integers(2, 400).filter(lambda m: math.isqrt(m) ** 2 != m))
 def test_rational_roots_recovers_distinct_rationals(roots, c, m):
     factors = [_lin(r) for r in roots]
-    assert _rational_roots(_expand(c, factors)) == sorted(roots)
-    assert _rational_roots(_expand(c, factors + [[-m, 0, 1]])) is None
+    assert rational_roots(_expand(c, factors)) == sorted(roots)
+    assert rational_roots(_expand(c, factors + [[-m, 0, 1]])) is None
