@@ -95,10 +95,8 @@ class Poly:
         return Poly({(((family, index, order), exp),): 1})
 
     @staticmethod
-    def from_var(v, exp=1):
-        if exp == 0:
-            return Poly.num(1)
-        return Poly({((v, exp),): 1})
+    def from_var(v):
+        return Poly({((v, 1),): 1})
 
     def is_zero(self):
         return not self.terms

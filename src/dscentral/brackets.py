@@ -19,7 +19,7 @@ from fractions import Fraction
 from .algebra import Poly, accumulate, antiderivative
 from .symbols import Symbol
 from .lax import NU, dispersionless_symbol, lambda_xpoly, capital_lambda, \
-    capital_lambda_tilde, u_list
+    capital_lambda_tilde
 
 FROZEN = frozenset({'u', 'rho', 'p', 'q', 'P', 'Q'})
 PQ_FROZEN = frozenset({'p', 'q', 'P', 'Q'})
@@ -105,8 +105,8 @@ def bracket_density(series, n, which, K=4):
     return {e: Poly(t) for e, t in out.items() if t}
 
 
-def ibp_reduce(pol, fam='a', frozen=FROZEN):
-    """Move all x-derivatives off the `fam` variables, modulo total
+def ibp_reduce(pol):
+    """Move all x-derivatives off the `a` variables, modulo total
     derivatives."""
     out = {}
     rem = pol.terms
@@ -115,7 +115,7 @@ def ibp_reduce(pol, fam='a', frozen=FROZEN):
         for m, c in rem.items():
             target = None
             for v, e in m:
-                if v[0] == fam and v[2] > 0:
+                if v[0] == 'a' and v[2] > 0:
                     target = (v, e)
                     break
             if target is None:
@@ -123,10 +123,10 @@ def ibp_reduce(pol, fam='a', frozen=FROZEN):
                 continue
             v, e = target
             if e != 1:
-                raise ValueError("nonlinear density in %s" % fam)
+                raise ValueError("nonlinear density in a")
             rest = Poly({tuple(x for x in m if x[0] != v): c})
             low = Poly.from_var((v[0], v[1], v[2] - 1))
-            for m2, c2 in (low * rest.xdiff(frozen)).terms.items():
+            for m2, c2 in (low * rest.xdiff(FROZEN)).terms.items():
                 accumulate(again, m2, -c2)
         rem = again
     return Poly(out)
@@ -210,12 +210,12 @@ class _Frac:
         return self.num if self.base is None else self.num.divexact(self.base ** self.k)
 
 
-def _lam_tower(series, n, u, name, capital=False, tilde=False):
+def _lam_tower(series, n, name, capital=False, tilde=False):
     # lam (or Lam, Lam~) in the variable `name` and four derivatives
     if capital:
-        base = capital_lambda_tilde(n, u, name) if tilde else capital_lambda(n, u, name)
+        base = capital_lambda_tilde(n, name) if tilde else capital_lambda(n, name)
     else:
-        base = lambda_xpoly(series, n, u, name)
+        base = lambda_xpoly(series, n, name)
     v = (name, 0, 0)
     tower = [base]
     for _ in range(4):
@@ -223,14 +223,14 @@ def _lam_tower(series, n, u, name, capital=False, tilde=False):
     return tower
 
 
-def closed_form_small(series, n, a, s, u=None):
+def closed_form_small(series, n, a, s):
     """Leading bracket coefficients as exact Laurent polynomials in p, q.
 
     For the A series all of (a, s) with a = 1, 2 and s = 1, 2, 3 are
     available; for B, C, D only the a = 2 family.
     """
-    lp = _lam_tower(series, n, u, 'p')
-    lq = _lam_tower(series, n, u, 'q')
+    lp = _lam_tower(series, n, 'p')
+    lq = _lam_tower(series, n, 'q')
     p, q = Poly.of('p'), Poly.of('q')
     qp = q - p
     if series == 'A':
@@ -271,14 +271,14 @@ def closed_form_small(series, n, a, s, u=None):
     raise ValueError("no closed form for s = %r" % s)
 
 
-def closed_form_capital(series, n, a, s, u=None):
+def closed_form_capital(series, n, a, s):
     """Generating polynomials of the delta' and eps^2 delta''' blocks in
     the capital variables P, Q."""
-    L = _lam_tower(series, n, u, 'P', capital=True)
-    M = _lam_tower(series, n, u, 'Q', capital=True)
+    L = _lam_tower(series, n, 'P', capital=True)
+    M = _lam_tower(series, n, 'Q', capital=True)
     P, Q = Poly.of('P'), Poly.of('Q')
     PQ = P - Q
-    lam0 = u_list(series, n, u)[0]          # Lam(0) = u_1
+    lam0 = Poly.of('u', 1)                  # Lam(0) = u_1
     if (a, s) == (2, 1):
         return _Frac(2 * (P * L[1] * M[0] - Q * M[1] * L[0]), PQ).expand()
     if (a, s) == (1, 1):
@@ -317,8 +317,8 @@ def closed_form_capital(series, n, a, s, u=None):
                  - _Frac(2 * P * Q * (L[2] + M[2]), PQ, 2))
         return f.expand()
     if series == 'D':
-        Lt = _lam_tower(series, n, u, 'P', capital=True, tilde=True)
-        Mt = _lam_tower(series, n, u, 'Q', capital=True, tilde=True)
+        Lt = _lam_tower(series, n, 'P', capital=True, tilde=True)
+        Mt = _lam_tower(series, n, 'Q', capital=True, tilde=True)
         pq_inv = Poly.of('P', exp=-1) * Poly.of('Q', exp=-1)
         if a == 2:
             f = (_Frac(4 * P * Q * (L[1] * M[0] - M[1] * L[0]), PQ, 3)
@@ -338,7 +338,7 @@ def closed_form_capital(series, n, a, s, u=None):
     raise ValueError("unknown series %r" % series)
 
 
-def dispersionless_pencil(series, n, u=None):
+def dispersionless_pencil(series, n):
     """delta' and delta coefficients of the dispersionless pencil, as
     generating Laurent polynomials (small variables for A, capital
     variables otherwise).  u-jets of first order appear in the delta
@@ -346,8 +346,8 @@ def dispersionless_pencil(series, n, u=None):
     for D."""
     out = {}
     if series == 'A':
-        lp = _lam_tower(series, n, u, 'p')
-        lq = _lam_tower(series, n, u, 'q')
+        lp = _lam_tower(series, n, 'p')
+        lq = _lam_tower(series, n, 'q')
         lxp, lxq = lp[0].xdiff(PQ_FROZEN), lq[0].xdiff(PQ_FROZEN)
         lxq1 = lq[1].xdiff(PQ_FROZEN)
         p, q = Poly.of('p'), Poly.of('q')
@@ -358,11 +358,11 @@ def dispersionless_pencil(series, n, u=None):
                              + _Frac(lxq * lp[1] - lxq1 * lp[0], pq)
                              + _Frac(lp[1] * lxq1 * nn)).expand()
         for a in (1, 2):
-            out[('delta_prime', a)] = closed_form_small(series, n, a, 1, u)
+            out[('delta_prime', a)] = closed_form_small(series, n, a, 1)
         return out
     tilde = series == 'D'
-    L = _lam_tower(series, n, u, 'P', capital=True, tilde=tilde)
-    M = _lam_tower(series, n, u, 'Q', capital=True, tilde=tilde)
+    L = _lam_tower(series, n, 'P', capital=True, tilde=tilde)
+    M = _lam_tower(series, n, 'Q', capital=True, tilde=tilde)
     Lx, Mx = L[0].xdiff(PQ_FROZEN), M[0].xdiff(PQ_FROZEN)
     Mx1 = M[1].xdiff(PQ_FROZEN)
     P, Q = Poly.of('P'), Poly.of('Q')
@@ -373,20 +373,6 @@ def dispersionless_pencil(series, n, u=None):
                          + _Frac(2 * (P * L[1] * Mx - Q * Mx1 * L[0]), PQ)).expand()
     unit = Poly.of('P', exp=-1) * Poly.of('Q', exp=-1) if tilde else 1
     for a in (1, 2):
-        out[('delta_prime', a)] = closed_form_capital(series, n, a, 1, u) * unit
+        out[('delta_prime', a)] = closed_form_capital(series, n, a, 1) * unit
     return out
 
-
-def table_coeff(poly, series, i, j, capital=False):
-    """Extract the (i, j) table coefficient of a generating polynomial."""
-    if capital:
-        pi, pj = i - 1, j - 1
-    else:
-        pi, pj = small_power(series, i), small_power(series, j)
-    pv, qv = (('P', 0, 0), ('Q', 0, 0)) if capital else (('p', 0, 0), ('q', 0, 0))
-    out = Poly()
-    for m, c in poly.terms.items():
-        d = dict(m)
-        if d.pop(pv, 0) == pi and d.pop(qv, 0) == pj:
-            out = out + Poly({tuple(sorted(d.items())): c})
-    return out

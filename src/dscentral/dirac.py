@@ -40,11 +40,11 @@ def slice_bases(alg, gammas=None):
     n = alg.n
     if gammas is None:
         gk = alg.graded_kernel(alg.I_plus)
-        gammas = []
-        exps = sorted(g for g in gk if g > 0)
-        for g in exps:
+        gammas, exps = [], []
+        for g in sorted(g for g in gk if g > 0):
             for v in gk[g]:
                 gammas.append(alg.from_coords(v))
+                exps.append(g)
     else:
         exps = []
         for g in gammas:
@@ -55,21 +55,20 @@ def slice_bases(alg, gammas=None):
             exps.append(grades.pop())
     if len(gammas) != n:
         raise ValueError("expected %d slice generators" % n)
+    # in each grade, the duals are the candidates of the opposite grade
+    # times the inverse of their pairing with the gammas of that grade
     gkm = alg.graded_kernel(alg.I_minus)
-    gups = []
-    for g, gam in zip(exps, gammas):
+    gups = [None] * n
+    for g in sorted(set(exps)):
+        idx = [j for j, e in enumerate(exps) if e == g]
         cand = gkm.get(-g, [])
-        pick = None
-        for v in cand:
-            m = alg.from_coords(v)
-            pr = alg.form(m, gam)
-            if pr:
-                if pick is not None:
-                    raise ValueError("ambiguous dual generator at grade %s" % g)
-                pick = mscale(m, 1 / pr)
-        if pick is None:
-            raise ValueError("no dual generator at grade %s" % g)
-        gups.append(pick)
+        if len(cand) != len(idx):
+            raise ValueError("no dual generators at grade %s" % g)
+        ms = [alg.from_coords(v) for v in cand]
+        W = inverse([[alg.form(m, gammas[j]) for j in idx] for m in ms])
+        for j, row in zip(idx, W):
+            gups[j] = alg.from_coords([sum(w * v[k] for w, v in zip(row, cand))
+                                       for k in range(alg.dim)])
     for i, gu in enumerate(gups):
         for j, gam in enumerate(gammas):
             want = Fraction(1) if i == j else Fraction(0)
@@ -176,7 +175,7 @@ def _reduce(parts, coeffs, zero, invert):
 LEVELS = (('g2', 'g1'), ('A12', 'A11'), ('A22', 'A21'))
 
 
-def dirac_tensors(alg, slices=None):
+def dirac_tensors(alg, slices):
     """Contravariant tensors of the reduced pencil in the coordinates
     u^i = <gamma^i, q>.
 
@@ -184,8 +183,6 @@ def dirac_tensors(alg, slices=None):
     'A22', 'A21' (second index = shift level), entries polynomial in
     the u^i.  The shift lam is kept symbolic, so P has one adjugate.
     """
-    if slices is None:
-        slices = slice_bases(alg)
     parts = _constraint_parts(alg, slices)
     coeffs = [Poly.num(1)] + [Poly.of('u', k + 1) for k in range(alg.n)]
     coeffs[-1] = coeffs[-1] + Poly.from_var(LAM)
@@ -204,14 +201,6 @@ def dirac_tensors(alg, slices=None):
         out[k2], out[k1] = ([[c.get(e, Poly()) for c in row] for row in split]
                             for e in (0, 1))
     return out
-
-
-def char_poly(tensors, n):
-    """p(z; u) = det(g2 - z g1) as a Poly in z and the u^i."""
-    z = Poly.of('z')
-    M = [[tensors['g2'][i][j] - z * tensors['g1'][i][j] for j in range(n)]
-         for i in range(n)]
-    return bareiss_det(M)
 
 
 def central_invariants_dirac(tensors, n, upoint):

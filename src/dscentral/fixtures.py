@@ -54,8 +54,8 @@ def _number(text, where, kind=Fraction):
 
 def parse_expr(text, varmap):
     """Expression over +,-,*,/,** with integer literals and names from
-    varmap; division of constants is exact.  Returns Poly (or Fraction
-    wrapped in Poly)."""
+    varmap; division of constants is exact and an exponent is a constant
+    nonnegative integer.  Returns Poly (or Fraction wrapped in Poly)."""
     try:
         tree = ast.parse(text.strip(), mode='eval')
     except SyntaxError as ex:
@@ -65,7 +65,7 @@ def parse_expr(text, varmap):
         if isinstance(node, ast.Expression):
             return ev(node.body)
         if isinstance(node, ast.Constant):
-            if isinstance(node.value, int):
+            if type(node.value) is int:
                 return Fraction(node.value)
             raise FixtureError("non-integer literal %r" % node.value)
         if isinstance(node, ast.Name):
@@ -85,7 +85,7 @@ def parse_expr(text, varmap):
             if isinstance(node.op, ast.Mult):
                 return a * b
             if isinstance(node.op, ast.Pow):
-                if not isinstance(b, Fraction) or b.denominator != 1:
+                if not isinstance(b, Fraction) or b.denominator != 1 or b < 0:
                     raise FixtureError("bad exponent")
                 return a ** int(b)
             if isinstance(node.op, ast.Div):
@@ -290,6 +290,3 @@ def fixture_invariants(name, tpoint, data_dir=DATA_DIR):
     n, tensors = _fixture_tensors(data_dir, name)
     return central_invariants_dirac(tensors, n, list(tpoint))
 
-
-def available(data_dir=DATA_DIR):
-    return sorted(f[:-4] for f in os.listdir(data_dir) if f.endswith('.txt'))

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .brackets import bracket_table
 from .lax import u_list
-from . import liealg
 from .upoly import (DegeneratePoint, derivative, from_roots, integral,
                     rational_roots, value)
 
@@ -154,33 +153,6 @@ def residue_identity(rs):
     return [sum(((value(lam, rk) - value(lam, ri)) / (value(lam2, rk) * (rk - ri) ** 2)
                  for k, rk in enumerate(rs) if k != i), Fraction(0))
             for i, ri in enumerate(rs)]
-
-
-def transform_invariants(lams, cs, kappa):
-    """Projective reparametrization of the pencil:
-
-        lam -> (k21 + lam k22) / (k11 + lam k12),
-        c   -> (k11 + k12 lam) c / det(kappa).
-    """
-    (k11, k12), (k21, k22) = kappa
-    det = k11 * k22 - k12 * k21
-    if det == 0:
-        raise ValueError("singular pencil transformation")
-    newl, newc = [], []
-    for lam, c in zip(lams, cs):
-        den = k11 + lam * k12
-        if den == 0:
-            raise DegeneratePoint("pencil parameter at infinity")
-        newl.append((k21 + lam * k22) / den)
-        newc.append(den * c / det)
-    return newl, newc
-
-
-def series_scale(series):
-    """Multiply the normalized-form values by this factor to get the
-    values of the scalar-Lax computation (which uses the trace form on
-    the defining representation)."""
-    return 1 / liealg.defining_form_ratio(series)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,6 @@ symbols reduce to Laurent polynomials in p:
     lam(p) = p^(2n+1-nu) + sum_i u_i p^(2i-1-nu),  nu = 0, 1, 2.
 """
 
-from fractions import Fraction
-
 from .algebra import Poly
 from .symbols import Symbol
 
@@ -54,10 +52,9 @@ def dispersionless_symbol(series, n, u=None, K=4):
     return Symbol.from_p_poly(c, K)
 
 
-def lambda_xpoly(series, n, u=None, pname='p'):
+def lambda_xpoly(series, n, pname='p'):
     """lam as a Laurent Poly in the variable (pname, 0, 0)."""
-    u = u_list(series, n, u)
-    p = Poly.of(pname)
+    u = u_list(series, n)
     if series == 'A':
         out = Poly.of(pname, 0, 0, n + 1)
         for i in range(1, n + 1):
@@ -70,60 +67,16 @@ def lambda_xpoly(series, n, u=None, pname='p'):
     return out
 
 
-def capital_lambda(n, u=None, Pname='P'):
+def capital_lambda(n, Pname='P'):
     """Lam(P) = P^n + u_n P^(n-1) + ... + u_1 (all series)."""
-    u = u_list('B', n, u)
+    u = u_list('B', n)
     out = Poly.of(Pname, 0, 0, n)
     for i in range(1, n + 1):
         out = out + u[i - 1] * Poly.of(Pname, 0, 0, i - 1)
     return out
 
 
-def capital_lambda_tilde(n, u=None, Pname='P'):
+def capital_lambda_tilde(n, Pname='P'):
     """Lam(P)/P, the natural object for the D series."""
-    return capital_lambda(n, u, Pname) * Poly.of(Pname, 0, 0, -1)
+    return capital_lambda(n, Pname) * Poly.of(Pname, 0, 0, -1)
 
-
-def build_lax_bcd(series, n, K=4):
-    """Full Lax symbol with the v_i solved from the symmetry constraint.
-
-    Returns (L, vdict) where vdict maps i -> dict eps-power -> Poly.
-
-    >>> L, v = build_lax_bcd('B', 1, K=3)
-    >>> v[1] == {1: Poly.num(Fraction(1, 2)) * Poly.of('u', 1, 1)}
-    True
-    """
-    nu = NU[series]
-    c = {2 * n + 1 - nu: Poly.num(1)}
-    i0 = 2 if series == 'D' else 1
-    for i in range(i0, n + 1):
-        c[2 * i - 1 - nu] = Poly.of('u', i)
-    base = Symbol.from_p_poly(c, K)
-    if series == 'D':
-        rho = Symbol.from_p_poly({0: Poly.of('rho', 0)}, K)
-        pinv = Symbol.from_p_poly({-1: 1}, K)
-        base = base + rho.star(pinv).star(rho)
-    sgn = -1 if series == 'C' else 1   # E = L + sgn L+
-    v0 = 1 if series == 'B' else 2
-    vpows = [2 * i - 2 - nu for i in range(v0, n + 1)]
-    V = Symbol({}, K)
-    for _ in range(K + 2):
-        L = base + V
-        E = L + L.adjoint().scale(sgn)
-        if E.is_zero():
-            break
-        upd = Symbol({}, K)
-        for (pw, e), pol in E.c.items():
-            if pw in vpows:
-                upd._merge((pw, e), pol * Fraction(-1, 2))
-        if upd.is_zero():
-            break
-        V = V + upd
-    L = base + V
-    E = L + L.adjoint().scale(sgn)
-    if not E.is_zero():
-        raise ValueError("symmetry constraint not solvable: %s" % E)
-    vdict = {}
-    for k, i in zip(vpows, range(v0, n + 1)):
-        vdict[i] = {e: pol for (pw, e), pol in V.c.items() if pw == k}
-    return L, vdict

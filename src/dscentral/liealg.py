@@ -79,14 +79,6 @@ def root_lengths(typ, n):
     return [2 * x / top for x in d]
 
 
-def coroot_gram(typ, n):
-    """Gram matrix of the simple coroots in the normalized bilinear form."""
-    A = cartan_matrix(typ, n)
-    ln = root_lengths(typ, n)
-    # (a_i^, a_j^) = A_ij * 2/(a_i, a_i) = A_ji * 2/(a_j, a_j); symmetric
-    return [[Fraction(2, 1) * A[j][i] / ln[i] for j in range(n)] for i in range(n)]
-
-
 def lie_central_invariants(typ, n):
     """c_i = <alpha_i^, alpha_i^> / 48 in the normalized form."""
     return [Fraction(1, 12) / x for x in root_lengths(typ, n)]
@@ -182,10 +174,6 @@ def solve(rows, rhs):
     for r, pc in enumerate(piv):
         x[pc] = M[r][nc]
     return x
-
-
-def rank(rows):
-    return len(rref(rows)[1])
 
 
 def inverse(rows):
@@ -419,7 +407,6 @@ class MatrixLieAlgebra:
         a = solve(Ct, [Fraction(2)] * self.n)
         if a is None:
             raise ValueError("principal sl2 system unsolvable")
-        self.sl2_coeff = a
         Ip = mzero(len(self.X[0]))
         rho = mzero(len(self.X[0]))
         for ai, Xi, Hi in zip(a, self.X, self.H):
@@ -468,8 +455,8 @@ class MatrixLieAlgebra:
 
 def g2_algebra():
     """G2 in its 7-dimensional representation; <a, b> = tr(ab)/2."""
-    def E(pairs, size=7):
-        m = mzero(size)
+    def E(pairs):
+        m = mzero(7)
         for i, j, c in pairs:
             m[i - 1][j - 1] = Fraction(c)
         return m

@@ -69,20 +69,11 @@ class Symbol:
         return Symbol({(i, e + d): p for (i, e), p in self.c.items()
                        if 0 <= e + d <= self.K}, self.K)
 
-    def pdiff(self, k=1):
-        out = {}
-        for (i, e), p in self.c.items():
-            f = Fraction(1)
-            for t in range(k):
-                f *= i - t
-            if f:
-                key = (i - k, e)
-                q = out.get(key)
-                out[key] = p * f if q is None else q + p * f
-        return Symbol(out, self.K)
+    def pdiff(self):
+        return Symbol({(i - 1, e): p * i for (i, e), p in self.c.items() if i}, self.K)
 
-    def xdiff(self, frozen=frozenset()):
-        return Symbol({k: p.xdiff(frozen) for k, p in self.c.items()}, self.K)
+    def xdiff(self):
+        return Symbol({k: p.xdiff() for k, p in self.c.items()}, self.K)
 
     def star(self, other, frozen=frozenset()):
         """Symbol product, truncated at eps^K.
@@ -155,10 +146,7 @@ class Symbol:
         """Coefficient of p^-1 as dict eps-power -> Poly."""
         return {e: p for (i, e), p in self.c.items() if i == -1}
 
-    def coeff(self, i, e=0):
-        return self.c.get((i, e), Poly())
-
-    def adjoint(self, frozen=frozenset()):
+    def adjoint(self):
         """Formal adjoint, termwise:
 
         (c p^k)^+ = (-1)^k sum_j C(k,j) eps^j c^(j) p^(k-j)
@@ -174,22 +162,11 @@ class Symbol:
             for j in range(self.K - e + 1):
                 if j:
                     binom = binom * (k - j + 1) / j
-                    pj = pj.xdiff(frozen)
+                    pj = pj.xdiff()
                     if not binom:
                         break
                 out._merge((k - j, e + j), pj * (sign * binom))
         return out
-
-    def pmin(self):
-        return min((i for i, _ in self.c), default=0)
-
-    def subs(self, mapping):
-        out = {}
-        for k, p in self.c.items():
-            q = p.subs(mapping)
-            if not q.is_zero():
-                out[k] = q
-        return Symbol(out, self.K)
 
     def __str__(self):
         if not self.c:

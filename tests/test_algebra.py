@@ -146,7 +146,7 @@ def laurent_polys(draw, u_low=-2):
         term = Poly.num(draw(exact_coeffs))
         for _ in range(draw(st.integers(0, 2))):
             v = draw(st.sampled_from(JETS))
-            term = term * Poly.from_var(v, draw(st.integers(-2 if v[0] == 'p' else u_low, 2)))
+            term = term * Poly.of(*v, draw(st.integers(-2 if v[0] == 'p' else u_low, 2)))
         out = out + term
     return out
 

@@ -205,6 +205,18 @@ def test_malformed_fixture_values_exit_3(tmp_path):
             assert why in r.stderr, (args, r.stderr)
 
 
+def test_bad_exponent_or_literal_exits_3(tmp_path):
+    from test_fixtures import bundled_parts, write_document
+    header, body = bundled_parts('f4')
+    for extra in (' + t1**-1', ' + 0**-1', ' + True'):
+        text = re.sub('(?m)^F = .*$', lambda m: m.group() + extra, body)
+        assert text != body
+        write_document(tmp_path, 'f4', header, text)
+        r = run('compute', '--algebra', 'F4', '--fixture-dir', str(tmp_path))
+        assert_fails(r, 3)
+        assert r.stderr.startswith('fixture error:'), (extra, r.stderr)
+
+
 def test_fixture_dir_resolution_order(tmp_path):
     # the option, then the environment variable, then the bundled documents
     assert_fails(run('compute', '--algebra', 'F4',

@@ -10,9 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from dscentral.algebra import Poly
+from dscentral.algebra import Poly, bareiss_det
 from dscentral import dirac, fixtures, liealg, reference
-from dscentral.dirac import (slice_bases, dirac_tensors, char_poly,
+from dscentral.dirac import (slice_bases, dirac_tensors,
                              central_invariants_dirac, numeric_pencil,
                              g2_slice)
 
@@ -28,6 +28,13 @@ def g2():
 
 def _p(x):
     return x if isinstance(x, Poly) else Poly.num(x)
+
+
+def char_poly(tensors, n):
+    """p(z; u) = det(g2 - z g1) as a Poly in z and the u^i."""
+    z = Poly.of('z')
+    return bareiss_det([[tensors['g2'][i][j] - z * tensors['g1'][i][j] for j in range(n)]
+                        for i in range(n)])
 
 
 def test_slice_exponents(g2):
@@ -154,6 +161,36 @@ def test_default_slice_agrees_up_to_scaling(g2):
                     k = Fraction(y) / Fraction(x)
                 else:
                     assert Fraction(y) == k * Fraction(x)
+
+
+def d_algebra(n):
+    """D_n in its defining representation of size 2n, with half the
+    trace form: X_i = E_(i,i+1) - E_(2n-i,2n+1-i) for i < n and
+    X_n = E_(n-1,n+1) - E_(n,n+2), Y_i the transpose of X_i."""
+    def E(i, j, k, l):
+        m = liealg.mzero(2 * n)
+        m[i - 1][j - 1], m[k - 1][l - 1] = Fraction(1), Fraction(-1)
+        return m
+    X = [E(i, i + 1, 2 * n - i, 2 * n + 1 - i) for i in range(1, n)]
+    X.append(E(n - 1, n + 1, n, n + 2))
+    Y = [liealg.transpose(x) for x in X]
+    return liealg.MatrixLieAlgebra('D%d' % n, 'D', n, X, Y, Fraction(1, 2),
+                                   n * (2 * n - 1))
+
+
+@pytest.mark.parametrize('n,exponents', [(3, [1, 2, 3]), (4, [1, 3, 3, 5]),
+                                         (5, [1, 3, 4, 5, 7])],
+                         ids=['D3', 'D4', 'D5'])
+def test_slice_bases_repeated_exponent(n, exponents):
+    # D4 has the exponent 3 twice: its duals come from a 2 x 2 pairing
+    alg = d_algebra(n)
+    assert alg.realized_cartan() == liealg.cartan_matrix('D', n)
+    slices = slice_bases(alg)
+    assert slices['exponents'] == exponents
+    assert [[alg.form(gu, gam) for gam in slices['gammas']]
+            for gu in slices['gamma_ups']] == [[int(i == j) for j in range(n)]
+                                               for i in range(n)]
+    assert len(slices['f']) == n * (2 * n - 1) - n
 
 
 def _symbolic_invariants(tensors, n, upoint):

@@ -16,8 +16,7 @@ from hypothesis import given, settings, strategies as st
 from dscentral import invariants, liealg, reference
 from dscentral.invariants import (DegeneratePoint, canonical_coordinates,
                                   central_invariants, residue_identity,
-                                  transform_invariants, sample_from_roots,
-                                  random_sample, series_scale)
+                                  sample_from_roots, random_sample)
 from dscentral.liealg import lie_central_invariants
 from dscentral.upoly import rational_roots
 
@@ -120,22 +119,6 @@ def test_residue_identity_random_sets():
         assert residue_identity(rs) == [want] * n
 
 
-def test_transform_invariants_roundtrip():
-    lams = [Fraction(1), Fraction(3), Fraction(0)]
-    cs = [Fraction(1, 24)] * 3
-    kappa = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(1)))
-    nl, nc = transform_invariants(lams, cs, kappa)
-    inv = ((Fraction(1), Fraction(-1)), (Fraction(-1), Fraction(2)))
-    bl, bc = transform_invariants(nl, nc, inv)
-    assert bl == lams and bc == cs
-
-
-def test_transform_invariants_rejects_singular():
-    with pytest.raises(ValueError):
-        transform_invariants([Fraction(1)], [Fraction(1)],
-                             ((1, 1), (2, 2)))
-
-
 def test_lie_formula_table():
     for (typ, n), want in reference.TABLE.items():
         assert lie_central_invariants(typ, n) == want, (typ, n)
@@ -143,7 +126,7 @@ def test_lie_formula_table():
     # the scalar-Lax values, slot by slot
     for series, lo in (('A', 1), ('B', 2), ('C', 2), ('D', 3)):
         for n in range(lo, 7):
-            got = [c * series_scale(series)
+            got = [c / liealg.defining_form_ratio(series)
                    for c in lie_central_invariants(series, n)]
             assert got == reference.classical_invariants(series, n)
 
@@ -155,7 +138,7 @@ def test_series_scale_links_both_computations():
     for series, n in (('B', 3), ('C', 3), ('D', 3)):
         u = random_sample(series, n, rng)
         cs = sorted(central_invariants(series, n, u)['c'])
-        lie = sorted(c * series_scale(series)
+        lie = sorted(c / liealg.defining_form_ratio(series)
                      for c in lie_central_invariants(series, n))
         assert cs == lie
 

@@ -7,9 +7,9 @@ import pytest
 
 from dscentral import liealg
 from dscentral.algebra import Poly
-from dscentral.liealg import (cartan_matrix, root_lengths, coroot_gram,
+from dscentral.liealg import (cartan_matrix, root_lengths,
                               lie_central_invariants, fold, rref, nullspace,
-                              solve, rank, mcomm, mscale, madd, mzero,
+                              solve, mcomm, mscale, madd, mzero,
                               g2_algebra, chevalley_tower_g2)
 
 
@@ -43,20 +43,6 @@ def test_root_lengths():
                                     Fraction(1), Fraction(1)]
 
 
-def test_coroot_gram_diagonal():
-    G = coroot_gram('G', 2)
-    # (a^, a^) = 4 / (a, a): 6 for the short root, 2 for the long one
-    assert G[0][0] == 6
-    assert G[1][1] == 2
-
-
-def test_invariant_values_from_coroots():
-    for typ, n in (('A', 3), ('B', 3), ('G', 2), ('F', 4)):
-        G = coroot_gram(typ, n)
-        cs = lie_central_invariants(typ, n)
-        assert cs == [G[i][i] / 48 for i in range(n)]
-
-
 def test_fold_matches_direct():
     assert fold('B', 4) == lie_central_invariants('B', 4)
     assert fold('C', 4) == lie_central_invariants('C', 4)
@@ -73,7 +59,7 @@ def test_rref_solve_nullspace():
         x = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
         b = [sum(A[i][j] * x[j] for j in range(n)) for i in range(n)]
         sol = solve(A, b)
-        if rank(A) == n:
+        if len(rref(A)[1]) == n:
             assert sol == x
         else:
             assert sol is None or \
