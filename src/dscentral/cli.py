@@ -6,22 +6,25 @@ checks), verify (named check suites).
 
 Exit codes: 0 ok, 1 value mismatch, 2 degenerate sample, 3 fixture
 problem, 4 invalid configuration.
+
+Each command imports the package modules it runs, so start-up stays
+small: a classical `compute` never loads the Lie algebra, Dirac or
+fixture code, and `--help` loads none of the mathematics.
 """
 
+import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
 
-import click
-
-from .algebra import Poly
-from . import (brackets, dirac, fixtures, frobenius, invariants, liealg,
-               reference)
+from .upoly import DegeneratePoint
 
 SERIES = ('A', 'B', 'C', 'D')
 EXCEPTIONAL = {'G2': ('G', 2), 'F4': ('F', 4), 'E6': ('E', 6),
                'E7': ('E', 7), 'E8': ('E', 8)}
+FORMATS = ('json', 'tsv', 'pretty')
 
 
 class ConfigError(Exception):
@@ -60,18 +63,18 @@ def _parse_rats(text):
 
 def _emit(report, fmt, decimal):
     if fmt == 'json':
-        click.echo(json.dumps(report, sort_keys=True, separators=(',', ':')))
+        print(json.dumps(report, sort_keys=True, separators=(',', ':')))
         return
     inv = report['invariants']
     if fmt == 'tsv':
         for e in inv:
-            click.echo('%s\t%s\t%s' % (e['index'], e.get('lambda', ''), e['c']))
+            print('%s\t%s\t%s' % (e['index'], e.get('lambda', ''), e['c']))
         return
-    click.echo('%s (%s)' % (report['algebra'], report['method']))
+    print('%s (%s)' % (report['algebra'], report['method']))
     for e in inv:
         lam = e.get('lambda')
         where = ' at lambda = %s' % lam if lam is not None else ''
-        click.echo('  c_%s = %s%s' % (e['index'], e['c'], where))
+        print('  c_%s = %s%s' % (e['index'], e['c'], where))
 
 
 def _invariant_report(algebra, method, pairs, diagnostics, decimal):
@@ -95,7 +98,17 @@ def _sample(n, seed, sample, draw):
     return u, {'seed': seed, 'sample': [_rat(x) for x in u]}
 
 
+def _fixture_dir(option):
+    """The option, then the environment variable (unless empty), then
+    the bundled documents."""
+    if option is not None:
+        return option
+    from .fixtures import DATA_DIR
+    return os.environ.get('DSCENTRAL_FIXTURE_DIR') or DATA_DIR
+
+
 def _compute_series(series, n, seed, sample, order):
+    from . import invariants
     u, diag = _sample(n, seed, sample,
                       lambda rng: invariants.random_sample(series, n, rng))
     res = invariants.central_invariants(series, n, u, K=order)
@@ -104,6 +117,7 @@ def _compute_series(series, n, seed, sample, order):
 
 
 def _compute_g2(seed, sample):
+    from . import dirac, liealg, reference
     u, diag = _sample(2, seed, sample, reference.g2_sample)
     alg = liealg.g2_algebra()
     tens = dirac.dirac_tensors(alg, dirac.g2_slice(alg))
@@ -112,41 +126,12 @@ def _compute_g2(seed, sample):
 
 
 def _compute_f4(seed, sample, fixture_dir):
+    from . import fixtures, reference
     t, diag = _sample(4, seed, sample, reference.f4_sample)
-    roots, cs = fixtures.fixture_invariants('f4', t, fixture_dir)
+    roots, cs = fixtures.fixture_invariants('f4', t, _fixture_dir(fixture_dir))
     return list(zip(roots, cs)), diag
 
 
-# the option, then the environment variable (unless empty), then the
-# bundled documents
-fixture_dir_option = click.option(
-    '--fixture-dir', envvar='DSCENTRAL_FIXTURE_DIR', default=fixtures.DATA_DIR)
-
-
-@click.group()
-def main():
-    pass
-
-
-@main.command()
-@click.option('--series', type=click.Choice(SERIES), default=None)
-@click.option('--rank', type=int, default=None)
-@click.option('--algebra', default=None,
-              help='exceptional tag: G2 or F4 (E types: --method lie only)')
-@click.option('--method',
-              type=click.Choice(['symbol', 'dirac', 'lie', 'fixture']),
-              default=None)
-@click.option('--seed', type=int, default=0)
-@click.option('--sample', default=None,
-              help='comma separated rational coordinates')
-@click.option('--order', type=click.IntRange(min=3), default=4,
-              help='epsilon order (at least 3: the defect formula reads '
-                   'the delta\'\'\' block)')
-@click.option('--format', 'fmt',
-              type=click.Choice(['json', 'tsv', 'pretty']), default='json')
-@click.option('--decimal', type=click.IntRange(min=0), default=None,
-              help='exact decimals with this many digits')
-@fixture_dir_option
 def compute(series, rank, algebra, method, seed, sample, order, fmt,
             decimal, fixture_dir):
     """Central invariants of one algebra at a sample point."""
@@ -168,7 +153,8 @@ def compute(series, rank, algebra, method, seed, sample, order, fmt,
         raise ConfigError('%s methods: %s' % (
             'series' if series else name, ', '.join(dict.fromkeys((default, 'lie')))))
     if method == 'lie':
-        pairs = [(None, c) for c in liealg.lie_central_invariants(typ, n)]
+        from .liealg import lie_central_invariants
+        pairs = [(None, c) for c in lie_central_invariants(typ, n)]
         diag = {'normalization': 'normalized-form'}
     elif method == 'symbol':
         pairs, diag = _compute_series(series, rank, seed, sample, order)
@@ -179,16 +165,9 @@ def compute(series, rank, algebra, method, seed, sample, order, fmt,
     _emit(_invariant_report(name, method, pairs, diag, decimal), fmt, decimal)
 
 
-@main.command()
-@click.option('--rank', type=click.IntRange(min=2), default=4,
-              help='rank for the classical rows (at least 2)')
-@click.option('--check', is_flag=True)
-@click.option('--fold', nargs=2, default=None,
-              help='source and target diagram, e.g. --fold B3 G2')
-@click.option('--format', 'fmt',
-              type=click.Choice(['json', 'tsv', 'pretty']), default='tsv')
 def table(rank, check, fold, fmt):
     """Invariant table in the normalized bilinear form."""
+    from . import liealg, reference
     if fold:
         src, dst = fold[0].upper(), fold[1].upper()
         if (src, dst) not in reference.FOLDINGS:
@@ -197,9 +176,9 @@ def table(rank, check, fold, fmt):
         folded = liealg.fold(ftyp, frank)
         direct = liealg.lie_central_invariants(*target)
         ok = folded == direct
-        click.echo('fold %s -> %s: folded %s direct %s %s'
-                   % (src, dst, [_rat(c) for c in folded],
-                      [_rat(c) for c in direct], 'ok' if ok else 'MISMATCH'))
+        print('fold %s -> %s: folded %s direct %s %s'
+              % (src, dst, [_rat(c) for c in folded],
+                 [_rat(c) for c in direct], 'ok' if ok else 'MISMATCH'))
         if not ok:
             raise Mismatch('folding %s -> %s' % (src, dst))
         return
@@ -217,23 +196,19 @@ def table(rank, check, fold, fmt):
                 bad.append('%s%d' % (typ, n))
         out.append((typ, n, cs, line))
     if fmt == 'json':
-        click.echo(json.dumps(
+        print(json.dumps(
             [{'algebra': '%s%d' % (t, n), 'invariants': [_rat(c) for c in cs]}
              for t, n, cs, _ in out], sort_keys=True, separators=(',', ':')))
     else:
         for _, _, _, line in out:
-            click.echo(line)
+            print(line)
     if bad:
         raise Mismatch('table rows differ: %s' % ', '.join(bad))
 
 
-@main.command()
-@click.option('--series', type=click.Choice(SERIES), required=True)
-@click.option('--rank', type=int, required=True)
-@click.option('--check', is_flag=True)
 def coeffs(series, rank, check):
-    """Bracket coefficient tables; --check compares the generating
-    polynomials against the closed forms."""
+    """Bracket coefficient tables, with --check against the closed forms."""
+    from . import brackets
     if rank < (1 if series == 'A' else 2) or (series == 'D' and rank < 3):
         raise ConfigError('bad rank')
     capital = series != 'A'
@@ -242,7 +217,7 @@ def coeffs(series, rank, check):
         t = brackets.bracket_table(series, rank, a)
         for s in sorted({k[2] for k in t}):
             g = brackets.generating_poly(t, series, rank, s, capital=capital)
-            click.echo('a=%d s=%d: %s' % (a, s, g))
+            print('a=%d s=%d: %s' % (a, s, g))
             if not check:
                 continue
             try:
@@ -253,7 +228,7 @@ def coeffs(series, rank, check):
             except ValueError:
                 continue
             ok = (g - ref).is_zero()
-            click.echo('  closed form: %s' % ('ok' if ok else 'MISMATCH'))
+            print('  closed form: %s' % ('ok' if ok else 'MISMATCH'))
             if not ok:
                 bad.append((a, s))
     if bad:
@@ -261,6 +236,8 @@ def coeffs(series, rank, check):
 
 
 def _suite_properties(rng, data_dir):
+    from . import invariants
+    from .algebra import Poly
     from .symbols import Symbol
     yield 'residue identity', all(
         v == Fraction(1 - n, 2 * (n + 1))
@@ -289,6 +266,7 @@ def _suite_properties(rng, data_dir):
 
 
 def _suite_an(rng, data_dir):
+    from . import invariants, reference
     for n in (1, 2, 3):
         u = invariants.random_sample('A', n, rng)
         cs = invariants.central_invariants('A', n, u)['c']
@@ -296,6 +274,7 @@ def _suite_an(rng, data_dir):
 
 
 def _suite_bcd(rng, data_dir):
+    from . import invariants, reference
     for series, n in (('B', 2), ('C', 2), ('D', 3)):
         u = invariants.random_sample(series, n, rng)
         res = invariants.central_invariants(series, n, u)
@@ -306,11 +285,11 @@ def _suite_bcd(rng, data_dir):
 
 
 def _suite_g2(rng, data_dir):
+    from . import dirac, fixtures, liealg, reference
     alg = liealg.g2_algebra()
     tens = dirac.dirac_tensors(alg, dirac.g2_slice(alg))
     fx = fixtures.load_frobenius('g2', data_dir)
     stored = fx['tensors']
-    u1, u2 = Poly.of('u', 1), Poly.of('u', 2)
     names = {'g2': 'g2u', 'g1': 'g1u', 'A22': 'A22u', 'A21': 'A21u'}
     ok = True
     for key, prefix in names.items():
@@ -324,12 +303,15 @@ def _suite_g2(rng, data_dir):
 
 
 def _suite_f4(rng, data_dir):
+    from . import fixtures, reference
     roots, cs = fixtures.fixture_invariants('f4', reference.f4_sample(rng),
                                             data_dir)
     yield 'F4 invariants', sorted(cs) == sorted(reference.TABLE[('F', 4)])
 
 
 def _suite_frobenius(rng, data_dir):
+    from . import brackets, fixtures, frobenius
+    from .algebra import Poly
     orb = frobenius.orbit_metrics_a(2)
     pen = brackets.dispersionless_pencil('A', 2)
     p, q = ('p', 0, 0), ('q', 0, 0)
@@ -357,44 +339,154 @@ SUITES = {'properties': _suite_properties, 'an': _suite_an,
           'frobenius': _suite_frobenius}
 
 
-@main.command()
-@click.argument('suite', type=click.Choice(sorted(SUITES) + ['all']))
-@click.option('--seed', type=int, default=0)
-@fixture_dir_option
 def verify(suite, seed, fixture_dir):
     """Run a named check suite."""
     names = sorted(SUITES) if suite == 'all' else [suite]
+    data_dir = _fixture_dir(fixture_dir)
     rng = random.Random(seed)
     failed = []
     for name in names:
-        for label, ok in SUITES[name](rng, fixture_dir):
-            click.echo('%s: %s' % (label, 'ok' if ok else 'FAIL'))
+        for label, ok in SUITES[name](rng, data_dir):
+            print('%s: %s' % (label, 'ok' if ok else 'FAIL'))
             if not ok:
                 failed.append(label)
     if failed:
         raise Mismatch('failed: %s' % ', '.join(failed))
-    click.echo('all checks passed')
+    print('all checks passed')
 
 
-def entry():
+# ---------------------------------------------------------------------------
+# argument parsing
+
+def _usage_error(message):
+    raise ConfigError(message)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ConfigError (exit 4) instead of printing
+    them and exiting 2."""
+    error = staticmethod(_usage_error)
+
+
+def _at_least(low):
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                '%d is not in the range x>=%d' % (value, low))
+        return value
+    return integer
+
+
+def _parser():
+    top = _Parser(prog='dscentral', allow_abbrev=False,
+                  description='Central invariants of Drinfeld-Sokolov '
+                              'bihamiltonian structures, in exact arithmetic.',
+                  epilog='exit codes: 0 ok, 1 value mismatch, 2 degenerate '
+                         'sample, 3 fixture problem, 4 invalid configuration')
+    commands = top.add_subparsers(metavar='command', required=True)
+
+    def command(fn):
+        p = commands.add_parser(fn.__name__, allow_abbrev=False,
+                                help=fn.__doc__, description=fn.__doc__)
+        p.set_defaults(run=fn)
+        return p
+
+    def fixture_dir_option(p):
+        p.add_argument('--fixture-dir',
+                       help='directory of the fixture documents (default: '
+                            '$DSCENTRAL_FIXTURE_DIR unless empty, then the '
+                            'bundled ones)')
+
+    p = command(compute)
+    p.add_argument('--series', choices=SERIES)
+    p.add_argument('--rank', type=int)
+    p.add_argument('--algebra',
+                   help='exceptional tag: G2 or F4 (E types: --method lie only)')
+    p.add_argument('--method', choices=('symbol', 'dirac', 'lie', 'fixture'))
+    p.add_argument('--seed', type=int, default=0)
+    p.add_argument('--sample',
+                   help='comma separated rational coordinates; the first '
+                        'may be negative, as in --sample -1,-3')
+    p.add_argument('--order', type=_at_least(3), default=4,
+                   help='epsilon order (at least 3: the defect formula reads '
+                        'the delta\'\'\' block)')
+    p.add_argument('--format', dest='fmt', choices=FORMATS, default='json')
+    p.add_argument('--decimal', type=_at_least(0),
+                   help='exact decimals with this many digits')
+    fixture_dir_option(p)
+
+    p = command(table)
+    p.add_argument('--rank', type=_at_least(2), default=4,
+                   help='rank for the classical rows (at least 2)')
+    p.add_argument('--check', action='store_true')
+    p.add_argument('--fold', nargs=2, metavar=('SOURCE', 'TARGET'),
+                   help='source and target diagram, e.g. --fold B3 G2')
+    p.add_argument('--format', dest='fmt', choices=FORMATS, default='tsv')
+
+    p = command(coeffs)
+    p.add_argument('--series', choices=SERIES, required=True)
+    p.add_argument('--rank', type=int, required=True)
+    p.add_argument('--check', action='store_true')
+
+    p = command(verify)
+    p.add_argument('suite', choices=sorted(SUITES) + ['all'])
+    p.add_argument('--seed', type=int, default=0)
+    fixture_dir_option(p)
+    return top
+
+
+def _glue_sample(args):
+    """'--sample -1,-3' as '--sample=-1,-3': argparse reads a word that
+    starts with '-' and is not a bare number as an option, not a value."""
+    out = []
+    for word in args:
+        if out and out[-1] == '--sample':
+            out[-1] += '=' + word
+        else:
+            out.append(word)
+    return out
+
+
+def _run(args):
+    ns = vars(_parser().parse_args(_glue_sample(
+        sys.argv[1:] if args is None else args)))
+    ns.pop('run')(**ns)
+
+
+def _fail(code, what, ex=None):
+    print(what if ex is None else '%s: %s' % (what, ex), file=sys.stderr)
+    sys.exit(code)
+
+
+def main(args=None, standalone_mode=True):
+    """Run one command on `args` (default: the process arguments).
+
+    With `standalone_mode`, every failure becomes its exit code and one
+    line on stderr, and success exits 0.  Without it, ConfigError,
+    Mismatch, DegeneratePoint, FixtureError and the rest propagate, and
+    --help raises SystemExit(0) after printing."""
+    if not standalone_mode:
+        return _run(args)
     try:
-        main(standalone_mode=False)
-    except invariants.DegeneratePoint as ex:
-        click.echo('degenerate sample: %s' % ex, err=True)
-        sys.exit(2)
-    except fixtures.FixtureError as ex:
-        click.echo('fixture error: %s' % ex, err=True)
-        sys.exit(3)
-    except (ConfigError, click.UsageError) as ex:
-        click.echo('invalid configuration: %s' % ex, err=True)
-        sys.exit(4)
-    except click.exceptions.Abort:
-        sys.exit(4)
+        _run(args)
+    except DegeneratePoint as ex:
+        _fail(2, 'degenerate sample', ex)
+    except ConfigError as ex:
+        _fail(4, 'invalid configuration', ex)
     except Mismatch as ex:
-        click.echo('mismatch: %s' % ex, err=True)
-        sys.exit(1)
+        _fail(1, 'mismatch', ex)
+    except (KeyboardInterrupt, EOFError):
+        _fail(4, 'aborted')
+    except Exception as ex:
+        # looked up last: a command that read no fixture cannot raise it,
+        # and a classical run must not import the fixture reader
+        from .fixtures import FixtureError
+        if not isinstance(ex, FixtureError):
+            raise
+        _fail(3, 'fixture error', ex)
     sys.exit(0)
 
 
 if __name__ == '__main__':
-    entry()
+    main()

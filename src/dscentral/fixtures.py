@@ -182,8 +182,7 @@ def build_algebra(name, data_dir=DATA_DIR):
         else:
             m = triplets(spec, 'Y%d' % i)
         Y.append(m)
-    return MatrixLieAlgebra(h['algebra'], h['type'], rank, X, Y,
-                            h.number('form_scale'), dim)
+    return MatrixLieAlgebra(rank, X, Y, h.number('form_scale'), dim)
 
 
 def load_frobenius(name, data_dir=DATA_DIR):

@@ -286,9 +286,7 @@ class MatrixLieAlgebra:
     simple roots (zero for the Cartan elements).
     """
 
-    def __init__(self, name, typ, n, X, Y, form_scale, dim):
-        self.name = name
-        self.typ = typ
+    def __init__(self, n, X, Y, form_scale, dim):
         self.n = n
         self.X = X
         self.Y = Y
@@ -464,8 +462,7 @@ def g2_algebra():
     X2 = E([(2, 3, 1), (5, 6, 1)])
     Y1 = E([(2, 1, 1), (4, 3, 1), (5, 4, 2), (7, 6, 1)])
     Y2 = E([(3, 2, 1), (6, 5, 1)])
-    return MatrixLieAlgebra('G2', 'G', 2, [X1, X2], [Y1, Y2],
-                            Fraction(1, 2), 14)
+    return MatrixLieAlgebra(2, [X1, X2], [Y1, Y2], Fraction(1, 2), 14)
 
 
 def chevalley_tower_g2(alg):

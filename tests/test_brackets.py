@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from dscentral.algebra import Poly
-from dscentral import brackets, invariants
+from dscentral import invariants
 from dscentral.brackets import (bracket_density, bracket_table, ibp_reduce,
                                 generating_poly,
                                 closed_form_small, closed_form_capital,

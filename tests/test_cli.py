@@ -9,6 +9,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 import dscentral
 from dscentral import cli, fixtures, invariants
 
@@ -25,7 +27,7 @@ def child_env(**extra):
 
 
 def run(*args, env=None):
-    """Run the CLI's `entry()` in a child interpreter; no install needed.
+    """Run the CLI's `main()` in a child interpreter; no install needed.
     `env` adds variables to the child's environment."""
     return subprocess.run([sys.executable, '-m', 'dscentral.cli'] + list(args),
                           capture_output=True, text=True,
@@ -426,6 +428,106 @@ GOLDEN = [
      '3*u_1^(0)*u_3^(0) + 1/2*u_2^(0)**2\n'
      '  closed form: ok\n'),
 ]
+
+
+def test_sample_may_start_with_a_minus():
+    # argparse alone reads '-1,-3' as an option; the CLI takes it as the value
+    a = run('compute', '--series', 'A', '--rank', '2', '--sample', '-1,-3')
+    b = run('compute', '--series', 'A', '--rank', '2', '--sample=-1,-3')
+    assert a.returncode == b.returncode == 0, (a.stderr, b.stderr)
+    assert a.stdout == b.stdout
+    rep = json.loads(a.stdout)
+    assert rep['diagnostics']['sample'] == ['-1', '-3']
+    assert [e['c'] for e in rep['invariants']] == ['1/24', '1/24']
+
+
+def test_usage_errors_exit_4():
+    # no command, an unknown option, an abbreviated option, a choice in
+    # the wrong case
+    for args in ((), ('--bogus',), ('compute', '--ser', 'A', '--rank', '2'),
+                 ('compute', '--series', 'a', '--rank', '2')):
+        r = run(*args)
+        assert_fails(r, 4)
+        assert r.stderr.startswith('invalid configuration:'), (args, r.stderr)
+        assert r.stdout == '', args
+
+
+def test_help_exits_0():
+    r = run('--help')
+    assert r.returncode == 0, r.stderr
+    assert all(c in r.stdout for c in ('compute', 'table', 'coeffs', 'verify'))
+    r = run('compute', '--help')
+    assert r.returncode == 0, r.stderr
+    assert '--sample' in r.stdout and '--fixture-dir' in r.stdout
+
+
+@pytest.mark.parametrize('interrupt', [KeyboardInterrupt, EOFError])
+def test_interrupt_exits_4(monkeypatch, capsys, interrupt):
+    def interrupted(rng, data_dir):
+        raise interrupt
+        yield
+    monkeypatch.setitem(cli.SUITES, 'an', interrupted)
+    with pytest.raises(SystemExit) as ex:
+        cli.main(['verify', 'an'])
+    assert ex.value.code == 4
+    err = capsys.readouterr().err
+    assert err.strip() and 'Traceback' not in err
+
+
+def test_in_process_errors_propagate(monkeypatch, capsys, tmp_path):
+    # without standalone_mode the caller sees the exception, not an exit code
+    cases = [(['compute'], cli.ConfigError),
+             (['compute', '--bogus'], cli.ConfigError),
+             (['compute', '--series', 'A', '--rank', '2', '--sample', '1,0'],
+              invariants.DegeneratePoint),
+             (['compute', '--algebra', 'F4', '--fixture-dir', str(tmp_path)],
+              fixtures.FixtureError),
+             (['verify', 'an'], cli.Mismatch)]
+    monkeypatch.setitem(cli.SUITES, 'an', lambda rng, data_dir: [('an', False)])
+    for args, error in cases:
+        with pytest.raises(error):
+            cli.main(args, standalone_mode=False)
+    assert capsys.readouterr().err == ''
+
+
+def loaded_after(args):
+    """The package modules (and click, if any) that a fresh interpreter
+    holds after `cli.main(args, standalone_mode=False)`."""
+    script = (
+        'import contextlib, io, json, sys\n'
+        'from dscentral import cli\n'
+        'with contextlib.redirect_stdout(io.StringIO()):\n'
+        '    try:\n'
+        '        cli.main(%r, standalone_mode=False)\n'
+        '    except SystemExit as ex:\n'     # --help
+        '        assert ex.code == 0, ex.code\n'
+        'print(json.dumps([m for m in sys.modules\n'
+        '                  if m == "click" or m.startswith("dscentral")]))\n'
+        % (list(args),))
+    r = subprocess.run([sys.executable, '-c', script], capture_output=True,
+                       text=True, env=child_env())
+    assert r.returncode == 0, r.stderr
+    return set(json.loads(r.stdout.splitlines()[-1]))
+
+
+def test_classical_compute_imports_no_lie_or_fixture_code():
+    loaded = loaded_after(['compute', '--series', 'A', '--rank', '3'])
+    assert 'dscentral.invariants' in loaded
+    assert not loaded & {'click', 'dscentral.liealg', 'dscentral.dirac',
+                         'dscentral.fixtures', 'dscentral.frobenius',
+                         'dscentral.reference'}, loaded
+
+
+def test_table_imports_no_symbol_or_fixture_code():
+    loaded = loaded_after(['table', '--check'])
+    assert {'dscentral.liealg', 'dscentral.reference'} <= loaded
+    assert not loaded & {'click', 'dscentral.brackets', 'dscentral.invariants',
+                         'dscentral.fixtures'}, loaded
+
+
+def test_help_imports_no_mathematics():
+    assert loaded_after(['--help']) == {'dscentral', 'dscentral.cli',
+                                        'dscentral.upoly'}
 
 
 def test_exact_routes_run_without_sympy():

@@ -174,8 +174,7 @@ def d_algebra(n):
     X = [E(i, i + 1, 2 * n - i, 2 * n + 1 - i) for i in range(1, n)]
     X.append(E(n - 1, n + 1, n, n + 2))
     Y = [liealg.transpose(x) for x in X]
-    return liealg.MatrixLieAlgebra('D%d' % n, 'D', n, X, Y, Fraction(1, 2),
-                                   n * (2 * n - 1))
+    return liealg.MatrixLieAlgebra(n, X, Y, Fraction(1, 2), n * (2 * n - 1))
 
 
 @pytest.mark.parametrize('n,exponents', [(3, [1, 2, 3]), (4, [1, 3, 3, 5]),

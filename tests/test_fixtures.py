@@ -15,11 +15,11 @@ from fractions import Fraction
 import pytest
 
 from dscentral.algebra import Poly
-from dscentral import fixtures, frobenius, liealg, reference
+from dscentral import fixtures, frobenius, reference
 from dscentral.fixtures import (FixtureError, parse_expr, parse_triplets,
                                 load_document, build_algebra, load_frobenius,
                                 load_gammas, fixture_invariants)
-from dscentral.liealg import cartan_matrix, mmul, madd, mcomm
+from dscentral.liealg import cartan_matrix, madd, mcomm
 
 
 DOCUMENTS = ['e6', 'e7', 'e8', 'f4', 'g2']
@@ -156,6 +156,19 @@ def test_f4_algebra(f4):
     for i in range(4):
         for j in range(4):
             assert got[i][j] == C[perm[i]][perm[j]]
+
+
+def test_algebra_needs_no_name_or_type_header(f4, tmp_path):
+    # 'algebra' and 'type' label a document; the reader builds the
+    # algebra from the rank, the sizes and the generators alone
+    header, body = bundled_parts('f4')
+    lines = header.splitlines(keepends=True)
+    bare = ''.join(l for l in lines if not l.startswith(('algebra:', 'type:')))
+    assert len(bare.splitlines()) == len(lines) - 2
+    write_document(tmp_path, 'f4', bare, body)
+    alg = build_algebra('f4', str(tmp_path))
+    assert alg.dim == 52
+    assert alg.realized_cartan() == f4[0].realized_cartan()
 
 
 def test_f4_slice(f4):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dscentral.algebra import Poly
-from dscentral import brackets, fixtures, frobenius, liealg
+from dscentral import brackets, fixtures, liealg
 from dscentral.frobenius import (eta_from_potential, pencil_from_potential, potential_from_metrics,
                                  orbit_metrics_a, tvar)
 
