@@ -351,6 +351,17 @@ class Poly:
     __repr__ = __str__
 
 
+def u_list(n, u=None):
+    """Normalize a coordinate list: entries Poly/Fraction, u[0] is u_1;
+    without u, the symbols u_1, ..., u_n."""
+    if u is None:
+        return [Poly.of('u', i) for i in range(1, n + 1)]
+    out = [x if isinstance(x, Poly) else Poly.num(x) for x in u]
+    if len(out) != n:
+        raise ValueError("expected %d coordinates" % n)
+    return out
+
+
 def antiderivative(p, frozen=frozenset()):
     """Inverse of the total x-derivative; raises ValueError if `p` is not
     a total derivative.  Greedy: repeatedly strip the term with the

@@ -18,22 +18,17 @@ from fractions import Fraction
 
 from .algebra import Poly, accumulate, antiderivative
 from .symbols import Symbol
-from .lax import NU, dispersionless_symbol, lambda_xpoly, capital_lambda, \
-    capital_lambda_tilde
+from .lax import (capital_lambda, capital_lambda_tilde, dispersionless_symbol,
+                  lambda_xpoly, u_power)
 
 FROZEN = frozenset({'u', 'rho', 'p', 'q', 'P', 'Q'})
-PQ_FROZEN = frozenset({'p', 'q', 'P', 'Q'})
 
 
 def variational_symbol(series, n, fam='a', K=4):
     """Symbol of the operator attached to the density sum_i fam_i u_i."""
-    if series == 'A':
-        f = Symbol({(-i, 0): Poly.of(fam, i) for i in range(1, n + 1)}, K)
-        half = False
-    else:
-        nu = NU[series]
-        f = Symbol({(-2 * i + nu, 0): Poly.of(fam, i) for i in range(1, n + 1)}, K)
-        half = True
+    f = Symbol({(-u_power(series, i) - 1, 0): Poly.of(fam, i)
+                for i in range(1, n + 1)}, K)
+    half = series != 'A'
     out = Symbol(dict(f.c), K)
     cur = f
     fact = Fraction(1)
@@ -172,10 +167,6 @@ def normal_form(dens):
     return table
 
 
-def small_power(series, i):
-    return i - 1 if series == 'A' else 2 * i - 1 - NU[series]
-
-
 def generating_poly(table, series, n, s, capital=False):
     """Generating Laurent polynomial of the delta^(s) block of a table."""
     pname, qname = ('P', 'Q') if capital else ('p', 'q')
@@ -186,7 +177,7 @@ def generating_poly(table, series, n, s, capital=False):
         if capital:
             pi, pj = i - 1, j - 1
         else:
-            pi, pj = small_power(series, i), small_power(series, j)
+            pi, pj = u_power(series, i), u_power(series, j)
         out = out + pol * Poly.of(pname, 0, 0, pi) * Poly.of(qname, 0, 0, pj)
     return out
 
@@ -336,43 +327,4 @@ def closed_form_capital(series, n, a, s):
                  - _Frac(lam0 * (P + Q) * pq_inv))
         return f.expand()
     raise ValueError("unknown series %r" % series)
-
-
-def dispersionless_pencil(series, n):
-    """delta' and delta coefficients of the dispersionless pencil, as
-    generating Laurent polynomials (small variables for A, capital
-    variables otherwise).  u-jets of first order appear in the delta
-    parts; the delta' parts are the s = 1 closed forms, times 1/(P Q)
-    for D."""
-    out = {}
-    if series == 'A':
-        lp = _lam_tower(series, n, 'p')
-        lq = _lam_tower(series, n, 'q')
-        lxp, lxq = lp[0].xdiff(PQ_FROZEN), lq[0].xdiff(PQ_FROZEN)
-        lxq1 = lq[1].xdiff(PQ_FROZEN)
-        p, q = Poly.of('p'), Poly.of('q')
-        pq = p - q
-        nn = Fraction(1, n + 1)
-        out[('delta', 1)] = (_Frac(lxp - lxq, pq, 2) - _Frac(lxq1, pq)).expand()
-        out[('delta', 2)] = (_Frac(lxp * lq[0] - lxq * lp[0], pq, 2)
-                             + _Frac(lxq * lp[1] - lxq1 * lp[0], pq)
-                             + _Frac(lp[1] * lxq1 * nn)).expand()
-        for a in (1, 2):
-            out[('delta_prime', a)] = closed_form_small(series, n, a, 1)
-        return out
-    tilde = series == 'D'
-    L = _lam_tower(series, n, 'P', capital=True, tilde=tilde)
-    M = _lam_tower(series, n, 'Q', capital=True, tilde=tilde)
-    Lx, Mx = L[0].xdiff(PQ_FROZEN), M[0].xdiff(PQ_FROZEN)
-    Mx1 = M[1].xdiff(PQ_FROZEN)
-    P, Q = Poly.of('P'), Poly.of('Q')
-    PQ = P - Q
-    out[('delta', 1)] = (_Frac((P + Q) * (Lx - Mx), PQ, 2)
-                         - _Frac(2 * Q * Mx1, PQ)).expand()
-    out[('delta', 2)] = (_Frac((P + Q) * (Lx * M[0] - Mx * L[0]), PQ, 2)
-                         + _Frac(2 * (P * L[1] * Mx - Q * Mx1 * L[0]), PQ)).expand()
-    unit = Poly.of('P', exp=-1) * Poly.of('Q', exp=-1) if tilde else 1
-    for a in (1, 2):
-        out[('delta_prime', a)] = closed_form_capital(series, n, a, 1) * unit
-    return out
 

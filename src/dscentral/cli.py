@@ -61,7 +61,7 @@ def _parse_rats(text):
     return out
 
 
-def _emit(report, fmt, decimal):
+def _emit(report, fmt):
     if fmt == 'json':
         print(json.dumps(report, sort_keys=True, separators=(',', ':')))
         return
@@ -89,7 +89,7 @@ def _invariant_report(algebra, method, pairs, diagnostics, decimal):
 
 def _sample(n, seed, sample, draw):
     """Explicit --sample coordinates, or draw(rng) from the seed."""
-    if sample:
+    if sample is not None:
         u = _parse_rats(sample)
         if len(u) != n:
             raise ConfigError('sample needs %d coordinates' % n)
@@ -162,7 +162,7 @@ def compute(series, rank, algebra, method, seed, sample, order, fmt,
         pairs, diag = _compute_g2(seed, sample)
     else:
         pairs, diag = _compute_f4(seed, sample, fixture_dir)
-    _emit(_invariant_report(name, method, pairs, diag, decimal), fmt, decimal)
+    _emit(_invariant_report(name, method, pairs, diag, decimal), fmt)
 
 
 def table(rank, check, fold, fmt):
@@ -313,11 +313,10 @@ def _suite_frobenius(rng, data_dir):
     from . import brackets, fixtures, frobenius
     from .algebra import Poly
     orb = frobenius.orbit_metrics_a(2)
-    pen = brackets.dispersionless_pencil('A', 2)
     p, q = ('p', 0, 0), ('q', 0, 0)
     ok = True
     for s in (1, 2):
-        g = pen[('delta_prime', s)]
+        g = brackets.closed_form_small('A', 2, s, 1)
         for i in range(2):
             for j in range(2):
                 c = g.coeffs_in(p).get(i, Poly()).coeffs_in(q).get(j, Poly())

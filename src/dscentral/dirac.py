@@ -12,6 +12,9 @@ over either scalar ring:
   single fraction-free adjugate;
 - `numeric_pencil`: Fraction at one point, with the exact inverse of P
   at lam = 0, 1, 2, the levels read off the differences.
+
+`central_invariants_dirac` hands the tensors at a point to
+`invariants.defect_invariants`, the one defect formula of every route.
 """
 
 from fractions import Fraction
@@ -20,6 +23,7 @@ from .algebra import Poly, bareiss_det, bareiss_adjugate
 from . import liealg
 from .liealg import (ZERO, inverse, madd, mcomm, mscale, mzero, nullspace,
                      transpose)
+from .invariants import defect_invariants
 from .upoly import DegeneratePoint, derivative, rational_roots, value
 
 
@@ -172,7 +176,10 @@ def _reduce(parts, coeffs, zero, invert):
                    (-1, mm(s[2], Rt), 1), (-1, mm(s[1], St), 2)], 4))
 
 
+# the delta^(s) tensors (s = 1, 2, 3) of brackets 2 and 1, and their blocks
 LEVELS = (('g2', 'g1'), ('A12', 'A11'), ('A22', 'A21'))
+BLOCKS = {key: (a, s) for s, keys in enumerate(LEVELS, 1)
+          for a, key in zip((2, 1), keys)}
 
 
 def dirac_tensors(alg, slices):
@@ -205,12 +212,12 @@ def dirac_tensors(alg, slices):
 
 def central_invariants_dirac(tensors, n, upoint):
     """Evaluate the defect formula of the reduced pencil at a point with
-    rational canonical coordinates.
+    rational canonical coordinates, the roots lam of p(z) = det(g2 - z g1).
 
-    The tensors are evaluated at the point first: p(z) = det(g2 - z g1)
-    is a univariate determinant there, and each partial derivative
-    d_k p comes from Jacobi's formula, as the sum over rows r of the
-    determinant with row r replaced by d_k g2 - z d_k g1.
+    The tensors are evaluated at the point first.  Each partial
+    derivative d_k p comes from Jacobi's formula, as the sum over rows r
+    of the determinant with row r replaced by d_k g2 - z d_k g1, and
+    dlam = -grad p(lam) / p_z(lam).  Each tensor is one block of the formula.
 
     upoint: values of u^1..u^n.  Returns (roots, invariants).
     """
@@ -222,16 +229,17 @@ def central_invariants_dirac(tensors, n, upoint):
         return [[(e if v is None else e.diff(v)).subs(usub).constant()
                  for e in row] for row in M]
 
-    def pencil(v=None):
+    def pencil(g2, g1):
         return [[Poly.num(a) - z * b for a, b in zip(r2, r1)]
-                for r2, r1 in zip(at_point(tensors['g2'], v),
-                                  at_point(tensors['g1'], v))]
+                for r2, r1 in zip(g2, g1)]
 
-    M = pencil()
+    vals = {key: at_point(T) for key, T in tensors.items()}
+    M = pencil(vals['g2'], vals['g1'])
     p0 = bareiss_det(M)
     dp = []
     for k in range(n):
-        dM = pencil(('u', k + 1, 0))
+        v = ('u', k + 1, 0)
+        dM = pencil(at_point(tensors['g2'], v), at_point(tensors['g1'], v))
         dp.append(sum((bareiss_det(M[:r] + [dM[r]] + M[r + 1:])
                        for r in range(n)), Poly()))
 
@@ -244,20 +252,12 @@ def central_invariants_dirac(tensors, n, upoint):
     roots = rational_roots(p0)
     if roots is None:
         raise DegeneratePoint("irrational canonical coordinates")
-
-    g1 = at_point(tensors['g1'])
-    A22 = at_point(tensors['A22'])
-    A21 = at_point(tensors['A21'])
-    out = []
-    for z in roots:
-        d = [value(x, z) for x in dp]
-        num = sum(d[k] * d[l] * (A22[k][l] - z * A21[k][l])
-                  for k in range(n) for l in range(n))
-        den = sum(d[k] * d[l] * g1[k][l] for k in range(n) for l in range(n))
-        if den == 0:
-            raise DegeneratePoint("degenerate first metric direction")
-        out.append(Fraction(1, 3) * value(pz, z) ** 2 * num / den ** 2)
-    return roots, out
+    dlams = [[-value(x, lam) / v for x in dp]
+             for lam, v in zip(roots, (value(pz, lam) for lam in roots))]
+    blocks = {BLOCKS[key]: [(j, k, x) for j, row in enumerate(T)
+                            for k, x in enumerate(row) if x]
+              for key, T in vals.items()}
+    return roots, defect_invariants(roots, dlams, blocks)[1]
 
 
 def numeric_pencil(alg, slices, upoint):

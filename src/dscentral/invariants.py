@@ -1,22 +1,64 @@
-"""Canonical coordinates and central invariants of the scalar-Lax
-bihamiltonian pencils.
+"""Canonical coordinates and central invariants of bihamiltonian pencils.
 
-The pencil is diagonalized at the critical points of the symbol; the
-delta'', delta''' blocks of the bracket tables, contracted with the
-Jacobian of the critical values, feed the defect formula
+`defect_invariants` is the defect formula of Dubrovin, Liu and Zhang at
+a point with canonical coordinates lam_i.  With B_a^s the delta^(s)
+block of bracket a and E_a^s(k, i) = dlam_k B_a^s dlam_i, the pencil is
+diagonal there, E_1^1(k, i) = f_i delta_ki and E_2^1(i, i) = lam_i f_i, and
 
-    c_i = ( Q2_ii - lam_i Q1_ii
-            + sum_{k != i} (P2_ki - lam_i P1_ki)^2 / (f_k (lam_k - lam_i)) )
+    c_i = ( E_2^3(i, i) - lam_i E_1^3(i, i)
+            + sum_{k != i} (E_2^2(k, i) - lam_i E_1^2(k, i))^2 / (f_k (lam_k - lam_i)) )
           / (3 f_i^2).
 """
 
 import functools
 from fractions import Fraction
 
-from .brackets import bracket_table
-from .lax import u_list
+from .algebra import u_list
 from .upoly import (DegeneratePoint, derivative, from_roots, integral,
                     rational_roots, value)
+
+
+def defect_invariants(lams, dlams, blocks):
+    """The defect formula at one point: (f, c).
+
+    lams: the distinct canonical coordinates; dlams[i]: the components
+    of dlam_i; blocks[(a, s)]: B_a^s as 0-based (j, k, value) triples, a
+    missing block being zero.
+
+    >>> blocks = {(1, 1): [(0, 0, 2), (1, 1, 1)], (2, 1): [(0, 0, 2), (1, 1, -1)],
+    ...           (2, 3): [(0, 0, 6), (1, 1, 3)]}
+    >>> defect_invariants([1, -1], [[1, 0], [0, 1]], blocks)
+    ([Fraction(2, 1), Fraction(1, 1)], [Fraction(1, 2), Fraction(1, 1)])
+    """
+    n = len(lams)
+
+    def E(key):
+        # E(k, i) = dlam_k . (B dlam_i), the columns B dlam_i formed once
+        cols = []
+        for y in dlams:
+            col = [Fraction(0)] * len(y)
+            for j, k, v in blocks.get(key, ()):
+                col[j] += v * y[k]
+            cols.append(col)
+        return lambda k, i: sum(x * c for x, c in zip(dlams[k], cols[i]))
+
+    E11, E21, E12, E22, E13, E23 = (E((a, s)) for s in (1, 2, 3) for a in (1, 2))
+    f = []
+    for i in range(n):
+        if any(E11(k, i) for k in range(n) if k != i):
+            raise DegeneratePoint("first metric not diagonal")
+        f.append(E11(i, i))
+        if E21(i, i) != lams[i] * f[i]:
+            raise DegeneratePoint("second metric not lam * first")
+    if any(x == 0 for x in f):
+        raise DegeneratePoint("vanishing diagonal metric entry")
+    delta2 = (1, 2) in blocks or (2, 2) in blocks   # else the cross terms vanish
+
+    def c(i, lam):
+        cross = sum(((E22(k, i) - lam * E12(k, i)) ** 2 / (f[k] * (lams[k] - lam))
+                     for k in range(n) if k != i and delta2), Fraction(0))
+        return (E23(i, i) - lam * E13(i, i) + cross) / (3 * f[i] ** 2)
+    return f, [c(i, lam) for i, lam in enumerate(lams)]
 
 
 def canonical_coordinates(series, n, u):
@@ -29,7 +71,7 @@ def canonical_coordinates(series, n, u):
     All values are exact Fractions; a point whose critical points are not
     all rational raises DegeneratePoint.
     """
-    u = [x.constant() for x in u_list(series, n, u)]
+    u = [x.constant() for x in u_list(n, u)]
     # lam(p) = p^(n+1) + u_n p^(n-1) + ... + u_1 for A, and
     # Lam(P) = P^n + u_n P^(n-1) + ... + u_1 otherwise
     lam = u + [0, 1] if series == 'A' else u + [1]
@@ -47,17 +89,15 @@ def canonical_coordinates(series, n, u):
             pts.append((Fraction(0), value(lam, Fraction(0))))
     if len(pts) != n:
         raise DegeneratePoint("expected %d critical points, got %d" % (n, len(pts)))
-    vals = [lam for _, lam in pts]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if vals[i] == vals[j]:
-                raise DegeneratePoint("coinciding critical values")
+    if len({lam for _, lam in pts}) != n:
+        raise DegeneratePoint("coinciding critical values")
     return pts
 
 
 @functools.lru_cache(maxsize=None)
 def _symbolic_tables(series, n, K):
     # shared by every call on one algebra: never hand these Polys out
+    from .brackets import bracket_table
     return (bracket_table(series, n, 1, K=K), bracket_table(series, n, 2, K=K))
 
 
@@ -65,7 +105,7 @@ def tables_at(series, n, u, K=4):
     """The two bracket tables at a point: dict (i, j, s) -> Fraction,
     without the entries that vanish there.  The symbolic tables are
     built once per (series, n, K)."""
-    vals = {('u', k, 0): x.constant() for k, x in enumerate(u_list(series, n, u), 1)}
+    vals = {('u', k, 0): x.constant() for k, x in enumerate(u_list(n, u), 1)}
     out = []
     for table in _symbolic_tables(series, n, K):
         at = {}
@@ -77,69 +117,29 @@ def tables_at(series, n, u, K=4):
     return tuple(out)
 
 
-def _blocks(table):
-    """Table at a point -> dict s -> [(i, j, c)]."""
-    out = {}
-    for (i, j, s), c in table.items():
-        out.setdefault(s, []).append((i, j, c))
-    return out
-
-
 def central_invariants(series, n, u, K=4):
     """Full evaluation chain at a single point of the orbit space.
 
-    Returns a dict with canonical points, the diagonal metric entries f,
-    the contracted delta''/delta''' blocks P, Q and the invariants c.
-    The bracket tables are built symbolically once per (series, n, K),
-    kept for the life of the process, and evaluated at the point.
-    The formula reads the delta''' blocks, which need K >= 3.
+    Returns a dict with the canonical points, their values lambdas, the
+    diagonal metric entries f and the invariants c.  The bracket tables
+    are built symbolically once per (series, n, K), kept for the life of
+    the process, and evaluated at the point.  The formula reads the
+    delta''' blocks, which need K >= 3.
     """
     if K < 3:
         raise ValueError("epsilon order K = %d < 3: no delta''' blocks" % K)
-    u = u_list(series, n, u)
     pts = canonical_coordinates(series, n, u)
-    blocks = [_blocks(t) for t in tables_at(series, n, u, K)]
-    rs = [r for r, _ in pts]
-    lams = [l for _, l in pts]
+    blocks = {}
+    for a, table in enumerate(tables_at(series, n, u, K), 1):
+        for (i, j, s), c in table.items():
+            blocks.setdefault((a, s), []).append((i - 1, j - 1, c))
     # the delta^(s) coefficient at (x, y) is sum c x^(i-1) y^(j-1) in the
-    # small variable for A and in the capital one otherwise
-    pw = [[r ** e for e in range(n)] for r in rs]
-
-    def E(a, s, k, i):
-        x, y = pw[k], pw[i]
-        v = sum((c * x[ia - 1] * y[jb - 1] for ia, jb, c in blocks[a - 1].get(s, ())),
-                Fraction(0))
-        if series == 'D':
-            v = v / (rs[k] * rs[i])
-        return v
-
-    f = []
-    for i in range(n):
-        for k in range(n):
-            v = E(1, 1, k, i)
-            if k != i and v != 0:
-                raise DegeneratePoint("first metric not diagonal")
-            if k == i:
-                f.append(v)
-        if E(2, 1, i, i) != lams[i] * f[i]:
-            raise DegeneratePoint("second metric not lam * first")
-    if any(x == 0 for x in f):
-        raise DegeneratePoint("vanishing diagonal metric entry")
-    P1 = {(k, i): E(1, 2, k, i) for k in range(n) for i in range(n)}
-    P2 = {(k, i): E(2, 2, k, i) for k in range(n) for i in range(n)}
-    Q1 = [E(1, 3, i, i) for i in range(n)]
-    Q2 = [E(2, 3, i, i) for i in range(n)]
-    cs = []
-    for i in range(n):
-        acc = Q2[i] - lams[i] * Q1[i]
-        for k in range(n):
-            if k == i:
-                continue
-            num = (P2[(k, i)] - lams[i] * P1[(k, i)]) ** 2
-            acc += num / (f[k] * (lams[k] - lams[i]))
-        cs.append(acc / (3 * f[i] ** 2))
-    return {'points': pts, 'lambdas': lams, 'f': f, 'P1': P1, 'P2': P2,
-            'Q1': Q1, 'Q2': Q2, 'c': cs}
+    # small variable for A and in the capital one otherwise, over x y for D
+    shift = 1 if series == 'D' else 0
+    dlams = [[r ** (e - shift) for e in range(n)] for r, _ in pts]
+    lams = [lam for _, lam in pts]
+    f, cs = defect_invariants(lams, dlams, blocks)
+    return {'points': pts, 'lambdas': lams, 'f': f, 'c': cs}
 
 
 def residue_identity(rs):

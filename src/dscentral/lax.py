@@ -15,61 +15,44 @@ symbols reduce to Laurent polynomials in p:
     lam(p) = p^(2n+1-nu) + sum_i u_i p^(2i-1-nu),  nu = 0, 1, 2.
 """
 
-from .algebra import Poly
+from .algebra import Poly, u_list
 from .symbols import Symbol
 
 NU = {'B': 0, 'C': 1, 'D': 2}
 
 
-def u_list(series, n, u=None):
-    """Normalize a coordinate list: entries Poly/Fraction, u[0] is u_1."""
-    if u is None:
-        return [Poly.of('u', i) for i in range(1, n + 1)]
-    out = []
-    for x in u:
-        out.append(x if isinstance(x, Poly) else Poly.num(x))
-    if len(out) != n:
-        raise ValueError("expected %d coordinates" % n)
-    return out
+def u_power(series, i):
+    """The power of p that u_i multiplies in lam(p); the leading power
+    is n + 1 for A and u_power(series, n + 1) otherwise."""
+    return i - 1 if series == 'A' else 2 * i - 1 - NU[series]
+
+
+def _lam_coeffs(series, n, u):
+    # lam(p) as a dict power of p -> coefficient
+    if series != 'A' and series not in NU:
+        raise ValueError("unknown series %r" % series)
+    c = {n + 1 if series == 'A' else u_power(series, n + 1): Poly.num(1)}
+    for i, x in enumerate(u_list(n, u), 1):
+        c[u_power(series, i)] = x
+    return c
 
 
 def dispersionless_symbol(series, n, u=None, K=4):
     """Symbol of the Lax operator with all x-derivatives suppressed."""
-    u = u_list(series, n, u)
-    c = {}
-    if series == 'A':
-        c[n + 1] = Poly.num(1)
-        for i in range(1, n + 1):
-            c[i - 1] = c.get(i - 1, Poly()) + u[i - 1]
-    elif series in NU:
-        nu = NU[series]
-        c[2 * n + 1 - nu] = Poly.num(1)
-        for i in range(1, n + 1):
-            pw = 2 * i - 1 - nu
-            c[pw] = c.get(pw, Poly()) + u[i - 1]
-    else:
-        raise ValueError("unknown series %r" % series)
-    return Symbol.from_p_poly(c, K)
+    return Symbol.from_p_poly(_lam_coeffs(series, n, u), K)
 
 
 def lambda_xpoly(series, n, pname='p'):
     """lam as a Laurent Poly in the variable (pname, 0, 0)."""
-    u = u_list(series, n)
-    if series == 'A':
-        out = Poly.of(pname, 0, 0, n + 1)
-        for i in range(1, n + 1):
-            out = out + u[i - 1] * Poly.of(pname, 0, 0, i - 1)
-        return out
-    nu = NU[series]
-    out = Poly.of(pname, 0, 0, 2 * n + 1 - nu)
-    for i in range(1, n + 1):
-        out = out + u[i - 1] * Poly.of(pname, 0, 0, 2 * i - 1 - nu)
+    out = Poly()
+    for e, x in _lam_coeffs(series, n, None).items():
+        out = out + x * Poly.of(pname, 0, 0, e)
     return out
 
 
 def capital_lambda(n, Pname='P'):
     """Lam(P) = P^n + u_n P^(n-1) + ... + u_1 (all series)."""
-    u = u_list('B', n)
+    u = u_list(n)
     out = Poly.of(Pname, 0, 0, n)
     for i in range(1, n + 1):
         out = out + u[i - 1] * Poly.of(Pname, 0, 0, i - 1)

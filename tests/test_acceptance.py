@@ -213,7 +213,6 @@ def test_criterion_10_frobenius_cross_checks():
     pts = [(1, 2, 1), (-1, 3, 2), (2, 0, -1), (3, -2, 1), (0, 1, 5)]
     for n in (1, 2, 3):
         orb = frobenius.orbit_metrics_a(n)
-        pen = brackets.dispersionless_pencil('A', n)
         p, q = ('p', 0, 0), ('q', 0, 0)
         for pt in pts:
             subs_u = {('u', k + 1, 0): Poly.num(Fraction(pt[k]))
@@ -221,7 +220,7 @@ def test_criterion_10_frobenius_cross_checks():
             subs_t = {('t', k + 1, 0): Poly.num(Fraction(pt[k]))
                       for k in range(n)}
             for s in (1, 2):
-                g = pen[('delta_prime', s)]
+                g = brackets.closed_form_small('A', n, s, 1)
                 mat = 'g1' if s == 1 else 'g2'
                 for i in range(n):
                     for j in range(n):

@@ -14,8 +14,7 @@ from dscentral import invariants
 from dscentral.brackets import (bracket_density, bracket_table, ibp_reduce,
                                 generating_poly,
                                 closed_form_small, closed_form_capital,
-                                dispersionless_pencil, gy_exact, normal_form,
-                                variational_symbol)
+                                gy_exact, normal_form, variational_symbol)
 from dscentral.lax import dispersionless_symbol
 from dscentral.symbols import Symbol
 
@@ -100,45 +99,6 @@ def test_generating_roundtrip():
             continue
         gi = g.coeffs_in(('p', 0, 0)).get(i - 1, Poly())
         assert (gi.coeffs_in(('q', 0, 0)).get(j - 1, Poly()) - pol).is_zero()
-
-
-def test_dispersionless_pencil_leading_blocks():
-    # delta' parts agree with the closed forms of the full tables
-    out = dispersionless_pencil('A', 2)
-    assert (out[('delta_prime', 1)] - closed_form_small('A', 2, 1, 1)).is_zero()
-    assert (out[('delta_prime', 2)] - closed_form_small('A', 2, 2, 1)).is_zero()
-    outb = dispersionless_pencil('B', 2)
-    assert (outb[('delta_prime', 1)] - closed_form_capital('B', 2, 1, 1)).is_zero()
-    assert (outb[('delta_prime', 2)] - closed_form_capital('B', 2, 2, 1)).is_zero()
-
-
-def test_pencil_delta_blocks_are_derivatives():
-    # the delta coefficient is half the x-derivative of the delta'
-    # coefficient in each metric slot (hydrodynamic compatibility is not
-    # assumed, it is a consequence of the construction)
-    from dscentral.brackets import PQ_FROZEN
-    out = dispersionless_pencil('A', 2)
-    for s in (1, 2):
-        gp = out[('delta_prime', s)]
-        g0 = out[('delta', s)]
-        # symmetric part of the delta block pairs with d_x of delta'
-        sym = g0 + _swap_pq(g0) - gp.xdiff(PQ_FROZEN)
-        assert sym.is_zero()
-
-
-def _swap_pq(p):
-    out = {}
-    for m, c in p.terms.items():
-        nm = []
-        for (fam, i, o), e in m:
-            if fam == 'p':
-                fam = 'q'
-            elif fam == 'q':
-                fam = 'p'
-            nm.append(((fam, i, o), e))
-        key = tuple(sorted(nm))
-        out[key] = out.get(key, Fraction(0)) + c
-    return Poly(out)
 
 
 def full_product_density(series, n, which, u, K=4):

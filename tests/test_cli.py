@@ -111,6 +111,10 @@ def test_exit_code_config_errors():
     assert_fails(run('compute', '--series', 'D', '--rank', '2'), 4)
     assert_fails(run('compute', '--series', 'A', '--rank', '2',
                      '--sample', 'x,y'), 4)
+    # an explicit empty sample is a bad sample, not the seeded draw
+    assert_fails(run('compute', '--series', 'A', '--rank', '2', '--sample='), 4)
+    assert_fails(run('compute', '--series', 'A', '--rank', '2', '--sample', ''), 4)
+    assert_fails(run('compute', '--algebra', 'F4', '--sample='), 4)
 
 
 def test_exit_code_bad_ranks_orders_and_digits():
@@ -516,6 +520,15 @@ def test_classical_compute_imports_no_lie_or_fixture_code():
     assert not loaded & {'click', 'dscentral.liealg', 'dscentral.dirac',
                          'dscentral.fixtures', 'dscentral.frobenius',
                          'dscentral.reference'}, loaded
+
+
+@pytest.mark.parametrize('algebra', ['G2', 'F4'])
+def test_exceptional_compute_imports_no_symbol_code(algebra):
+    # the defect formula comes from invariants, which loads no symbol code
+    loaded = loaded_after(['compute', '--algebra', algebra])
+    assert 'dscentral.invariants' in loaded
+    assert not loaded & {'click', 'dscentral.brackets', 'dscentral.symbols',
+                         'dscentral.lax'}, loaded
 
 
 def test_table_imports_no_symbol_or_fixture_code():

@@ -67,11 +67,10 @@ def test_orbit_metrics_match_pencil_up_to_sign(n):
     # the coefficient-space metrics agree with the delta' blocks of the
     # scalar pencil after one global sign flip
     orb = orbit_metrics_a(n)
-    pen = brackets.dispersionless_pencil('A', n)
     p, q = ('p', 0, 0), ('q', 0, 0)
     ren = {('t', k, 0): Poly.of('u', k) for k in range(1, n + 1)}
     for s in (1, 2):
-        g = pen[('delta_prime', s)]
+        g = brackets.closed_form_small('A', n, s, 1)
         for i in range(n):
             for j in range(n):
                 c = g.coeffs_in(p).get(i, Poly()).coeffs_in(q).get(j, Poly())
@@ -89,7 +88,6 @@ def test_orbit_metrics_first_is_t1_derivative():
 def test_orbit_metrics_at_samples():
     # numeric agreement at rational points, including the sign
     orb = orbit_metrics_a(2)
-    pen = brackets.dispersionless_pencil('A', 2)
     p, q = ('p', 0, 0), ('q', 0, 0)
     pts = [(Fraction(1), Fraction(2)), (Fraction(-1), Fraction(3)),
            (Fraction(1, 2), Fraction(0)), (Fraction(5), Fraction(-2)),
@@ -98,7 +96,7 @@ def test_orbit_metrics_at_samples():
         subs_t = {('t', 1, 0): Poly.num(t1v), ('t', 2, 0): Poly.num(t2v)}
         subs_u = {('u', 1, 0): Poly.num(t1v), ('u', 2, 0): Poly.num(t2v)}
         for s in (1, 2):
-            g = pen[('delta_prime', s)]
+            g = brackets.closed_form_small('A', 2, s, 1)
             mat = 'g1' if s == 1 else 'g2'
             for i in range(2):
                 for j in range(2):

@@ -13,10 +13,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dscentral import invariants, liealg, reference
+from dscentral import brackets, dirac, invariants, liealg, reference
 from dscentral.invariants import (DegeneratePoint, canonical_coordinates,
-                                  central_invariants, residue_identity,
-                                  sample_from_roots, random_sample)
+                                  central_invariants, defect_invariants,
+                                  residue_identity, sample_from_roots,
+                                  random_sample)
 from dscentral.liealg import lie_central_invariants
 from dscentral.upoly import rational_roots
 
@@ -104,10 +105,6 @@ def test_first_metric_diagonal_data():
     u = random_sample('A', 3, rng)
     res = central_invariants('A', 3, u)
     assert all(f != 0 for f in res['f'])
-    # second metric is lam times the first on the diagonal; implied by
-    # construction, re-checked here through the returned blocks
-    for i, lam in enumerate(res['lambdas']):
-        assert res['Q1'][i] is not None
     assert len(res['points']) == 3
 
 
@@ -150,12 +147,12 @@ def test_foldings():
 
 def test_second_call_reuses_the_tables(monkeypatch):
     calls = []
-    build = invariants.bracket_table
+    build = brackets.bracket_table
 
     def counting(*args, **kwargs):
         calls.append(args)
         return build(*args, **kwargs)
-    monkeypatch.setattr(invariants, 'bracket_table', counting)
+    monkeypatch.setattr(brackets, 'bracket_table', counting)
     invariants._symbolic_tables.cache_clear()
     rng = random.Random(37)
     u, v = random_sample('C', 3, rng), random_sample('C', 3, rng)
@@ -164,6 +161,69 @@ def test_second_call_reuses_the_tables(monkeypatch):
     assert central_invariants('C', 3, u) == first
     assert central_invariants('C', 3, v)['c'] == first['c']
     assert len(calls) == 2
+
+
+def _inputs_of_defect_invariants(monkeypatch, module, run):
+    """The (lams, dlams, blocks) that `run` hands to defect_invariants
+    through `module`."""
+    seen = []
+
+    def spy(*args):
+        seen.append(args)
+        return defect_invariants(*args)
+    with monkeypatch.context() as m:
+        m.setattr(module, 'defect_invariants', spy)
+        run()
+    assert len(seen) == 1
+    return seen[0]
+
+
+def _change_coordinates(dlams, blocks, J):
+    """The blocks as J B J^T and the covectors as J^-T dlam."""
+    m = len(J)
+    Jinv = liealg.inverse(J)
+    out = {}
+    for key, entries in blocks.items():
+        B = [[Fraction(0)] * m for _ in range(m)]
+        for j, k, v in entries:
+            B[j][k] += v
+        JBJt = liealg.mmul(liealg.mmul(J, B), liealg.transpose(J))
+        out[key] = [(a, b, x) for a, row in enumerate(JBJt)
+                    for b, x in enumerate(row) if x]
+    return ([[sum(Jinv[j][a] * d[j] for j in range(m)) for a in range(m)]
+             for d in dlams], out)
+
+
+def test_defect_formula_is_coordinate_free(monkeypatch):
+    # dlam_k B dlam_i is a scalar, so a linear change of coordinates
+    # leaves (f, c) as they are; symbol-route data and G2 Dirac data
+    rng = random.Random(43)
+    cases = []
+    for series, n in (('A', 3), ('B', 3), ('C', 2), ('D', 3)):
+        u = random_sample(series, n, rng)
+        cases.append(_inputs_of_defect_invariants(
+            monkeypatch, invariants, lambda: central_invariants(series, n, u)))
+    alg = liealg.g2_algebra()
+    tens = dirac.dirac_tensors(alg, dirac.g2_slice(alg))
+    for _ in range(2):
+        u = reference.g2_sample(rng)
+        cases.append(_inputs_of_defect_invariants(
+            monkeypatch, dirac, lambda: dirac.central_invariants_dirac(tens, 2, u)))
+    assert any(key[1] == 2 for _, _, blocks in cases for key in blocks)
+    moves = 0
+    for lams, dlams, blocks in cases:
+        want = defect_invariants(lams, dlams, blocks)
+        m = len(dlams[0])
+        for _ in range(3):
+            J = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m)]
+                 for _ in range(m)]
+            try:
+                moved = _change_coordinates(dlams, blocks, J)
+            except ValueError:          # a singular J
+                continue
+            assert defect_invariants(lams, *moved) == want
+            moves += 1
+    assert moves >= 2 * len(cases)
 
 
 def test_table_row_derivation_matches_the_stored_rank_4_rows():

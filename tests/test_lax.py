@@ -2,14 +2,14 @@
 
 import pytest
 
-from dscentral.algebra import Poly
-from dscentral.lax import (NU, u_list, dispersionless_symbol, lambda_xpoly,
+from dscentral.algebra import Poly, u_list
+from dscentral.lax import (NU, dispersionless_symbol, lambda_xpoly,
                            capital_lambda, capital_lambda_tilde)
 
 
 def test_u_list_length_check():
     with pytest.raises(ValueError):
-        u_list('A', 3, [1, 2])
+        u_list(3, [1, 2])
 
 
 def test_dispersionless_symbol_a():
