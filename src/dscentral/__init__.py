@@ -9,7 +9,7 @@ Subpackage layout:
     lax         scalar Lax operators for the classical series
     brackets    Poisson bracket tables from the symbol calculus
     invariants  canonical coordinates and central invariants
-    liealg      exact Lie algebra data (structure constants, gradings)
+    liealg      exact Lie algebra data (Chevalley-basis matrices, gradings)
     dirac       bracket tensors through Dirac reduction on a slice
     frobenius   Frobenius manifold / orbit space constructions
     fixtures    bundled exceptional-algebra data files

@@ -55,9 +55,10 @@ def gy_exact(lsym, ysym, frozen=frozenset()):
     return out
 
 
-def bracket_density(series, n, which, K=4):
-    """Residue density of the bracket (without the overall 1/eps) as a
-    dict eps-power -> Poly, symbolic in u with the u-jets suppressed.
+def bracket_density(series, n, K=4):
+    """Residue density of the second bracket (without the overall 1/eps)
+    as a dict eps-power -> Poly, symbolic in u with the u-jets
+    suppressed; `unit_derivative` of it is the first bracket's.
 
     The density is res(sum of sign * left * right) over a few signed
     pairs; only the p^-1 part of each last product is formed.
@@ -67,30 +68,11 @@ def bracket_density(series, n, which, K=4):
     X = variational_symbol(series, n, 'a', K)
     Y = variational_symbol(series, n, 'b', K)
     st = lambda A, B: A.star(B, frozen)
-    if which == 2:
-        pairs = [(1, st(st(lsym, Y).positive(), lsym), X),
-                 (-1, st(X, lsym), st(Y, lsym).positive())]
-        if series == 'A':
-            g = gy_exact(lsym, Y, frozen)
-            pairs.append((Fraction(1, n + 1), X, lsym.commutator(g, frozen)))
-    elif which == 1:
-        if series == 'A':
-            pairs = [(1, Y.commutator(X, frozen), lsym)]
-        elif series == 'B':
-            Ds = Symbol.from_p_poly({1: 1}, K)
-            pairs = [(1, lsym, st(st(Y, Ds), X) - st(st(X, Ds), Y))]
-        elif series == 'C':
-            pairs = [(1, lsym, Y.commutator(X, frozen))]
-        elif series == 'D':
-            Ds = Symbol.from_p_poly({1: 1}, K)
-            Xp, Xm = X.positive(), X.negative()
-            Yp, Ym = Y.positive(), Y.negative()
-            pairs = [(1, lsym, st(st(Xp, Ds), Yp) - st(st(Yp, Ds), Xp)
-                      + st(st(Ym, Ds), Xm) - st(st(Xm, Ds), Ym))]
-        else:
-            raise ValueError("unknown series %r" % series)
-    else:
-        raise ValueError("which must be 1 or 2")
+    pairs = [(1, st(st(lsym, Y).positive(), lsym), X),
+             (-1, st(X, lsym), st(Y, lsym).positive())]
+    if series == 'A':
+        g = gy_exact(lsym, Y, frozen)
+        pairs.append((Fraction(1, n + 1), X, lsym.commutator(g, frozen)))
     out = {}
     for sign, left, right in pairs:
         for e, pol in left.star_residue(right, frozen).items():
@@ -127,9 +109,26 @@ def ibp_reduce(pol):
     return Poly(out)
 
 
+def unit_derivative(series, polys):
+    """The derivative along the unit field of a density or a table, the
+    entries that vanish dropped.
+
+    The pencil is {,}_2 - lam {,}_1 and the shift lam rides on the
+    constant term of lam (of Lam~ = Lam/P for D), so the first bracket
+    is the derivative of the second by u_1 (by u_2 for D).
+    """
+    v = ('u', 2 if series == 'D' else 1, 0)
+    out = {k: p.diff(v) for k, p in polys.items()}
+    return {k: p for k, p in out.items() if not p.is_zero()}
+
+
 def bracket_table(series, n, which, K=4):
-    """Normal-form coefficient table: dict (i, j, s) -> Poly in u."""
-    return normal_form(bracket_density(series, n, which, K))
+    """Normal-form coefficient table of bracket `which` (1 or 2): dict
+    (i, j, s) -> Poly in u."""
+    if which not in (1, 2):
+        raise ValueError("which must be 1 or 2")
+    dens = bracket_density(series, n, K)
+    return normal_form(dens if which == 2 else unit_derivative(series, dens))
 
 
 def normal_form(dens):

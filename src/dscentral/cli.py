@@ -176,9 +176,14 @@ def table(rank, check, fold, fmt):
         folded = liealg.fold(ftyp, frank)
         direct = liealg.lie_central_invariants(*target)
         ok = folded == direct
-        print('fold %s -> %s: folded %s direct %s %s'
-              % (src, dst, [_rat(c) for c in folded],
-                 [_rat(c) for c in direct], 'ok' if ok else 'MISMATCH'))
+        folded, direct = [_rat(c) for c in folded], [_rat(c) for c in direct]
+        if fmt == 'json':
+            print(json.dumps({'source': src, 'target': dst, 'folded': folded,
+                              'direct': direct, 'ok': ok},
+                             sort_keys=True, separators=(',', ':')))
+        else:
+            print('fold %s -> %s: folded %s direct %s %s'
+                  % (src, dst, folded, direct, 'ok' if ok else 'MISMATCH'))
         if not ok:
             raise Mismatch('folding %s -> %s' % (src, dst))
         return
@@ -213,8 +218,8 @@ def coeffs(series, rank, check):
         raise ConfigError('bad rank')
     capital = series != 'A'
     bad = []
-    for a in (1, 2):
-        t = brackets.bracket_table(series, rank, a)
+    second = brackets.bracket_table(series, rank, 2)
+    for a, t in ((1, brackets.unit_derivative(series, second)), (2, second)):
         for s in sorted({k[2] for k in t}):
             g = brackets.generating_poly(t, series, rank, s, capital=capital)
             print('a=%d s=%d: %s' % (a, s, g))

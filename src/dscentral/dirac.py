@@ -1,15 +1,16 @@
 """Reduction of the bihamiltonian structure to a transversal slice by
 second class constraints, for exact matrix Lie algebra data.
 
-At the slice point q = I_- + sum u^k gamma_k + lam gamma_n the
-constraint blocks are affine in (1, u^1, ..., u^n), the shift lam riding
-on u^n.  `_constraint_parts` builds their parts once, and one chain,
-`_reduce`, turns them into the second-bracket blocks, whose parts of
-degree 0 and 1 in lam are the two levels of the pencil.  The chain runs
+At the slice point q = I_- + sum u^k gamma_k the constraint blocks are
+affine in (1, u^1, ..., u^n).  `_constraint_parts` builds their parts
+once, and one chain, `_reduce`, turns them into the second-bracket
+blocks.  The pencil's shift lam rides on u^n, the unit field, so the
+first bracket is the derivative of the second along it.  The chain runs
 over either scalar ring:
 
-- `dirac_tensors`: Poly in the u^k and lam, with P^-1 = W / d from a
-  single fraction-free adjugate;
+- `dirac_tensors`: Poly in the u^k, with P^-1 = W / d from a single
+  fraction-free adjugate, the first-bracket tensors the d/du^n
+  derivatives of the second-bracket ones;
 - `numeric_pencil`: Fraction at one point, with the exact inverse of P
   at lam = 0, 1, 2, the levels read off the differences.
 
@@ -25,9 +26,6 @@ from .liealg import (ZERO, inverse, madd, mcomm, mscale, mzero, nullspace,
                      transpose)
 from .invariants import defect_invariants
 from .upoly import DegeneratePoint, derivative, rational_roots, value
-
-
-LAM = ('lam', 0, 0)
 
 
 def slice_bases(alg, gammas=None):
@@ -188,11 +186,12 @@ def dirac_tensors(alg, slices):
 
     Returns a dict of n x n Poly matrices: 'g2', 'g1', 'A12', 'A11',
     'A22', 'A21' (second index = shift level), entries polynomial in
-    the u^i.  The shift lam is kept symbolic, so P has one adjugate.
+    the u^i.  Each first-bracket tensor is the d/du^n derivative of its
+    second-bracket one, which must be linear in u^n.
     """
     parts = _constraint_parts(alg, slices)
     coeffs = [Poly.num(1)] + [Poly.of('u', k + 1) for k in range(alg.n)]
-    coeffs[-1] = coeffs[-1] + Poly.from_var(LAM)
+    unit = ('u', alg.n, 0)
 
     def adjugate(P):
         W, d = bareiss_adjugate(P)
@@ -202,11 +201,11 @@ def dirac_tensors(alg, slices):
 
     out = {}
     for (k2, k1), M in zip(LEVELS, _reduce(parts, coeffs, Poly(), adjugate)):
-        split = [[x.coeffs_in(LAM) if x else {} for x in row] for row in M]
-        if any(e > 1 for row in split for c in row for e in c):
+        M = [[x or Poly() for x in row] for row in M]    # zeros as Poly too
+        D = [[x.diff(unit) for x in row] for row in M]
+        if any(x.diff(unit) for row in D for x in row):
             raise ValueError("shift dependence not linear")
-        out[k2], out[k1] = ([[c.get(e, Poly()) for c in row] for row in split]
-                            for e in (0, 1))
+        out[k2], out[k1] = M, D
     return out
 
 
@@ -284,7 +283,6 @@ def numeric_pencil(alg, slices, upoint):
 def g2_slice(alg):
     """The transversal slice of the rank 2 algebra with the historical
     normalization of the grade 1 and grade 5 generators."""
-    Xt, _ = liealg.chevalley_tower_g2(alg)
     g1 = madd(mscale(alg.X[0], Fraction(3, 5)), alg.X[1])
-    g2 = Xt[-1]
+    g2 = mscale(alg.root_vector((3, 2)), -1)
     return slice_bases(alg, [g1, g2])

@@ -97,8 +97,9 @@ def canonical_coordinates(series, n, u):
 @functools.lru_cache(maxsize=None)
 def _symbolic_tables(series, n, K):
     # shared by every call on one algebra: never hand these Polys out
-    from .brackets import bracket_table
-    return (bracket_table(series, n, 1, K=K), bracket_table(series, n, 2, K=K))
+    from . import brackets
+    second = brackets.bracket_table(series, n, 2, K=K)
+    return brackets.unit_derivative(series, second), second
 
 
 def tables_at(series, n, u, K=4):

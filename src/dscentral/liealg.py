@@ -463,19 +463,3 @@ def g2_algebra():
     Y1 = E([(2, 1, 1), (4, 3, 1), (5, 4, 2), (7, 6, 1)])
     Y2 = E([(3, 2, 1), (6, 5, 1)])
     return MatrixLieAlgebra(2, [X1, X2], [Y1, Y2], Fraction(1, 2), 14)
-
-
-def chevalley_tower_g2(alg):
-    """The positive root vectors X_3..X_6 (and their negatives) from the
-    two generators."""
-    X1, X2 = alg.X
-    Y1, Y2 = alg.Y
-    X3 = mscale(mcomm(X1, X2), -1)
-    Y3 = mcomm(Y1, Y2)
-    X4 = mscale(mcomm(X1, X3), Fraction(-1, 2))
-    Y4 = mscale(mcomm(Y1, Y3), Fraction(1, 2))
-    X5 = mscale(mcomm(X1, X4), Fraction(-1, 3))
-    Y5 = mscale(mcomm(Y1, Y4), Fraction(1, 3))
-    X6 = mscale(mcomm(X2, X5), -1)
-    Y6 = mcomm(Y2, Y5)
-    return [X3, X4, X5, X6], [Y3, Y4, Y5, Y6]

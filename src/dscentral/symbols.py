@@ -139,9 +139,6 @@ class Symbol:
     def positive(self):
         return Symbol({k: p for k, p in self.c.items() if k[0] >= 0}, self.K)
 
-    def negative(self):
-        return Symbol({k: p for k, p in self.c.items() if k[0] < 0}, self.K)
-
     def residue(self):
         """Coefficient of p^-1 as dict eps-power -> Poly."""
         return {e: p for (i, e), p in self.c.items() if i == -1}

@@ -181,8 +181,8 @@ def test_criterion_08_property_suite():
             if not (a.xdiff() - pol).is_zero():
                 ok = False
     for series, n in (('A', 2), ('B', 2), ('C', 2), ('D', 3)):
-        for which in (1, 2):
-            dens = brackets.bracket_density(series, n, which, K=2)
+        second = brackets.bracket_density(series, n, K=2)
+        for dens in (brackets.unit_derivative(series, second), second):
             for e, pol in dens.items():
                 if e > 2:
                     continue

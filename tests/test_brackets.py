@@ -14,7 +14,8 @@ from dscentral import invariants
 from dscentral.brackets import (bracket_density, bracket_table, ibp_reduce,
                                 generating_poly,
                                 closed_form_small, closed_form_capital,
-                                gy_exact, normal_form, variational_symbol)
+                                gy_exact, normal_form, unit_derivative,
+                                variational_symbol)
 from dscentral.lax import dispersionless_symbol
 from dscentral.symbols import Symbol
 
@@ -38,8 +39,11 @@ def _swap_ab(p):
 @pytest.mark.parametrize('which', [1, 2])
 def test_bracket_antisymmetry(series, n, which):
     # swapping the two test densities negates the residue density up to
-    # a total x-derivative, order by order in eps
-    dens = bracket_density(series, n, which, K=2)
+    # a total x-derivative, order by order in eps; the first bracket's
+    # density is the unit-field derivative of the second's
+    dens = bracket_density(series, n, K=2)
+    if which == 1:
+        dens = unit_derivative(series, dens)
     for e, pol in dens.items():
         if e > 2:
             continue
@@ -103,7 +107,9 @@ def test_generating_roundtrip():
 
 def full_product_density(series, n, which, u, K=4):
     """Reference: the residue of the whole last star product, at a
-    numeric point u, with the u-jets suppressed."""
+    numeric point u, with the u-jets suppressed.  The first bracket has
+    its own formula for each series here, independent of the unit-field
+    derivative that the package takes."""
     frozen = frozenset({'u', 'rho'})
     lsym = dispersionless_symbol(series, n, u, K)
     X = variational_symbol(series, n, 'a', K)
@@ -124,21 +130,23 @@ def full_product_density(series, n, which, u, K=4):
         t = st(lsym, Y.commutator(X, frozen))
     else:
         Ds = Symbol.from_p_poly({1: 1}, K)
-        Xp, Xm = X.positive(), X.negative()
-        Yp, Ym = Y.positive(), Y.negative()
+        Xp, Yp = X.positive(), Y.positive()
+        Xm, Ym = X - Xp, Y - Yp
         t = st(lsym, st(st(Xp, Ds), Yp) - st(st(Yp, Ds), Xp)
                + st(st(Ym, Ds), Xm) - st(st(Xm, Ds), Ym))
     return t.residue()
 
 
-@pytest.mark.parametrize('series,n', [('A', 2), ('B', 3), ('C', 3), ('D', 4)])
-def test_cached_tables_at_a_point_match_full_product(series, n):
+@pytest.mark.parametrize('series,n,K', [
+    pytest.param(series, n, K, id='%s-%d' % (series, n) + ('' if K == 4 else '-K%d' % K))
+    for K in (4, 3, 5) for series, n in (('A', 2), ('B', 3), ('C', 3), ('D', 4))])
+def test_cached_tables_at_a_point_match_full_product(series, n, K):
     # the cached symbolic tables, evaluated at a point, equal the tables
     # built from the full last product with the point substituted first
     rng = random.Random(41)
     for _ in range(2):
         u = invariants.random_sample(series, n, rng)
-        at = invariants.tables_at(series, n, u)
+        at = invariants.tables_at(series, n, u, K)
         for a in (1, 2):
-            ref = normal_form(full_product_density(series, n, a, u))
+            ref = normal_form(full_product_density(series, n, a, u, K))
             assert at[a - 1] == {k: p.constant() for k, p in ref.items()}, a

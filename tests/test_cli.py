@@ -270,6 +270,13 @@ def test_table_fold():
         r = run('table', '--fold', src, dst)
         assert r.returncode == 0, (src, dst, r.stdout)
         assert 'ok' in r.stdout
+    r = run('table', '--fold', 'E6', 'F4', '--format', 'json')
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == {
+        'source': 'E6', 'target': 'F4', 'ok': True,
+        'folded': ['1/24', '1/24', '1/12', '1/12'],
+        'direct': ['1/24', '1/24', '1/12', '1/12']}
+    assert len(r.stdout.splitlines()) == 1
     assert_fails(run('table', '--fold', 'A2', 'G2'), 4)
 
 
