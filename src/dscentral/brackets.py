@@ -42,11 +42,11 @@ def variational_symbol(series, n, fam='a', K=4):
     return out
 
 
-def gy_exact(lsym, ysym, frozen=frozenset()):
-    """Scalar symbol g with eps d_x g = res([L, Y]), via an exact
-    antiderivative of the residue."""
-    comm = lsym.commutator(ysym, frozen)
-    out = Symbol({}, lsym.K)
+def gy_exact(comm, frozen=frozenset()):
+    """Scalar symbol g with eps d_x g = res(comm), comm = [L, Y], via an
+    exact antiderivative of the residue; only the p^-1 part of comm is
+    read."""
+    out = Symbol({}, comm.K)
     for e, pol in comm.residue().items():
         if e >= 1:
             out._merge((0, e - 1), antiderivative(pol, frozen))
@@ -55,23 +55,42 @@ def gy_exact(lsym, ysym, frozen=frozenset()):
     return out
 
 
+def _a_to_b(sym):
+    # the b-side copy of an a-side symbol; the monomial keys stay sorted,
+    # since no family name sorts between 'a' and 'b'
+    ren = lambda m: tuple((('b',) + v[1:] if v[0] == 'a' else v, e) for v, e in m)
+    return Symbol({k: Poly({ren(m): c for m, c in p.terms.items()})
+                   for k, p in sym.c.items()}, sym.K)
+
+
 def bracket_density(series, n, K=4):
     """Residue density of the second bracket (without the overall 1/eps)
     as a dict eps-power -> Poly, symbolic in u with the u-jets
     suppressed; `unit_derivative` of it is the first bracket's.
 
-    The density is res(sum of sign * left * right) over a few signed
-    pairs; only the p^-1 part of each last product is formed.
+    The density is
+
+        res((L Y)_+ L X) - res(X L (Y L)_+)  [+ res(X [L, g]) / (n + 1) for A]
+
+    with each star product formed once:
+    - Y and Y L are X and X L with the family a renamed b;
+    - L Y starts at p^0, the lowest power its positive part reads, and
+      at p^-1 for A, where res([L, Y]) = res(L Y - Y L) gives g;
+    - (L Y)_+ L starts at p^(-1 - top), top the highest p-power of X,
+      the lowest power that meets X in the residue;
+    - of each last product only the p^-1 part is formed.
     """
     frozen = frozenset({'u', 'rho'})
     lsym = dispersionless_symbol(series, n, K=K)
     X = variational_symbol(series, n, 'a', K)
-    Y = variational_symbol(series, n, 'b', K)
-    st = lambda A, B: A.star(B, frozen)
-    pairs = [(1, st(st(lsym, Y).positive(), lsym), X),
-             (-1, st(X, lsym), st(Y, lsym).positive())]
+    XL = X.star(lsym, frozen)
+    YL = _a_to_b(XL)
+    LY = lsym.star(_a_to_b(X), frozen, -1 if series == 'A' else 0)
+    top = max(i for i, _ in X.c)
+    pairs = [(1, LY.positive().star(lsym, frozen, -1 - top), X),
+             (-1, XL, YL.positive())]
     if series == 'A':
-        g = gy_exact(lsym, Y, frozen)
+        g = gy_exact(LY - YL, frozen)
         pairs.append((Fraction(1, n + 1), X, lsym.commutator(g, frozen)))
     out = {}
     for sign, left, right in pairs:

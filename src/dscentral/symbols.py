@@ -75,28 +75,48 @@ class Symbol:
     def xdiff(self):
         return Symbol({k: p.xdiff() for k, p in self.c.items()}, self.K)
 
-    def star(self, other, frozen=frozenset()):
+    def star(self, other, frozen=frozenset(), low=None):
         """Symbol product, truncated at eps^K.
 
-        Families in `frozen` have vanishing x-derivatives.
+        Families in `frozen` have vanishing x-derivatives.  With `low`,
+        only the p-powers >= low are formed, exactly as in the full
+        product: a term p^i of self meets the k-th x-derivative of a p^j
+        term of other at p^(i - k + j), so the terms of other are taken
+        from the highest p-power down until that falls below the bound,
+        and each x-derivative tower goes no higher than a pair reads.
+        A vanishing derivative (a frozen coefficient) is skipped before
+        p1 is scaled for it.
         """
         K = self.K
-        bx = [other.c]
-        for _ in range(K):
-            bx.append({k: p.xdiff(frozen) for k, p in bx[-1].items()})
+        towers = sorted(([j, e2, [p2]] for (j, e2), p2 in other.c.items()),
+                        key=lambda t: -t[0])    # [j, e2, [p2, p2', ...]]
         out = Symbol({}, K)
+        if not towers or not self.c:
+            return out
+        top = towers[0][0]
+        if low is None:
+            low = min(i for i, _ in self.c) - K + towers[-1][0]
         for (i, e1), p1 in self.c.items():
             fall = Fraction(1)
             for k in range(K - e1 + 1):
+                if i - k + top < low:
+                    break
                 if k:
                     fall = fall * (i - k + 1) / k
                     if not fall:
                         break
-                for (j, e2), p2 in bx[k].items():
-                    if e1 + e2 + k <= K:
-                        prod = p1 * p2 if k == 0 else p1 * p2 * fall
-                        if not prod.is_zero():
-                            out._merge((i - k + j, e1 + e2 + k), prod)
+                p1f = None
+                for j, e2, tower in towers:
+                    if i - k + j < low:
+                        break
+                    if e1 + e2 + k > K:
+                        continue
+                    while len(tower) <= k:
+                        tower.append(tower[-1].xdiff(frozen))
+                    if tower[k]:
+                        if p1f is None:
+                            p1f = p1 * fall if k else p1
+                        out._merge((i - k + j, e1 + e2 + k), p1f * tower[k])
         return out
 
     def star_residue(self, other, frozen=frozenset()):

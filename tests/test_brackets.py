@@ -11,7 +11,7 @@ import pytest
 
 from dscentral.algebra import Poly
 from dscentral import invariants
-from dscentral.brackets import (bracket_density, bracket_table, ibp_reduce,
+from dscentral.brackets import (_a_to_b, bracket_density, bracket_table, ibp_reduce,
                                 generating_poly,
                                 closed_form_small, closed_form_capital,
                                 gy_exact, normal_form, unit_derivative,
@@ -119,7 +119,7 @@ def full_product_density(series, n, which, u, K=4):
         t = st(st(st(lsym, Y).positive(), lsym), X) \
             - st(st(X, lsym), st(Y, lsym).positive())
         if series == 'A':
-            g = gy_exact(lsym, Y, frozen)
+            g = gy_exact(lsym.commutator(Y, frozen), frozen)
             t = t + st(X, lsym.commutator(g, frozen)).scale(Fraction(1, n + 1))
     elif series == 'A':
         t = st(Y.commutator(X, frozen), lsym)
@@ -150,3 +150,50 @@ def test_cached_tables_at_a_point_match_full_product(series, n, K):
         for a in (1, 2):
             ref = normal_form(full_product_density(series, n, a, u, K))
             assert at[a - 1] == {k: p.constant() for k, p in ref.items()}, a
+
+
+CLASSICAL = ([('A', n) for n in range(1, 7)] + [('B', n) for n in range(2, 6)]
+             + [('C', n) for n in range(2, 6)] + [('D', n) for n in range(3, 6)])
+
+
+def unshared_density(series, n, K):
+    """Reference: the second-bracket density with every star product
+    formed in full and on its own, Y built from the family b directly;
+    only the p^-1 part of each last product is taken."""
+    frozen = frozenset({'u', 'rho'})
+    lsym = dispersionless_symbol(series, n, K=K)
+    X = variational_symbol(series, n, 'a', K)
+    Y = variational_symbol(series, n, 'b', K)
+    st = lambda A, B: A.star(B, frozen)
+    pairs = [(1, st(st(lsym, Y).positive(), lsym), X),
+             (-1, st(X, lsym), st(Y, lsym).positive())]
+    if series == 'A':
+        g = gy_exact(lsym.commutator(Y, frozen), frozen)
+        pairs.append((Fraction(1, n + 1), X, lsym.commutator(g, frozen)))
+    out = {}
+    for sign, left, right in pairs:
+        for e, pol in left.star_residue(right, frozen).items():
+            out[e] = out.get(e, Poly()) + pol * sign
+    return {e: p for e, p in out.items() if p}
+
+
+@pytest.mark.parametrize('series,n,K', [
+    pytest.param(series, n, K, id='%s%d-K%d' % (series, n, K))
+    for series, n, K in [(s, n, 4) for s, n in CLASSICAL]
+    + [(s, n, K) for K in (3, 5) for s, n in (('A', 2), ('B', 3), ('C', 3), ('D', 4))]])
+def test_shared_products_match_unshared_density(series, n, K):
+    # sharing X L, renaming it to Y L and bounding the products below
+    # leaves the density the same term for term
+    assert bracket_density(series, n, K) == unshared_density(series, n, K)
+
+
+@pytest.mark.parametrize('series,n', CLASSICAL)
+def test_renaming_a_to_b_gives_the_b_side(series, n):
+    # the rename keeps every monomial key sorted, so the b-side symbols
+    # come out equal as dicts, not merely as polynomials
+    frozen = frozenset({'u', 'rho'})
+    lsym = dispersionless_symbol(series, n, K=4)
+    X = variational_symbol(series, n, 'a', 4)
+    Y = variational_symbol(series, n, 'b', 4)
+    assert _a_to_b(X) == Y
+    assert _a_to_b(X.star(lsym, frozen)) == Y.star(lsym, frozen)

@@ -116,3 +116,16 @@ def test_star_residue_matches_full_product():
             for _ in range(15):
                 x, y = rnd_symbol(rng, K=K), rnd_symbol(rng, K=K)
                 assert x.star_residue(y, frozen) == x.star(y, frozen).residue()
+
+
+def test_bounded_star_drops_only_the_lower_powers():
+    # star with a bound is the full product without the p-powers below it
+    rng = random.Random(8)
+    for K in (2, 4):
+        for frozen in (frozenset(), frozenset({'u'})):
+            for _ in range(10):
+                x, y = rnd_symbol(rng, K=K), rnd_symbol(rng, K=K)
+                full = x.star(y, frozen)
+                for low in (-9, -3, -1, 0, 2, 5):
+                    kept = Symbol({k: p for k, p in full.c.items() if k[0] >= low}, K)
+                    assert x.star(y, frozen, low) == kept, (K, low)
