@@ -49,6 +49,19 @@ def _mono_mul(m1, m2):
         return m2
     if not m2:
         return m1
+    if len(m1) == 1:
+        m1, m2 = m2, m1
+    if len(m2) == 1:
+        # one variable: merge it into the sorted m1 without a dict
+        (v, e), = m2
+        for pos, (w, f) in enumerate(m1):
+            if w < v:
+                continue
+            if w > v:
+                return m1[:pos] + m2 + m1[pos:]
+            e += f
+            return m1[:pos] + ((v, e),) + m1[pos + 1:] if e else m1[:pos] + m1[pos + 1:]
+        return m1 + m2
     d = dict(m1)
     for v, e in m2:
         e2 = d.pop(v, 0) + e
@@ -75,6 +88,20 @@ def accumulate(terms, m, c):
         terms[m] = c2 if type(c2) is int else _canon(c2)
     else:
         terms.pop(m, None)
+
+
+def mul_into(terms, p, q):
+    """terms += p * q in place, dropping the monomials that cancel; the
+    coefficients are left for `_settle`."""
+    qs = q.terms.items()
+    for m1, c1 in p.terms.items():
+        for m2, c2 in qs:
+            m = _mono_mul(m1, m2)
+            c = terms.get(m, 0) + c1 * c2
+            if c:
+                terms[m] = c
+            else:
+                terms.pop(m, None)
 
 
 class Poly:
@@ -158,14 +185,7 @@ class Poly:
                 return Poly()
             return Poly(_settle({m: c * c0 for m, c in self.terms.items()}))
         t = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                c = t.get(m, 0) + c1 * c2
-                if c:
-                    t[m] = c
-                else:
-                    t.pop(m, None)
+        mul_into(t, self, other)
         return Poly(_settle(t))
 
     __rmul__ = __mul__

@@ -16,7 +16,7 @@ variables.
 
 from fractions import Fraction
 
-from .algebra import Poly, accumulate, antiderivative
+from .algebra import Poly, _mono_mul, _settle, accumulate, antiderivative, mul_into
 from .symbols import Symbol
 from .lax import (capital_lambda, capital_lambda_tilde, dispersionless_symbol,
                   lambda_xpoly, u_power)
@@ -72,8 +72,13 @@ def bracket_density(series, n, K=4):
 
         res((L Y)_+ L X) - res(X L (Y L)_+)  [+ res(X [L, g]) / (n + 1) for A]
 
-    with each star product formed once:
-    - Y and Y L are X and X L with the family a renamed b;
+    For B, C and D the two residues are equal up to sign, term for term:
+    there L* = +-L and X* = +-X with the same signs for Y, and
+    (A_+)* = (A*)_+, so (X L (Y L)_+)* = (L Y)_+ L X; and res(P*) = -res(P).
+    The density is then 2 res((L Y)_+ L X), and X L is never formed.
+
+    Each star product is formed once:
+    - Y is X with the family a renamed b, and for A, Y L is X L renamed;
     - L Y starts at p^0, the lowest power its positive part reads, and
       at p^-1 for A, where res([L, Y]) = res(L Y - Y L) gives g;
     - (L Y)_+ L starts at p^(-1 - top), top the highest p-power of X,
@@ -83,15 +88,17 @@ def bracket_density(series, n, K=4):
     frozen = frozenset({'u', 'rho'})
     lsym = dispersionless_symbol(series, n, K=K)
     X = variational_symbol(series, n, 'a', K)
+    top = max(i for i, _ in X.c)
+    LY = lsym.star(_a_to_b(X), frozen, -1 if series == 'A' else 0)
+    LYL = LY.positive().star(lsym, frozen, -1 - top)
+    if series != 'A':
+        return {e: p * 2 for e, p in LYL.star_residue(X, frozen).items()}
     XL = X.star(lsym, frozen)
     YL = _a_to_b(XL)
-    LY = lsym.star(_a_to_b(X), frozen, -1 if series == 'A' else 0)
-    top = max(i for i, _ in X.c)
-    pairs = [(1, LY.positive().star(lsym, frozen, -1 - top), X),
-             (-1, XL, YL.positive())]
-    if series == 'A':
-        g = gy_exact(LY - YL, frozen)
-        pairs.append((Fraction(1, n + 1), X, lsym.commutator(g, frozen)))
+    g = gy_exact(LY - YL, frozen)
+    pairs = [(1, LYL, X),
+             (-1, XL, YL.positive()),
+             (Fraction(1, n + 1), X, lsym.commutator(g, frozen))]
     out = {}
     for sign, left, right in pairs:
         for e, pol in left.star_residue(right, frozen).items():
@@ -103,28 +110,40 @@ def bracket_density(series, n, K=4):
 
 def ibp_reduce(pol):
     """Move all x-derivatives off the `a` variables, modulo total
-    derivatives."""
+    derivatives, in one step per term:
+
+        a_i^(k) r  ->  (-1)^k a_i d^k r.
+
+    Each term is linear in a.  Outside the frozen families r holds at
+    most one factor, to the first power: d^k raises its order by k, and
+    a term without one drops out.  A term whose a carries no derivative
+    is kept as it is.
+    """
     out = {}
-    rem = pol.terms
-    while rem:
-        again = {}
-        for m, c in rem.items():
-            target = None
-            for v, e in m:
-                if v[0] == 'a' and v[2] > 0:
-                    target = (v, e)
-                    break
-            if target is None:
-                accumulate(out, m, c)
-                continue
-            v, e = target
-            if e != 1:
-                raise ValueError("nonlinear density in a")
-            rest = Poly({tuple(x for x in m if x[0] != v): c})
-            low = Poly.from_var((v[0], v[1], v[2] - 1))
-            for m2, c2 in (low * rest.xdiff(FROZEN)).terms.items():
-                accumulate(again, m2, -c2)
-        rem = again
+    for m, c in pol.terms.items():
+        ia = free = None
+        for pos, (v, e) in enumerate(m):
+            if v[0] == 'a':
+                if ia is not None or e != 1:
+                    raise ValueError("nonlinear density in a")
+                ia = pos
+            elif v[0] not in FROZEN:
+                free = pos if free is None and e == 1 else -1
+        k = 0 if ia is None else m[ia][0][2]
+        if not k:
+            accumulate(out, m, c)
+            continue
+        if free == -1:
+            raise ValueError("remainder not linear in its non-frozen factors: %s" % (m,))
+        if free is None:
+            continue
+        # no other factor shares a family and an index with these two,
+        # so the new orders keep the monomial sorted
+        m2 = list(m)
+        m2[ia] = (m[ia][0][:2] + (0,), 1)
+        v = m[free][0]
+        m2[free] = ((v[0], v[1], v[2] + k), 1)
+        accumulate(out, tuple(m2), -c if k % 2 else c)
     return Poly(out)
 
 
@@ -188,7 +207,7 @@ def normal_form(dens):
 def generating_poly(table, series, n, s, capital=False):
     """Generating Laurent polynomial of the delta^(s) block of a table."""
     pname, qname = ('P', 'Q') if capital else ('p', 'q')
-    out = Poly()
+    out = {}
     for (i, j, t), pol in table.items():
         if t != s:
             continue
@@ -196,27 +215,65 @@ def generating_poly(table, series, n, s, capital=False):
             pi, pj = i - 1, j - 1
         else:
             pi, pj = u_power(series, i), u_power(series, j)
-        out = out + pol * Poly.of(pname, 0, 0, pi) * Poly.of(qname, 0, 0, pj)
-    return out
+        mul_into(out, pol, Poly.of(pname, 0, 0, pi) * Poly.of(qname, 0, 0, pj))
+    return Poly(_settle(out))
 
 
 class _Frac:
-    # num / base**k, where every term of one closed form has the same base;
-    # a sum keeps the larger power, so expand() is one exact division
+    # num / base**k, where every term of one closed form has the same base
+    # x - y; a sum keeps the larger power, and expand() divides by the base
+    # k times
     def __init__(self, num, base=None, k=1):
         self.num = num if isinstance(num, Poly) else Poly.num(num)
         self.base, self.k = base, 0 if base is None else k
 
+    def _quotient(self, num):
+        # num / (x - y) by synthetic division in x, or None when it leaves
+        # a remainder: with num = sum c_j x^j, q_(j-1) = c_j + y q_j from
+        # the top power down, and the remainder is c_low + y q_low
+        x, y = (m[0][0] for m in sorted(self.base.terms, key=self.base.terms.get,
+                                        reverse=True))
+        cols = {}
+        for m, c in num.terms.items():
+            j = next((e for v, e in m if v == x), 0)
+            cols.setdefault(j, {})[tuple(f for f in m if f[0] != x)] = c
+        if not cols:
+            return Poly()
+        low, quot, q = min(cols), {}, {}
+        for j in range(max(cols), low - 1, -1):
+            nq = dict(cols.get(j, {}))
+            for r, c in q.items():
+                accumulate(nq, _mono_mul(r, ((y, 1),)), c)
+            q = nq
+            if j == low:
+                return None if q else Poly(quot)
+            xj = ((x, j - 1),) if j != 1 else ()
+            for r, c in q.items():
+                quot[_mono_mul(r, xj)] = c
+
     def __add__(self, other):
         lo, hi = sorted((self, other), key=lambda f: f.k)
-        num = lo.num * hi.base ** (hi.k - lo.k) if hi.k > lo.k else lo.num
-        return _Frac(num + hi.num, hi.base, hi.k)
+        num, k = hi.num, hi.k
+        # cancel the base from the higher part while it divides, so that
+        # the lower part is raised by a smaller power of it
+        while k > lo.k:
+            q = hi._quotient(num)
+            if q is None:
+                break
+            num, k = q, k - 1
+        low = lo.num * hi.base ** (k - lo.k) if k > lo.k else lo.num
+        return _Frac(low + num, hi.base, k)
 
     def __sub__(self, other):
         return self + _Frac(-other.num, other.base, other.k)
 
     def expand(self):
-        return self.num if self.base is None else self.num.divexact(self.base ** self.k)
+        num = self.num
+        for _ in range(self.k):
+            num = self._quotient(num)
+            if num is None:
+                raise ValueError("not an exact division")
+        return num
 
 
 def _lam_tower(series, n, name, capital=False, tilde=False):

@@ -22,6 +22,7 @@ from fractions import Fraction
 from .upoly import DegeneratePoint
 
 SERIES = ('A', 'B', 'C', 'D')
+LOWEST_RANK = {'A': 1, 'B': 2, 'C': 2, 'D': 3}
 EXCEPTIONAL = {'G2': ('G', 2), 'F4': ('F', 4), 'E6': ('E', 6),
                'E7': ('E', 7), 'E8': ('E', 8)}
 FORMATS = ('json', 'tsv', 'pretty')
@@ -132,15 +133,19 @@ def _compute_f4(seed, sample, fixture_dir):
     return list(zip(roots, cs)), diag
 
 
+def _check_rank(series, rank):
+    if rank is None or rank < LOWEST_RANK[series]:
+        raise ConfigError('bad rank for series %s: the lowest allowed rank is %d'
+                          % (series, LOWEST_RANK[series]))
+
+
 def compute(series, rank, algebra, method, seed, sample, order, fmt,
             decimal, fixture_dir):
     """Central invariants of one algebra at a sample point."""
     if (series is None) == (algebra is None):
         raise ConfigError('give exactly one of --series or --algebra')
     if series:
-        if rank is None or rank < 1 or (series != 'A' and rank < 2) \
-                or (series == 'D' and rank < 3):
-            raise ConfigError('bad rank for series %s' % series)
+        _check_rank(series, rank)
         name, typ, n, default = '%s%d' % (series, rank), series, rank, 'symbol'
     else:
         name = algebra.upper()
@@ -214,8 +219,7 @@ def table(rank, check, fold, fmt):
 def coeffs(series, rank, check):
     """Bracket coefficient tables, with --check against the closed forms."""
     from . import brackets
-    if rank < (1 if series == 'A' else 2) or (series == 'D' and rank < 3):
-        raise ConfigError('bad rank')
+    _check_rank(series, rank)
     capital = series != 'A'
     bad = []
     second = brackets.bracket_table(series, rank, 2)

@@ -11,7 +11,7 @@ act termwise.  Laurent powers of p are allowed.
 
 from fractions import Fraction
 
-from .algebra import Poly, accumulate
+from .algebra import Poly, _settle, mul_into
 
 
 class Symbol:
@@ -85,14 +85,15 @@ class Symbol:
         from the highest p-power down until that falls below the bound,
         and each x-derivative tower goes no higher than a pair reads.
         A vanishing derivative (a frozen coefficient) is skipped before
-        p1 is scaled for it.
+        p1 is scaled for it; p1 is scaled once per derivative order, and
+        each product is added straight into its entry.
         """
         K = self.K
         towers = sorted(([j, e2, [p2]] for (j, e2), p2 in other.c.items()),
                         key=lambda t: -t[0])    # [j, e2, [p2, p2', ...]]
-        out = Symbol({}, K)
+        out = {}
         if not towers or not self.c:
-            return out
+            return Symbol({}, K)
         top = towers[0][0]
         if low is None:
             low = min(i for i, _ in self.c) - K + towers[-1][0]
@@ -116,8 +117,9 @@ class Symbol:
                     if tower[k]:
                         if p1f is None:
                             p1f = p1 * fall if k else p1
-                        out._merge((i - k + j, e1 + e2 + k), p1f * tower[k])
-        return out
+                        mul_into(out.setdefault((i - k + j, e1 + e2 + k), {}),
+                                 p1f, tower[k])
+        return Symbol({key: Poly(_settle(t)) for key, t in out.items()}, K)
 
     def star_residue(self, other, frozen=frozenset()):
         """star(other, frozen).residue() without the other p-powers.
@@ -148,10 +150,8 @@ class Symbol:
                         continue
                     while len(tower) <= k:
                         tower.append(tower[-1].xdiff(frozen))
-                    acc = out.setdefault(e, {})
-                    for m, c in (p1f * tower[k]).terms.items():
-                        accumulate(acc, m, c)
-        return {e: Poly(t) for e, t in out.items() if t}
+                    mul_into(out.setdefault(e, {}), p1f, tower[k])
+        return {e: Poly(_settle(t)) for e, t in out.items() if t}
 
     def commutator(self, other, frozen=frozenset()):
         return self.star(other, frozen) - other.star(self, frozen)

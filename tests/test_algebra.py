@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dscentral.algebra import (Poly, antiderivative, bareiss_det,
+from dscentral.algebra import (Poly, _canon, _mono_mul, antiderivative, bareiss_det,
                                bareiss_adjugate)
 
 
@@ -42,6 +42,54 @@ def test_ring_axioms(a, b, c):
     assert (a * (b * c) - (a * b) * c).is_zero()
     assert (a * b - b * a).is_zero()
     assert (a + (-a)).is_zero()
+
+
+def dict_rule_product(p, q):
+    """Reference: each monomial product merged through a dict and
+    sorted, the cancelled exponents and coefficients dropped."""
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            d = dict(m1)
+            for v, e in m2:
+                d[v] = d.get(v, 0) + e
+            m = tuple(sorted((v, e) for v, e in d.items() if e))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: _canon(c) for m, c in out.items() if c}
+
+
+VARS = [(f, i, o) for f in ('a', 'u') for i in (1, 2) for o in (0, 1)]
+
+
+@st.composite
+def laurent_polys(draw):
+    # few variables and exponents of both signs, so products often
+    # cancel an exponent to 0; one-variable monomials are common
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        vs = draw(st.lists(st.sampled_from(VARS), max_size=3, unique=True))
+        m = tuple(sorted((v, draw(st.sampled_from((-2, -1, 1, 2)))) for v in vs))
+        c = Fraction(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 3)))
+        terms[m] = _canon(c)
+    return Poly(terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_polys(), laurent_polys())
+def test_product_matches_dict_rule(a, b):
+    assert (a * b).terms == dict_rule_product(a, b)
+
+
+def test_mono_mul_one_variable():
+    u1, u2, a1 = ('u', 1, 0), ('u', 2, 0), ('a', 1, 0)
+    m = ((a1, 1), (u2, -1))
+    assert _mono_mul(m, ((u1, 2),)) == ((a1, 1), (u1, 2), (u2, -1))     # inserted
+    assert _mono_mul(((u1, 2),), m) == ((a1, 1), (u1, 2), (u2, -1))     # either side
+    assert _mono_mul(m, ((('v', 1, 0), 1),)) == m + ((('v', 1, 0), 1),)  # appended
+    assert _mono_mul(m, ((a1, -3),)) == ((a1, -2), (u2, -1))            # raised
+    assert _mono_mul(m, ((u2, 1),)) == ((a1, 1),)                      # cancelled
+    assert _mono_mul(((u2, 1),), ((u2, -1),)) == ()
+
 
 
 @settings(max_examples=40, deadline=None)

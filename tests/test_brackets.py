@@ -9,10 +9,10 @@ from fractions import Fraction
 
 import pytest
 
-from dscentral.algebra import Poly
+from dscentral.algebra import Poly, accumulate
 from dscentral import invariants
-from dscentral.brackets import (_a_to_b, bracket_density, bracket_table, ibp_reduce,
-                                generating_poly,
+from dscentral.brackets import (FROZEN, _a_to_b, _Frac, bracket_density, bracket_table,
+                                ibp_reduce, generating_poly,
                                 closed_form_small, closed_form_capital,
                                 gy_exact, normal_form, unit_derivative,
                                 variational_symbol)
@@ -197,3 +197,137 @@ def test_renaming_a_to_b_gives_the_b_side(series, n):
     Y = variational_symbol(series, n, 'b', 4)
     assert _a_to_b(X) == Y
     assert _a_to_b(X.star(lsym, frozen)) == Y.star(lsym, frozen)
+
+
+ADJOINT_CASES = ([(s, n, 4) for s, lo in (('B', 2), ('C', 2), ('D', 3)) for n in range(lo, 8)]
+                 + [(s, n, K) for K in (3, 5, 6)
+                    for s, lo in (('B', 2), ('C', 2), ('D', 3)) for n in range(lo, 5)])
+
+
+@pytest.mark.parametrize('series,n,K', [
+    pytest.param(series, n, K, id='%s%d-K%d' % (series, n, K))
+    for series, n, K in ADJOINT_CASES])
+def test_second_residue_is_minus_the_first_for_bcd(series, n, K):
+    # L* = +-L and X* = +-X, so res(X L (Y L)_+) = -res((L Y)_+ L X)
+    # term for term, which lets bracket_density form only the first
+    frozen = frozenset({'u', 'rho'})
+    lsym = dispersionless_symbol(series, n, K=K)
+    X = variational_symbol(series, n, 'a', K)
+    Y = variational_symbol(series, n, 'b', K)
+    first = lsym.star(Y, frozen).positive().star(lsym, frozen).star_residue(X, frozen)
+    second = X.star(lsym, frozen).star_residue(Y.star(lsym, frozen).positive(), frozen)
+    assert first
+    assert second == {e: -p for e, p in first.items()}
+
+
+def ibp_one_derivative_per_round(pol):
+    """Reference: move one derivative off `a` per round, with the
+    Leibniz rule on the rest, until no `a` carries one."""
+    out = {}
+    rem = pol.terms
+    while rem:
+        again = {}
+        for m, c in rem.items():
+            target = next(((v, e) for v, e in m if v[0] == 'a' and v[2] > 0), None)
+            if target is None:
+                accumulate(out, m, c)
+                continue
+            v, e = target
+            if e != 1:
+                raise ValueError("nonlinear density in a")
+            rest = Poly({tuple(x for x in m if x[0] != v): c})
+            low = Poly.from_var((v[0], v[1], v[2] - 1))
+            for m2, c2 in (low * rest.xdiff(FROZEN)).terms.items():
+                accumulate(again, m2, -c2)
+        rem = again
+    return Poly(out)
+
+
+@pytest.mark.parametrize('series,n', CLASSICAL)
+def test_ibp_reduce_matches_one_derivative_per_round(series, n):
+    second = bracket_density(series, n, 4)
+    for dens in (second, unit_derivative(series, second)):
+        for pol in dens.values():
+            assert ibp_reduce(pol) == ibp_one_derivative_per_round(pol)
+
+
+def random_bilinear(rng, terms=12):
+    # sum c u^.. a_i^(k) b_j^(s), with a-jets up to order 6, Laurent
+    # u factors and some terms without b or without a
+    out = Poly()
+    for _ in range(terms):
+        t = Poly.num(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        for i in rng.sample((1, 2, 3), rng.randint(0, 2)):
+            t = t * Poly.of(rng.choice(('u', 'rho')), i, 0, rng.choice((-2, -1, 1, 2)))
+        if rng.random() < 0.9:
+            t = t * Poly.of('a', rng.randint(1, 3), rng.randint(0, 6))
+        if rng.random() < 0.9:
+            t = t * Poly.of('b', rng.randint(1, 3), rng.randint(0, 4))
+        out = out + t
+    return out
+
+
+def test_ibp_reduce_matches_one_derivative_per_round_on_random_densities():
+    rng = random.Random(16)
+    for _ in range(200):
+        pol = random_bilinear(rng)
+        assert ibp_reduce(pol) == ibp_one_derivative_per_round(pol)
+
+
+def test_ibp_reduce_rejects_what_it_cannot_integrate():
+    a1, a2 = Poly.of('a', 1, 2), Poly.of('a', 2)
+    b1, b2, u = Poly.of('b', 1), Poly.of('b', 2, 1), Poly.of('u', 1)
+    for nonlinear in (a1 ** 2 * b1, a1 * a2 * b1, u * Poly.of('a', 1, 1) ** 3):
+        with pytest.raises(ValueError, match="nonlinear density in a"):
+            ibp_reduce(nonlinear)
+    for two_free in (a1 * b1 * b2, a1 * b1 ** 2, u * a1 * b1 * Poly.of('c', 1)):
+        with pytest.raises(ValueError, match="non-frozen"):
+            ibp_reduce(two_free)
+    # without a derivative on a, a term is kept as it is
+    assert ibp_reduce(a2 * b1 * b2) == a2 * b1 * b2
+
+
+def test_frac_sum_cancels_the_base_only_while_it_divides():
+    p, q = Poly.of('p'), Poly.of('q')
+    base = p - q
+    cases = [(_Frac(p * base, base, 3), _Frac(q, base, 1)),      # one power cancels
+             (_Frac(p, base, 2), _Frac(q + 1, base, 1)),         # none cancels
+             (_Frac(p * q * base ** 2, base, 2), _Frac(q)),      # all cancel
+             (_Frac(q ** 2, base, 2), _Frac(p ** 2, base, 2))]   # equal powers
+    for x, y in cases:
+        for f in (x + y, y + x):
+            hi = max(x.k, y.k)
+            lo_num = x.num if x.k < y.k else y.num
+            hi_num = y.num if x.k < y.k else x.num
+            # the same sum as raising the lower part all the way
+            raised = lo_num * base ** (hi - min(x.k, y.k)) + hi_num
+            assert f.num * base ** (hi - f.k) == raised
+    assert ((cases[0][0] + cases[0][1]).num, (cases[0][0] + cases[0][1]).k) == (p + q * base, 2)
+    assert ((cases[1][0] + cases[1][1]).num, (cases[1][0] + cases[1][1]).k) == (p + (q + 1) * base, 2)
+    assert (cases[2][0] + cases[2][1]).expand() == p * q + q
+    # an expansion that divides only once the parts are summed
+    f = _Frac(p, base, 2) + _Frac(q, base, 1) + _Frac(q * base ** 2 - q * base - p, base, 2)
+    assert f.k == 2 and f.expand() == q
+
+
+def test_frac_quotient_by_the_base_is_exact_division():
+    # synthetic division by x - y, for either sign of the base and for
+    # Laurent numerators, agrees with divexact, and reports a remainder
+    rng = random.Random(5)
+    p, q, u = Poly.of('p'), Poly.of('q'), Poly.of('u', 1)
+    for base in (p - q, q - p):
+        f = _Frac(Poly(), base)
+        for _ in range(40):
+            num = Poly()
+            for _ in range(rng.randint(1, 5)):
+                num = num + (Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                             * Poly.of('p', exp=rng.randint(-2, 3))
+                             * Poly.of('q', exp=rng.randint(-2, 3)) * u ** rng.randint(0, 2))
+            assert f._quotient(num * base) == num
+            if not num.is_zero():
+                rem = num * base + u * Poly.of('q', exp=rng.randint(-2, 3))
+                assert f._quotient(rem) is None
+                with pytest.raises(ValueError):
+                    rem.divexact(base)
+    with pytest.raises(ValueError, match="not an exact division"):
+        _Frac(p, p - q, 1).expand()

@@ -129,6 +129,18 @@ def test_exit_code_bad_ranks_orders_and_digits():
                      '--decimal', '-1'), 4)
 
 
+@pytest.mark.parametrize('series,rank,lowest', [('A', 0, 1), ('B', 1, 2),
+                                                ('C', 1, 2), ('D', 2, 3)])
+def test_bad_rank_message_names_series_and_lowest_rank(series, rank, lowest):
+    # compute and coeffs reject a rank with the same message
+    want = ('invalid configuration: bad rank for series %s: '
+            'the lowest allowed rank is %d\n' % (series, lowest))
+    for command in ('compute', 'coeffs'):
+        r = run(command, '--series', series, '--rank', str(rank))
+        assert_fails(r, 4)
+        assert r.stderr == want, (command, r.stderr)
+
+
 def test_compute_order_3_agrees_with_4():
     a = json.loads(run('compute', '--series', 'A', '--rank', '2',
                        '--order', '3').stdout)
