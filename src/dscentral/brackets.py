@@ -15,8 +15,9 @@ variables.
 """
 
 from fractions import Fraction
+from math import comb, lcm
 
-from .algebra import Poly, _mono_mul, _settle, accumulate, antiderivative, mul_into
+from .algebra import Poly, _mono_mul, _quo, _settle, accumulate, antiderivative, mul_into
 from .symbols import Symbol
 from .lax import (capital_lambda, capital_lambda_tilde, dispersionless_symbol,
                   lambda_xpoly, u_power)
@@ -25,21 +26,22 @@ FROZEN = frozenset({'u', 'rho', 'p', 'q', 'P', 'Q'})
 
 
 def variational_symbol(series, n, fam='a', K=4):
-    """Symbol of the operator attached to the density sum_i fam_i u_i."""
-    f = Symbol({(-u_power(series, i) - 1, 0): Poly.of(fam, i)
-                for i in range(1, n + 1)}, K)
-    half = series != 'A'
-    out = Symbol(dict(f.c), K)
-    cur = f
-    fact = Fraction(1)
-    for k in range(1, K + 1):
-        cur = cur.pdiff().xdiff()
-        fact = fact / k
-        add = cur.eps_shift(k).scale(fact)
-        if half:
-            add = add.scale(Fraction(1, 2))
-        out = out + add
-    return out
+    """Symbol of the operator attached to the density sum_i fam_i u_i:
+    with f = sum_i fam_i p^j, j = -u_power(series, i) - 1,
+
+        X = f + w sum_(k >= 1) eps^k/k! d_p^k f d_x^k,
+
+    w = 1 for A and 1/2 otherwise.  The eps^k term of fam_i is
+    w C(j, k) fam_i^(k) p^(j - k), with the generalized binomial.
+    """
+    w = 1 if series == 'A' else Fraction(1, 2)
+    js = [-u_power(series, i) - 1 for i in range(1, n + 1)]
+    c = {}
+    for k in range(K + 1):
+        for i, j in enumerate(js, 1):
+            binom = comb(j, k) if j >= 0 else (-1) ** k * comb(k - j - 1, k)
+            c[(j - k, k)] = Poly.of(fam, i, k) * (binom * w if k else 1)
+    return Symbol(c, K)
 
 
 def gy_exact(comm, frozen=frozenset()):
@@ -72,6 +74,26 @@ def bracket_density(series, n, K=4):
 
         res((L Y)_+ L X) - res(X L (Y L)_+)  [+ res(X [L, g]) / (n + 1) for A]
 
+    It is `_scaled_density` divided by its denominator.
+    """
+    dens, den = _scaled_density(series, n, K)
+    return {e: _divide(p, den) for e, p in dens.items()}
+
+
+def _divide(pol, den):
+    return Poly({m: _quo(c, den) for m, c in pol.terms.items()})
+
+
+def _scaled_density(series, n, K):
+    """The density of `bracket_density` times an integer den, and den.
+
+    X is scaled by D, the lcm of its coefficient denominators, and Y
+    with it; the weights of X are binomials, halved for B, C and D, so
+    D is 1 for A and at most 2 otherwise.  For A the g-pair weight
+    1/(n + 1) becomes a factor n + 1 on the other two pairs.  So
+    den = D^2, times n + 1 for A, and with the integer weights of the
+    star product every coefficient product is one of ints.
+
     For B, C and D the two residues are equal up to sign, term for term:
     there L* = +-L and X* = +-X with the same signs for Y, and
     (A_+)* = (A*)_+, so (X L (Y L)_+)* = (L Y)_+ L X; and res(P*) = -res(P).
@@ -88,24 +110,26 @@ def bracket_density(series, n, K=4):
     frozen = frozenset({'u', 'rho'})
     lsym = dispersionless_symbol(series, n, K=K)
     X = variational_symbol(series, n, 'a', K)
+    D = lcm(*(c.denominator for p in X.c.values() for c in p.terms.values()))
+    X = X.scale(D)
     top = max(i for i, _ in X.c)
     LY = lsym.star(_a_to_b(X), frozen, -1 if series == 'A' else 0)
     LYL = LY.positive().star(lsym, frozen, -1 - top)
     if series != 'A':
-        return {e: p * 2 for e, p in LYL.star_residue(X, frozen).items()}
+        return {e: p * 2 for e, p in LYL.star_residue(X, frozen).items()}, D * D
     XL = X.star(lsym, frozen)
     YL = _a_to_b(XL)
     g = gy_exact(LY - YL, frozen)
-    pairs = [(1, LYL, X),
-             (-1, XL, YL.positive()),
-             (Fraction(1, n + 1), X, lsym.commutator(g, frozen))]
+    pairs = [(n + 1, LYL, X),
+             (-n - 1, XL, YL.positive()),
+             (1, X, lsym.commutator(g, frozen))]
     out = {}
-    for sign, left, right in pairs:
+    for weight, left, right in pairs:
         for e, pol in left.star_residue(right, frozen).items():
             acc = out.setdefault(e, {})
             for m, c in pol.terms.items():
-                accumulate(acc, m, c * sign)
-    return {e: Poly(t) for e, t in out.items() if t}
+                accumulate(acc, m, c * weight)
+    return {e: Poly(t) for e, t in out.items() if t}, D * D * (n + 1)
 
 
 def ibp_reduce(pol):
@@ -165,8 +189,11 @@ def bracket_table(series, n, which, K=4):
     (i, j, s) -> Poly in u."""
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    dens = bracket_density(series, n, K)
-    return normal_form(dens if which == 2 else unit_derivative(series, dens))
+    # both steps are linear, so the density's denominator is divided out
+    # of the table, once per entry
+    dens, den = _scaled_density(series, n, K)
+    table = normal_form(dens if which == 2 else unit_derivative(series, dens))
+    return {k: _divide(p, den) for k, p in table.items()}
 
 
 def normal_form(dens):

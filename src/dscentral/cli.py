@@ -68,12 +68,14 @@ def _emit(report, fmt):
         return
     inv = report['invariants']
     if fmt == 'tsv':
+        # the lie method has no critical values: an empty cell, not None
         for e in inv:
-            print('%s\t%s\t%s' % (e['index'], e.get('lambda', ''), e['c']))
+            lam = e['lambda']
+            print('%s\t%s\t%s' % (e['index'], '' if lam is None else lam, e['c']))
         return
     print('%s (%s)' % (report['algebra'], report['method']))
     for e in inv:
-        lam = e.get('lambda')
+        lam = e['lambda']
         where = ' at lambda = %s' % lam if lam is not None else ''
         print('  c_%s = %s%s' % (e['index'], e['c'], where))
 

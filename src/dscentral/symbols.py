@@ -9,8 +9,6 @@ is the usual symbol product; residue, positive part and formal adjoint
 act termwise.  Laurent powers of p are allowed.
 """
 
-from fractions import Fraction
-
 from .algebra import Poly, _settle, mul_into
 
 
@@ -64,17 +62,6 @@ class Symbol:
             s = Poly.num(s)
         return Symbol({k: p * s for k, p in self.c.items()}, self.K)
 
-    def eps_shift(self, d):
-        """Multiply by eps^d, dropping terms beyond the truncation."""
-        return Symbol({(i, e + d): p for (i, e), p in self.c.items()
-                       if 0 <= e + d <= self.K}, self.K)
-
-    def pdiff(self):
-        return Symbol({(i - 1, e): p * i for (i, e), p in self.c.items() if i}, self.K)
-
-    def xdiff(self):
-        return Symbol({k: p.xdiff() for k, p in self.c.items()}, self.K)
-
     def star(self, other, frozen=frozenset(), low=None):
         """Symbol product, truncated at eps^K.
 
@@ -87,6 +74,11 @@ class Symbol:
         A vanishing derivative (a frozen coefficient) is skipped before
         p1 is scaled for it; p1 is scaled once per derivative order, and
         each product is added straight into its entry.
+
+        The k-th term of p^i is weighted by d_p^k p^i / k! = C(i, k)
+        p^(i - k), an integer binomial for every integer i (negative
+        ones included), so integral coefficients give an integral
+        product.
         """
         K = self.K
         towers = sorted(([j, e2, [p2]] for (j, e2), p2 in other.c.items()),
@@ -98,13 +90,13 @@ class Symbol:
         if low is None:
             low = min(i for i, _ in self.c) - K + towers[-1][0]
         for (i, e1), p1 in self.c.items():
-            fall = Fraction(1)
+            binom = 1
             for k in range(K - e1 + 1):
                 if i - k + top < low:
                     break
                 if k:
-                    fall = fall * (i - k + 1) / k
-                    if not fall:
+                    binom = binom * (i - k + 1) // k
+                    if not binom:
                         break
                 p1f = None
                 for j, e2, tower in towers:
@@ -116,7 +108,7 @@ class Symbol:
                         tower.append(tower[-1].xdiff(frozen))
                     if tower[k]:
                         if p1f is None:
-                            p1f = p1 * fall if k else p1
+                            p1f = p1 * binom if k else p1
                         mul_into(out.setdefault((i - k + j, e1 + e2 + k), {}),
                                  p1f, tower[k])
         return Symbol({key: Poly(_settle(t)) for key, t in out.items()}, K)
@@ -127,6 +119,7 @@ class Symbol:
         A term p^i of self meets the k-th x-derivative of the p^j terms
         of other only where i - k + j = -1, so the x-derivative tower of
         other is indexed by p-power and taken no higher than needed.
+        The weights are the integer binomials C(i, k), as in `star`.
         """
         K = self.K
         towers = {}                     # j -> [(e2, [p2, p2', ...])]
@@ -134,16 +127,16 @@ class Symbol:
             towers.setdefault(j, []).append((e2, [p2]))
         out = {}
         for (i, e1), p1 in self.c.items():
-            fall = Fraction(1)
+            binom = 1
             for k in range(K - e1 + 1):
                 if k:
-                    fall = fall * (i - k + 1) / k
-                    if not fall:
+                    binom = binom * (i - k + 1) // k
+                    if not binom:
                         break
                 matches = towers.get(k - 1 - i)
                 if not matches:
                     continue
-                p1f = p1 if k == 0 else p1 * fall
+                p1f = p1 if k == 0 else p1 * binom
                 for e2, tower in matches:
                     e = e1 + e2 + k
                     if e > K:
@@ -169,16 +162,18 @@ class Symbol:
         (c p^k)^+ = (-1)^k sum_j C(k,j) eps^j c^(j) p^(k-j)
 
         with the generalized binomial for Laurent powers (the series is
-        cut by the eps truncation).
+        cut by the eps truncation).  C(k, j) is an int for every integer
+        k, built up as C(k, j) = C(k, j - 1) (k - j + 1) // j, which
+        divides exactly.
         """
         out = Symbol({}, self.K)
         for (k, e), p in self.c.items():
             sign = -1 if k % 2 else 1
-            binom = Fraction(1)
+            binom = 1
             pj = p
             for j in range(self.K - e + 1):
                 if j:
-                    binom = binom * (k - j + 1) / j
+                    binom = binom * (k - j + 1) // j
                     pj = pj.xdiff()
                     if not binom:
                         break

@@ -11,12 +11,12 @@ import pytest
 
 from dscentral.algebra import Poly, accumulate
 from dscentral import invariants
-from dscentral.brackets import (FROZEN, _a_to_b, _Frac, bracket_density, bracket_table,
-                                ibp_reduce, generating_poly,
+from dscentral.brackets import (FROZEN, _a_to_b, _Frac, _scaled_density, bracket_density,
+                                bracket_table, ibp_reduce, generating_poly,
                                 closed_form_small, closed_form_capital,
                                 gy_exact, normal_form, unit_derivative,
                                 variational_symbol)
-from dscentral.lax import dispersionless_symbol
+from dscentral.lax import dispersionless_symbol, u_power
 from dscentral.symbols import Symbol
 
 
@@ -197,6 +197,61 @@ def test_renaming_a_to_b_gives_the_b_side(series, n):
     Y = variational_symbol(series, n, 'b', 4)
     assert _a_to_b(X) == Y
     assert _a_to_b(X.star(lsym, frozen)) == Y.star(lsym, frozen)
+
+
+def variational_symbol_by_derivatives(series, n, fam, K):
+    """Reference: X = f + w sum_k eps^k/k! d_p^k f d_x^k term by term,
+    with d_p^k p^j = j (j - 1) ... (j - k + 1) p^(j - k), w = 1/2 for
+    B, C and D, and Fraction weights."""
+    w = Fraction(1) if series == 'A' else Fraction(1, 2)
+    out = {}
+    for i in range(1, n + 1):
+        j = -u_power(series, i) - 1
+        coef, weight = Poly.of(fam, i), Fraction(1)
+        for k in range(K + 1):
+            if k:
+                coef, weight = coef.xdiff(), weight * (j - k + 1) / k
+            out[(j - k, k)] = coef * (weight * w if k else weight)
+    return Symbol(out, K)
+
+
+@pytest.mark.parametrize('series', 'ABCD')
+def test_variational_symbol_has_binomial_weights(series):
+    for n in range(3 if series == 'D' else 1 if series == 'A' else 2, 7):
+        for K in range(7):
+            assert variational_symbol(series, n, 'a', K) == \
+                variational_symbol_by_derivatives(series, n, 'a', K), (n, K)
+
+
+@pytest.mark.parametrize('series,n,K', [
+    pytest.param(series, n, K, id='%s%d-K%d' % (series, n, K))
+    for series, n, K in [(s, n, 4) for s, n in CLASSICAL]
+    + [(s, n, K) for K in (2, 3, 5, 6) for s, n in (('A', 3), ('B', 2), ('C', 3), ('D', 4))]])
+def test_scaled_density_is_integral(series, n, K):
+    # X scaled by the lcm of its denominators (2 for B, C and D past
+    # K = 1, 1 for A) and the A weight 1/(n + 1) cleared: every
+    # coefficient is an int
+    dens, den = _scaled_density(series, n, K)
+    assert den == (n + 1 if series == 'A' else 4)
+    assert all(type(c) is int for p in dens.values() for c in p.terms.values())
+
+
+@pytest.mark.parametrize('series,n', [('A', 3), ('B', 2), ('C', 3), ('D', 4)])
+@pytest.mark.parametrize('K', [3, 5, 6])
+def test_tables_agree_below_the_truncation(series, n, K):
+    # the eps order truncates the table and nothing else: the entries
+    # both orders reach agree
+    for which in (1, 2):
+        ref = {k: p for k, p in bracket_table(series, n, which, 4).items() if k[2] <= 3}
+        got = {k: p for k, p in bracket_table(series, n, which, K).items() if k[2] <= 3}
+        assert got == ref, which
+
+
+@pytest.mark.parametrize('series,n', [('A', 3), ('B', 3), ('C', 3), ('D', 4)])
+def test_central_invariants_at_order_6_equal_order_4(series, n):
+    u = invariants.random_sample(series, n, random.Random(17))
+    assert invariants.central_invariants(series, n, u, 6) == \
+        invariants.central_invariants(series, n, u, 4)
 
 
 ADJOINT_CASES = ([(s, n, 4) for s, lo in (('B', 2), ('C', 2), ('D', 3)) for n in range(lo, 8)]

@@ -70,6 +70,20 @@ def test_compute_tsv_and_decimal():
     assert '0.041667' in r2.stdout
 
 
+def test_compute_tsv_lie_method_has_an_empty_lambda_cell():
+    # the lie method has no critical values; JSON says null, TSV leaves
+    # the cell empty and pretty leaves the "at lambda" part out
+    r = run('compute', '--algebra', 'G2', '--method', 'lie', '--format', 'tsv')
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == '1\t\t1/8\n2\t\t1/24\n'
+    r = run('compute', '--algebra', 'G2', '--method', 'lie')
+    assert r.returncode == 0, r.stderr
+    assert [e['lambda'] for e in json.loads(r.stdout)['invariants']] == [None, None]
+    r = run('compute', '--algebra', 'G2', '--method', 'lie', '--format', 'pretty')
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == 'G2 (lie)\n  c_1 = 1/8\n  c_2 = 1/24\n'
+
+
 def test_compute_lie_method():
     r = run('compute', '--series', 'C', '--rank', '3', '--method', 'lie')
     assert r.returncode == 0, r.stderr

@@ -13,10 +13,12 @@ from dscentral.algebra import Poly, antiderivative
 from dscentral.symbols import Symbol
 
 
-def rnd_symbol(rng, K=4, maxorder=2):
+def rnd_symbol(rng, K=4, maxorder=2, rational=False):
+    """Three random terms c u_i^(k) p^j; with `rational`, c has a
+    denominator 2, 3 or 5, so the products meet non-integral values."""
     coeffs = {}
     for _ in range(3):
-        mono = Poly.num(Fraction(rng.randint(-4, 4)))
+        mono = Poly.num(Fraction(rng.randint(-4, 4), rng.choice((2, 3, 5)) if rational else 1))
         mono = mono * Poly.of('u', rng.randint(1, 2), rng.randint(0, maxorder))
         k = rng.randint(-2, 2)
         coeffs[k] = coeffs.get(k, Poly()) + mono
@@ -105,7 +107,8 @@ def test_coeff_and_residue_accessors():
 def test_scale_and_shift():
     s = Symbol.from_p_poly({1: Poly.of('u', 1)}, K=3)
     assert (s.scale(Fraction(1, 2)) + s.scale(Fraction(1, 2)) - s).is_zero()
-    t = s.eps_shift(1)
+    # multiplying by eps moves each coefficient up one eps order
+    t = Symbol({(0, 1): Poly.num(1)}, 3).star(s)
     assert (t.c.get((1, 1), Poly()) - Poly.of('u', 1)).is_zero()
 
 
@@ -129,3 +132,35 @@ def test_bounded_star_drops_only_the_lower_powers():
                 for low in (-9, -3, -1, 0, 2, 5):
                     kept = Symbol({k: p for k, p in full.c.items() if k[0] >= low}, K)
                     assert x.star(y, frozen, low) == kept, (K, low)
+
+
+def test_integer_weights_on_rational_coefficients():
+    # the binomial weights are ints; coefficients like u/3 and 5/2 keep
+    # every identity of the calculus
+    rng = random.Random(9)
+    for K in (2, 4, 5):
+        for frozen in (frozenset(), frozenset({'u'})):
+            for _ in range(8):
+                x, y, z = (rnd_symbol(rng, K=K, rational=True) for _ in range(3))
+                assert x.star_residue(y, frozen) == x.star(y, frozen).residue()
+                assert x.star(y, frozen).star(z, frozen) == x.star(y.star(z, frozen), frozen)
+        for _ in range(8):
+            x, y = rnd_symbol(rng, K=K, rational=True), rnd_symbol(rng, K=K, rational=True)
+            assert x.adjoint().adjoint() == x
+            assert x.star(y).adjoint() == y.adjoint().star(x.adjoint())
+
+
+def test_star_weight_at_a_negative_power():
+    # p^-2 * u = sum_k C(-2, k) eps^k u^(k) p^(-2-k), C(-2, k) = (-1)^k (k + 1);
+    # with rational factors the product scales by them
+    K = 6
+    u = Poly.of('u', 1)
+    for a, b in ((1, 1), (Fraction(5, 2), Fraction(1, 3))):
+        prod = Symbol.from_p_poly({-2: a}, K).star(Symbol.from_p_poly({0: u * b}, K))
+        assert set(prod.c) == {(-2 - k, k) for k in range(K + 1)}
+        for k in range(K + 1):
+            assert prod.c[(-2 - k, k)] == Poly.of('u', 1, k) * ((-1) ** k * (k + 1) * a * b)
+        # the adjoint of p^-2 carries the same weights, up to the sign (-1)^-2
+        adj = Symbol.from_p_poly({-2: u * b}, K).adjoint()
+        for k in range(K + 1):
+            assert adj.c[(-2 - k, k)] == Poly.of('u', 1, k) * ((-1) ** k * (k + 1) * b)
