@@ -3,13 +3,13 @@ their central invariants.
 
 Subpackage layout:
 
-    algebra     sparse differential polynomials, fraction-free matrix
-                elimination
+    algebra     sparse differential polynomials
     symbols     truncated symbol calculus for pseudodifferential operators
     lax         scalar Lax operators for the classical series
     brackets    Poisson bracket tables from the symbol calculus
     invariants  canonical coordinates and central invariants
     liealg      exact Lie algebra data (Chevalley-basis matrices, gradings)
+                and the one exact elimination, over Fraction or Poly
     dirac       bracket tensors through Dirac reduction on a slice
     frobenius   Frobenius manifold / orbit space constructions
     fixtures    bundled exceptional-algebra data files

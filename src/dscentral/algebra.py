@@ -1,5 +1,4 @@
-"""Sparse exact arithmetic: differential polynomials and fraction-free
-matrix elimination.
+"""Sparse exact arithmetic: differential polynomials.
 
 A variable is a tuple (family, index, order), e.g. ('u', 2, 0) for u_2 or
 ('a', 1, 3) for the third x-derivative of a_1.  A monomial is a sorted
@@ -414,57 +413,3 @@ def antiderivative(p, frozen=frozenset()):
             accumulate(rem, m2, -c2)
     raise ValueError("antiderivative did not terminate")
 
-
-def bareiss_det(rows):
-    """Determinant of a square Poly matrix by fraction-free elimination."""
-    n = len(rows)
-    M = [list(r) for r in rows]
-    sign = 1
-    prev = Poly.num(1)
-    for k in range(n - 1):
-        if M[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not M[i][k].is_zero():
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return Poly()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[k][k] * M[i][j] - M[i][k] * M[k][j]).divexact(prev)
-            M[i][k] = Poly()
-        prev = M[k][k]
-    d = M[n - 1][n - 1]
-    return d if sign == 1 else -d
-
-
-def bareiss_adjugate(rows):
-    """(adjugate-like matrix W, det) with rows^-1 = W / det, by fraction-free
-    Gauss-Jordan (Montante) elimination on [rows | I]."""
-    n = len(rows)
-    M = [list(r) + [Poly.num(1) if i == j else Poly() for j in range(n)]
-         for i, r in enumerate(rows)]
-    sign = 1
-    prev = Poly.num(1)
-    for k in range(n):
-        if M[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not M[i][k].is_zero():
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return None, Poly()
-        for i in range(n):
-            if i == k:
-                continue
-            for j in range(2 * n):
-                if j == k:
-                    continue
-                M[i][j] = (M[k][k] * M[i][j] - M[i][k] * M[k][j]).divexact(prev)
-            M[i][k] = Poly()
-        prev = M[k][k]
-    det = prev if sign == 1 else -prev
-    W = [[M[i][n + j] if sign == 1 else -M[i][n + j] for j in range(n)] for i in range(n)]
-    return W, det

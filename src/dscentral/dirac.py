@@ -6,13 +6,14 @@ affine in (1, u^1, ..., u^n).  `_constraint_parts` builds their parts
 once, and one chain, `_reduce`, turns them into the second-bracket
 blocks.  The pencil's shift lam rides on u^n, the unit field, so the
 first bracket is the derivative of the second along it.  The chain runs
-over either scalar ring:
+over the ring of its coefficients, with P^-1 = W / d from
+`liealg.scaled_inverse`, the package's one elimination:
 
-- `dirac_tensors`: Poly in the u^k, with P^-1 = W / d from a single
-  fraction-free adjugate, the first-bracket tensors the d/du^n
+- `dirac_tensors`: Poly in the u^k, where W and d come from the
+  fraction-free sweeps, the first-bracket tensors the d/du^n
   derivatives of the second-bracket ones;
-- `numeric_pencil`: Fraction at one point, with the exact inverse of P
-  at lam = 0, 1, 2, the levels read off the differences.
+- `numeric_pencil`: Fraction at one point, where d = 1, at lam = 0, 1,
+  2, the levels read off the differences.
 
 `central_invariants_dirac` hands the tensors at a point to
 `invariants.defect_invariants`, the one defect formula of every route.
@@ -20,10 +21,9 @@ over either scalar ring:
 
 from fractions import Fraction
 
-from .algebra import Poly, bareiss_det, bareiss_adjugate
-from . import liealg
-from .liealg import (ZERO, inverse, madd, mcomm, mscale, mzero, nullspace,
-                     transpose)
+from .algebra import Poly
+from .liealg import (ZERO, determinant, inverse, madd, mcomm, mmul as mm,
+                     mscale, mzero, nullspace, scaled_inverse, transpose)
 from .invariants import defect_invariants
 from .upoly import DegeneratePoint, derivative, rational_roots, value
 
@@ -131,12 +131,13 @@ def _constraint_parts(alg, slices):
     return Pparts, Rparts, Q, S
 
 
-def _reduce(parts, coeffs, zero, invert):
+def _reduce(parts, coeffs):
     """The second-bracket blocks G2, T12, T22 from the constraint parts
-    with the coefficients (1, c^1, ..., c^n), over the ring of `zero`;
-    invert(P) gives (W, d) with P^-1 = W / d."""
+    with the coefficients (1, c^1, ..., c^n), over the ring of the
+    coefficients, with P^-1 = W / d from `liealg.scaled_inverse`."""
     Pparts, Rparts, Q, S = parts
     m2 = len(Q)
+    zero = 0 * coeffs[0]
     P = [[zero] * m2 for _ in range(m2)]
     for c, part in zip(coeffs, Pparts):
         for a, b, v in part:
@@ -146,8 +147,10 @@ def _reduce(parts, coeffs, zero, invert):
     for c, part in zip(coeffs[1:], Rparts):
         for i, a, v in part:
             R[i][a] += c * v
-    W, d = invert(P)
-    mm = liealg.mmul
+    try:
+        W, d = scaled_inverse(P)
+    except ValueError:
+        raise ValueError("degenerate constraint matrix") from None
     QW = mm(Q, W)
     r, s = [mm(R, W)], [mm(S, W)]    # r[k] = R P^-1 (Q P^-1)^k d^(k+1)
     for _ in range(3):
@@ -192,15 +195,8 @@ def dirac_tensors(alg, slices):
     parts = _constraint_parts(alg, slices)
     coeffs = [Poly.num(1)] + [Poly.of('u', k + 1) for k in range(alg.n)]
     unit = ('u', alg.n, 0)
-
-    def adjugate(P):
-        W, d = bareiss_adjugate(P)
-        if d.is_zero():
-            raise ValueError("degenerate constraint matrix")
-        return W, d
-
     out = {}
-    for (k2, k1), M in zip(LEVELS, _reduce(parts, coeffs, Poly(), adjugate)):
+    for (k2, k1), M in zip(LEVELS, _reduce(parts, coeffs)):
         M = [[x or Poly() for x in row] for row in M]    # zeros as Poly too
         D = [[x.diff(unit) for x in row] for row in M]
         if any(x.diff(unit) for row in D for x in row):
@@ -234,12 +230,12 @@ def central_invariants_dirac(tensors, n, upoint):
 
     vals = {key: at_point(T) for key, T in tensors.items()}
     M = pencil(vals['g2'], vals['g1'])
-    p0 = bareiss_det(M)
+    p0 = determinant(M)
     dp = []
     for k in range(n):
         v = ('u', k + 1, 0)
         dM = pencil(at_point(tensors['g2'], v), at_point(tensors['g1'], v))
-        dp.append(sum((bareiss_det(M[:r] + [dM[r]] + M[r + 1:])
+        dp.append(sum((determinant(M[:r] + [dM[r]] + M[r + 1:])
                        for r in range(n)), Poly()))
 
     def coeffs(pol):    # a Poly in z alone -> its coefficient list
@@ -267,7 +263,7 @@ def numeric_pencil(alg, slices, upoint):
     for lam in (0, 1, 2):
         coeffs = [Fraction(1)] + [Fraction(u) for u in upoint]
         coeffs[-1] += lam
-        vals.append(_reduce(parts, coeffs, ZERO, lambda P: (inverse(P), 1)))
+        vals.append(_reduce(parts, coeffs))
     out = {}
     for idx, (k2, k1) in enumerate(LEVELS):
         a0 = vals[0][idx]

@@ -102,7 +102,6 @@ def potential_from_metrics(g2, eta, degrees, n):
     degree 2h + 2; raises ValueError if the system is inconsistent.
     """
     h = max(degrees)
-    etainv = liealg.inverse(eta)
     # target Hessian: H_kl = eta_ki eta_lj h/(di+dj-2) g2^ij
     H = [[Poly() for _ in range(n)] for _ in range(n)]
     for k in range(n):
@@ -118,7 +117,6 @@ def potential_from_metrics(g2, eta, degrees, n):
     cands = [m for m in _monomials(degrees, 2 * h + 2) if sum(m) >= 3]
     # linear system on candidate coefficients
     rows, rhs = [], []
-    seen = {}
     polys = [_mono_poly(m) for m in cands]
     for k in range(n):
         for l in range(k, n):

@@ -1,9 +1,8 @@
 """Exact Lie algebra data: Cartan matrices, matrix realizations,
-principal gradings and slice bases.
-
-All linear algebra here is exact over Fraction.  Matrices are lists of
-rows; the matrix kernels visit nonzero entries only and share a single
-zero object, since the Chevalley bases they act on are very sparse.
+principal gradings and slice bases, and the one exact elimination
+(`echelon`, `back_sweep`) over Fraction or Poly.  Matrices are lists of
+rows; the products visit nonzero entries only and write the one shared
+ZERO, since the Chevalley bases they act on are very sparse.
 """
 
 from fractions import Fraction
@@ -116,80 +115,141 @@ def fold(typ, n):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Fraction
+# exact elimination over Fraction or Poly
 
-def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot columns)."""
-    M = [list(map(Fraction, r)) for r in rows]
-    if not M:
-        return M, []
-    nr, nc = len(M), len(M[0])
-    piv = []
-    r = 0
-    for c in range(nc):
+def echelon(rows):
+    """Forward sweep: (echelon rows, pivot columns, determinant of a
+    square input), `int` entries made Fractions.  The pivot's type picks
+    the update of the rows below it.  A Fraction pivot row is divided by
+    its pivot and subtracted from the rows with a nonzero in its column.
+    A Poly pivot p takes each entry x to (p x - a y).divexact(prev), a
+    and y the entries of x's row and of the pivot row in the pivot column
+    and x's column, prev the last pivot (Bareiss); entries stay minors.
+    The rows above are left to `back_sweep`, as a determinant never
+    reads them and one-pass Gauss-Jordan (Montante) would update them.
+
+    >>> from dscentral.algebra import Poly
+    >>> u = Poly.of('u', 1)
+    >>> echelon([[u, Poly.num(1)], [Poly.num(1), u]])
+    ([[1*u_1^(0), 1], [0, -1 + 1*u_1^(0)**2]], [0, 1], -1 + 1*u_1^(0)**2)
+    """
+    M = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in rows]
+    nr, piv, det, sign, prev = len(M), [], Fraction(1), 1, 1
+    for c in range(len(M[0])):
+        r = len(piv)
         pr = next((i for i in range(r, nr) if M[i][c]), None)
         if pr is None:
             continue
-        M[r], M[pr] = M[pr], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv if x else x for x in M[r]]
-        pivot = _nonzeros(M[r])
-        for i in range(nr):
-            if i != r and M[i][c]:
-                f, row = M[i][c], M[i]
-                for j, y in pivot:
-                    row[j] -= f * y
+        if pr != r:
+            M[r], M[pr], sign = M[pr], M[r], -sign
+        p = M[r][c]
+        if isinstance(p, Fraction):
+            det, inv = det * p, 1 / p
+            M[r] = [x * inv if x else x for x in M[r]]
+            _clear(M[r + 1:], c, M[r])
+        else:
+            det, prow = p, M[r]
+            for row in M[r + 1:]:
+                a = row[c]
+                for j in range(c + 1, len(row)):
+                    x, y = row[j], prow[j]
+                    if x or (a and y):
+                        x = p * x - a * y if a and y else p * x
+                        row[j] = x.divexact(prev) if r else x   # prev = 1 at r = 0
+                row[c] = 0 * p
+            prev = p
         piv.append(c)
-        r += 1
-        if r == nr:
-            break
-    return M, piv
+    if len(piv) < nr:
+        det = 0 * M[0][0]
+    return M, piv, det if sign > 0 else -det
+
+
+def _clear(rows, c, prow):
+    """Subtract multiples of a pivot row with a 1 at column c from rows."""
+    pivot = _nonzeros(prow)
+    for row in rows:
+        f = row[c]
+        if f:
+            for j, y in pivot:
+                row[j] -= f * y
+
+
+def back_sweep(M, piv):
+    """Back sweep, in place on the rows of `echelon`: clears the entries
+    above the pivots and returns d, the value every pivot then has, so M
+    is d times the reduced echelon form.  Over Fraction d = 1.  Over Poly
+    d is the last pivot; each row, from the last up, becomes d times
+    itself minus its entries at the later pivots times their rows, over
+    its own pivot (an exact division, by Cramer's rule)."""
+    d = M[len(piv) - 1][piv[-1]] if piv else M[0][0] ** 0    # no pivot: 1
+    if isinstance(d, Fraction):
+        for r in range(len(piv) - 1, 0, -1):
+            _clear(M[:r], piv[r], M[r])
+        return d
+    for r in range(len(piv) - 2, -1, -1):
+        row, p = M[r], M[r][piv[r]]
+        later = [(row[c], M[k]) for k, c in enumerate(piv[r + 1:], r + 1) if row[c]]
+        for j in range(piv[r] + 1, len(row)):
+            x = d * row[j]
+            for f, rk in later:
+                x = x - f * rk[j]
+            row[j] = x.divexact(p)          # 0 at the later pivots
+        row[piv[r]] = d
+    return d
+
+
+def determinant(rows):
+    """Determinant of a square matrix over Fraction or Poly."""
+    return echelon(rows)[2]
 
 
 def nullspace(rows):
-    """Basis of the right kernel."""
-    if not rows:
-        return []
-    nc = len(rows[0])
-    M, piv = rref(rows)
-    free = [c for c in range(nc) if c not in piv]
+    """Basis of the right kernel: for each free column, d there (d = 1
+    over Fraction) and minus the reduced rows' entries at the pivots."""
+    M, piv, _ = echelon(rows)
+    d = back_sweep(M, piv)
     out = []
-    for fc in free:
-        v = [Fraction(0)] * nc
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(piv):
-            v[pc] = -M[r][fc]
-        out.append(v)
+    for fc in range(len(M[0])):
+        if fc not in piv:
+            v = [0 * d] * len(M[0])
+            v[fc] = d
+            for row, pc in zip(M, piv):
+                v[pc] = -row[fc]
+            out.append(v)
     return out
 
 
 def solve(rows, rhs):
-    """One solution of rows . x = rhs, or None."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    """One solution of rows . x = rhs over Fraction, or None."""
     nc = len(rows[0])
-    M, piv = rref(aug)
+    M, piv, _ = echelon([list(r) + [b] for r, b in zip(rows, rhs)])
     if nc in piv:
         return None
+    back_sweep(M, piv)
     x = [Fraction(0)] * nc
-    for r, pc in enumerate(piv):
-        x[pc] = M[r][nc]
+    for row, pc in zip(M, piv):
+        x[pc] = row[nc]
     return x
 
 
-def inverse(rows):
-    """Exact inverse of a square matrix, from the rref of [rows | I];
-    raises ValueError when it is singular."""
-    n = len(rows)
-    M, piv = rref([list(r) + [1 if i == j else 0 for j in range(n)]
-                   for i, r in enumerate(rows)])
-    if piv and piv[-1] >= n:
+def scaled_inverse(rows):
+    """(W, d) with rows^-1 = W / d, from the sweeps of [rows | I], d = 1
+    over Fraction; raises ValueError when rows is singular."""
+    n, one = len(rows), rows[0][0] ** 0
+    zero = 0 * one
+    M, piv, _ = echelon([list(r) + [one if i == j else zero for j in range(n)]
+                         for i, r in enumerate(rows)])
+    if piv[-1] >= n:
         raise ValueError("singular matrix")
-    return [row[n:] for row in M]
+    d = back_sweep(M, piv)
+    return [row[n:] for row in M], d
 
 
-# Matrices over Fraction are stored as lists of rows.  The matrices of a
-# Chevalley basis are very sparse, so the kernels below touch nonzero
-# entries only, and every zero they write is the one shared ZERO.
+def inverse(rows):
+    """Exact inverse of a square Fraction matrix, where d = 1; raises
+    ValueError when it is singular."""
+    return scaled_inverse(rows)[0]
+
 
 ZERO = Fraction(0)
 
@@ -339,7 +399,6 @@ class MatrixLieAlgebra:
             if not r:
                 return False
             piv = min(r)
-            k = len(self.basis)
             self.basis.append(m)
             inv = 1 / r[piv]
             row = {c: x * inv for c, x in r.items()}

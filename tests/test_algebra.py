@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dscentral.algebra import (Poly, _canon, _mono_mul, antiderivative, bareiss_det,
-                               bareiss_adjugate)
+from dscentral.algebra import Poly, _canon, _mono_mul, antiderivative
 
 
 def rnd_poly(rng, nterms=3, families=('u',), maxorder=2):
@@ -287,46 +286,3 @@ def test_constant_and_coeff_of_return_fractions():
         assert p.coeff_of(mono) == want
     with pytest.raises(ValueError):
         p.constant()
-
-
-def rnd_frac_matrix(rng, n):
-    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-             for _ in range(n)] for _ in range(n)]
-
-
-def naive_det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    tot = Fraction(0)
-    for j in range(n):
-        sub = [row[:j] + row[j + 1:] for row in m[1:]]
-        tot += (-1) ** j * m[0][j] * naive_det(sub)
-    return tot
-
-
-def test_bareiss_det_matches_cofactor_expansion():
-    rng = random.Random(11)
-    for n in (2, 3, 4):
-        for _ in range(5):
-            m = rnd_frac_matrix(rng, n)
-            pm = [[Poly.num(x) for x in row] for row in m]
-            assert bareiss_det(pm).constant() == naive_det(m)
-
-
-def test_bareiss_adjugate_identity():
-    rng = random.Random(13)
-    u1 = Poly.of('u', 1)
-    m = [[u1 + 1, Poly.num(2), Poly.num(0)],
-         [Poly.num(1), u1, Poly.num(1)],
-         [Poly.num(0), Poly.num(3), u1 - 1]]
-    adj, det = bareiss_adjugate(m)
-    n = 3
-    for i in range(n):
-        for j in range(n):
-            acc = Poly()
-            for k in range(n):
-                acc = acc + m[i][k] * adj[k][j]
-            want = det if i == j else Poly()
-            assert (acc - want).is_zero()
-

@@ -8,7 +8,8 @@ import pytest
 from dscentral import liealg
 from dscentral.algebra import Poly
 from dscentral.liealg import (cartan_matrix, root_lengths,
-                              lie_central_invariants, fold, rref, nullspace,
+                              lie_central_invariants, fold, determinant,
+                              echelon, inverse, nullspace, scaled_inverse,
                               solve, mcomm, mscale, madd, mzero,
                               g2_algebra)
 
@@ -51,7 +52,7 @@ def test_fold_matches_direct():
     assert fold('G', 4) == lie_central_invariants('G', 2)
 
 
-def test_rref_solve_nullspace():
+def test_solve_nullspace():
     rng = random.Random(5)
     for _ in range(10):
         n = rng.randint(2, 4)
@@ -59,7 +60,7 @@ def test_rref_solve_nullspace():
         x = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
         b = [sum(A[i][j] * x[j] for j in range(n)) for i in range(n)]
         sol = solve(A, b)
-        if len(rref(A)[1]) == n:
+        if determinant(A):
             assert sol == x
         else:
             assert sol is None or \
@@ -67,6 +68,91 @@ def test_rref_solve_nullspace():
                     for i in range(n))
     ns = nullspace([[Fraction(1), Fraction(1), Fraction(0)]])
     assert len(ns) == 2
+
+
+def rnd_frac_matrix(rng, n):
+    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+             for _ in range(n)] for _ in range(n)]
+
+
+def naive_det(m):
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    tot = Fraction(0)
+    for j in range(n):
+        sub = [row[:j] + row[j + 1:] for row in m[1:]]
+        tot += (-1) ** j * m[0][j] * naive_det(sub)
+    return tot
+
+
+def test_determinant_matches_cofactor_expansion():
+    rng = random.Random(11)
+    for n in (2, 3, 4):
+        for _ in range(5):
+            m = rnd_frac_matrix(rng, n)
+            pm = [[Poly.num(x) for x in row] for row in m]
+            assert determinant(pm).constant() == naive_det(m)
+            assert determinant(m) == naive_det(m)
+
+
+def test_scaled_inverse_identity():
+    u1 = Poly.of('u', 1)
+    m = [[u1 + 1, Poly.num(2), Poly.num(0)],
+         [Poly.num(1), u1, Poly.num(1)],
+         [Poly.num(0), Poly.num(3), u1 - 1]]
+    adj, det = scaled_inverse(m)
+    n = 3
+    for i in range(n):
+        for j in range(n):
+            acc = Poly()
+            for k in range(n):
+                acc = acc + m[i][k] * adj[k][j]
+            want = det if i == j else Poly()
+            assert (acc - want).is_zero()
+
+
+U1 = Poly.of('u', 1)
+
+
+@pytest.mark.parametrize('embed, unit, kind', [
+    (lambda x: x, Fraction(1), Fraction),         # int entries, promoted
+    (lambda x: x * (U1 + 1), U1 + 1, Poly),
+], ids=['Fraction', 'Poly'])
+def test_elimination_over_each_scalar(embed, unit, kind):
+    def of(rows):
+        return [[embed(x) for x in row] for row in rows]
+
+    def entries(*ms):
+        return [x for m in ms for row in m for x in row]
+
+    def times(A, v):
+        return [sum((a * x for a, x in zip(row, v)), 0 * unit) for row in A]
+
+    # a row swap at the first pivot flips the determinant's sign
+    assert determinant(of([[0, 1], [1, 0]])) == -unit ** 2
+    A = of([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    assert determinant(A) == 4 * unit ** 3
+    W, d = scaled_inverse(A)
+    for j in range(3):
+        col = times(A, [row[j] for row in W])
+        assert col == [d if i == j else 0 for i in range(3)]
+    # singular: the determinant is 0 and the inverse refuses
+    S = of([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+    assert determinant(S) == 0
+    with pytest.raises(ValueError, match='singular'):
+        inverse(S)
+    # rank 2 of 4 columns: two independent kernel vectors
+    N = of([[1, 2, 0, 1], [2, 4, 1, 3], [3, 6, 1, 4]])
+    ns = nullspace(N)
+    assert len(ns) == 4 - 2
+    for v in ns:
+        assert not any(times(N, v))
+    assert determinant([[v[1], v[3]] for v in ns]) != 0
+    # every output entry is of the matrix's ring, never a float or an int
+    M, piv, det = echelon(A)
+    outs = entries(M, W, ns) + [d, det, determinant(S)]
+    assert {type(x) for x in outs} == {kind}
 
 
 def test_solve_inconsistent():
