@@ -1,29 +1,164 @@
 """Sparse exact arithmetic: differential polynomials.
 
 A variable is a tuple (family, index, order), e.g. ('u', 2, 0) for u_2 or
-('a', 1, 3) for the third x-derivative of a_1.  A monomial is a sorted
-tuple of (variable, exponent) pairs; exponents may be negative (Laurent).
-A Poly maps monomials to exact coefficients in one canonical form: an int
-when the value is integral, else a Fraction, never a float or a bool.
-Every quotient of coefficients goes through Fraction.  `constant()` and
-`coeff_of()` return Fractions.
+('a', 1, 3) for the third x-derivative of a_1.  A Poly maps monomials to
+exact coefficients in one canonical form: an int when the value is
+integral, else a Fraction, never a float or a bool; any other
+coefficient is a TypeError.  Every quotient of coefficients goes through
+Fraction.  `constant()` and `coeff_of()` return Fractions.
+
+A monomial is one int, a packed exponent vector (Monagan & Pearce,
+CASC 2007).  The first time a variable is used it is given the next
+free W = 16 bit field, in a registry private to this module, and the
+monomial is sum_v e_v 2^(W field(v)): each exponent is a signed
+(balanced) digit, so Laurent exponents need nothing extra.  The
+constant monomial is 0, a product of monomials is m1 + m2 and a
+quotient m1 - m2.  Outside this module monomials come only from
+`monomial` and the Poly methods, and are read only by `decode` (the
+sorted (variable, exponent) pairs) or `exponent` (one field: one shift
+and one mask).
+Whatever depends on an order sorts by the decoded pairs, so no output
+depends on the order in which the variables were registered.  The
+fields are assigned per process: a packed monomial means nothing in
+another process, and a Poly is not meant to be pickled.
+
+Range.  A stored monomial keeps every exponent in [-2^14, 2^14).  The
+sum or the difference of two such exponents lies in [-2^15, 2^15), the
+range of a balanced 16-bit digit, so m1 + m2 and m1 - m2 are exact:
+nothing carries into a neighbouring field.  Every monomial that an
+operation makes is checked at once (`_checked`, and the same test inline
+in `mul_into`): adding 2^14 to each field maps an exponent in range into
+[0, 2^15), with the top bit of its field clear.  If an exponent is out
+of range, the lowest such field gets its top bit set, since the fields
+below it are in range and pass it no carry or borrow; so one AND with
+the top bits of all fields finds it.  OverflowError is raised before
+such a monomial can be an operand, so no chain of products, powers,
+quotients or derivatives wraps.
 """
 
 import heapq
 from fractions import Fraction
 
+_W = 16                         # bits per variable field
+_MASK = (1 << _W) - 1
+_OFF = 1 << (_W - 2)            # exponents lie in [-_OFF, _OFF)
+_VARS = []                      # variable of each field, lowest first
+_SHIFT = {}                     # variable -> bit offset of its field
+_OFFS = 0                       # _OFF in every field
+_GUARDS = 0                     # the top bit of every field
+_FAMILY = {}                    # family -> its fields
+_UNFROZEN = {}                  # frozen families -> the other fields
+_DECODED = {}                   # monomial -> its decoded pairs
+_MEMO = 1024
+
+
+def _shift(v):
+    """The bit offset of the field of v, registering v the first time."""
+    sh = _SHIFT.get(v)
+    if sh is None:
+        global _OFFS, _GUARDS
+        sh = _SHIFT[v] = _W * len(_VARS)
+        _VARS.append(v)
+        _OFFS |= _OFF << sh
+        _GUARDS |= 1 << (sh + _W - 1)
+        _FAMILY[v[0]] = _FAMILY.get(v[0], 0) | _MASK << sh
+        _UNFROZEN.clear()
+    return sh
+
+
+def _overflow():
+    return OverflowError("exponent outside [%d, %d)" % (-_OFF, _OFF))
+
+
+def _checked(m):
+    """m, when every exponent of it lies in range (see the module
+    docstring); m must be a sum or difference of two monomials in range."""
+    if (m + _OFFS) & _GUARDS:
+        raise _overflow()
+    return m
+
+
+def monomial(pairs, base=0):
+    """The monomial base * prod v^e over the (variable, exponent) pairs;
+    a variable may repeat.
+
+    >>> m = monomial([(('u', 1, 0), 2), (('p', 0, 0), -1)])
+    >>> decode(m)
+    ((('p', 0, 0), -1), (('u', 1, 0), 2))
+    >>> exponent(m, ('p', 0, 0)), decode(monomial([(('p', 0, 0), 1)], m))
+    (-1, ((('u', 1, 0), 2),))
+    """
+    m = base
+    for v, e in pairs:
+        sh = _SHIFT.get(v)
+        m += e << (_shift(v) if sh is None else sh)
+        # m was in range, so the sum is exact when e is
+        if (m + _OFFS) & _GUARDS or not -_OFF <= e < _OFF:
+            raise _overflow()
+    return m
+
+
+def decode(m):
+    """The (variable, exponent) pairs of a monomial, sorted by variable.
+    Decodes are kept in a memo of at most _MEMO entries, emptied when
+    full."""
+    pairs = _DECODED.get(m)
+    if pairs is None:
+        y = m + _OFFS
+        z = y ^ _OFFS               # nonzero in the fields of nonzero exponents
+        out = []
+        field = 0
+        while z:
+            skip = ((z & -z).bit_length() - 1) // _W
+            field += skip
+            z >>= _W * skip + _W
+            y >>= _W * skip
+            out.append((_VARS[field], (y & _MASK) - _OFF))
+            y >>= _W
+            field += 1
+        out.sort()
+        pairs = tuple(out)
+        if len(_DECODED) >= _MEMO:
+            _DECODED.clear()
+        _DECODED[m] = pairs
+    return pairs
+
+
+def _unfrozen(frozen):
+    # the fields of the variables outside the frozen families, and the
+    # offsets in them: ((m + _OFFS) & mask) - offs is the part of m there
+    frozen = frozenset(frozen)          # the same object when it is one
+    got = _UNFROZEN.get(frozen)
+    if got is None:
+        mask = (1 << _W * len(_VARS)) - 1
+        for f in frozen:
+            mask &= ~_FAMILY.get(f, 0)
+        got = _UNFROZEN[frozen] = mask, _OFFS & mask
+    return got
+
+
+def exponent(m, v):
+    """The exponent of the variable v in the monomial m."""
+    sh = _SHIFT.get(v)
+    if sh is None:
+        return 0
+    return ((m + _OFFS) >> sh & _MASK) - _OFF
+
 
 def _canon(c):
     """The canonical coefficient of an exact value: an int when it is
-    integral, else a Fraction.
+    integral, else a Fraction.  Anything but an int, a bool or a
+    Fraction is a TypeError.
 
     >>> _canon(Fraction(6, 3)), _canon(Fraction(1, 2)), _canon(True)
     (2, Fraction(1, 2), 1)
     """
     if type(c) is int:
         return c
+    if type(c) is bool:
+        return int(c)
     if type(c) is not Fraction:
-        c = Fraction(c)
+        raise TypeError("not an exact coefficient: %r" % (c,))
     return c.numerator if c.denominator == 1 else c
 
 
@@ -43,43 +178,6 @@ def _settle(terms):
     return terms
 
 
-def _mono_mul(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    if len(m1) == 1:
-        m1, m2 = m2, m1
-    if len(m2) == 1:
-        # one variable: merge it into the sorted m1 without a dict
-        (v, e), = m2
-        for pos, (w, f) in enumerate(m1):
-            if w < v:
-                continue
-            if w > v:
-                return m1[:pos] + m2 + m1[pos:]
-            e += f
-            return m1[:pos] + ((v, e),) + m1[pos + 1:] if e else m1[:pos] + m1[pos + 1:]
-        return m1 + m2
-    d = dict(m1)
-    for v, e in m2:
-        e2 = d.pop(v, 0) + e
-        if e2:
-            d[v] = e2
-    return tuple(sorted(d.items()))
-
-
-def _mono_div(m1, m2):
-    # m1 / m2, allowing negative exponents in the result
-    return _mono_mul(m1, tuple((v, -e) for v, e in m2))
-
-
-def _mono_divides(m2, m1):
-    # does m2 divide m1 in the polynomial (non-Laurent) sense
-    d = dict(m1)
-    return all(d.get(v, 0) >= e for v, e in m2)
-
-
 def accumulate(terms, m, c):
     """terms[m] += c in place, dropping the monomial when it cancels."""
     c2 = terms.get(m, 0) + c
@@ -93,10 +191,18 @@ def mul_into(terms, p, q):
     """terms += p * q in place, dropping the monomials that cancel; the
     coefficients are left for `_settle`."""
     qs = q.terms.items()
+    offs, guards = _OFFS, _GUARDS
     for m1, c1 in p.terms.items():
         for m2, c2 in qs:
-            m = _mono_mul(m1, m2)
-            c = terms.get(m, 0) + c1 * c2
+            m = m1 + m2
+            c = terms.get(m)
+            if c is None:
+                # a key already in terms was checked when it was made
+                if (m + offs) & guards:
+                    raise _overflow()
+                c = c1 * c2
+            else:
+                c += c1 * c2
             if c:
                 terms[m] = c
             else:
@@ -112,17 +218,17 @@ class Poly:
     @staticmethod
     def num(c):
         c = _canon(c)
-        return Poly({(): c} if c else {})
+        return Poly({0: c} if c else {})
 
     @staticmethod
     def of(family, index=0, order=0, exp=1):
-        if exp == 0:
-            return Poly.num(1)
-        return Poly({(((family, index, order), exp),): 1})
+        if not -_OFF <= exp < _OFF:
+            raise _overflow()
+        return Poly({exp << _shift((family, index, order)): 1})
 
     @staticmethod
     def from_var(v):
-        return Poly({((v, 1),): 1})
+        return Poly({monomial(((v, 1),)): 1})
 
     def is_zero(self):
         return not self.terms
@@ -131,27 +237,28 @@ class Poly:
         return bool(self.terms)
 
     def is_constant(self):
-        return all(m == () for m in self.terms)
+        return all(m == 0 for m in self.terms)
 
     def constant(self):
         """Value of a constant Poly as a Fraction."""
         if not self.is_constant():
             raise ValueError("not a constant: %s" % self)
-        return Fraction(self.terms.get((), 0))
+        return Fraction(self.terms.get(0, 0))
 
     def variables(self):
-        out = set()
-        for m in self.terms:
-            for v, _ in m:
-                out.add(v)
-        return out
+        return {v for m in self.terms for v, _ in decode(m)}
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
+            if type(other) not in (int, bool, Fraction):
+                return NotImplemented
             other = Poly.num(other)
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant hashes as its value, since it compares equal to it
+        if self.is_constant():
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
@@ -197,28 +304,25 @@ class Poly:
         while n:
             if n & 1:
                 r = r * b
-            b = b * b
             n >>= 1
+            if n:
+                b = b * b
         return r
 
     def __truediv__(self, other):
         if isinstance(other, Poly):
             return self.divexact(other)
-        return self * (Fraction(1) / Fraction(other))
+        return self * _quo(1, _canon(other))
 
     def diff(self, v):
         """Partial derivative with respect to one variable."""
         t = {}
-        for m, c in self.terms.items():
-            d = dict(m)
-            e = d.get(v, 0)
-            if not e:
-                continue
-            if e == 1:
-                del d[v]
-            else:
-                d[v] = e - 1
-            accumulate(t, tuple(sorted(d.items())), c * e)
+        if v in _SHIFT:
+            unit = 1 << _SHIFT[v]
+            for m, c in self.terms.items():
+                e = exponent(m, v)
+                if e:
+                    accumulate(t, _checked(m - unit), c * e)
         return Poly(t)
 
     def xdiff(self, frozen=frozenset()):
@@ -232,21 +336,12 @@ class Poly:
         >>> p.xdiff() == 2 * Poly.of('u', 1) * Poly.of('u', 1, 1) + Poly.of('u', 2, 2)
         True
         """
+        mask, offs = _unfrozen(frozen)
         t = {}
         for m, c in self.terms.items():
-            for v, e in m:
-                if v[0] in frozen:
-                    continue
-                d = dict(m)
-                if e == 1:
-                    del d[v]
-                else:
-                    d[v] = e - 1
-                v2 = (v[0], v[1], v[2] + 1)
-                d[v2] = d.get(v2, 0) + 1
-                if d[v2] == 0:
-                    del d[v2]
-                accumulate(t, tuple(sorted(d.items())), c * e)
+            for v, e in decode(((m + _OFFS) & mask) - offs):
+                m2 = m + (1 << _shift((v[0], v[1], v[2] + 1))) - (1 << _SHIFT[v])
+                accumulate(t, _checked(m2), c * e)
         return Poly(t)
 
     def subs(self, mapping):
@@ -254,11 +349,13 @@ class Poly:
         with negative exponent may only be mapped to nonzero numbers."""
         t = {}
         for m, c in self.terms.items():
-            rest = []
+            rest = 0                    # the factors that stay
             factors = []
-            for v, e in m:
+            # a point evaluation reads few distinct monomials, so the
+            # memo is looked up before the call
+            for v, e in _DECODED.get(m) or decode(m):
                 if v not in mapping:
-                    rest.append((v, e))
+                    rest += e << _SHIFT[v]
                     continue
                 val = mapping[v]
                 if isinstance(val, Poly):
@@ -270,7 +367,11 @@ class Poly:
                     val = val.constant()
                 val = _canon(val)
                 c = c * val ** e if e >= 0 else _quo(c, val ** -e)
-            term = Poly({tuple(rest): _canon(c)})
+            c = _canon(c)
+            if not factors:
+                accumulate(t, rest, c)
+                continue
+            term = Poly({rest: c})
             for f in factors:
                 term = term * f
             for m2, c2 in term.terms.items():
@@ -279,23 +380,57 @@ class Poly:
 
     def coeffs_in(self, v):
         """Split as a polynomial in one variable: dict exponent -> Poly."""
+        sh = _SHIFT.get(v)
+        if sh is None:
+            return {0: Poly(dict(self.terms))} if self.terms else {}
         out = {}
         for m, c in self.terms.items():
-            d = dict(m)
-            e = d.pop(v, 0)
-            m2 = tuple(sorted(d.items()))
-            accumulate(out.setdefault(e, Poly()).terms, m2, c)
-        return {e: p for e, p in out.items() if not p.is_zero()}
+            e = exponent(m, v)
+            # the terms with one exponent of v differ in the rest
+            out.setdefault(e, {})[m - (e << sh)] = c
+        return {e: Poly(t) for e, t in out.items()}
 
-    def coeff_of(self, mono):
-        return Fraction(self.terms.get(tuple(sorted(mono)), 0))
+    def split(self, frozen):
+        """Split as a polynomial in the variables outside the frozen
+        families, with coefficients in the frozen ones: dict monomial ->
+        Poly."""
+        mask, offs = _unfrozen(frozen)
+        out = {}
+        for m, c in self.terms.items():
+            free = ((m + _OFFS) & mask) - offs
+            out.setdefault(free, {})[m - free] = c
+        return {m: Poly(t) for m, t in out.items()}
+
+    def map_free(self, frozen, f):
+        """The linear map that takes each term c m r, m in the variables
+        outside the frozen families and r in the frozen ones, to
+        c w monomial(pairs) r, where (pairs, w) = f(decode(m)); f is
+        called once for each m."""
+        mask, offs = _unfrozen(frozen)
+        t, moves = {}, {}
+        for m, c in self.terms.items():
+            free = ((m + _OFFS) & mask) - offs
+            move = moves.get(free)
+            if move is None:
+                pairs, w = f(decode(free))
+                move = moves[free] = monomial(pairs) - free, w
+            delta, w = move
+            if w:
+                m += delta
+                if (m + _OFFS) & _GUARDS:
+                    raise _overflow()
+                accumulate(t, m, c * w)
+        return Poly(t)
+
+    def coeff_of(self, m):
+        """The coefficient of the monomial m as a Fraction."""
+        return Fraction(self.terms.get(m, 0))
 
     def _content(self):
         # the monomial of least exponents (absent counts as 0): it divides
         # every term, and what is left has no monomial factor
-        ds = [dict(m) for m in self.terms]
-        lo = {v: min(d.get(v, 0) for d in ds) for v in self.variables()}
-        return tuple((v, e) for v, e in sorted(lo.items()) if e)
+        ds = [dict(decode(m)) for m in self.terms]
+        return monomial((v, min(d.get(v, 0) for d in ds)) for v in self.variables())
 
     def divexact(self, other):
         """Exact division in the Laurent ring; raises ValueError when not
@@ -305,26 +440,26 @@ class Poly:
         division that is left is one of polynomials, in graded order.
         """
         if not isinstance(other, Poly):
-            return self * (Fraction(1) / Fraction(other))
+            return self / other
         if other.is_zero():
             raise ZeroDivisionError("division by zero Poly")
         if self.is_zero():
             return Poly()
         if other.is_constant():
-            return self * (Fraction(1) / other.constant())
+            return self * _quo(1, other.terms[0])
         s1, s2 = self._content(), other._content()
         if s1 or s2:
-            a = Poly({_mono_div(m, s1): c for m, c in self.terms.items()})
-            b = Poly({_mono_div(m, s2): c for m, c in other.terms.items()})
-            back = _mono_div(s1, s2)
-            return Poly({_mono_mul(m, back): c for m, c in a.divexact(b).terms.items()})
+            a = Poly({_checked(m - s1): c for m, c in self.terms.items()})
+            b = Poly({_checked(m - s2): c for m, c in other.terms.items()})
+            back = _checked(s1 - s2)
+            return Poly({_checked(m + back): c for m, c in a.divexact(b).terms.items()})
         allv = sorted(self.variables() | other.variables())
         pos = {v: i for i, v in enumerate(allv)}
 
         def key(m):
             # graded lex, negated so that the heap pops the largest first
             vec = [0] * len(allv)
-            for v, e in m:
+            for v, e in decode(m):
                 vec[pos[v]] = -e
             return sum(vec), vec
 
@@ -340,13 +475,15 @@ class Poly:
             c = rem.pop(m, 0)
             if not c:
                 continue        # cancelled since it was pushed
-            if not _mono_divides(lead, m):
+            # m and lead have no negative exponent, so the quotient is in
+            # range, and lead divides m when it has none either
+            qm = m - lead
+            if any(e < 0 for _, e in decode(qm)):
                 raise ValueError("not an exact division")
-            qm = _mono_div(m, lead)
             qc = quot[qm] = _quo(c, lc)
             # rem -= qc * qm * rest: every new monomial is below m
             for m2, c2 in rest:
-                mm = _mono_mul(qm, m2)
+                mm = _checked(qm + m2)
                 old = rem.get(mm)
                 c3 = (old or 0) - qc * c2
                 if c3:
@@ -361,9 +498,9 @@ class Poly:
         if not self.terms:
             return "0"
         parts = []
-        for m, c in sorted(self.terms.items()):
+        for m, c in sorted(self.terms.items(), key=lambda t: decode(t[0])):
             vs = ["%s_%d^(%d)%s" % (v[0], v[1], v[2], "" if e == 1 else "**%d" % e)
-                  for v, e in m]
+                  for v, e in decode(m)]
             parts.append("%s*%s" % (c, "*".join(vs)) if vs else str(c))
         return " + ".join(parts)
 
@@ -392,24 +529,23 @@ def antiderivative(p, frozen=frozenset()):
             return Poly(out)
         best = None
         for m, c in rem.items():
-            top = max(((v[2], v) for v, e in m if v[0] not in frozen), default=None)
+            pairs = decode(m)
+            top = max(((v[2], v) for v, e in pairs if v[0] not in frozen), default=None)
             if top is None or top[1][2] == 0:
                 raise ValueError("not a total x-derivative")
-            key = (top[0], m)
+            key = (top[0], pairs)
             if best is None or key > best[0]:
                 best = (key, m, c, top[1])
         _, m, c, v = best
-        d = dict(m)
-        if d.pop(v) != 1:
+        if exponent(m, v) != 1:
             raise ValueError("not a total x-derivative")
         v2 = (v[0], v[1], v[2] - 1)
-        d[v2] = d.get(v2, 0) + 1
-        if not d[v2]:           # v / v2 integrates to a logarithm
+        e2 = exponent(m, v2) + 1
+        if not e2:              # v / v2 integrates to a logarithm
             raise ValueError("not a total x-derivative")
-        cand = Poly({tuple(sorted(d.items())): _quo(c, d[v2])})
+        cand = Poly({monomial(((v, -1), (v2, 1)), m): _quo(c, e2)})
         for m2, c2 in cand.terms.items():
             accumulate(out, m2, c2)
         for m2, c2 in cand.xdiff(frozen).terms.items():
             accumulate(rem, m2, -c2)
     raise ValueError("antiderivative did not terminate")
-

@@ -17,7 +17,7 @@ variables.
 from fractions import Fraction
 from math import comb, lcm
 
-from .algebra import Poly, _mono_mul, _quo, _settle, accumulate, antiderivative, mul_into
+from .algebra import Poly, _quo, _settle, accumulate, antiderivative, decode, mul_into
 from .symbols import Symbol
 from .lax import (capital_lambda, capital_lambda_tilde, dispersionless_symbol,
                   lambda_xpoly, u_power)
@@ -58,11 +58,9 @@ def gy_exact(comm, frozen=frozenset()):
 
 
 def _a_to_b(sym):
-    # the b-side copy of an a-side symbol; the monomial keys stay sorted,
-    # since no family name sorts between 'a' and 'b'
-    ren = lambda m: tuple((('b',) + v[1:] if v[0] == 'a' else v, e) for v, e in m)
-    return Symbol({k: Poly({ren(m): c for m, c in p.terms.items()})
-                   for k, p in sym.c.items()}, sym.K)
+    # the b-side copy of an a-side symbol
+    ren = lambda pairs: (tuple((('b',) + v[1:] if v[0] == 'a' else v, e) for v, e in pairs), 1)
+    return Symbol({k: p.map_free(FROZEN, ren) for k, p in sym.c.items()}, sym.K)
 
 
 def bracket_density(series, n, K=4):
@@ -141,34 +139,31 @@ def ibp_reduce(pol):
     Each term is linear in a.  Outside the frozen families r holds at
     most one factor, to the first power: d^k raises its order by k, and
     a term without one drops out.  A term whose a carries no derivative
-    is kept as it is.
+    is kept as it is.  The step depends only on the part of a term
+    outside the frozen families.
     """
-    out = {}
-    for m, c in pol.terms.items():
-        ia = free = None
-        for pos, (v, e) in enumerate(m):
-            if v[0] == 'a':
-                if ia is not None or e != 1:
-                    raise ValueError("nonlinear density in a")
-                ia = pos
-            elif v[0] not in FROZEN:
-                free = pos if free is None and e == 1 else -1
-        k = 0 if ia is None else m[ia][0][2]
-        if not k:
-            accumulate(out, m, c)
-            continue
-        if free == -1:
-            raise ValueError("remainder not linear in its non-frozen factors: %s" % (m,))
-        if free is None:
-            continue
-        # no other factor shares a family and an index with these two,
-        # so the new orders keep the monomial sorted
-        m2 = list(m)
-        m2[ia] = (m[ia][0][:2] + (0,), 1)
-        v = m[free][0]
-        m2[free] = ((v[0], v[1], v[2] + k), 1)
-        accumulate(out, tuple(m2), -c if k % 2 else c)
-    return Poly(out)
+    return pol.map_free(FROZEN, _ibp_step)
+
+
+def _ibp_step(pairs):
+    # the step of `ibp_reduce` on the part of a term outside FROZEN
+    a, free = None, []
+    for v, e in pairs:
+        if v[0] == 'a':
+            if a is not None or e != 1:
+                raise ValueError("nonlinear density in a")
+            a = v
+        else:
+            free.append((v, e))
+    k = 0 if a is None else a[2]
+    if not k:
+        return pairs, 1
+    if len(free) > 1 or free and free[0][1] != 1:
+        raise ValueError("remainder not linear in its non-frozen factors: %s" % (pairs,))
+    if not free:
+        return (), 0
+    v = free[0][0]
+    return ((a[:2] + (0,), 1), ((v[0], v[1], v[2] + k), 1)), -1 if k % 2 else 1
 
 
 def unit_derivative(series, polys):
@@ -205,27 +200,20 @@ def normal_form(dens):
     """
     table = {}
     for e, pol in dens.items():
-        nf = ibp_reduce(pol)
-        for m, c in nf.terms.items():
-            ia = jb = s = None
-            rest = []
-            for v, ex in m:
-                if v[0] == 'a':
-                    if ia is not None or ex != 1 or v[2] != 0:
-                        raise ValueError("unexpected density term %s" % (m,))
-                    ia = v[1]
-                elif v[0] == 'b':
-                    if jb is not None or ex != 1:
-                        raise ValueError("unexpected density term %s" % (m,))
-                    jb, s = v[1], v[2]
+        for m, rest in ibp_reduce(pol).split(FROZEN).items():
+            a = b = None
+            for v, ex in decode(m):
+                if v[0] == 'a' and a is None and ex == 1 and v[2] == 0:
+                    a = v
+                elif v[0] == 'b' and b is None and ex == 1:
+                    b = v
                 else:
-                    rest.append((v, ex))
-            if ia is None or jb is None:
-                raise ValueError("density not bilinear: %s" % (m,))
-            if s != e:
-                raise ValueError("eps grading violated at %s (eps^%d)" % (m, e))
-            accumulate(table.setdefault((ia, jb, s), {}), tuple(rest), c)
-    table = {k: Poly(t) for k, t in table.items() if t}
+                    raise ValueError("unexpected density term %s" % (decode(m),))
+            if a is None or b is None:
+                raise ValueError("density not bilinear: %s" % (decode(m),))
+            if b[2] != e:
+                raise ValueError("eps grading violated at %s (eps^%d)" % (decode(m), e))
+            table[(a[1], b[1], e)] = rest
     if any(s == 0 for (_, _, s) in table):
         raise ValueError("eps^-1 terms did not cancel")
     return table
@@ -258,25 +246,19 @@ class _Frac:
         # num / (x - y) by synthetic division in x, or None when it leaves
         # a remainder: with num = sum c_j x^j, q_(j-1) = c_j + y q_j from
         # the top power down, and the remainder is c_low + y q_low
-        x, y = (m[0][0] for m in sorted(self.base.terms, key=self.base.terms.get,
-                                        reverse=True))
-        cols = {}
-        for m, c in num.terms.items():
-            j = next((e for v, e in m if v == x), 0)
-            cols.setdefault(j, {})[tuple(f for f in m if f[0] != x)] = c
+        x, y = (decode(m)[0][0] for m in sorted(self.base.terms, key=self.base.terms.get,
+                                                reverse=True))
+        cols = num.coeffs_in(x)
         if not cols:
             return Poly()
-        low, quot, q = min(cols), {}, {}
+        low, quot, q, yp = min(cols), {}, Poly(), Poly.from_var(y)
         for j in range(max(cols), low - 1, -1):
-            nq = dict(cols.get(j, {}))
-            for r, c in q.items():
-                accumulate(nq, _mono_mul(r, ((y, 1),)), c)
-            q = nq
+            nq = dict(cols[j].terms) if j in cols else {}
+            mul_into(nq, q, yp)
+            q = Poly(_settle(nq))
             if j == low:
                 return None if q else Poly(quot)
-            xj = ((x, j - 1),) if j != 1 else ()
-            for r, c in q.items():
-                quot[_mono_mul(r, xj)] = c
+            mul_into(quot, q, Poly.of(*x, exp=j - 1))
 
     def __add__(self, other):
         lo, hi = sorted((self, other), key=lambda f: f.k)

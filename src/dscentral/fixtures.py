@@ -20,7 +20,7 @@ import os
 import re
 from fractions import Fraction
 
-from .algebra import Poly
+from .algebra import Poly, decode
 from .liealg import mzero, madd, transpose, MatrixLieAlgebra
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), 'data')
@@ -233,11 +233,14 @@ def load_gammas(name, alg, data_dir=DATA_DIR):
     out = []
     for e in exprs:
         p = parse_expr(e, vm)
+        if not isinstance(p, Poly):         # a constant
+            raise FixtureError("gamma %r is not a linear form" % e)
         g = mzero(len(alg.X[0]))
-        for mono, c in (p.terms if isinstance(p, Poly) else {(): p}).items():
-            if len(mono) != 1 or mono[0][1] != 1:
+        for m, c in p.terms.items():
+            pairs = decode(m)
+            if len(pairs) != 1 or pairs[0][1] != 1:
                 raise FixtureError("gamma %r is not a linear form" % e)
-            g = madd(g, matrix_of[mono[0][0][0]], c)
+            g = madd(g, matrix_of[pairs[0][0][0]], c)
         out.append(g)
     return out
 

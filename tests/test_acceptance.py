@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from dscentral.algebra import Poly, antiderivative
+from dscentral.algebra import Poly, antiderivative, decode, monomial
 from dscentral.symbols import Symbol
 from dscentral import (brackets, dirac, fixtures, frobenius, invariants,
                        liealg, reference)
@@ -152,13 +152,13 @@ def _swap_fams(p, f1, f2):
     out = {}
     for m, c in p.terms.items():
         nm = []
-        for (fam, i, o), e in m:
+        for (fam, i, o), e in decode(m):
             if fam == f1:
                 fam = f2
             elif fam == f2:
                 fam = f1
             nm.append(((fam, i, o), e))
-        key = tuple(sorted(nm))
+        key = monomial(nm)
         out[key] = out.get(key, Fraction(0)) + c
     return Poly(out)
 

@@ -1,12 +1,13 @@
 """Exact polynomial and matrix layer."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dscentral.algebra import Poly, _canon, _mono_mul, antiderivative
+from dscentral.algebra import Poly, _canon, antiderivative, decode, exponent, monomial
 
 
 def rnd_poly(rng, nterms=3, families=('u',), maxorder=2):
@@ -44,13 +45,14 @@ def test_ring_axioms(a, b, c):
 
 
 def dict_rule_product(p, q):
-    """Reference: each monomial product merged through a dict and
-    sorted, the cancelled exponents and coefficients dropped."""
+    """Reference: the decoded exponents of each monomial product merged
+    through a dict and sorted, the cancelled exponents and coefficients
+    dropped; keyed by the sorted (variable, exponent) pairs."""
     out = {}
     for m1, c1 in p.terms.items():
         for m2, c2 in q.terms.items():
-            d = dict(m1)
-            for v, e in m2:
+            d = dict(decode(m1))
+            for v, e in decode(m2):
                 d[v] = d.get(v, 0) + e
             m = tuple(sorted((v, e) for v, e in d.items() if e))
             out[m] = out.get(m, 0) + c1 * c2
@@ -67,7 +69,7 @@ def laurent_polys(draw):
     terms = {}
     for _ in range(draw(st.integers(0, 4))):
         vs = draw(st.lists(st.sampled_from(VARS), max_size=3, unique=True))
-        m = tuple(sorted((v, draw(st.sampled_from((-2, -1, 1, 2)))) for v in vs))
+        m = monomial((v, draw(st.sampled_from((-2, -1, 1, 2)))) for v in vs)
         c = Fraction(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 3)))
         terms[m] = _canon(c)
     return Poly(terms)
@@ -76,18 +78,79 @@ def laurent_polys(draw):
 @settings(max_examples=200, deadline=None)
 @given(laurent_polys(), laurent_polys())
 def test_product_matches_dict_rule(a, b):
-    assert (a * b).terms == dict_rule_product(a, b)
+    assert {decode(m): c for m, c in (a * b).terms.items()} == dict_rule_product(a, b)
 
 
-def test_mono_mul_one_variable():
+BOUND = 2 ** 14         # exponents lie in [-BOUND, BOUND)
+JET_VARS = [(f, i, o) for f in ('a', 'b', 'u', 'rho') for i in (1, 2, 3) for o in (0, 1, 5)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(JET_VARS),
+                          st.integers(-BOUND, BOUND - 1) | st.integers(-3, 3)),
+                max_size=6, unique_by=lambda p: p[0]))
+def test_monomial_round_trip(pairs):
+    # pack and decode, negative exponents and the ends of the range
+    # included; the order of the pairs does not matter
+    m = monomial(pairs)
+    want = tuple(sorted((v, e) for v, e in pairs if e))
+    assert decode(m) == want
+    assert monomial(reversed(pairs)) == m
+    for v in JET_VARS:
+        assert exponent(m, v) == dict(pairs).get(v, 0)
+    assert exponent(m, ('never', 0, 0)) == 0
+    assert monomial(()) == 0 and decode(0) == ()
+
+
+def test_monomial_product_one_variable():
     u1, u2, a1 = ('u', 1, 0), ('u', 2, 0), ('a', 1, 0)
-    m = ((a1, 1), (u2, -1))
-    assert _mono_mul(m, ((u1, 2),)) == ((a1, 1), (u1, 2), (u2, -1))     # inserted
-    assert _mono_mul(((u1, 2),), m) == ((a1, 1), (u1, 2), (u2, -1))     # either side
-    assert _mono_mul(m, ((('v', 1, 0), 1),)) == m + ((('v', 1, 0), 1),)  # appended
-    assert _mono_mul(m, ((a1, -3),)) == ((a1, -2), (u2, -1))            # raised
-    assert _mono_mul(m, ((u2, 1),)) == ((a1, 1),)                      # cancelled
-    assert _mono_mul(((u2, 1),), ((u2, -1),)) == ()
+    m = Poly({monomial([(a1, 1), (u2, -1)]): 1})
+
+    def prod(p, pairs):
+        (key, c), = (p * Poly({monomial(pairs): 1})).terms.items()
+        return decode(key)
+    assert prod(m, [(u1, 2)]) == ((a1, 1), (u1, 2), (u2, -1))           # inserted
+    assert prod(Poly.of(*u1, exp=2), [(a1, 1), (u2, -1)]) == prod(m, [(u1, 2)])  # either side
+    assert prod(m, [(('v', 1, 0), 1)]) == ((a1, 1), (u2, -1), (('v', 1, 0), 1))
+    assert prod(m, [(a1, -3)]) == ((a1, -2), (u2, -1))                  # raised
+    assert prod(m, [(u2, 1)]) == ((a1, 1),)                             # cancelled
+    assert prod(Poly.of('u', 2), [(u2, -1)]) == ()
+
+
+def test_exponent_range_raises_overflow():
+    x, y = ('u', 7, 0), ('u', 8, 0)
+    for e in (BOUND - 1, -BOUND):
+        assert decode(monomial([(x, e)])) == ((x, e),)
+        assert exponent(Poly.of(*x, exp=e).terms.popitem()[0], x) == e
+    for e in (BOUND, -BOUND - 1, 10 ** 6):
+        with pytest.raises(OverflowError):
+            monomial([(x, e)])
+        with pytest.raises(OverflowError):
+            Poly.of(*x, exp=e)
+    with pytest.raises(OverflowError):          # a repeated variable
+        monomial([(x, BOUND - 1), (x, 1)])
+    # a chain of products: two x^8000 fit, three do not, and neither
+    # do four, which would wrap a 16-bit field
+    p = Poly.of(*x, exp=8000) * Poly.of(*y)
+    assert decode((p * p).terms.popitem()[0]) == ((x, 16000), (y, 2))
+    for k in (3, 4):
+        with pytest.raises(OverflowError):
+            q = p
+            for _ in range(k - 1):
+                q = q * p
+    with pytest.raises(OverflowError):
+        Poly.of(*x, exp=-8000) * Poly.of(*x, exp=-8000) * Poly.of(*x, exp=-8000)
+    # powers, quotients and derivatives are checked too
+    assert decode((Poly.of(*x, exp=100) ** 163).terms.popitem()[0]) == ((x, 16300),)
+    with pytest.raises(OverflowError):
+        Poly.of(*x, exp=100) ** 164
+    with pytest.raises(OverflowError):
+        (Poly.of(*x, exp=-10000) * (Poly.of(*y) + 1)).divexact(
+            Poly.of(*x, exp=10000) * (Poly.of(*y) + 1))
+    with pytest.raises(OverflowError):
+        Poly.of(*x, exp=-BOUND).diff(x)
+    with pytest.raises(OverflowError):
+        (Poly.of(*x) * Poly.of('u', 7, 1, BOUND - 1)).xdiff()
 
 
 
@@ -208,7 +271,7 @@ def ev(p, pt):
     tot = Fraction(0)
     for m, c in p.terms.items():
         t = Fraction(c)
-        for v, e in m:
+        for v, e in decode(m):
             t *= pt[v] ** e
         tot += t
     return tot
@@ -219,13 +282,13 @@ def ev_deriv(p, pt, var=None, frozen=FROZEN):
     from the terms of p in Fraction arithmetic."""
     tot = Fraction(0)
     for m, c in p.terms.items():
-        for v, e in m:
+        for v, e in decode(m):
             if v[0] in frozen or (var is not None and v != var):
                 continue
             t = Fraction(c) * e * pt[v] ** (e - 1)
             if var is None:
                 t *= pt[(v[0], v[1], v[2] + 1)]
-            for w, f in m:
+            for w, f in decode(m):
                 if w != v:
                     t *= pt[w] ** f
             tot += t
@@ -246,7 +309,7 @@ def test_kernel_agrees_with_fraction_evaluation(a, b, k, pt):
     x, y = pt[('u', 1, 2)], pt[('u', 2, 2)]      # values a and b never read
     got['subs'] = (a.subs({('u', 1, 0): x, ('p', 0, 0): Poly.num(y)}),
                    ev(a, {**pt, ('u', 1, 0): x, ('p', 0, 0): y}))
-    if all(e >= 0 for m in a.terms for v, e in m if v == ('u', 2, 1)):
+    if all(e >= 0 for m in a.terms for v, e in decode(m) if v == ('u', 2, 1)):
         got['subs Poly'] = (a.subs({('u', 2, 1): b}), ev(a, {**pt, ('u', 2, 1): B}))
     if not b.is_zero():
         q = (a * b).divexact(b)
@@ -273,7 +336,7 @@ def test_coefficients_are_canonical():
               (half * Poly.of('u', 2)).divexact(Poly.of('u', 2) * 4),
               Poly.num(3) / 3, Poly.of('u', 1).subs({('u', 1, 0): Fraction(6, 3)})):
         assert canonical(p), p.terms
-    assert (half * 2).terms == {((('u', 1, 0), 1),): 1}
+    assert {decode(m): c for m, c in (half * 2).terms.items()} == {((('u', 1, 0), 1),): 1}
 
 
 def test_constant_and_coeff_of_return_fractions():
@@ -282,7 +345,31 @@ def test_constant_and_coeff_of_return_fractions():
         assert type(c) is Fraction
     p = Poly.of('u', 1) * 3 + 2
     for mono, want in (((), 2), ([(('u', 1, 0), 1)], 3), ([(('u', 2, 0), 1)], 0)):
-        assert type(p.coeff_of(mono)) is Fraction
-        assert p.coeff_of(mono) == want
+        assert type(p.coeff_of(monomial(mono))) is Fraction
+        assert p.coeff_of(monomial(mono)) == want
     with pytest.raises(ValueError):
         p.constant()
+
+
+@pytest.mark.parametrize('value', [0.5, 0.1, Decimal('0.5'), '1/3', 1 + 2j],
+                         ids=['float', 'float 0.1', 'Decimal', 'str', 'complex'])
+def test_only_exact_coefficients(value):
+    # int, bool and Fraction only: no float reaches a coefficient
+    u = Poly.of('u', 1)
+    for make in (Poly.num, lambda c: u * c, lambda c: c * u, lambda c: u + c,
+                 lambda c: u - c, lambda c: u / c, lambda c: u.subs({('u', 1, 0): c})):
+        with pytest.raises(TypeError):
+            make(value)
+    assert (Poly.num(Fraction(1, 2)) == 0.5) is False
+
+
+def test_hash_agrees_with_equality():
+    for c in (0, 3, -7, Fraction(1, 2), True):
+        assert Poly.num(c) == c
+        assert hash(Poly.num(c)) == hash(c)
+    assert Poly() == 0 and hash(Poly()) == hash(0)
+    table = {Poly.num(3): 'a', Poly.of('u', 1): 'b', Fraction(1, 2): 'c'}
+    assert table.get(3) == 'a'
+    assert table.get(Poly.num(Fraction(1, 2))) == 'c'
+    assert table.get(Poly.of('u', 1) * 1) == 'b'
+    assert hash(Poly.of('u', 1) + 1) == hash(1 + Poly.of('u', 1))

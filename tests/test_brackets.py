@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from dscentral.algebra import Poly, accumulate
+from dscentral.algebra import Poly, accumulate, decode, monomial
 from dscentral import invariants
 from dscentral.brackets import (FROZEN, _a_to_b, _Frac, _scaled_density, bracket_density,
                                 bracket_table, ibp_reduce, generating_poly,
@@ -24,13 +24,13 @@ def _swap_ab(p):
     out = {}
     for m, c in p.terms.items():
         nm = []
-        for (fam, i, o), e in m:
+        for (fam, i, o), e in decode(m):
             if fam == 'a':
                 fam = 'b'
             elif fam == 'b':
                 fam = 'a'
             nm.append(((fam, i, o), e))
-        key = tuple(sorted(nm))
+        key = monomial(nm)
         out[key] = out.get(key, Fraction(0)) + c
     return Poly(out)
 
@@ -283,14 +283,15 @@ def ibp_one_derivative_per_round(pol):
     while rem:
         again = {}
         for m, c in rem.items():
-            target = next(((v, e) for v, e in m if v[0] == 'a' and v[2] > 0), None)
+            pairs = decode(m)
+            target = next(((v, e) for v, e in pairs if v[0] == 'a' and v[2] > 0), None)
             if target is None:
                 accumulate(out, m, c)
                 continue
             v, e = target
             if e != 1:
                 raise ValueError("nonlinear density in a")
-            rest = Poly({tuple(x for x in m if x[0] != v): c})
+            rest = Poly({monomial(x for x in pairs if x[0] != v): c})
             low = Poly.from_var((v[0], v[1], v[2] - 1))
             for m2, c2 in (low * rest.xdiff(FROZEN)).terms.items():
                 accumulate(again, m2, -c2)

@@ -464,6 +464,69 @@ GOLDEN = [
      '5/2*Q_0^(0)**2*u_2^(0)*u_4^(0) + 7/2*Q_0^(0)**3*u_2^(0) + '
      '3*u_1^(0)*u_3^(0) + 1/2*u_2^(0)**2\n'
      '  closed form: ok\n'),
+    (('coeffs', '--series', 'B', '--rank', '3', '--check'),
+     'a=1 s=1: 6*P_0^(0)*Q_0^(0) + 4*P_0^(0)*u_3^(0) + '
+     '6*P_0^(0)**2 + 4*Q_0^(0)*u_3^(0) + 6*Q_0^(0)**2 + 2*u_2^(0)\n'
+     '  closed form: ok\n'
+     'a=1 s=3: 23*P_0^(0) + 23*Q_0^(0) + 6*u_3^(0)\n'
+     '  closed form: ok\n'
+     'a=2 s=1: 6*P_0^(0)*Q_0^(0)*u_1^(0) + '
+     '2*P_0^(0)*Q_0^(0)*u_2^(0)*u_3^(0) + '
+     '4*P_0^(0)*Q_0^(0)**2*u_2^(0) + 4*P_0^(0)*u_1^(0)*u_3^(0) + '
+     '4*P_0^(0)**2*Q_0^(0)*u_2^(0) + '
+     '2*P_0^(0)**2*Q_0^(0)**2*u_3^(0) + 6*P_0^(0)**2*u_1^(0) + '
+     '4*Q_0^(0)*u_1^(0)*u_3^(0) + 6*Q_0^(0)**2*u_1^(0) + '
+     '2*u_1^(0)*u_2^(0)\n'
+     '  closed form: ok\n'
+     'a=2 s=3: 18*P_0^(0)*Q_0^(0)*u_2^(0) + '
+     '10*P_0^(0)*Q_0^(0)*u_3^(0)**2 + '
+     '20*P_0^(0)*Q_0^(0)**2*u_3^(0) + 23*P_0^(0)*u_1^(0) + '
+     '5*P_0^(0)*u_2^(0)*u_3^(0) + 20*P_0^(0)**2*Q_0^(0)*u_3^(0) + '
+     '28*P_0^(0)**2*Q_0^(0)**2 + 8*P_0^(0)**2*u_2^(0) + '
+     '23*Q_0^(0)*u_1^(0) + 5*Q_0^(0)*u_2^(0)*u_3^(0) + '
+     '8*Q_0^(0)**2*u_2^(0) + 6*u_1^(0)*u_3^(0) + 2*u_2^(0)**2\n'
+     '  closed form: ok\n'),
+    (('coeffs', '--series', 'D', '--rank', '4', '--check'),
+     'a=1 s=1: 2*P_0^(0)*Q_0^(0)*u_3^(0) + '
+     '4*P_0^(0)*Q_0^(0)**2*u_4^(0) + 6*P_0^(0)*Q_0^(0)**3 + '
+     '4*P_0^(0)**2*Q_0^(0)*u_4^(0) + 6*P_0^(0)**2*Q_0^(0)**2 + '
+     '6*P_0^(0)**3*Q_0^(0) + 2*u_1^(0)\n'
+     '  closed form: ok\n'
+     'a=1 s=3: 6*P_0^(0)*Q_0^(0)*u_4^(0) + 23*P_0^(0)*Q_0^(0)**2 + '
+     '23*P_0^(0)**2*Q_0^(0)\n'
+     '  closed form: ok\n'
+     'a=2 s=1: 6*P_0^(0)*Q_0^(0)*u_1^(0)*u_4^(0) + '
+     '2*P_0^(0)*Q_0^(0)*u_2^(0)*u_3^(0) + '
+     '8*P_0^(0)*Q_0^(0)**2*u_1^(0) + '
+     '4*P_0^(0)*Q_0^(0)**2*u_2^(0)*u_4^(0) + '
+     '6*P_0^(0)*Q_0^(0)**3*u_2^(0) + 4*P_0^(0)*u_1^(0)*u_3^(0) + '
+     '8*P_0^(0)**2*Q_0^(0)*u_1^(0) + '
+     '4*P_0^(0)**2*Q_0^(0)*u_2^(0)*u_4^(0) + '
+     '6*P_0^(0)**2*Q_0^(0)**2*u_2^(0) + '
+     '2*P_0^(0)**2*Q_0^(0)**2*u_3^(0)*u_4^(0) + '
+     '4*P_0^(0)**2*Q_0^(0)**3*u_3^(0) + '
+     '6*P_0^(0)**2*u_1^(0)*u_4^(0) + 6*P_0^(0)**3*Q_0^(0)*u_2^(0) + '
+     '4*P_0^(0)**3*Q_0^(0)**2*u_3^(0) + '
+     '2*P_0^(0)**3*Q_0^(0)**3*u_4^(0) + 8*P_0^(0)**3*u_1^(0) + '
+     '4*Q_0^(0)*u_1^(0)*u_3^(0) + 6*Q_0^(0)**2*u_1^(0)*u_4^(0) + '
+     '8*Q_0^(0)**3*u_1^(0) + 2*u_1^(0)*u_2^(0)\n'
+     '  closed form: ok\n'
+     'a=2 s=3: 28*P_0^(0)*Q_0^(0)*u_1^(0) + '
+     '6*P_0^(0)*Q_0^(0)*u_2^(0)*u_4^(0) + '
+     '2*P_0^(0)*Q_0^(0)*u_3^(0)**2 + '
+     '23*P_0^(0)*Q_0^(0)**2*u_2^(0) + '
+     '5*P_0^(0)*Q_0^(0)**2*u_3^(0)*u_4^(0) + '
+     '8*P_0^(0)*Q_0^(0)**3*u_3^(0) + 11*P_0^(0)*u_1^(0)*u_4^(0) + '
+     '23*P_0^(0)**2*Q_0^(0)*u_2^(0) + '
+     '5*P_0^(0)**2*Q_0^(0)*u_3^(0)*u_4^(0) + '
+     '18*P_0^(0)**2*Q_0^(0)**2*u_3^(0) + '
+     '10*P_0^(0)**2*Q_0^(0)**2*u_4^(0)**2 + '
+     '20*P_0^(0)**2*Q_0^(0)**3*u_4^(0) + 36*P_0^(0)**2*u_1^(0) + '
+     '8*P_0^(0)**3*Q_0^(0)*u_3^(0) + '
+     '20*P_0^(0)**3*Q_0^(0)**2*u_4^(0) + 28*P_0^(0)**3*Q_0^(0)**3 + '
+     '11*Q_0^(0)*u_1^(0)*u_4^(0) + 36*Q_0^(0)**2*u_1^(0) + '
+     '2*u_1^(0)*u_3^(0)\n'
+     '  closed form: ok\n'),
 ]
 
 
@@ -597,3 +660,21 @@ def test_golden_stdout():
         r = run(*args)
         assert r.returncode == 0, (args, r.stderr)
         assert r.stdout == want, args
+
+
+def test_golden_text_does_not_depend_on_the_variable_order():
+    # a monomial packs each variable into the field it was given on first
+    # use; registering the variables in reverse order first must not
+    # change the printed term order
+    args = ('coeffs', '--series', 'A', '--rank', '3', '--check')
+    script = (
+        'from dscentral import algebra, cli\n'
+        'vs = [(f, i, k) for f in ("a", "b", "u") for i in range(1, 4) for k in range(7)]\n'
+        'vs += [("p", 0, 0), ("q", 0, 0), ("rho", 1, 0)]\n'
+        'algebra.monomial([(v, 1) for v in sorted(vs, reverse=True)])\n'
+        'assert algebra._VARS[0] == ("u", 3, 6)\n'
+        'cli.main(%r, standalone_mode=False)\n' % (list(args),))
+    r = subprocess.run([sys.executable, '-c', script], capture_output=True,
+                       text=True, env=child_env())
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == dict(GOLDEN)[args]

@@ -9,7 +9,7 @@ residue.
 import random
 from fractions import Fraction
 
-from dscentral.algebra import Poly, antiderivative
+from dscentral.algebra import Poly, antiderivative, decode
 from dscentral.symbols import Symbol
 
 
@@ -94,7 +94,7 @@ def test_eps_grading_of_star():
     prod = f.star(g)
     for (pw, e), pol in prod.c.items():
         for m, c in pol.terms.items():
-            tot = sum(v[2] * ex for v, ex in m)
+            tot = sum(v[2] * ex for v, ex in decode(m))
             assert tot == e
 
 
