@@ -114,7 +114,7 @@ def _scaled_density(series, n, K):
     LY = lsym.star(_a_to_b(X), frozen, -1 if series == 'A' else 0)
     LYL = LY.positive().star(lsym, frozen, -1 - top)
     if series != 'A':
-        return {e: p * 2 for e, p in LYL.star_residue(X, frozen).items()}, D * D
+        return {e: p * 2 for e, p in LYL.star(X, frozen, -1, -1).residue().items()}, D * D
     XL = X.star(lsym, frozen)
     YL = _a_to_b(XL)
     g = gy_exact(LY - YL, frozen)
@@ -123,7 +123,7 @@ def _scaled_density(series, n, K):
              (1, X, lsym.commutator(g, frozen))]
     out = {}
     for weight, left, right in pairs:
-        for e, pol in left.star_residue(right, frozen).items():
+        for e, pol in left.star(right, frozen, -1, -1).residue().items():
             acc = out.setdefault(e, {})
             for m, c in pol.terms.items():
                 accumulate(acc, m, c * weight)
@@ -299,51 +299,40 @@ def _lam_tower(series, n, name, capital=False, tilde=False):
 
 
 def closed_form_small(series, n, a, s):
-    """Leading bracket coefficients as exact Laurent polynomials in p, q.
+    """Leading bracket coefficients of the A series as exact Laurent
+    polynomials in p, q, for a = 1, 2 and s = 1, 2, 3.
 
-    For the A series all of (a, s) with a = 1, 2 and s = 1, 2, 3 are
-    available; for B, C, D only the a = 2 family.
+    B, C and D have their closed forms in `closed_form_capital`.
     """
+    if series != 'A':
+        raise ValueError("small-variable closed forms: series A only")
     lp = _lam_tower(series, n, 'p')
     lq = _lam_tower(series, n, 'q')
     p, q = Poly.of('p'), Poly.of('q')
     qp = q - p
-    if series == 'A':
-        nn = Fraction(1, n + 1)
-        if (a, s) == (1, 1):
-            return _Frac(lp[1] - lq[1], p - q).expand()
-        if (a, s) == (2, 1):
-            return (_Frac(lp[1] * lq[0] - lq[1] * lp[0], p - q)
-                    + _Frac(lp[1] * lq[1] * nn)).expand()
-        if (a, s) == (1, 2):
-            return (_Frac(lq[1] - lp[1], qp, 2)
-                    - _Frac((lq[2] + lp[2]) / 2, qp)).expand()
-        if (a, s) == (1, 3):
-            return (_Frac(lq[1] - lp[1], qp, 3)
-                    - _Frac((lq[2] + lp[2]) / 2, qp, 2)
-                    + _Frac((lq[3] - lp[3]) / 6, qp)).expand()
-        if (a, s) == (2, 2):
-            return (_Frac(lq[1] * lp[0] - lq[0] * lp[1], qp, 2)
-                    - _Frac((lq[2] * lp[0] - 2 * lq[1] * lp[1] + lq[0] * lp[2]) / 2, qp)
-                    - _Frac((lq[2] * lp[1] - lq[1] * lp[2]) * Fraction(1, 2) * nn)).expand()
-        if (a, s) == (2, 3):
-            return (_Frac(lq[1] * lp[0] - lq[0] * lp[1], qp, 3)
-                    - _Frac((lq[2] * lp[0] - 2 * lq[1] * lp[1] + lq[0] * lp[2]) / 2, qp, 2)
-                    + _Frac((lq[3] * lp[0] - 3 * lq[2] * lp[1] + 3 * lq[1] * lp[2] - lq[0] * lp[3]) / 6, qp)
-                    + _Frac((2 * lq[3] * lp[1] - 3 * lq[2] * lp[2] + 2 * lq[1] * lp[3]) * Fraction(1, 12) * nn)).expand()
-        raise ValueError("no closed form for (a, s) = %r" % ((a, s),))
-    if a != 2:
-        raise ValueError("small-variable closed forms: a = 2 only for %s" % series)
-    if s == 1:
-        return _Frac(lq[1] * lp[0] - lp[1] * lq[0], qp).expand()
-    if s == 2:
-        return Poly()
-    if s == 3:
-        return (_Frac((lq[1] * lp[0] - lp[1] * lq[0]) / 2, qp, 3)
-                - _Frac((lq[2] * lp[0] - 2 * lq[1] * lp[1] + lp[2] * lq[0]) / 4, qp, 2)
-                + _Frac((lq[1] * lp[2] - lp[1] * lq[2]) / 4, qp)
-                + _Frac((lq[3] * lp[0] - lq[0] * lp[3]) / 6, qp)).expand()
-    raise ValueError("no closed form for s = %r" % s)
+    nn = Fraction(1, n + 1)
+    if (a, s) == (1, 1):
+        return _Frac(lp[1] - lq[1], p - q).expand()
+    if (a, s) == (2, 1):
+        return (_Frac(lp[1] * lq[0] - lq[1] * lp[0], p - q)
+                + _Frac(lp[1] * lq[1] * nn)).expand()
+    if (a, s) == (1, 2):
+        return (_Frac(lq[1] - lp[1], qp, 2)
+                - _Frac((lq[2] + lp[2]) / 2, qp)).expand()
+    if (a, s) == (1, 3):
+        return (_Frac(lq[1] - lp[1], qp, 3)
+                - _Frac((lq[2] + lp[2]) / 2, qp, 2)
+                + _Frac((lq[3] - lp[3]) / 6, qp)).expand()
+    if (a, s) == (2, 2):
+        return (_Frac(lq[1] * lp[0] - lq[0] * lp[1], qp, 2)
+                - _Frac((lq[2] * lp[0] - 2 * lq[1] * lp[1] + lq[0] * lp[2]) / 2, qp)
+                - _Frac((lq[2] * lp[1] - lq[1] * lp[2]) * Fraction(1, 2) * nn)).expand()
+    if (a, s) == (2, 3):
+        return (_Frac(lq[1] * lp[0] - lq[0] * lp[1], qp, 3)
+                - _Frac((lq[2] * lp[0] - 2 * lq[1] * lp[1] + lq[0] * lp[2]) / 2, qp, 2)
+                + _Frac((lq[3] * lp[0] - 3 * lq[2] * lp[1] + 3 * lq[1] * lp[2] - lq[0] * lp[3]) / 6, qp)
+                + _Frac((2 * lq[3] * lp[1] - 3 * lq[2] * lp[2] + 2 * lq[1] * lp[3]) * Fraction(1, 12) * nn)).expand()
+    raise ValueError("no closed form for (a, s) = %r" % ((a, s),))
 
 
 def closed_form_capital(series, n, a, s):

@@ -276,23 +276,21 @@ def _suite_properties(rng, data_dir):
     yield 'star product and adjoint', ok
 
 
-def _suite_an(rng, data_dir):
-    from . import invariants, reference
-    for n in (1, 2, 3):
-        u = invariants.random_sample('A', n, rng)
-        cs = invariants.central_invariants('A', n, u)['c']
-        yield 'A%d invariants' % n, cs == reference.classical_invariants('A', n)
+def _classical_suite(algebras):
+    def suite(rng, data_dir):
+        from . import invariants, reference
+        for series, n in algebras:
+            u = invariants.random_sample(series, n, rng)
+            cs = invariants.central_invariants(series, n, u)['c']
+            yield '%s%d invariants' % (series, n), \
+                cs == reference.classical_invariants(series, n)
+    return suite
 
 
-def _suite_bcd(rng, data_dir):
-    from . import invariants, reference
-    for series, n in (('B', 2), ('C', 2), ('D', 3)):
-        u = invariants.random_sample(series, n, rng)
-        res = invariants.central_invariants(series, n, u)
-        # the exceptional value sits at the extra canonical point, which
-        # is the last one in the engine ordering
-        yield '%s%d invariants' % (series, n), \
-            res['c'] == reference.classical_invariants(series, n)
+_suite_an = _classical_suite([('A', 1), ('A', 2), ('A', 3)])
+# for B, C and D the exceptional value sits at the extra canonical
+# point, which is the last one in the engine ordering
+_suite_bcd = _classical_suite([('B', 2), ('C', 2), ('D', 3)])
 
 
 def _suite_g2(rng, data_dir):

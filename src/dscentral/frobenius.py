@@ -85,11 +85,38 @@ def _monomials(degrees, total):
     return out
 
 
-def _mono_poly(m):
+def _mono_poly(m, factors=None):
+    # prod_i factors_i^(m_i), the coordinates t_i by default
     out = Poly.num(1)
     for i, e in enumerate(m, start=1):
         if e:
-            out = out * Poly.of('t', i) ** e
+            out = out * (Poly.of('t', i) if factors is None else factors[i - 1]) ** e
+    return out
+
+
+def _match_coefficients(cands, equations):
+    """The Poly sum_m c_m t^m over the exponent tuples `cands` whose
+    coefficients solve `equations`, or None when they have no solution.
+
+    Each equation is a pair (target, images), images[i] the image of the
+    i-th candidate, and is matched monomial by monomial over the union of
+    the monomials of both sides.
+    """
+    rows, rhs = [], []
+    for target, images in equations:
+        monos = set(target.terms)
+        for q in images:
+            monos |= set(q.terms)
+        for mo in monos:
+            rows.append([q.coeff_of(mo) for q in images])
+            rhs.append(target.coeff_of(mo))
+    sol = liealg.solve(rows, rhs)
+    if sol is None:
+        return None
+    out = Poly()
+    for c, m in zip(sol, cands):
+        if c:
+            out = out + _mono_poly(m) * c
     return out
 
 
@@ -115,25 +142,12 @@ def potential_from_metrics(g2, eta, degrees, n):
                     acc = acc + g2[i][j] * (eta[k][i] * eta[l][j] * w)
             H[k][l] = acc
     cands = [m for m in _monomials(degrees, 2 * h + 2) if sum(m) >= 3]
-    # linear system on candidate coefficients
-    rows, rhs = [], []
     polys = [_mono_poly(m) for m in cands]
-    for k in range(n):
-        for l in range(k, n):
-            cols = [p.diff(tvar(k + 1)).diff(tvar(l + 1)) for p in polys]
-            monos = set(H[k][l].terms)
-            for c in cols:
-                monos |= set(c.terms)
-            for mo in monos:
-                rows.append([c.coeff_of(mo) for c in cols])
-                rhs.append(H[k][l].coeff_of(mo))
-    sol = liealg.solve(rows, rhs)
-    if sol is None:
+    F = _match_coefficients(cands, [
+        (H[k][l], [p.diff(tvar(k + 1)).diff(tvar(l + 1)) for p in polys])
+        for k in range(n) for l in range(k, n)])
+    if F is None:
         raise ValueError("metric is not potential")
-    F = Poly()
-    for c, p in zip(sol, polys):
-        if c:
-            F = F + p * c
     # verify
     for k in range(n):
         for l in range(n):
@@ -184,28 +198,11 @@ def orbit_metrics_a(n):
     g2 = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            target = g2w[i][j]
-            tot = degy[i] + degy[j] - 2
-            cands = _monomials(degy, tot)
-            polys = []
-            for m in cands:
-                q = Poly.num(1)
-                for k, e in enumerate(m):
-                    if e:
-                        q = q * ys[k] ** e
-                polys.append(q)
-            monos = set(target.terms)
-            for q in polys:
-                monos |= set(q.terms)
-            rows = [[q.coeff_of(mo) for q in polys] for mo in monos]
-            rhs = [target.coeff_of(mo) for mo in monos]
-            sol = liealg.solve(rows, rhs)
-            if sol is None:
+            cands = _monomials(degy, degy[i] + degy[j] - 2)
+            out = _match_coefficients(
+                cands, [(g2w[i][j], [_mono_poly(m, ys) for m in cands])])
+            if out is None:
                 raise ValueError("not a polynomial in the invariants")
-            out = Poly()
-            for c, m in zip(sol, cands):
-                if c:
-                    out = out + _mono_poly(m) * c
             g2[i][j] = g2[j][i] = out
     g1 = [[g2[i][j].diff(tvar(1)) for j in range(n)] for i in range(n)]
     return {'g2': g2, 'g1': g1}

@@ -34,6 +34,8 @@ class Symbol:
         return not self.c
 
     def __eq__(self, other):
+        if not isinstance(other, Symbol):
+            return NotImplemented
         return self.K == other.K and self.c == other.c
 
     def _merge(self, key, p):
@@ -62,18 +64,20 @@ class Symbol:
             s = Poly.num(s)
         return Symbol({k: p * s for k, p in self.c.items()}, self.K)
 
-    def star(self, other, frozen=frozenset(), low=None):
+    def star(self, other, frozen=frozenset(), low=None, high=None):
         """Symbol product, truncated at eps^K.
 
-        Families in `frozen` have vanishing x-derivatives.  With `low`,
-        only the p-powers >= low are formed, exactly as in the full
-        product: a term p^i of self meets the k-th x-derivative of a p^j
-        term of other at p^(i - k + j), so the terms of other are taken
-        from the highest p-power down until that falls below the bound,
-        and each x-derivative tower goes no higher than a pair reads.
-        A vanishing derivative (a frozen coefficient) is skipped before
-        p1 is scaled for it; p1 is scaled once per derivative order, and
-        each product is added straight into its entry.
+        Families in `frozen` have vanishing x-derivatives.  With `low`
+        and `high`, only the p-powers in [low, high] are formed, exactly
+        as in the full product: a term p^i of self meets the k-th
+        x-derivative of a p^j term of other at p^(i - k + j), so the
+        terms of other are taken from the highest p-power down, those
+        above the window skipped, until that falls below it; each
+        x-derivative tower goes no higher than a pair reads.  The window
+        (-1, -1) is the residue.  A vanishing derivative (a frozen
+        coefficient) is skipped before p1 is scaled for it; p1 is scaled
+        once per derivative order, and each product is added straight
+        into its entry.
 
         The k-th term of p^i is weighted by d_p^k p^i / k! = C(i, k)
         p^(i - k), an integer binomial for every integer i (negative
@@ -89,6 +93,8 @@ class Symbol:
         top = towers[0][0]
         if low is None:
             low = min(i for i, _ in self.c) - K + towers[-1][0]
+        if high is None:
+            high = max(i for i, _ in self.c) + top
         for (i, e1), p1 in self.c.items():
             binom = 1
             for k in range(K - e1 + 1):
@@ -100,51 +106,19 @@ class Symbol:
                         break
                 p1f = None
                 for j, e2, tower in towers:
-                    if i - k + j < low:
+                    pw = i - k + j
+                    if pw < low:
                         break
-                    if e1 + e2 + k > K:
+                    if pw > high or e1 + e2 + k > K:
                         continue
                     while len(tower) <= k:
                         tower.append(tower[-1].xdiff(frozen))
                     if tower[k]:
                         if p1f is None:
                             p1f = p1 * binom if k else p1
-                        mul_into(out.setdefault((i - k + j, e1 + e2 + k), {}),
+                        mul_into(out.setdefault((pw, e1 + e2 + k), {}),
                                  p1f, tower[k])
         return Symbol({key: Poly(_settle(t)) for key, t in out.items()}, K)
-
-    def star_residue(self, other, frozen=frozenset()):
-        """star(other, frozen).residue() without the other p-powers.
-
-        A term p^i of self meets the k-th x-derivative of the p^j terms
-        of other only where i - k + j = -1, so the x-derivative tower of
-        other is indexed by p-power and taken no higher than needed.
-        The weights are the integer binomials C(i, k), as in `star`.
-        """
-        K = self.K
-        towers = {}                     # j -> [(e2, [p2, p2', ...])]
-        for (j, e2), p2 in other.c.items():
-            towers.setdefault(j, []).append((e2, [p2]))
-        out = {}
-        for (i, e1), p1 in self.c.items():
-            binom = 1
-            for k in range(K - e1 + 1):
-                if k:
-                    binom = binom * (i - k + 1) // k
-                    if not binom:
-                        break
-                matches = towers.get(k - 1 - i)
-                if not matches:
-                    continue
-                p1f = p1 if k == 0 else p1 * binom
-                for e2, tower in matches:
-                    e = e1 + e2 + k
-                    if e > K:
-                        continue
-                    while len(tower) <= k:
-                        tower.append(tower[-1].xdiff(frozen))
-                    mul_into(out.setdefault(e, {}), p1f, tower[k])
-        return {e: Poly(_settle(t)) for e, t in out.items() if t}
 
     def commutator(self, other, frozen=frozenset()):
         return self.star(other, frozen) - other.star(self, frozen)

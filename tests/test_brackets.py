@@ -82,13 +82,14 @@ def test_delta_double_prime_vanishes_bcd(series, n):
     # operators; the table may simply omit it
     t = bracket_table(series, n, 2)
     g = generating_poly(t, series, n, 2, capital=True)
-    assert (g - closed_form_small(series, n, 2, 2)).is_zero()
     assert g.is_zero()
 
 
 def test_closed_form_unavailable_cases():
     with pytest.raises(ValueError):
         closed_form_small('B', 2, 1, 1)
+    with pytest.raises(ValueError):
+        closed_form_small('C', 2, 2, 1)
     with pytest.raises(ValueError):
         closed_form_small('A', 2, 1, 4)
     with pytest.raises(ValueError):
@@ -172,7 +173,7 @@ def unshared_density(series, n, K):
         pairs.append((Fraction(1, n + 1), X, lsym.commutator(g, frozen)))
     out = {}
     for sign, left, right in pairs:
-        for e, pol in left.star_residue(right, frozen).items():
+        for e, pol in st(left, right).residue().items():
             out[e] = out.get(e, Poly()) + pol * sign
     return {e: p for e, p in out.items() if p}
 
@@ -269,8 +270,9 @@ def test_second_residue_is_minus_the_first_for_bcd(series, n, K):
     lsym = dispersionless_symbol(series, n, K=K)
     X = variational_symbol(series, n, 'a', K)
     Y = variational_symbol(series, n, 'b', K)
-    first = lsym.star(Y, frozen).positive().star(lsym, frozen).star_residue(X, frozen)
-    second = X.star(lsym, frozen).star_residue(Y.star(lsym, frozen).positive(), frozen)
+    res = lambda A, B: A.star(B, frozen, -1, -1).residue()
+    first = res(lsym.star(Y, frozen).positive().star(lsym, frozen), X)
+    second = res(X.star(lsym, frozen), Y.star(lsym, frozen).positive())
     assert first
     assert second == {e: -p for e, p in first.items()}
 

@@ -104,6 +104,13 @@ def test_coeff_and_residue_accessors():
     assert s.residue()[0] == Poly.of('u', 1)
 
 
+def test_equality_with_another_type_is_false():
+    s = Symbol.from_p_poly({1: Poly.of('u', 1)})
+    assert not s == 3
+    assert s != 3
+    assert s != Poly.of('u', 1)
+
+
 def test_scale_and_shift():
     s = Symbol.from_p_poly({1: Poly.of('u', 1)}, K=3)
     assert (s.scale(Fraction(1, 2)) + s.scale(Fraction(1, 2)) - s).is_zero()
@@ -118,20 +125,33 @@ def test_star_residue_matches_full_product():
         for frozen in (frozenset(), frozenset({'u'})):
             for _ in range(15):
                 x, y = rnd_symbol(rng, K=K), rnd_symbol(rng, K=K)
-                assert x.star_residue(y, frozen) == x.star(y, frozen).residue()
+                assert x.star(y, frozen, -1, -1).residue() == x.star(y, frozen).residue()
 
 
 def test_bounded_star_drops_only_the_lower_powers():
-    # star with a bound is the full product without the p-powers below it
+    # star with a bound is the full product without the p-powers below
+    # it; with a window [low, high], without those outside it
     rng = random.Random(8)
     for K in (2, 4):
         for frozen in (frozenset(), frozenset({'u'})):
-            for _ in range(10):
-                x, y = rnd_symbol(rng, K=K), rnd_symbol(rng, K=K)
-                full = x.star(y, frozen)
-                for low in (-9, -3, -1, 0, 2, 5):
-                    kept = Symbol({k: p for k, p in full.c.items() if k[0] >= low}, K)
-                    assert x.star(y, frozen, low) == kept, (K, low)
+            for rational in (False, True):
+                for _ in range(10):
+                    x, y = (rnd_symbol(rng, K=K, rational=rational) for _ in range(2))
+                    full = x.star(y, frozen)
+
+                    def window(low=-99, high=99):
+                        return Symbol({k: p for k, p in full.c.items()
+                                       if low <= k[0] <= high}, K)
+                    for low in (-9, -3, -1, 0, 2, 5):
+                        assert x.star(y, frozen, low) == window(low), (K, low)
+                    for high in (-9, -3, -1, 0, 2, 5):
+                        assert x.star(y, frozen, high=high) == window(high=high), (K, high)
+                    assert x.star(y, frozen, -1, -1) == window(-1, -1)
+                    for _ in range(6):
+                        low, high = rng.randint(-9, 5), rng.randint(-9, 5)
+                        assert x.star(y, frozen, low, high) == window(low, high), \
+                            (K, low, high)
+                    assert x.star(y, frozen, 1, 0).is_zero()
 
 
 def test_integer_weights_on_rational_coefficients():
@@ -142,7 +162,7 @@ def test_integer_weights_on_rational_coefficients():
         for frozen in (frozenset(), frozenset({'u'})):
             for _ in range(8):
                 x, y, z = (rnd_symbol(rng, K=K, rational=True) for _ in range(3))
-                assert x.star_residue(y, frozen) == x.star(y, frozen).residue()
+                assert x.star(y, frozen, -1, -1).residue() == x.star(y, frozen).residue()
                 assert x.star(y, frozen).star(z, frozen) == x.star(y.star(z, frozen), frozen)
         for _ in range(8):
             x, y = rnd_symbol(rng, K=K, rational=True), rnd_symbol(rng, K=K, rational=True)
