@@ -9,7 +9,7 @@ Subpackage layout:
     brackets    Poisson bracket tables from the symbol calculus
     invariants  canonical coordinates and central invariants
     liealg      exact Lie algebra data (Chevalley-basis matrices, gradings)
-                and the one exact elimination, over Fraction or Poly
+                and the one exact elimination, over Fraction
     dirac       bracket tensors through Dirac reduction on a slice
     frobenius   Frobenius manifold / orbit space constructions
     fixtures    bundled exceptional-algebra data files

@@ -36,7 +36,6 @@ such a monomial can be an operand, so no chain of products, powers,
 quotients or derivatives wraps.
 """
 
-import heapq
 from fractions import Fraction
 
 _W = 16                         # bits per variable field
@@ -245,9 +244,6 @@ class Poly:
             raise ValueError("not a constant: %s" % self)
         return Fraction(self.terms.get(0, 0))
 
-    def variables(self):
-        return {v for m in self.terms for v, _ in decode(m)}
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             if type(other) not in (int, bool, Fraction):
@@ -310,8 +306,6 @@ class Poly:
         return r
 
     def __truediv__(self, other):
-        if isinstance(other, Poly):
-            return self.divexact(other)
         return self * _quo(1, _canon(other))
 
     def diff(self, v):
@@ -425,74 +419,6 @@ class Poly:
     def coeff_of(self, m):
         """The coefficient of the monomial m as a Fraction."""
         return Fraction(self.terms.get(m, 0))
-
-    def _content(self):
-        # the monomial of least exponents (absent counts as 0): it divides
-        # every term, and what is left has no monomial factor
-        ds = [dict(decode(m)) for m in self.terms]
-        return monomial((v, min(d.get(v, 0) for d in ds)) for v in self.variables())
-
-    def divexact(self, other):
-        """Exact division in the Laurent ring; raises ValueError when not
-        divisible.
-
-        Both sides are first divided by their monomial content, so the
-        division that is left is one of polynomials, in graded order.
-        """
-        if not isinstance(other, Poly):
-            return self / other
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero Poly")
-        if self.is_zero():
-            return Poly()
-        if other.is_constant():
-            return self * _quo(1, other.terms[0])
-        s1, s2 = self._content(), other._content()
-        if s1 or s2:
-            a = Poly({_checked(m - s1): c for m, c in self.terms.items()})
-            b = Poly({_checked(m - s2): c for m, c in other.terms.items()})
-            back = _checked(s1 - s2)
-            return Poly({_checked(m + back): c for m, c in a.divexact(b).terms.items()})
-        allv = sorted(self.variables() | other.variables())
-        pos = {v: i for i, v in enumerate(allv)}
-
-        def key(m):
-            # graded lex, negated so that the heap pops the largest first
-            vec = [0] * len(allv)
-            for v, e in decode(m):
-                vec[pos[v]] = -e
-            return sum(vec), vec
-
-        lead = min(other.terms, key=key)
-        lc = other.terms[lead]
-        rest = [(m, c) for m, c in other.terms.items() if m != lead]
-        rem = dict(self.terms)
-        heap = [(key(m), m) for m in rem]
-        heapq.heapify(heap)
-        quot = {}
-        while heap:
-            m = heapq.heappop(heap)[1]
-            c = rem.pop(m, 0)
-            if not c:
-                continue        # cancelled since it was pushed
-            # m and lead have no negative exponent, so the quotient is in
-            # range, and lead divides m when it has none either
-            qm = m - lead
-            if any(e < 0 for _, e in decode(qm)):
-                raise ValueError("not an exact division")
-            qc = quot[qm] = _quo(c, lc)
-            # rem -= qc * qm * rest: every new monomial is below m
-            for m2, c2 in rest:
-                mm = _checked(qm + m2)
-                old = rem.get(mm)
-                c3 = (old or 0) - qc * c2
-                if c3:
-                    rem[mm] = c3 if type(c3) is int else _canon(c3)
-                    if old is None:
-                        heapq.heappush(heap, (key(mm), mm))
-                elif old is not None:
-                    del rem[mm]
-        return Poly(quot)
 
     def __str__(self):
         if not self.terms:

@@ -5,7 +5,7 @@ table with optional folding reports), coeffs (bracket coefficient
 checks), verify (named check suites).
 
 Exit codes: 0 ok, 1 value mismatch, 2 degenerate sample, 3 fixture
-problem, 4 invalid configuration.
+problem, 4 invalid configuration or an aborted run.
 
 Each command imports the package modules it runs, so start-up stays
 small: a classical `compute` never loads the Lie algebra, Dirac or
@@ -58,7 +58,9 @@ def _parse_rats(text):
         try:
             out.append(Fraction(part))
         except (ValueError, ZeroDivisionError):
-            raise ConfigError('bad rational %r' % part)
+            shown = '%r' % part if len(part) <= 40 else \
+                '%r... (%d characters)' % (part[:40], len(part))
+            raise ConfigError('bad rational ' + shown)
     return out
 
 
@@ -471,13 +473,21 @@ def main(args=None, standalone_mode=True):
     """Run one command on `args` (default: the process arguments).
 
     With `standalone_mode`, every failure becomes its exit code and one
-    line on stderr, and success exits 0.  Without it, ConfigError,
-    Mismatch, DegeneratePoint, FixtureError and the rest propagate, and
-    --help raises SystemExit(0) after printing."""
+    line on stderr, a closed stdout exits 4 silently, and success exits
+    0.  Without it, ConfigError, Mismatch, DegeneratePoint, FixtureError
+    and the rest propagate, and --help raises SystemExit(0) after
+    printing.  Either way, ints of any length print and parse."""
+    if hasattr(sys, 'set_int_max_str_digits'):
+        sys.set_int_max_str_digits(0)
     if not standalone_mode:
         return _run(args)
     try:
         _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; stdout to devnull, or the exit flush fails
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(4)
     except DegeneratePoint as ex:
         _fail(2, 'degenerate sample', ex)
     except ConfigError as ex:

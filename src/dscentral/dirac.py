@@ -5,27 +5,26 @@ At the slice point q = I_- + sum u^k gamma_k the constraint blocks are
 affine in (1, u^1, ..., u^n).  `_constraint_parts` builds their parts
 once, and one chain, `_reduce`, turns them into the second-bracket
 blocks.  The pencil's shift lam rides on u^n, the unit field, so the
-first bracket is the derivative of the second along it.  The chain runs
-over the ring of its coefficients, with P^-1 = W / d from
-`liealg.scaled_inverse`, the package's one elimination:
+first bracket is the derivative of the second along it.  The constraint
+matrix is P0 + N, P0 constant and N raising the principal grade, so its
+inverse is a finite series and the chain runs over any ring:
 
-- `dirac_tensors`: Poly in the u^k, where W and d come from the
-  fraction-free sweeps, the first-bracket tensors the d/du^n
-  derivatives of the second-bracket ones;
-- `numeric_pencil`: Fraction at one point, where d = 1, at lam = 0, 1,
-  2, the levels read off the differences.
+- `dirac_tensors`: Poly in the u^k, the first-bracket tensors the
+  d/du^n derivatives of the second-bracket ones;
+- `numeric_pencil`: Fraction at one point, at lam = 0, 1, 2, the levels
+  read off the differences.
 
-`central_invariants_dirac` hands the tensors at a point to
-`invariants.defect_invariants`, the one defect formula of every route.
+`central_invariants_dirac` hands the tensors and the kernel covectors
+dlam at a point to `invariants.defect_invariants`.
 """
 
 from fractions import Fraction
 
 from .algebra import Poly
-from .liealg import (ZERO, determinant, inverse, madd, mcomm, mmul as mm,
-                     mscale, mzero, nullspace, scaled_inverse, transpose)
+from .liealg import (determinant, inverse, madd, mcomm, mmul as mm, mscale,
+                     mzero, nullspace, transpose)
 from .invariants import defect_invariants
-from .upoly import DegeneratePoint, derivative, rational_roots, value
+from .upoly import DegeneratePoint, interpolate, rational_roots
 
 
 def slice_bases(alg, gammas=None):
@@ -103,8 +102,8 @@ def _constraint_parts(alg, slices):
     brackets [x_k, f_a] and [x_k, gamma^i] are formed.  Each part is a
     list of its nonzero entries (row, column, value); P's parts are
     antisymmetric and list the upper triangle, and R has no constant
-    part.  Returns (P parts, R parts, Q, S) with the constant
-    Q[a][b] = <f_a, f_b> and S[i][a] = <gamma^i, f_a>.
+    part.  Returns (P parts, R parts, Q, S, P0^-1) with the constant
+    Q[a][b] = <f_a, f_b>, S[i][a] = <gamma^i, f_a> and P's constant part.
     """
     gammas, gups, fs = slices['gammas'], slices['gamma_ups'], slices['f']
     scale = alg.form_scale
@@ -128,53 +127,67 @@ def _constraint_parts(alg, slices):
               for gam in gammas]
     Q = [[pair(fa, nz) for nz in fnz] for fa in fs]
     S = [[pair(gu, nz) for nz in fnz] for gu in gups]
-    return Pparts, Rparts, Q, S
+    P0 = mzero(len(fs))
+    for a, b, v in Pparts[0]:
+        P0[a][b], P0[b][a] = v, -v
+    try:
+        P0inv = inverse(P0)
+    except ValueError:
+        raise ValueError("degenerate constraint matrix") from None
+    return Pparts, Rparts, Q, S, P0inv
+
+
+def _times_inverse(X, P0inv, U):
+    """X P^-1 = sum_k X P0^-1 U^k for P = P0 + N, U = -N P0^-1, in ring
+    operations only.  N raises the principal grade, so the terms vanish
+    from the m-th on (m = len(U)); one that does not is a ValueError."""
+    term = out = mm(X, P0inv)
+    for _ in range(len(U)):
+        term = mm(term, U)
+        if not any(x for row in term for x in row):
+            return out
+        out = madd(out, term)
+    raise ValueError("constraint series does not terminate")
 
 
 def _reduce(parts, coeffs):
     """The second-bracket blocks G2, T12, T22 from the constraint parts
-    with the coefficients (1, c^1, ..., c^n), over the ring of the
-    coefficients, with P^-1 = W / d from `liealg.scaled_inverse`."""
-    Pparts, Rparts, Q, S = parts
+    with the coefficients (1, c^1, ..., c^n), over their ring."""
+    Pparts, Rparts, Q, S, P0inv = parts
     m2 = len(Q)
     zero = 0 * coeffs[0]
-    P = [[zero] * m2 for _ in range(m2)]
-    for c, part in zip(coeffs, Pparts):
+    negN = [[zero] * m2 for _ in range(m2)]     # -(P - P0)
+    for c, part in zip(coeffs[1:], Pparts[1:]):
         for a, b, v in part:
-            P[a][b] += c * v
-            P[b][a] -= c * v
+            negN[a][b] -= c * v
+            negN[b][a] += c * v
     R = [[zero] * m2 for _ in range(len(S))]
     for c, part in zip(coeffs[1:], Rparts):
         for i, a, v in part:
             R[i][a] += c * v
-    try:
-        W, d = scaled_inverse(P)
-    except ValueError:
-        raise ValueError("degenerate constraint matrix") from None
-    QW = mm(Q, W)
-    r, s = [mm(R, W)], [mm(S, W)]    # r[k] = R P^-1 (Q P^-1)^k d^(k+1)
-    for _ in range(3):
-        r.append(mm(r[-1], QW))
-    for _ in range(2):
-        s.append(mm(s[-1], QW))
+    U, n = mm(negN, P0inv), len(S)
+    # r[k] = R P^-1 (Q P^-1)^k, and s[k] the same from S, stacked
+    r, s, X = [], [], R + S
+    for _ in range(4):
+        X = _times_inverse(X, P0inv, U)
+        r.append(X[:n])
+        s.append(X[n:])
+        X = mm(X, Q)
     Rt, St = transpose(R), transpose(S)
 
-    def block(terms, power):
-        # terms: (sign, product, power of d it lacks); sum, then divide
+    def block(*terms):
         out = mzero(len(R))
-        for sign, M, k in terms:
-            out = madd(out, M, sign * d ** k)
-        dp = d ** power
-        return [[x / dp if x else x for x in row] for row in out]
+        for sign, M in terms:
+            out = madd(out, M, sign)
+        return out
 
-    # signs fixed by expanding -(1/eps) N M^-1 N+ with M = P + Q eps d,
-    # N = R + S eps d at constant coefficients
-    return (block([(1, mm(r[1], Rt), 0), (-1, mm(s[0], Rt), 1),
-                   (1, mm(r[0], St), 1)], 2),
-            block([(-1, mm(r[2], Rt), 0), (1, mm(r[1], St), 1),
-                   (-1, mm(s[1], Rt), 1), (1, mm(s[0], St), 2)], 3),
-            block([(1, mm(r[3], Rt), 0), (1, mm(r[2], St), 1),
-                   (-1, mm(s[2], Rt), 1), (-1, mm(s[1], St), 2)], 4))
+    # signs fixed by expanding -(1/eps) B M^-1 B+ with M = P + Q eps,
+    # B = R + S eps at constant coefficients
+    return (block((1, mm(r[1], Rt)), (-1, mm(s[0], Rt)), (1, mm(r[0], St))),
+            block((-1, mm(r[2], Rt)), (1, mm(r[1], St)),
+                  (-1, mm(s[1], Rt)), (1, mm(s[0], St))),
+            block((1, mm(r[3], Rt)), (1, mm(r[2], St)),
+                  (-1, mm(s[2], Rt)), (-1, mm(s[1], St))))
 
 
 # the delta^(s) tensors (s = 1, 2, 3) of brackets 2 and 1, and their blocks
@@ -197,7 +210,7 @@ def dirac_tensors(alg, slices):
     unit = ('u', alg.n, 0)
     out = {}
     for (k2, k1), M in zip(LEVELS, _reduce(parts, coeffs)):
-        M = [[x or Poly() for x in row] for row in M]    # zeros as Poly too
+        M = [[Poly() + x for x in row] for row in M]    # constants as Poly too
         D = [[x.diff(unit) for x in row] for row in M]
         if any(x.diff(unit) for row in D for x in row):
             raise ValueError("shift dependence not linear")
@@ -209,46 +222,39 @@ def central_invariants_dirac(tensors, n, upoint):
     """Evaluate the defect formula of the reduced pencil at a point with
     rational canonical coordinates, the roots lam of p(z) = det(g2 - z g1).
 
-    The tensors are evaluated at the point first.  Each partial
-    derivative d_k p comes from Jacobi's formula, as the sum over rows r
-    of the determinant with row r replaced by d_k g2 - z d_k g1, and
-    dlam = -grad p(lam) / p_z(lam).  Each tensor is one block of the formula.
+    The tensors are evaluated at the point first, and p is interpolated
+    from its values at z = 0, ..., n.  At a simple root lam the
+    symmetric g2 - lam g1 has a one-dimensional kernel, spanned by v, and
+    dlam_k = v.(d_k g2 - lam d_k g1).v / v.g1.v (Hellmann-Feynman; the
+    adjugate there is c v v^T with c != 0, so p'(lam) = -c v.g1.v and
+    the denominator is nonzero).  Each tensor is one block of the formula.
 
     upoint: values of u^1..u^n.  Returns (roots, invariants).
     """
     usub = {('u', i + 1, 0): Fraction(v) for i, v in enumerate(upoint)}
-    zvar = ('z', 0, 0)
-    z = Poly.of('z')
 
     def at_point(M, v=None):
         return [[(e if v is None else e.diff(v)).subs(usub).constant()
                  for e in row] for row in M]
 
-    def pencil(g2, g1):
-        return [[Poly.num(a) - z * b for a, b in zip(r2, r1)]
-                for r2, r1 in zip(g2, g1)]
+    def pencil(z, g2, g1):
+        return [[a - z * b for a, b in zip(r2, r1)] for r2, r1 in zip(g2, g1)]
+
+    def form(M, v):             # v.(M v)
+        return sum(x * sum(a * y for a, y in zip(row, v)) for x, row in zip(v, M))
 
     vals = {key: at_point(T) for key, T in tensors.items()}
-    M = pencil(vals['g2'], vals['g1'])
-    p0 = determinant(M)
-    dp = []
-    for k in range(n):
-        v = ('u', k + 1, 0)
-        dM = pencil(at_point(tensors['g2'], v), at_point(tensors['g1'], v))
-        dp.append(sum((determinant(M[:r] + [dM[r]] + M[r + 1:])
-                       for r in range(n)), Poly()))
-
-    def coeffs(pol):    # a Poly in z alone -> its coefficient list
-        c = pol.coeffs_in(zvar)
-        return [c[e].constant() if e in c else ZERO for e in range(max(c, default=-1) + 1)]
-
-    p0, dp = coeffs(p0), [coeffs(x) for x in dp]
-    pz = derivative(p0)
-    roots = rational_roots(p0)
+    g2, g1 = vals['g2'], vals['g1']
+    dg = [(at_point(tensors['g2'], v), at_point(tensors['g1'], v)) for v in usub]
+    zs = range(n + 1)
+    roots = rational_roots(interpolate(zs, [determinant(pencil(z, g2, g1)) for z in zs]))
     if roots is None:
         raise DegeneratePoint("irrational canonical coordinates")
-    dlams = [[-value(x, lam) / v for x in dp]
-             for lam, v in zip(roots, (value(pz, lam) for lam in roots))]
+    dlams = []
+    for lam in roots:
+        v, = nullspace(pencil(lam, g2, g1))
+        den = form(g1, v)
+        dlams.append([(form(d2, v) - lam * form(d1, v)) / den for d2, d1 in dg])
     blocks = {BLOCKS[key]: [(j, k, x) for j, row in enumerate(T)
                             for k, x in enumerate(row) if x]
               for key, T in vals.items()}
@@ -271,8 +277,7 @@ def numeric_pencil(alg, slices, upoint):
         chk = madd(madd(vals[2][idx], a0, -1), a1, -2)
         if any(x for row in chk for x in row):
             raise ValueError("shift dependence not linear at this point")
-        out[k2] = a0
-        out[k1] = a1
+        out[k2], out[k1] = a0, a1
     return out
 
 

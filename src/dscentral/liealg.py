@@ -1,6 +1,6 @@
 """Exact Lie algebra data: Cartan matrices, matrix realizations,
 principal gradings and slice bases, and the one exact elimination
-(`echelon`, `back_sweep`) over Fraction or Poly.  Matrices are lists of
+(`echelon`, `back_sweep`) over Fraction.  Matrices are lists of
 rows; the products visit nonzero entries only and write the one shared
 ZERO, since the Chevalley bases they act on are very sparse.
 """
@@ -115,53 +115,34 @@ def fold(typ, n):
 
 
 # ---------------------------------------------------------------------------
-# exact elimination over Fraction or Poly
+# exact elimination over Fraction
 
 def echelon(rows):
     """Forward sweep: (echelon rows, pivot columns, determinant of a
-    square input), `int` entries made Fractions.  The pivot's type picks
-    the update of the rows below it.  A Fraction pivot row is divided by
-    its pivot and subtracted from the rows with a nonzero in its column.
-    A Poly pivot p takes each entry x to (p x - a y).divexact(prev), a
-    and y the entries of x's row and of the pivot row in the pivot column
-    and x's column, prev the last pivot (Bareiss); entries stay minors.
-    The rows above are left to `back_sweep`, as a determinant never
-    reads them and one-pass Gauss-Jordan (Montante) would update them.
+    square input), `int` entries made Fractions.  Each pivot row is
+    divided by its pivot and subtracted from the rows below with a
+    nonzero in its column.  The rows above are left to `back_sweep`, as
+    a determinant never reads them and one-pass Gauss-Jordan (Montante)
+    would update them.
 
-    >>> from dscentral.algebra import Poly
-    >>> u = Poly.of('u', 1)
-    >>> echelon([[u, Poly.num(1)], [Poly.num(1), u]])
-    ([[1*u_1^(0), 1], [0, -1 + 1*u_1^(0)**2]], [0, 1], -1 + 1*u_1^(0)**2)
+    >>> echelon([[0, 2], [1, 1]])[1:]      # a row swap flips the sign
+    ([0, 1], Fraction(-2, 1))
     """
     M = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in rows]
-    nr, piv, det, sign, prev = len(M), [], Fraction(1), 1, 1
+    nr, piv, det = len(M), [], Fraction(1)
     for c in range(len(M[0])):
         r = len(piv)
         pr = next((i for i in range(r, nr) if M[i][c]), None)
         if pr is None:
             continue
         if pr != r:
-            M[r], M[pr], sign = M[pr], M[r], -sign
+            M[r], M[pr], det = M[pr], M[r], -det
         p = M[r][c]
-        if isinstance(p, Fraction):
-            det, inv = det * p, 1 / p
-            M[r] = [x * inv if x else x for x in M[r]]
-            _clear(M[r + 1:], c, M[r])
-        else:
-            det, prow = p, M[r]
-            for row in M[r + 1:]:
-                a = row[c]
-                for j in range(c + 1, len(row)):
-                    x, y = row[j], prow[j]
-                    if x or (a and y):
-                        x = p * x - a * y if a and y else p * x
-                        row[j] = x.divexact(prev) if r else x   # prev = 1 at r = 0
-                row[c] = 0 * p
-            prev = p
+        det, inv = det * p, 1 / p
+        M[r] = [x * inv if x else x for x in M[r]]
+        _clear(M[r + 1:], c, M[r])
         piv.append(c)
-    if len(piv) < nr:
-        det = 0 * M[0][0]
-    return M, piv, det if sign > 0 else -det
+    return M, piv, det if len(piv) == nr else Fraction(0)
 
 
 def _clear(rows, c, prow):
@@ -176,43 +157,26 @@ def _clear(rows, c, prow):
 
 def back_sweep(M, piv):
     """Back sweep, in place on the rows of `echelon`: clears the entries
-    above the pivots and returns d, the value every pivot then has, so M
-    is d times the reduced echelon form.  Over Fraction d = 1.  Over Poly
-    d is the last pivot; each row, from the last up, becomes d times
-    itself minus its entries at the later pivots times their rows, over
-    its own pivot (an exact division, by Cramer's rule)."""
-    d = M[len(piv) - 1][piv[-1]] if piv else M[0][0] ** 0    # no pivot: 1
-    if isinstance(d, Fraction):
-        for r in range(len(piv) - 1, 0, -1):
-            _clear(M[:r], piv[r], M[r])
-        return d
-    for r in range(len(piv) - 2, -1, -1):
-        row, p = M[r], M[r][piv[r]]
-        later = [(row[c], M[k]) for k, c in enumerate(piv[r + 1:], r + 1) if row[c]]
-        for j in range(piv[r] + 1, len(row)):
-            x = d * row[j]
-            for f, rk in later:
-                x = x - f * rk[j]
-            row[j] = x.divexact(p)          # 0 at the later pivots
-        row[piv[r]] = d
-    return d
+    above the pivots, so M is the reduced echelon form."""
+    for r in range(len(piv) - 1, 0, -1):
+        _clear(M[:r], piv[r], M[r])
 
 
 def determinant(rows):
-    """Determinant of a square matrix over Fraction or Poly."""
+    """Determinant of a square Fraction matrix."""
     return echelon(rows)[2]
 
 
 def nullspace(rows):
-    """Basis of the right kernel: for each free column, d there (d = 1
-    over Fraction) and minus the reduced rows' entries at the pivots."""
+    """Basis of the right kernel: for each free column, 1 there and
+    minus the reduced rows' entries at the pivots."""
     M, piv, _ = echelon(rows)
-    d = back_sweep(M, piv)
+    back_sweep(M, piv)
     out = []
     for fc in range(len(M[0])):
         if fc not in piv:
-            v = [0 * d] * len(M[0])
-            v[fc] = d
+            v = [Fraction(0)] * len(M[0])
+            v[fc] = Fraction(1)
             for row, pc in zip(M, piv):
                 v[pc] = -row[fc]
             out.append(v)
@@ -232,23 +196,16 @@ def solve(rows, rhs):
     return x
 
 
-def scaled_inverse(rows):
-    """(W, d) with rows^-1 = W / d, from the sweeps of [rows | I], d = 1
-    over Fraction; raises ValueError when rows is singular."""
-    n, one = len(rows), rows[0][0] ** 0
-    zero = 0 * one
-    M, piv, _ = echelon([list(r) + [one if i == j else zero for j in range(n)]
+def inverse(rows):
+    """Exact inverse of a square Fraction matrix, from the sweeps of
+    [rows | I]; raises ValueError when it is singular."""
+    n = len(rows)
+    M, piv, _ = echelon([list(r) + [int(i == j) for j in range(n)]
                          for i, r in enumerate(rows)])
     if piv[-1] >= n:
         raise ValueError("singular matrix")
-    d = back_sweep(M, piv)
-    return [row[n:] for row in M], d
-
-
-def inverse(rows):
-    """Exact inverse of a square Fraction matrix, where d = 1; raises
-    ValueError when it is singular."""
-    return scaled_inverse(rows)[0]
+    back_sweep(M, piv)
+    return [row[n:] for row in M]
 
 
 ZERO = Fraction(0)

@@ -32,6 +32,26 @@ def derivative(p):
     return [k * c for k, c in enumerate(p)][1:]
 
 
+def interpolate(xs, ys):
+    """The polynomial of degree below len(xs) through the points (x, y),
+    the xs distinct, trailing zeros dropped (Newton's divided differences).
+
+    >>> interpolate([0, 1, 2], [1, 2, 5])
+    [Fraction(1, 1), Fraction(0, 1), Fraction(1, 1)]
+    """
+    xs, c = list(xs), [Fraction(y) for y in ys]
+    for j in range(1, len(c)):
+        for i in range(len(c) - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+    p = []
+    for x, ck in zip(reversed(xs), reversed(c)):
+        p = [b - x * a for a, b in zip(p + [0], [0] + p)]    # p (z - x) + ck
+        p[0] += ck
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
 def integral(p, c0):
     """The antiderivative with constant term c0.
 

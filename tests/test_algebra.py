@@ -145,9 +145,6 @@ def test_exponent_range_raises_overflow():
     with pytest.raises(OverflowError):
         Poly.of(*x, exp=100) ** 164
     with pytest.raises(OverflowError):
-        (Poly.of(*x, exp=-10000) * (Poly.of(*y) + 1)).divexact(
-            Poly.of(*x, exp=10000) * (Poly.of(*y) + 1))
-    with pytest.raises(OverflowError):
         Poly.of(*x, exp=-BOUND).diff(x)
     with pytest.raises(OverflowError):
         (Poly.of(*x) * Poly.of('u', 7, 1, BOUND - 1)).xdiff()
@@ -204,32 +201,6 @@ def test_antiderivative_rejects_non_exact():
               Poly.of('u', 1, 1) * Poly.of('u', 1, 0, -1)):
         with pytest.raises(ValueError, match='not a total x-derivative'):
             antiderivative(p)
-
-
-def test_divexact():
-    rng = random.Random(3)
-    for _ in range(20):
-        a, b = rnd_poly(rng), rnd_poly(rng)
-        if b.is_zero():
-            continue
-        assert ((a * b).divexact(b) - a).is_zero()
-    u1, u2, p = Poly.of('u', 1), Poly.of('u', 2), Poly.of('p')
-    pinv = Poly.of('p', exp=-1)
-    a = u1 * u2 / 2 + 7 * pinv - Fraction(3, 4) * u1 ** 2
-    divisors = [pinv * u1 + 2,                       # Laurent
-                u1 * pinv ** 2 - 3 * u2 * p,          # Laurent, both sides
-                3 * u1 ** 2 - 2 * u2 + 5,             # leading coefficient 3
-                -6 * u1 * u2 + Fraction(1, 2)]        # leading coefficient -6
-    for b in divisors:
-        q = (a * b).divexact(b)
-        assert q == a
-        assert canonical(q)
-    with pytest.raises(ValueError):
-        (u1 ** 2 + 1).divexact(u1 + 1)
-    with pytest.raises(ValueError):
-        (2 * u1 + 1).divexact(3 * u1 ** 2 + u2)
-    with pytest.raises(ValueError):
-        (a * (u1 + 1) + 1).divexact(u1 + 1)
 
 
 # The kernel stores int or Fraction coefficients.  Its results are checked
@@ -311,10 +282,6 @@ def test_kernel_agrees_with_fraction_evaluation(a, b, k, pt):
                    ev(a, {**pt, ('u', 1, 0): x, ('p', 0, 0): y}))
     if all(e >= 0 for m in a.terms for v, e in decode(m) if v == ('u', 2, 1)):
         got['subs Poly'] = (a.subs({('u', 2, 1): b}), ev(a, {**pt, ('u', 2, 1): B}))
-    if not b.is_zero():
-        q = (a * b).divexact(b)
-        assert q == a
-        got['divexact'] = (q, A)
     for name, (p, want) in got.items():
         assert canonical(p), (name, p.terms)
         assert ev(p, pt) == want, name
@@ -333,7 +300,6 @@ def test_antiderivative_agrees_with_fraction_evaluation(a, pt):
 def test_coefficients_are_canonical():
     half = Poly.num(Fraction(1, 2)) * Poly.of('u', 1)
     for p in (Poly.num(Fraction(4, 2)), Poly.num(True), half * 2, half + half,
-              (half * Poly.of('u', 2)).divexact(Poly.of('u', 2) * 4),
               Poly.num(3) / 3, Poly.of('u', 1).subs({('u', 1, 0): Fraction(6, 3)})):
         assert canonical(p), p.terms
     assert {decode(m): c for m, c in (half * 2).terms.items()} == {((('u', 1, 0), 1),): 1}

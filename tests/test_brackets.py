@@ -370,7 +370,7 @@ def test_frac_sum_cancels_the_base_only_while_it_divides():
 
 def test_frac_quotient_by_the_base_is_exact_division():
     # synthetic division by x - y, for either sign of the base and for
-    # Laurent numerators, agrees with divexact, and reports a remainder
+    # Laurent numerators, inverts the product, and reports a remainder
     rng = random.Random(5)
     p, q, u = Poly.of('p'), Poly.of('q'), Poly.of('u', 1)
     for base in (p - q, q - p):
@@ -385,7 +385,5 @@ def test_frac_quotient_by_the_base_is_exact_division():
             if not num.is_zero():
                 rem = num * base + u * Poly.of('q', exp=rng.randint(-2, 3))
                 assert f._quotient(rem) is None
-                with pytest.raises(ValueError):
-                    rem.divexact(base)
     with pytest.raises(ValueError, match="not an exact division"):
         _Frac(p, p - q, 1).expand()

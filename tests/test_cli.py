@@ -174,6 +174,69 @@ def test_decimal_is_exact():
         '0.04166666666666666667'
 
 
+@pytest.fixture
+def digit_limit():
+    """Restores Python's int/str digit limit, which `cli.main` lifts for
+    the process (3.10.7 and later)."""
+    before = getattr(sys, 'get_int_max_str_digits', lambda: None)()
+    yield
+    if before is not None:
+        sys.set_int_max_str_digits(before)
+
+
+def run_main(capsys, *args):
+    """(exit code, stdout, stderr) of `cli.main` run in this process."""
+    with pytest.raises(SystemExit) as ex:
+        cli.main(list(args))
+    out, err = capsys.readouterr()
+    return ex.value.code, out, err
+
+
+def test_long_decimals_print_in_full(capsys, digit_limit):
+    # more than the 4300 digits Python turns into a string by default
+    code, out, err = run_main(capsys, 'compute', '--series', 'A', '--rank', '2',
+                              '--decimal', '100000')
+    assert code == 0, err
+    c = json.loads(out)['invariants'][0]['c']
+    assert len(c) == 100002 and c.startswith('0.041666')
+
+
+def test_long_sample_coordinates_are_rationals(capsys, digit_limit):
+    # u2 = -3 10^k: critical points +-10^(k/2), and canonical coordinates
+    # with more than 4300 digits; k = 4400 also reads a longer coordinate
+    for zeros in (3000, 4400):
+        u2 = '-3' + '0' * zeros
+        code, out, err = run_main(capsys, 'compute', '--series', 'A', '--rank', '2',
+                                  '--sample=5,' + u2)
+        assert code == 0, err[:200]
+        rep = json.loads(out)
+        assert rep['diagnostics']['sample'] == ['5', u2]
+        assert [e['c'] for e in rep['invariants']] == ['1/24', '1/24']
+        assert max(len(e['lambda']) for e in rep['invariants']) > 4300
+
+
+def test_bad_rational_message_is_bounded(capsys):
+    value = '7' * 9999 + 'x'
+    code, out, err = run_main(capsys, 'compute', '--series', 'A', '--rank', '2',
+                              '--sample=1,' + value)
+    assert code == 4 and out == ''
+    assert err.startswith("invalid configuration: bad rational '7777")
+    assert '(10000 characters)' in err and len(err) < 200, err
+
+
+def test_closed_stdout_exits_4_quietly():
+    # the reader closes the pipe before the child writes
+    p = subprocess.Popen([sys.executable, '-m', 'dscentral.cli', 'compute',
+                          '--series', 'A', '--rank', '2', '--decimal', '4000'],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         env=child_env())
+    p.stdout.close()
+    err = p.stderr.read().decode()
+    p.stderr.close()
+    assert p.wait() == 4, err
+    assert err == ''
+
+
 def test_exit_code_degenerate_sample():
     # u2 = 0 gives a repeated critical point of p^3 + u1
     r = run('compute', '--series', 'A', '--rank', '2', '--sample', '1,0')

@@ -30,11 +30,20 @@ def _p(x):
     return x if isinstance(x, Poly) else Poly.num(x)
 
 
+def cofactor_det(m):
+    """Determinant by expansion along the first row, over any ring."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum(((-1) ** j * m[0][j] * cofactor_det([r[:j] + r[j + 1:] for r in m[1:]])
+                for j in range(len(m)) if m[0][j]), Poly())
+
+
 def char_poly(tensors, n):
-    """p(z; u) = det(g2 - z g1) as a Poly in z and the u^i."""
+    """p(z; u) = det(g2 - z g1) as a Poly in z and the u^i, by cofactor
+    expansion, independent of the package's elimination."""
     z = Poly.of('z')
-    return liealg.determinant([[tensors['g2'][i][j] - z * tensors['g1'][i][j]
-                                for j in range(n)] for i in range(n)])
+    return cofactor_det([[tensors['g2'][i][j] - z * tensors['g1'][i][j]
+                          for j in range(n)] for i in range(n)])
 
 
 def test_slice_exponents(g2):
@@ -190,6 +199,49 @@ def test_slice_bases_repeated_exponent(n, exponents):
             for gu in slices['gamma_ups']] == [[int(i == j) for j in range(n)]
                                                for i in range(n)]
     assert len(slices['f']) == n * (2 * n - 1) - n
+
+
+def _constraint_matrix(parts, coeffs):
+    """P = sum c^k P_k over the antisymmetric parts, dense."""
+    m = len(parts[2])
+    P = [[0 * coeffs[0]] * m for _ in range(m)]
+    for c, part in zip(coeffs, parts[0]):
+        for a, b, v in part:
+            P[a][b] += c * v
+            P[b][a] -= c * v
+    return P
+
+
+@pytest.mark.parametrize('case', ['G2', 'D4'])
+def test_neumann_inverse_times_p_is_identity(case):
+    # G2 over Poly in the u^k, D4 (exponent 3 twice) over Fraction
+    if case == 'G2':
+        alg = liealg.g2_algebra()
+        slices = g2_slice(alg)
+        coeffs = [Poly.num(1)] + [Poly.of('u', k + 1) for k in range(2)]
+    else:
+        alg = d_algebra(4)
+        slices = slice_bases(alg)
+        coeffs = [Fraction(1), Fraction(2, 3), Fraction(-1), Fraction(5, 7), Fraction(3)]
+    parts = dirac._constraint_parts(alg, slices)
+    P0inv = parts[4]
+    P = _constraint_matrix(parts, coeffs)
+    P0 = _constraint_matrix(parts, coeffs[:1])
+    m = len(P)
+    assert liealg.mmul(P0, P0inv) == [[int(i == j) for j in range(m)] for i in range(m)]
+    U = liealg.mmul(liealg.madd(P0, P, -1), P0inv)            # -N P0^-1
+    eye = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    W = dirac._times_inverse(eye, P0inv, U)
+    assert liealg.mmul(P, W) == eye
+    assert any(isinstance(x, Poly) and not x.is_constant()
+               for row in W for x in row) == (case == 'G2')
+
+
+def test_neumann_series_must_terminate():
+    # U = identity is not nilpotent: every term stays nonzero
+    eye = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    with pytest.raises(ValueError, match='does not terminate'):
+        dirac._times_inverse(eye, eye, eye)
 
 
 def _symbolic_invariants(tensors, n, upoint):

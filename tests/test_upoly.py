@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from dscentral.upoly import derivative, from_roots, integral, value
+from dscentral.upoly import derivative, from_roots, integral, interpolate, value
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -29,6 +29,18 @@ def test_integral_inverts_derivative(p, c0):
     assert all(type(x) is Fraction for x in q[1:])
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(rationals, max_size=6), st.lists(rationals, min_size=7, max_size=9, unique=True))
+def test_interpolate_recovers_the_polynomial(p, xs):
+    # through more points than the degree needs, at rational abscissae
+    while p and not p[-1]:
+        p.pop()
+    got = interpolate(xs, [value(p, x) for x in xs])
+    assert got == p
+    assert all(type(c) is Fraction for c in got)
+
+
 def test_zero_polynomial():
     assert derivative([]) == derivative([7]) == []
     assert value([], 2) == value([], Fraction(1, 3)) == 0
+    assert interpolate([0, 1, 2], [0, 0, 0]) == []
