@@ -2,27 +2,31 @@
 second class constraints, for exact matrix Lie algebra data.
 
 At the slice point q = I_- + sum u^k gamma_k the constraint blocks are
-affine in (1, u^1, ..., u^n).  `_constraint_parts` builds their parts
-once, and one chain, `_reduce`, turns them into the second-bracket
-blocks.  The pencil's shift lam rides on u^n, the unit field, so the
-first bracket is the derivative of the second along it.  The constraint
-matrix is P0 + N, P0 constant and N raising the principal grade, so its
-inverse is a finite series and the chain runs over any ring:
+affine in (1, u^1, ..., u^n).  `slice_bases` builds their parts once,
+with the slices (`_constraint_parts`), and one chain, `_reduce`, turns
+them into the second-bracket blocks.  The pencil's shift lam rides on
+u^n, the unit field, so the first bracket is the derivative of the
+second along it.  The constraint matrix is P0 + N, P0 constant and N
+raising the principal grade, so its inverse is a finite series.  The
+chain runs it over sparse rows of integral ring elements, each matrix
+over one integer denominator, and divides the blocks once at the end:
 
-- `dirac_tensors`: Poly in the u^k, the first-bracket tensors the
-  d/du^n derivatives of the second-bracket ones;
-- `numeric_pencil`: Fraction at one point, at lam = 0, 1, 2, the levels
-  read off the differences.
+- `dirac_tensors`: Poly with int coefficients in the u^k, the
+  first-bracket tensors the d/du^n derivatives of the second-bracket
+  ones;
+- `numeric_pencil`: int at one point, the u^k over their common
+  denominator, at lam = 0, 1, 2, the levels read off the differences.
 
 `central_invariants_dirac` hands the tensors and the kernel covectors
 dlam at a point to `invariants.defect_invariants`.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .algebra import Poly
-from .liealg import (determinant, inverse, madd, mcomm, mmul as mm, mscale,
-                     mzero, nullspace, transpose)
+from .liealg import (dense, determinant, flat, inverse, madd, mscale, nullspace,
+                     rows, scombine, scomm, smul, sparse, spair)
 from .invariants import defect_invariants
 from .upoly import DegeneratePoint, interpolate, rational_roots
 
@@ -32,8 +36,8 @@ def slice_bases(alg, gammas=None):
 
     Returns a dict with keys 'gammas' (matrices spanning Ker ad I_+ by
     grade), 'gamma_ups' (dual basis in Ker ad I_-, <gamma^i, gamma_j> =
-    delta), 'f' (basis of n + its dual complement inside h + n^-) and
-    'exponents'.
+    delta), 'f' (basis of n + its dual complement inside h + n^-, as
+    entries), 'exponents' and 'parts' (`_constraint_parts`).
 
     The gamma_i can be supplied explicitly to pin a normalization; the
     duals are always recomputed from the pairing.
@@ -79,115 +83,128 @@ def slice_bases(alg, gammas=None):
     npos = [b for b, g in zip(alg.basis, alg.grades) if g > 0]
     nonpos = [i for i, g in enumerate(alg.grades) if g <= 0]
     # complement: annihilator of the gamma_i inside h + n^-
-    rows = [[alg.form(alg.basis[k], gam) for k in nonpos] for gam in gammas]
-    ann = nullspace(rows)
-    ndual = []
-    for v in ann:
-        c = [Fraction(0)] * alg.dim
-        for k, x in zip(nonpos, v):
-            c[k] = x
-        ndual.append(alg.from_coords(c))
+    ann = nullspace([[spair(alg.basis[k], gam) for k in nonpos]
+                     for gam in map(sparse, gammas)])
+    ndual = [scombine((x, alg.basis[k]) for k, x in zip(nonpos, v) if x) for v in ann]
     if len(npos) != len(ndual):
         raise ValueError("slice complement has wrong dimension")
-    return {'gammas': gammas, 'gamma_ups': gups, 'f': npos + ndual,
-            'exponents': exps}
+    out = {'gammas': gammas, 'gamma_ups': gups, 'f': npos + ndual,
+           'exponents': exps}
+    out['parts'] = _constraint_parts(alg, out)
+    return out
+
+
+def _integral(ms):
+    """Rational entries as integer ones over one denominator: (list, d)."""
+    d = lcm(*(x.denominator for E in ms for x in E.values()))
+    return [{k: x.numerator * (d // x.denominator) for k, x in E.items()} for E in ms], d
 
 
 def _constraint_parts(alg, slices):
     """The parts of the constraint blocks at q = I_- + sum u^k gamma_k.
 
-    P[a][b] = -<q, [f_a, f_b]> and R[i][a] = -<q, [gamma^i, f_a]> are
+    P[a][b] = <q, [f_b, f_a]> and R[i][a] = <q, [f_a, gamma^i]> are
     affine in (1, u^1, ..., u^n): their parts come from x_0 = I_- and
-    x_k = gamma_k, with <x, [f_a, f_b]> = <[x, f_a], f_b>, so only the
-    brackets [x_k, f_a] and [x_k, gamma^i] are formed.  Each part is a
-    list of its nonzero entries (row, column, value); P's parts are
-    antisymmetric and list the upper triangle, and R has no constant
-    part.  Returns (P parts, R parts, Q, S, P0^-1) with the constant
-    Q[a][b] = <f_a, f_b>, S[i][a] = <gamma^i, f_a> and P's constant part.
+    x_k = gamma_k, with <x, [f_b, f_a]> = <[f_a, x], f_b> and
+    <x, [f_a, gamma^i]> = <[gamma^i, x], f_a>, so only the brackets
+    [f_a, x_k] and [gamma^i, x_k] are formed, each paired with
+    every f_b in one sparse product.  The blocks do not change when an
+    f_a is scaled, so each f_a is scaled to integer entries, and the
+    products run in integers.  Returns (P parts, R parts, Q, S, P0^-1)
+    with Q[a][b] = <f_a, f_b> and S[i][a] = <gamma^i, f_a>, each matrix
+    a pair (integer entries, denominator); R has no constant part.
     """
-    gammas, gups, fs = slices['gammas'], slices['gamma_ups'], slices['f']
-    scale = alg.form_scale
-    # <M, f> = tr(M f) * scale over the nonzero entries (r, c, x) of f
-    fnz = [[(r, c, x) for r, row in enumerate(f) for c, x in enumerate(row) if x]
-           for f in fs]
+    sn, sd = alg.form_scale.as_integer_ratio()
+    fs = [_integral([f])[0][0] for f in slices['f']]
+    xs, dx = _integral([sparse(m) for m in [alg.I_minus] + slices['gammas']])
+    gups, e = _integral([sparse(m) for m in slices['gamma_ups']])
+    # F[(c, r)][b] = sd <E_cr, f_b>, E_cr the unit matrix at (c, r), so
+    # that the rows of (entries of M) F are the sd <M, f_b>
+    F = {}
+    for b, f in enumerate(fs):
+        for (r, c), x in f.items():
+            F.setdefault((c, r), {})[b] = x * sn
 
-    def pair(M, nz):
-        return sum(M[c][r] * x for r, c, x in nz if M[c][r]) * scale
+    def pairs(ms):
+        return flat(smul(dict(enumerate(ms)), F))
 
-    def nonzero(entries):
-        return [e for e in entries if e[2]]
-
-    Pparts = [nonzero((a, b, -pair(K, fnz[b]))
-                      for a, K in enumerate(mcomm(x, fa) for fa in fs)
-                      for b in range(a + 1, len(fs)))
-              for x in [alg.I_minus] + gammas]
-    Rparts = [nonzero((i, a, -pair(K, nz))
-                      for i, K in enumerate(mcomm(gam, gu) for gu in gups)
-                      for a, nz in enumerate(fnz))
-              for gam in gammas]
-    Q = [[pair(fa, nz) for nz in fnz] for fa in fs]
-    S = [[pair(gu, nz) for nz in fnz] for gu in gups]
-    P0 = mzero(len(fs))
-    for a, b, v in Pparts[0]:
-        P0[a][b], P0[b][a] = v, -v
+    P = [pairs([scomm(fa, x) for fa in fs]) for x in xs]
     try:
-        P0inv = inverse(P0)
+        (W,), w = _integral([sparse(inverse(dense(P[0], len(fs))))])
     except ValueError:
         raise ValueError("degenerate constraint matrix") from None
-    return Pparts, Rparts, Q, S, P0inv
+    return ([(E, dx * sd) for E in P],
+            [(pairs([scomm(gu, x) for gu in gups]), e * dx * sd) for x in xs[1:]],
+            (pairs(fs), sd), (pairs(gups), e * sd),
+            ({k: v * dx * sd for k, v in W.items()}, w))
+
+
+def _combine(terms):
+    """sum c E / d over the terms (c, (E, d)), as one pair (E, d)."""
+    terms = list(terms)
+    den = lcm(*(d for _, (_, d) in terms))
+    return scombine((c * (den // d), E) for c, (E, d) in terms), den
+
+
+def _lowest(E, d):
+    """Integer entries over d, their common factor with d cancelled."""
+    g = gcd(d, *E.values())
+    return {k: x // g for k, x in E.items()}, d // g
 
 
 def _times_inverse(X, P0inv, U):
-    """X P^-1 = sum_k X P0^-1 U^k for P = P0 + N, U = -N P0^-1, in ring
-    operations only.  N raises the principal grade, so the terms vanish
-    from the m-th on (m = len(U)); one that does not is a ValueError."""
-    term = out = mm(X, P0inv)
-    for _ in range(len(U)):
-        term = mm(term, U)
-        if not any(x for row in term for x in row):
-            return out
-        out = madd(out, term)
+    """X P^-1 = sum_k X P0^-1 U^k for P = P0 + N, U = -N P0^-1, each
+    matrix its rows of integral entries over a denominator.  N raises the
+    principal grade, so U is nilpotent and the terms vanish once k passes
+    the number of nonzero rows of U; one that does not is a ValueError."""
+    (term, d), (Um, du) = (smul(X[0], P0inv[0]), X[1] * P0inv[1]), U
+    terms = [term]
+    for _ in range(len(Um) + 1):
+        term = smul(term, Um)
+        if not term:
+            m = len(terms) - 1
+            return (rows(scombine((du ** (m - k), flat(t)) for k, t in enumerate(terms))),
+                    d * du ** m)
+        terms.append(term)
     raise ValueError("constraint series does not terminate")
 
 
-def _reduce(parts, coeffs):
-    """The second-bracket blocks G2, T12, T22 from the constraint parts
-    with the coefficients (1, c^1, ..., c^n), over their ring."""
-    Pparts, Rparts, Q, S, P0inv = parts
-    m2 = len(Q)
-    zero = 0 * coeffs[0]
-    negN = [[zero] * m2 for _ in range(m2)]     # -(P - P0)
-    for c, part in zip(coeffs[1:], Pparts[1:]):
-        for a, b, v in part:
-            negN[a][b] -= c * v
-            negN[b][a] += c * v
-    R = [[zero] * m2 for _ in range(len(S))]
-    for c, part in zip(coeffs[1:], Rparts):
-        for i, a, v in part:
-            R[i][a] += c * v
-    U, n = mm(negN, P0inv), len(S)
-    # r[k] = R P^-1 (Q P^-1)^k, and s[k] the same from S, stacked
-    r, s, X = [], [], R + S
-    for _ in range(4):
-        X = _times_inverse(X, P0inv, U)
-        r.append(X[:n])
-        s.append(X[n:])
-        X = mm(X, Q)
-    Rt, St = transpose(R), transpose(S)
+def _reduce(parts, coeffs, den=1):
+    """The second-bracket blocks G2, T12, T22 at the coefficients
+    (1, c^1 / den, ..., c^n / den), the c^k integral ring elements (int
+    or Poly with int coefficients).  The chain runs over the rows of
+    integral matrices, one denominator each; the blocks are divided once,
+    at the end."""
+    P, R, Q, S, (W, w) = parts
+    W = rows(W)
+    # U = -N P0^-1 = -sum c^k P_k P0^-1 / den, each P_k P0^-1 in lowest terms
+    U, e = _combine((-c, _lowest(flat(smul(rows(E), W)), d * w))
+                    for c, (E, d) in zip(coeffs, P[1:]))
+    P0inv, U = (W, w), (rows(U), den * e)
+    R, e = _combine(zip(coeffs, R))
+    Q, S, R = (rows(Q[0]), Q[1]), (rows(S[0]), S[1]), (rows(R), den * e)
+
+    def chain(X, k):
+        """X P^-1 (Q P^-1)^j for j < k"""
+        out = []
+        for _ in range(k):
+            out.append(_times_inverse(X, P0inv, U))
+            X = smul(out[-1][0], Q[0]), out[-1][1] * Q[1]
+        return out
+    r, s = chain(R, 4), chain(S, 3)
+    Rt, St = ((rows({(c, r): x for (r, c), x in flat(M).items()}), d) for M, d in (R, S))
+    n = len(coeffs)
 
     def block(*terms):
-        out = mzero(len(R))
-        for sign, M in terms:
-            out = madd(out, M, sign)
-        return out
+        E, d = _combine((sign, (flat(smul(A, B)), a * b)) for sign, (A, a), (B, b) in terms)
+        q = Fraction(1, d)
+        return [[E.get((i, j), 0) * q for j in range(n)] for i in range(n)]
 
     # signs fixed by expanding -(1/eps) B M^-1 B+ with M = P + Q eps,
     # B = R + S eps at constant coefficients
-    return (block((1, mm(r[1], Rt)), (-1, mm(s[0], Rt)), (1, mm(r[0], St))),
-            block((-1, mm(r[2], Rt)), (1, mm(r[1], St)),
-                  (-1, mm(s[1], Rt)), (1, mm(s[0], St))),
-            block((1, mm(r[3], Rt)), (1, mm(r[2], St)),
-                  (-1, mm(s[2], Rt)), (-1, mm(s[1], St))))
+    return (block((1, r[1], Rt), (-1, s[0], Rt), (1, r[0], St)),
+            block((-1, r[2], Rt), (1, r[1], St), (-1, s[1], Rt), (1, s[0], St)),
+            block((1, r[3], Rt), (1, r[2], St), (-1, s[2], Rt), (-1, s[1], St)))
 
 
 # the delta^(s) tensors (s = 1, 2, 3) of brackets 2 and 1, and their blocks
@@ -205,11 +222,10 @@ def dirac_tensors(alg, slices):
     the u^i.  Each first-bracket tensor is the d/du^n derivative of its
     second-bracket one, which must be linear in u^n.
     """
-    parts = _constraint_parts(alg, slices)
-    coeffs = [Poly.num(1)] + [Poly.of('u', k + 1) for k in range(alg.n)]
+    coeffs = [Poly.of('u', k + 1) for k in range(alg.n)]
     unit = ('u', alg.n, 0)
     out = {}
-    for (k2, k1), M in zip(LEVELS, _reduce(parts, coeffs)):
+    for (k2, k1), M in zip(LEVELS, _reduce(slices['parts'], coeffs)):
         M = [[Poly() + x for x in row] for row in M]    # constants as Poly too
         D = [[x.diff(unit) for x in row] for row in M]
         if any(x.diff(unit) for row in D for x in row):
@@ -264,12 +280,10 @@ def central_invariants_dirac(tensors, n, upoint):
 def numeric_pencil(alg, slices, upoint):
     """All six reduced tensors as Fraction matrices at one slice point,
     via evaluations at three values of the shift parameter."""
-    parts = _constraint_parts(alg, slices)
-    vals = []
-    for lam in (0, 1, 2):
-        coeffs = [Fraction(1)] + [Fraction(u) for u in upoint]
-        coeffs[-1] += lam
-        vals.append(_reduce(parts, coeffs))
+    up = [Fraction(u) for u in upoint]
+    den = lcm(*(u.denominator for u in up))
+    c = [int(u * den) for u in up]          # the shift lam rides on u^n
+    vals = [_reduce(slices['parts'], c[:-1] + [c[-1] + lam * den], den) for lam in (0, 1, 2)]
     out = {}
     for idx, (k2, k1) in enumerate(LEVELS):
         a0 = vals[0][idx]

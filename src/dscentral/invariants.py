@@ -199,18 +199,28 @@ def sample_from_roots(series, n, roots, c0=0, u2=1):
 POOL = range(-12, 13)
 
 
+def _pool(series, n):
+    """POOL up to the ranks it serves, A and D 24, B and C 25; above,
+    -h..h with h = ceil(n/2).  A draw of all of -h..h is degenerate for
+    A and D, so those keep one spare integer."""
+    if n <= (24 if series in 'AD' else 25):
+        return POOL
+    h = (n + 1) // 2
+    return range(-h, h + 1)
+
+
 def random_sample(series, n, rng):
     """Exact coordinates with rational canonical data, for property
     tests; retries until nondegenerate."""
     for _ in range(200):
         try:
             if series == 'A':
-                pool = rng.sample(POOL, n)
+                pool = rng.sample(_pool(series, n), n)
                 pool[-1] = -sum(pool[:-1])
                 if len(set(pool)) != n:
                     continue
             else:
-                pool = [x for x in rng.sample(POOL, n - 1) if x]
+                pool = [x for x in rng.sample(_pool(series, n), n - 1) if x]
                 if len(pool) != n - 1:
                     continue
             # the free value: c0 for A, B, C and u2 for D

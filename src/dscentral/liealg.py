@@ -1,8 +1,12 @@
 """Exact Lie algebra data: Cartan matrices, matrix realizations,
 principal gradings and slice bases, and the one exact elimination
-(`echelon`, `back_sweep`) over Fraction.  Matrices are lists of
-rows; the products visit nonzero entries only and write the one shared
-ZERO, since the Chevalley bases they act on are very sparse.
+(`echelon`, `back_sweep`) over Fraction.
+
+A sparse matrix is its entries {(row, column): x} of the nonzero x, the
+one format of the stored basis and generators and of the slice data,
+since Chevalley bases are very sparse.  The products (`smul`, `scomm`)
+run on rows {row: {column: x}} over any ring.  The dense helpers, on
+lists of rows with the one shared ZERO, go through them.
 """
 
 from fractions import Fraction
@@ -147,7 +151,7 @@ def echelon(rows):
 
 def _clear(rows, c, prow):
     """Subtract multiples of a pivot row with a 1 at column c from rows."""
-    pivot = _nonzeros(prow)
+    pivot = [(j, y) for j, y in enumerate(prow) if y]
     for row in rows:
         f = row[c]
         if f:
@@ -211,18 +215,78 @@ def inverse(rows):
 ZERO = Fraction(0)
 
 
-def _nonzeros(row):
-    """(column, entry) for the nonzero entries of a row."""
-    return [(j, x) for j, x in enumerate(row) if x is not ZERO and x]
+# ---------------------------------------------------------------------------
+# sparse matrices
+
+def sparse(M):
+    """The entries of a dense matrix."""
+    return {(r, c): x for r, row in enumerate(M) for c, x in enumerate(row)
+            if x is not ZERO and x}
 
 
-def _dense_row(acc, m):
-    row = [ZERO] * m
-    for j, x in acc.items():
-        if x:
-            row[j] = x
-    return row
+def dense(E, n, m=None):
+    """The dense n x m matrix of the entries E, ZERO elsewhere."""
+    out = mzero(n, m)
+    for (r, c), x in E.items():
+        out[r][c] = x
+    return out
 
+
+def rows(E):
+    out = {}
+    for (r, c), x in E.items():
+        out.setdefault(r, {})[c] = x
+    return out
+
+
+def flat(R):
+    """The entries of the rows R, without the zeros."""
+    return {(r, c): x for r, row in R.items() for c, x in row.items() if x}
+
+
+def _mul_into(acc, A, B, s=1):
+    """acc += s A B over rows, the cancelled entries left as zeros."""
+    for r, ra in A.items():
+        row = acc.setdefault(r, {})
+        for k, a in ra.items():
+            rb = B.get(k)
+            if rb:
+                if s != 1:
+                    a = s * a
+                for c, b in rb.items():
+                    v = row.get(c)
+                    row[c] = a * b if v is None else v + a * b
+    return acc
+
+
+def smul(A, B):
+    """The rows of AB from the rows of A and B."""
+    out = ((r, {c: x for c, x in row.items() if x}) for r, row in _mul_into({}, A, B).items())
+    return {r: row for r, row in out if row}
+
+
+def scomm(A, B):
+    """The entries of AB - BA."""
+    A, B = rows(A), rows(B)
+    return flat(_mul_into(_mul_into({}, A, B), B, A, -1))
+
+
+def scombine(terms):
+    """The entries of sum c E over the pairs (c, E)."""
+    out = {}
+    for c, E in terms:
+        for k, x in E.items():
+            v = out.get(k)
+            out[k] = c * x if v is None else v + c * x
+    return {k: x for k, x in out.items() if x}
+
+
+def spair(A, B):
+    """tr(AB)."""
+    return sum((a * B[c, r] for (r, c), a in A.items() if (c, r) in B), ZERO)
+
+
+# dense matrices: lists of rows, through the sparse kernels
 
 def mzero(n, m=None):
     return [[ZERO] * (m or n) for _ in range(n)]
@@ -230,13 +294,7 @@ def mzero(n, m=None):
 
 def madd(A, B, s=1):
     """A + s B."""
-    out = [list(r) for r in A]
-    for ro, rb in zip(out, B):
-        for j, b in enumerate(rb):
-            if b is not ZERO and b:
-                v = ro[j] + s * b
-                ro[j] = v if v else ZERO
-    return out
+    return dense(scombine([(1, sparse(A)), (s, sparse(B))]), len(A), len(A[0]))
 
 
 def transpose(A):
@@ -248,78 +306,57 @@ def mscale(A, s):
 
 
 def mmul(A, B):
-    m = len(B[0])
-    Bnz = [_nonzeros(r) for r in B]
-    C = []
-    for ra in A:
-        acc = {}
-        for k, a in _nonzeros(ra):
-            for j, b in Bnz[k]:
-                v = acc.get(j)
-                acc[j] = a * b if v is None else v + a * b
-        C.append(_dense_row(acc, m))
-    return C
+    return dense(flat(smul(rows(sparse(A)), rows(sparse(B)))), len(A), len(B[0]))
 
 
 def mcomm(A, B):
-    """AB - BA, both products accumulated in one pass over the per-row
-    nonzeros of the two factors."""
-    m = len(A[0])
-    Anz = [_nonzeros(r) for r in A]
-    Bnz = [_nonzeros(r) for r in B]
-    C = []
-    for ra, rb in zip(Anz, Bnz):
-        acc = {}
-        for k, a in ra:
-            for j, b in Bnz[k]:
-                v = acc.get(j)
-                acc[j] = a * b if v is None else v + a * b
-        for k, b in rb:
-            for j, a in Anz[k]:
-                v = acc.get(j)
-                acc[j] = -(b * a) if v is None else v - b * a
-        C.append(_dense_row(acc, m))
-    return C
+    """AB - BA."""
+    return dense(scomm(sparse(A), sparse(B)), len(A))
 
 
 def mtrace_prod(A, B):
-    """tr(AB), over the nonzeros of A."""
-    tot = ZERO
-    for i, ra in enumerate(A):
-        for j, a in enumerate(ra):
-            if a is not ZERO and a:
-                b = B[j][i]
-                if b is not ZERO and b:
-                    tot += a * b
-    return tot
+    """tr(AB)."""
+    return spair(sparse(A), sparse(B))
 
 
 class MatrixLieAlgebra:
     """A simple Lie algebra realized by matrices, generated by Chevalley
     triples (X_i, Y_i) in some faithful representation.
 
-    The basis is built by bracket closure and consists of root vectors:
-    `weights[k]` holds the coefficients of the root of `basis[k]` over the
-    simple roots (zero for the Cartan elements).
+    The basis is built by bracket closure and consists of root vectors,
+    each stored as its entries: `weights[k]` holds the coefficients of
+    the root of `basis[k]` over the simple roots (zero for the Cartan
+    elements).  X, Y, H, I_plus, I_minus and rho are stored as entries
+    too, and read as dense matrices, as are the matrices that
+    `from_coords` and `root_vector` return and that `coords` and `form`
+    take.
     """
 
     def __init__(self, n, X, Y, form_scale, dim):
         self.n = n
-        self.X = X
-        self.Y = Y
+        self.size = len(X[0])
         self.form_scale = Fraction(form_scale)
         self.dim = dim
-        self.H = [mcomm(x, y) for x, y in zip(X, Y)]
+        self._X, self._Y = [sparse(x) for x in X], [sparse(y) for y in Y]
+        self._H = [scomm(x, y) for x, y in zip(self._X, self._Y)]
         self._close_basis()
         self._principal()
+
+    # the dense views of the stored entries
+    X = property(lambda self: [dense(m, self.size) for m in self._X])
+    Y = property(lambda self: [dense(m, self.size) for m in self._Y])
+    H = property(lambda self: [dense(m, self.size) for m in self._H])
+    I_plus = property(lambda self: dense(self._Ip, self.size))
+    I_minus = property(lambda self: dense(self._Im, self.size))
+    rho = property(lambda self: dense(self._rho, self.size))
 
     def form(self, a, b):
         return mtrace_prod(a, b) * self.form_scale
 
-    def _reduce(self, fl):
-        """Reduce a sparse flat vector against the stored pivot rows,
+    def _reduce(self, E):
+        """Reduce the entries of a matrix against the stored pivot rows,
         tracking the combination of basis vectors used."""
-        r = dict(fl)
+        r = dict(E)
         expr = [ZERO] * len(self.basis)
         for p, (row, ex) in self._red.items():
             f = r.get(p)
@@ -330,53 +367,45 @@ class MatrixLieAlgebra:
                         r[c] = v
                     else:
                         r.pop(c, None)
-                for i, x in enumerate(ex):
-                    if x:
-                        expr[i] += f * x
+                for i, x in ex.items():
+                    expr[i] += f * x
         return r, expr
-
-    @staticmethod
-    def _sparse(m):
-        out = {}
-        k = 0
-        for row in m:
-            for x in row:
-                if x is not ZERO and x:
-                    out[k] = x
-                k += 1
-        return out
 
     def _close_basis(self):
         self.basis = []
         self.weights = []
-        self._red = {}      # pivot column -> (normalized sparse row, basis expr)
+        self._red = {}      # pivot position -> (normalized entries, basis expr)
+
+        def ints(E):        # integral entries as int: the products run in integers
+            return {k: x.numerator if x.denominator == 1 else x for k, x in E.items()}
 
         def try_add(m, w):
-            r, used = self._reduce(self._sparse(m))
+            r, used = self._reduce(m)
             if not r:
                 return False
             piv = min(r)
             self.basis.append(m)
-            inv = 1 / r[piv]
-            row = {c: x * inv for c, x in r.items()}
-            # row = inv * (m - sum used_i basis_i) in flat coordinates
-            ex = [-inv * u if u else ZERO for u in used] + [inv]
+            inv = Fraction(1) / r[piv]
+            row = ints({c: x * inv for c, x in r.items()})
+            # row = inv * (m - sum used_i basis_i), as entries
+            ex = {i: -inv * u for i, u in enumerate(used) if u}
+            ex[len(used)] = inv
             self._red[piv] = (row, ex)
             self.weights.append(w)
             return True
 
         n = self.n
         unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        gens = ([(x, w) for x, w in zip(self.X, unit)]
-                + [(y, tuple(-e for e in w)) for y, w in zip(self.Y, unit)])
-        for m, w in gens[:n] + [(h, (0,) * n) for h in self.H] + gens[n:]:
+        gens = ([(ints(x), w) for x, w in zip(self._X, unit)]
+                + [(ints(y), tuple(-e for e in w)) for y, w in zip(self._Y, unit)])
+        for m, w in gens[:n] + [(ints(h), (0,) * n) for h in self._H] + gens[n:]:
             try_add(m, w)
         frontier = list(zip(self.basis, self.weights))
         while len(self.basis) < self.dim and frontier:
             new = []
             for g, wg in gens:
                 for b, wb in frontier:
-                    c = mcomm(g, b)
+                    c = scomm(g, b)
                     w = tuple(x + y for x, y in zip(wg, wb))
                     if try_add(c, w):
                         new.append((c, w))
@@ -384,35 +413,30 @@ class MatrixLieAlgebra:
         if len(self.basis) != self.dim:
             raise ValueError("closure gave dim %d, expected %d"
                              % (len(self.basis), self.dim))
-    def coords(self, m):
-        """Coordinates of a matrix in the basis."""
-        r, expr = self._reduce(self._sparse(m))
+
+    def _coords(self, E):
+        r, expr = self._reduce(E)
         if r:
             raise ValueError("matrix outside the algebra")
         return expr
 
+    def coords(self, m):
+        """Coordinates of a matrix in the basis."""
+        return self._coords(sparse(m))
+
     def from_coords(self, x):
-        out = mzero(len(self.basis[0]), len(self.basis[0][0]))
-        for c, b in zip(x, self.basis):
-            if c:
-                out = madd(out, b, c)
-        return out
+        return dense(scombine((c, b) for c, b in zip(x, self.basis) if c), self.size)
 
     def realized_cartan(self):
         """C[i][j] = alpha_j(H_i), read off from [H_i, X_j] = C X_j."""
         C = mzero(self.n, self.n)
-        for i, Hi in enumerate(self.H):
-            for j, Xj in enumerate(self.X):
-                b = mcomm(Hi, Xj)
-                val = None
-                for rb, rx in zip(b, Xj):
-                    for xb, xx in zip(rb, rx):
-                        if xx:
-                            v = xb / xx
-                            if val is not None and v != val:
-                                raise ValueError("X_%d not a weight vector" % (j + 1))
-                            val = v
-                C[i][j] = val if val is not None else Fraction(0)
+        for i, Hi in enumerate(self._H):
+            for j, Xj in enumerate(self._X):
+                b = scomm(Hi, Xj)
+                vals = {b.get(rc, ZERO) / x for rc, x in Xj.items()}
+                if len(vals) > 1:
+                    raise ValueError("X_%d not a weight vector" % (j + 1))
+                C[i][j] = vals.pop() if vals else Fraction(0)
         return C
 
     def _principal(self):
@@ -421,26 +445,19 @@ class MatrixLieAlgebra:
         a = solve(Ct, [Fraction(2)] * self.n)
         if a is None:
             raise ValueError("principal sl2 system unsolvable")
-        Ip = mzero(len(self.X[0]))
-        rho = mzero(len(self.X[0]))
-        for ai, Xi, Hi in zip(a, self.X, self.H):
-            Ip = madd(Ip, Xi, ai)
-            rho = madd(rho, Hi, ai / 2)
-        self.I_plus = Ip
-        self.rho = rho
-        Im = mzero(len(self.X[0]))
-        for Yi in self.Y:
-            Im = madd(Im, Yi, 1)
-        self.I_minus = Im
+        self._Ip = scombine(zip(a, self._X))
+        self._rho = scombine((ai / 2, h) for ai, h in zip(a, self._H))
+        self._Im = scombine((1, y) for y in self._Y)
         # [rho, X_j] = X_j, so the principal grade of a root vector is the
         # height of its root
         self.grades = [Fraction(sum(w)) for w in self.weights]
-        if mcomm(Ip, Im) != mscale(rho, 2):
+        if scomm(self._Ip, self._Im) != scombine([(2, self._rho)]):
             raise ValueError("principal sl2 relations fail")
 
     def ad_matrix(self, m):
         """ad m in basis coordinates (columns = images of basis vectors)."""
-        cols = [self.coords(mcomm(m, b)) for b in self.basis]
+        m = sparse(m)
+        cols = [self._coords(scomm(m, b)) for b in self.basis]
         return [list(r) for r in zip(*cols)]
 
     def graded_kernel(self, m):
@@ -462,9 +479,8 @@ class MatrixLieAlgebra:
         found = [b for b, w in zip(self.basis, self.weights) if w == nvec]
         if len(found) != 1:
             raise ValueError("root space has dimension %d" % len(found))
-        m = found[0]
-        lead = next(x for row in m for x in row if x)
-        return mscale(m, 1 / lead)
+        m, = found
+        return mscale(dense(m, self.size), Fraction(1) / m[min(m)])
 
 
 def g2_algebra():

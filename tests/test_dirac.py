@@ -5,6 +5,7 @@ exact tables, in the slice coordinates and in the flat ones, and the
 invariants are evaluated at exact points.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -201,47 +202,76 @@ def test_slice_bases_repeated_exponent(n, exponents):
     assert len(slices['f']) == n * (2 * n - 1) - n
 
 
-def _constraint_matrix(parts, coeffs):
-    """P = sum c^k P_k over the antisymmetric parts, dense."""
-    m = len(parts[2])
-    P = [[0 * coeffs[0]] * m for _ in range(m)]
-    for c, part in zip(coeffs, parts[0]):
-        for a, b, v in part:
-            P[a][b] += c * v
-            P[b][a] -= c * v
+def _pencil_digest(N):
+    """The first 16 hex digits of the sha256 of 'key=[[entries]]' over
+    the sorted keys, joined by ';'."""
+    text = ';'.join('%s=%s' % (k, [[str(x) for x in row] for row in N[k]])
+                    for k in sorted(N))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize('name,digest', [('D5', 'e577f82a29a6c03b'),
+                                         ('E6', '2ff45dd9bc858d24'),
+                                         ('E7', '044b72e93eac390d')],
+                         ids=['D5', 'E6', 'E7'])
+def test_numeric_pencil_golden(name, digest):
+    # 40, 72 and 126 constraints (the benchmark's F4 point has 48); the
+    # digests were recorded with the chain over Fraction matrices
+    if name == 'D5':
+        alg = d_algebra(5)
+        slices = slice_bases(alg)
+    else:
+        alg = fixtures.build_algebra(name.lower())
+        slices = slice_bases(alg, fixtures.load_gammas(name.lower(), alg))
+    up = [Fraction(k + 2, 3) for k in range(1, alg.n + 1)]
+    assert _pencil_digest(numeric_pencil(alg, slices, up)) == digest
+
+
+def _constraint_matrix(parts, coeffs, den, m):
+    """P = sum c^k P_k / den over the parts (E, d), c^0 = den, dense."""
+    P = [[0] * m for _ in range(m)]
+    for c, (E, d) in zip([den] + coeffs, parts[0]):
+        for (a, b), v in E.items():
+            P[a][b] += c * Fraction(v, d * den)
     return P
+
+
+def _divided(E, d, m):
+    return [[x * Fraction(1, d) for x in row] for row in liealg.dense(E, m)]
 
 
 @pytest.mark.parametrize('case', ['G2', 'D4'])
 def test_neumann_inverse_times_p_is_identity(case):
-    # G2 over Poly in the u^k, D4 (exponent 3 twice) over Fraction
+    # G2 over Poly in the u^k, D4 (exponent 3 twice) over Fraction: the
+    # series runs over integral rows and is divided once
     if case == 'G2':
         alg = liealg.g2_algebra()
         slices = g2_slice(alg)
-        coeffs = [Poly.num(1)] + [Poly.of('u', k + 1) for k in range(2)]
+        coeffs, den = [Poly.of('u', k + 1) for k in range(2)], 1
     else:
         alg = d_algebra(4)
         slices = slice_bases(alg)
-        coeffs = [Fraction(1), Fraction(2, 3), Fraction(-1), Fraction(5, 7), Fraction(3)]
-    parts = dirac._constraint_parts(alg, slices)
-    P0inv = parts[4]
-    P = _constraint_matrix(parts, coeffs)
-    P0 = _constraint_matrix(parts, coeffs[:1])
-    m = len(P)
-    assert liealg.mmul(P0, P0inv) == [[int(i == j) for j in range(m)] for i in range(m)]
-    U = liealg.mmul(liealg.madd(P0, P, -1), P0inv)            # -N P0^-1
+        coeffs, den = [14, -21, 15, 63], 21      # 2/3, -1, 5/7, 3
+    parts = slices['parts']
+    (W, w), m = parts[4], len(slices['f'])
     eye = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    W = dirac._times_inverse(eye, P0inv, U)
-    assert liealg.mmul(P, W) == eye
+    P0 = _constraint_matrix(parts, [], den, m)
+    assert liealg.mmul(P0, _divided(W, w, m)) == eye
+    negN, e = dirac._combine((-c, Pk) for c, Pk in zip(coeffs, parts[0][1:]))
+    U = liealg.smul(liealg.rows(negN), liealg.rows(W)), den * e * w   # -N P0^-1
+    ones = liealg.rows({(i, i): 1 for i in range(m)})
+    Pinv, d = dirac._times_inverse((ones, 1), (liealg.rows(W), w), U)
+    Pinv = _divided(liealg.flat(Pinv), d, m)
+    assert liealg.mmul(_constraint_matrix(parts, coeffs, den, m), Pinv) == eye
     assert any(isinstance(x, Poly) and not x.is_constant()
-               for row in W for x in row) == (case == 'G2')
+               for row in Pinv for x in row) == (case == 'G2')
 
 
 def test_neumann_series_must_terminate():
     # U = identity is not nilpotent: every term stays nonzero
-    eye = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    ones = liealg.rows({(i, i): 1 for i in range(3)})
     with pytest.raises(ValueError, match='does not terminate'):
-        dirac._times_inverse(eye, eye, eye)
+        dirac._times_inverse((ones, 1), (ones, 1), (ones, 1))
 
 
 def _symbolic_invariants(tensors, n, upoint):

@@ -100,6 +100,24 @@ def test_invariants_constant_across_samples():
         assert len(seen) == 1
 
 
+@pytest.mark.parametrize('series,n', [('A', 25), ('A', 26), ('B', 30), ('C', 26),
+                                      ('C', 27), ('D', 30)])
+def test_random_sample_above_the_pool(series, n):
+    # POOL holds too few integers for these ranks, so the draw widens it;
+    # only the critical points are found, no table is built
+    u = random_sample(series, n, random.Random(0))
+    pts = canonical_coordinates(series, n, u)
+    assert len(u) == n and len({lam for _, lam in pts}) == n
+    assert invariants._pool(series, n) != invariants.POOL
+
+
+def test_random_sample_keeps_the_pool_where_it_serves():
+    # the widest ranks that draw from POOL: their seeded draws stay put
+    for series, n in (('A', 24), ('B', 25), ('C', 25), ('D', 24)):
+        assert invariants._pool(series, n) is invariants.POOL
+        random_sample(series, n, random.Random(0))
+
+
 def test_first_metric_diagonal_data():
     rng = random.Random(23)
     u = random_sample('A', 3, rng)

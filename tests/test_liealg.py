@@ -213,6 +213,23 @@ def test_root_vector_every_root(name):
             assert mcomm(Hi, m) == mscale(m, lam), (nvec, i)
 
 
+@pytest.mark.parametrize('name', ['g2', 'f4'])
+def test_stored_basis_round_trip(name):
+    # the basis is stored as its nonzero entries, inside the matrix
+    from dscentral import fixtures
+    alg = g2_algebra() if name == 'g2' else fixtures.build_algebra(name)
+    assert len(alg.basis) == alg.dim
+    for b in alg.basis:
+        assert b and all(x for x in b.values())
+        assert all(0 <= r < alg.size and 0 <= c < alg.size for r, c in b)
+    rng = random.Random(13)
+    for _ in range(10):
+        x = [Fraction(rng.randint(-3, 3)) for _ in range(alg.dim)]
+        m = alg.from_coords(x)
+        assert alg.coords(m) == x
+        assert alg.from_coords(alg.coords(m)) == m
+
+
 def test_root_vector_rejects_non_roots():
     alg = g2_algebra()
     with pytest.raises(ValueError, match='root space has dimension 2'):
