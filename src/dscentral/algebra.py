@@ -34,9 +34,15 @@ below it are in range and pass it no carry or borrow; so one AND with
 the top bits of all fields finds it.  OverflowError is raised before
 such a monomial can be an operand, so no chain of products, powers,
 quotients or derivatives wraps.
+
+Points.  `evaluate` reads Polys in u_1..u_n at a rational point without
+forming a Poly: one sweep over the distinct packed monomials, powers of
+the point's numerators, and values and partial derivatives as integer
+numerators over one denominator, divided once per entry by the caller.
 """
 
 from fractions import Fraction
+from math import lcm, prod
 
 _W = 16                         # bits per variable field
 _MASK = (1 << _W) - 1
@@ -442,6 +448,58 @@ def u_list(n, u=None):
     if len(out) != n:
         raise ValueError("expected %d coordinates" % n)
     return out
+
+
+def evaluate(polys, point, grad=False):
+    """The values of Polys in u_1..u_n at a rational point, as integer
+    numerators over one denominator: (values, den), and with `grad`
+    (values, grads, den), grads[j][k] the numerator of d p_j / d u_(k+1).
+    With the point a / D, C the lcm of the coefficient denominators and T
+    the top degree, den = C D^T: a monomial u^e of degree t reads
+    a^e D^(T - t), and its k-th partial e_k a^(e - 1_k) D^(T - t + 1).
+    Each distinct monomial is read once; a variable outside the point or
+    a negative exponent is a ValueError.
+
+    >>> p = Poly.of('u', 1) ** 2 * Fraction(1, 2) + Poly.of('u', 2)
+    >>> evaluate([p], [Fraction(1, 3), 2], grad=True)
+    ([37], [[6, 18]], 18)
+    """
+    n, point = len(point), [Fraction(x) for x in point]
+    D = lcm(*(x.denominator for x in point))
+    fields = [(k, _SHIFT[('u', k + 1, 0)]) for k in range(n) if ('u', k + 1, 0) in _SHIFT]
+    C = lcm(*(c.denominator for p in polys for c in p.terms.values() if type(c) is not int))
+    exps = {}
+    for m in set().union(*(p.terms for p in polys)):
+        e, back = [0] * n, 0
+        for k, sh in fields:
+            x = e[k] = ((m + _OFFS) >> sh & _MASK) - _OFF
+            back += x << sh
+        if back != m or min(e, default=0) < 0:
+            raise ValueError("not a polynomial in u_1..u_%d: %s" % (n, Poly({m: 1})))
+        exps[m] = e
+    T = max(map(sum, exps.values()), default=0)
+    pw = [[(x.numerator * (D // x.denominator)) ** t for t in range(T + 1)] for x in point]
+    Dp = [D ** t for t in range(T + 1)]
+    weight, partials = {}, {}
+    for m, e in exps.items():
+        t = sum(e)
+        weight[m] = Dp[T - t] * prod(pw[k][x] for k, x in enumerate(e))
+        if grad:
+            partials[m] = [(k, x * Dp[T - t + 1] * prod(pw[j][y - (j == k)]
+                                                          for j, y in enumerate(e)))
+                           for k, x in enumerate(e) if x]
+    values, grads = [], []
+    for p in polys:
+        v, g = 0, [0] * n
+        for m, c in p.terms.items():
+            c = c * C if type(c) is int else c.numerator * (C // c.denominator)
+            v += c * weight[m]
+            if grad:
+                for k, x in partials[m]:
+                    g[k] += c * x
+        values.append(v)
+        grads.append(g)
+    return (values, grads, C * Dp[T]) if grad else (values, C * Dp[T])
 
 
 def antiderivative(p, frozen=frozenset()):

@@ -17,16 +17,18 @@ over one integer denominator, and divides the blocks once at the end:
 - `numeric_pencil`: int at one point, the u^k over their common
   denominator, at lam = 0, 1, 2, the levels read off the differences.
 
-`central_invariants_dirac` hands the tensors and the kernel covectors
-dlam at a point to `invariants.defect_invariants`.
+`central_invariants_dirac` reads every tensor entry at a point once,
+through `algebra.evaluate`: the values of all blocks and the gradients
+of g2 and g1, in integers over one denominator each.  It hands the
+blocks and the kernel covectors dlam to `invariants.defect_invariants`.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import Poly
-from .liealg import (dense, determinant, flat, inverse, madd, mscale, nullspace,
-                     rows, scombine, scomm, smul, sparse, spair)
+from .algebra import Poly, evaluate
+from .liealg import (ZERO, dense, determinant, flat, inverse, madd, mscale, nullspace,
+                     rows, scombine, scomm, smul, sparse, spair, transpose)
 from .invariants import defect_invariants
 from .upoly import DegeneratePoint, interpolate, rational_roots
 
@@ -129,10 +131,18 @@ def _constraint_parts(alg, slices):
         return flat(smul(dict(enumerate(ms)), F))
 
     P = [pairs([scomm(fa, x) for fa in fs]) for x in xs]
+    # f_a, f_b pair in P0 only when their grades sum to 1, so with f = n +
+    # its complement P0 = [[0, B], [-B^T, 0]] and P0^-1 = [[0, -B^-T], [B^-1, 0]]
+    h = len(fs) // 2
+    B = {(a, b - h): x for (a, b), x in P[0].items() if a < h <= b}
+    if 2 * len(B) != len(P[0]) or any(P[0].get((b + h, a)) != -x for (a, b), x in B.items()):
+        raise ValueError("constraint matrix not of the form [[0, B], [-B^T, 0]]")
     try:
-        (W,), w = _integral([sparse(inverse(dense(P[0], len(fs))))])
+        Binv = inverse(dense(B, h))
     except ValueError:
         raise ValueError("degenerate constraint matrix") from None
+    (W,), w = _integral([sparse([[ZERO] * h + [-x for x in r] for r in transpose(Binv)]
+                                + [r + [ZERO] * h for r in Binv])])
     return ([(E, dx * sd) for E in P],
             [(pairs([scomm(gu, x) for gu in gups]), e * dx * sd) for x in xs[1:]],
             (pairs(fs), sd), (pairs(gups), e * sd),
@@ -247,11 +257,15 @@ def central_invariants_dirac(tensors, n, upoint):
 
     upoint: values of u^1..u^n.  Returns (roots, invariants).
     """
-    usub = {('u', i + 1, 0): Fraction(v) for i, v in enumerate(upoint)}
+    if len(upoint) != n:
+        raise ValueError("expected %d coordinates, got %d" % (n, len(upoint)))
 
-    def at_point(M, v=None):
-        return [[(e if v is None else e.diff(v)).subs(usub).constant()
-                 for e in row] for row in M]
+    def entries(keys):
+        return [x for key in keys for row in tensors[key] for x in row]
+
+    def shaped(nums, d):        # consecutive n x n matrices
+        M = [Fraction(x, d) for x in nums]
+        return [[M[i:i + n] for i in range(j, j + n * n, n)] for j in range(0, len(M), n * n)]
 
     def pencil(z, g2, g1):
         return [[a - z * b for a, b in zip(r2, r1)] for r2, r1 in zip(g2, g1)]
@@ -259,9 +273,12 @@ def central_invariants_dirac(tensors, n, upoint):
     def form(M, v):             # v.(M v)
         return sum(x * sum(a * y for a, y in zip(row, v)) for x, row in zip(v, M))
 
-    vals = {key: at_point(T) for key, T in tensors.items()}
+    # every entry read once: g2 and g1 with their gradients, then the rest
+    keys = ['g2', 'g1'] + [key for key in tensors if key not in ('g2', 'g1')]
+    first, grads, d = evaluate(entries(keys[:2]), upoint, grad=True)
+    vals = dict(zip(keys, shaped(first, d) + shaped(*evaluate(entries(keys[2:]), upoint))))
+    dg = [shaped([g[k] for g in grads], d) for k in range(n)]  # (d_k g2, d_k g1)
     g2, g1 = vals['g2'], vals['g1']
-    dg = [(at_point(tensors['g2'], v), at_point(tensors['g1'], v)) for v in usub]
     zs = range(n + 1)
     roots = rational_roots(interpolate(zs, [determinant(pencil(z, g2, g1)) for z in zs]))
     if roots is None:

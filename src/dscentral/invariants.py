@@ -13,7 +13,7 @@ diagonal there, E_1^1(k, i) = f_i delta_ki and E_2^1(i, i) = lam_i f_i, and
 import functools
 from fractions import Fraction
 
-from .algebra import u_list
+from .algebra import evaluate, u_list
 from .upoly import (DegeneratePoint, derivative, from_roots, integral,
                     rational_roots, value)
 
@@ -105,17 +105,13 @@ def _symbolic_tables(series, n, K):
 def tables_at(series, n, u, K=4):
     """The two bracket tables at a point: dict (i, j, s) -> Fraction,
     without the entries that vanish there.  The symbolic tables are
-    built once per (series, n, K)."""
-    vals = {('u', k, 0): x.constant() for k, x in enumerate(u_list(n, u), 1)}
-    out = []
-    for table in _symbolic_tables(series, n, K):
-        at = {}
-        for key, pol in table.items():
-            c = pol.subs(vals).constant()
-            if c:
-                at[key] = c
-        out.append(at)
-    return tuple(out)
+    built once per (series, n, K); at each point `algebra.evaluate` reads
+    every entry of both once, over one denominator."""
+    point = [x.constant() for x in u_list(n, u)]
+    tables = _symbolic_tables(series, n, K)
+    nums, d = evaluate([pol for table in tables for pol in table.values()], point)
+    it = iter(nums)
+    return tuple({key: Fraction(x, d) for key, x in zip(table, it) if x} for table in tables)
 
 
 def central_invariants(series, n, u, K=4):

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dscentral.algebra import Poly, _canon, antiderivative, decode, exponent, monomial
+from dscentral.algebra import (Poly, _canon, antiderivative, decode, evaluate, exponent,
+                               monomial)
 
 
 def rnd_poly(rng, nterms=3, families=('u',), maxorder=2):
@@ -339,3 +340,40 @@ def test_hash_agrees_with_equality():
     assert table.get(Poly.num(Fraction(1, 2))) == 'c'
     assert table.get(Poly.of('u', 1) * 1) == 'b'
     assert hash(Poly.of('u', 1) + 1) == hash(1 + Poly.of('u', 1))
+
+
+# The point evaluator against subs and diff, on Polys in u_1..u_4.
+
+U4 = [('u', k, 0) for k in range(1, 5)]
+coords = st.one_of(st.just(Fraction(0)), st.integers(-5, 5).map(Fraction),
+                   st.fractions(-5, 5, max_denominator=7))
+
+
+@st.composite
+def u4_polys(draw):
+    out = Poly()
+    for _ in range(draw(st.integers(0, 4))):
+        term = Poly.num(draw(exact_coeffs))
+        for _ in range(draw(st.integers(0, 3))):
+            term = term * Poly.of('u', draw(st.integers(1, 4)), 0, draw(st.integers(0, 3)))
+        out = out + term
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(u4_polys(), max_size=4), st.lists(coords, min_size=4, max_size=4))
+def test_evaluate_agrees_with_subs_and_diff(ps, pt):
+    sub = dict(zip(U4, pt))
+    vals, grads, d = evaluate(ps, pt, grad=True)
+    assert (vals, d) == evaluate(ps, pt)
+    assert all(type(x) is int for x in vals + [y for g in grads for y in g] + [d])
+    for p, x, g in zip(ps, vals, grads):
+        assert Fraction(x, d) == p.subs(sub).constant()
+        assert [Fraction(y, d) for y in g] == [p.diff(v).subs(sub).constant() for v in U4]
+
+
+def test_evaluate_refuses_other_variables_and_negative_exponents():
+    u1 = Poly.of('u', 1)
+    for p in (u1 * Poly.of('u', 3), u1 + Poly.of('x', 1), u1 + Poly.of('u', 2, 0, -1)):
+        with pytest.raises(ValueError, match=r'not a polynomial in u_1\.\.u_2'):
+            evaluate([Poly.num(1), p], [1, 2])

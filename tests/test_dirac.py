@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from dscentral.algebra import Poly
-from dscentral import dirac, fixtures, liealg, reference
+from dscentral import dirac, fixtures, invariants, liealg, reference
 from dscentral.dirac import (slice_bases, dirac_tensors,
                              central_invariants_dirac, numeric_pencil,
                              g2_slice)
@@ -355,3 +355,40 @@ def test_pointwise_defect_formula_matches_symbolic_f4(monkeypatch):
     assert fast == slow
     assert sum(isinstance(o, str) for o in fast) >= 2
     assert sum(not isinstance(o, str) for o in fast) >= 4
+
+
+@pytest.mark.parametrize('size', [5, 3], ids=['long', 'short'])
+def test_point_must_have_one_coordinate_per_tensor_index(size):
+    # a fifth coordinate was ignored and a missing one failed on a free u^4
+    t = reference.f4_point(1, 2, Fraction(1, 2)) + [Fraction(7)]
+    with pytest.raises(ValueError, match='expected 4 coordinates, got %d' % size):
+        fixtures.fixture_invariants('f4', t[:size])
+
+
+def test_point_evaluation_calls_neither_subs_nor_diff(g2, monkeypatch):
+    # every tensor and table entry is read by algebra.evaluate; the
+    # symbolic tensors and tables are built before the spy goes in
+    _, _, tens, _ = g2
+    t = reference.f4_point(1, 2, Fraction(1, 2))
+    u = invariants.sample_from_roots('C', 3, [1, -2])
+    runs = [lambda: fixtures.fixture_invariants('f4', t),
+            lambda: central_invariants_dirac(tens, 2, [Fraction(3), Fraction(2)]),
+            lambda: invariants.tables_at('C', 3, u),
+            lambda: invariants.central_invariants('C', 3, u)]
+    want = [run() for run in runs]
+
+    def refuse(*args):
+        raise AssertionError('Poly.diff or Poly.subs called at a point')
+    monkeypatch.setattr(Poly, 'diff', refuse)
+    monkeypatch.setattr(Poly, 'subs', refuse)
+    assert [run() for run in runs] == want
+
+
+def test_constraint_parts_need_the_graded_block_form(g2):
+    # P0 pairs n with its complement only; with f reordered across the
+    # two halves a diagonal block is nonzero
+    alg, slices, _, _ = g2
+    f = list(slices['f'])
+    f[0], f[-1] = f[-1], f[0]
+    with pytest.raises(ValueError, match=r'not of the form \[\[0, B\], \[-B\^T, 0\]\]'):
+        dirac._constraint_parts(alg, dict(slices, f=f))
