@@ -18,17 +18,19 @@ over one integer denominator, and divides the blocks once at the end:
   denominator, at lam = 0, 1, 2, the levels read off the differences.
 
 `central_invariants_dirac` reads every tensor entry at a point once,
-through `algebra.evaluate`: the values of all blocks and the gradients
-of g2 and g1, in integers over one denominator each.  It hands the
-blocks and the kernel covectors dlam to `invariants.defect_invariants`.
+through `algebra.evaluate`, as integers over one denominator, and takes
+the determinants of the pencil, its kernel vectors and the forms of
+the covectors dlam in integers.  It hands the blocks and the dlam to
+`invariants.defect_invariants`.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .algebra import Poly, evaluate
-from .liealg import (ZERO, dense, determinant, flat, inverse, madd, mscale, nullspace,
-                     rows, scombine, scomm, smul, sparse, spair, transpose)
+from .liealg import (ZERO, dense, determinant, flat, inverse, kernel_vector, madd, mscale,
+                     nullspace, rows, scombine, scomm, shared, smul, sparse, spair, transpose)
 from .invariants import defect_invariants
 from .upoly import DegeneratePoint, interpolate, rational_roots
 
@@ -38,8 +40,9 @@ def slice_bases(alg, gammas=None):
 
     Returns a dict with keys 'gammas' (matrices spanning Ker ad I_+ by
     grade), 'gamma_ups' (dual basis in Ker ad I_-, <gamma^i, gamma_j> =
-    delta), 'f' (basis of n + its dual complement inside h + n^-, as
-    entries), 'exponents' and 'parts' (`_constraint_parts`).
+    delta, as entries), 'f' (basis of n + its dual complement inside
+    h + n^-, each as primitive integer entries), 'exponents' and 'parts'
+    (`_constraint_parts`).
 
     The gamma_i can be supplied explicitly to pin a normalization; the
     duals are always recomputed from the pairing.
@@ -65,33 +68,37 @@ def slice_bases(alg, gammas=None):
     # in each grade, the duals are the candidates of the opposite grade
     # times the inverse of their pairing with the gammas of that grade
     gkm = alg.graded_kernel(alg.I_minus)
-    gups = [None] * n
+    gups, sg = [None] * n, [sparse(g) for g in gammas]
+
+    def form(E, j):
+        return spair(E, sg[j]) * alg.form_scale
+
     for g in sorted(set(exps)):
         idx = [j for j, e in enumerate(exps) if e == g]
         cand = gkm.get(-g, [])
         if len(cand) != len(idx):
             raise ValueError("no dual generators at grade %s" % g)
-        ms = [alg.from_coords(v) for v in cand]
-        W = inverse([[alg.form(m, gammas[j]) for j in idx] for m in ms])
+        ms = [scombine((x, b) for x, b in zip(v, alg.basis) if x) for v in cand]
+        W = inverse([[form(m, j) for j in idx] for m in ms])
         for j, row in zip(idx, W):
-            gups[j] = alg.from_coords([sum(w * v[k] for w, v in zip(row, cand))
-                                       for k in range(alg.dim)])
-    for i, gu in enumerate(gups):
-        for j, gam in enumerate(gammas):
-            want = Fraction(1) if i == j else Fraction(0)
-            if alg.form(gu, gam) != want:
-                raise ValueError("dual basis pairing failed")
+            gups[j] = scombine(zip(row, ms))
+    if any(form(gu, j) != int(i == j) for i, gu in enumerate(gups) for j in range(n)):
+        raise ValueError("dual basis pairing failed")
     # n = positive part of the graded basis
     npos = [b for b, g in zip(alg.basis, alg.grades) if g > 0]
     nonpos = [i for i, g in enumerate(alg.grades) if g <= 0]
     # complement: annihilator of the gamma_i inside h + n^-
-    ann = nullspace([[spair(alg.basis[k], gam) for k in nonpos]
-                     for gam in map(sparse, gammas)])
+    ann = nullspace([[spair(alg.basis[k], gam) for k in nonpos] for gam in sg])
     ndual = [scombine((x, alg.basis[k]) for k, x in zip(nonpos, v) if x) for v in ann]
     if len(npos) != len(ndual):
         raise ValueError("slice complement has wrong dimension")
-    out = {'gammas': gammas, 'gamma_ups': gups, 'f': npos + ndual,
-           'exponents': exps}
+    f = []
+    for E in npos + ndual:      # primitive integer entries, a basis element's own if it has them
+        (F,), _ = _integral([E])
+        g = gcd(*F.values())
+        f.append(E if g == 1 and all(type(x) is int for x in E.values())
+                 else {k: x // g for k, x in F.items()})
+    out = {'gammas': gammas, 'gamma_ups': gups, 'f': f, 'exponents': exps}
     out['parts'] = _constraint_parts(alg, out)
     return out
 
@@ -111,15 +118,16 @@ def _constraint_parts(alg, slices):
     <x, [f_a, gamma^i]> = <[gamma^i, x], f_a>, so only the brackets
     [f_a, x_k] and [gamma^i, x_k] are formed, each paired with
     every f_b in one sparse product.  The blocks do not change when an
-    f_a is scaled, so each f_a is scaled to integer entries, and the
-    products run in integers.  Returns (P parts, R parts, Q, S, P0^-1)
-    with Q[a][b] = <f_a, f_b> and S[i][a] = <gamma^i, f_a>, each matrix
-    a pair (integer entries, denominator); R has no constant part.
+    f_a is scaled, and each has integer entries, the products run in
+    integers.  Returns (P parts, R parts, Q, S, P0^-1) with Q[a][b] =
+    <f_a, f_b> and S[i][a] = <gamma^i, f_a>, each matrix a pair (integer
+    entries, denominator); the P and R parts are those of u^1..u^n, as
+    _reduce reads P0 only through its inverse and R has no constant part.
     """
     sn, sd = alg.form_scale.as_integer_ratio()
-    fs = [_integral([f])[0][0] for f in slices['f']]
+    fs = slices['f']
     xs, dx = _integral([sparse(m) for m in [alg.I_minus] + slices['gammas']])
-    gups, e = _integral([sparse(m) for m in slices['gamma_ups']])
+    gups, e = _integral(slices['gamma_ups'])
     # F[(c, r)][b] = sd <E_cr, f_b>, E_cr the unit matrix at (c, r), so
     # that the rows of (entries of M) F are the sd <M, f_b>
     F = {}
@@ -128,7 +136,7 @@ def _constraint_parts(alg, slices):
             F.setdefault((c, r), {})[b] = x * sn
 
     def pairs(ms):
-        return flat(smul(dict(enumerate(ms)), F))
+        return shared(flat(smul(dict(enumerate(ms)), F)))
 
     P = [pairs([scomm(fa, x) for fa in fs]) for x in xs]
     # f_a, f_b pair in P0 only when their grades sum to 1, so with f = n +
@@ -143,10 +151,10 @@ def _constraint_parts(alg, slices):
         raise ValueError("degenerate constraint matrix") from None
     (W,), w = _integral([sparse([[ZERO] * h + [-x for x in r] for r in transpose(Binv)]
                                 + [r + [ZERO] * h for r in Binv])])
-    return ([(E, dx * sd) for E in P],
+    return ([(E, dx * sd) for E in P[1:]],
             [(pairs([scomm(gu, x) for gu in gups]), e * dx * sd) for x in xs[1:]],
             (pairs(fs), sd), (pairs(gups), e * sd),
-            ({k: v * dx * sd for k, v in W.items()}, w))
+            (shared({k: v * dx * sd for k, v in W.items()}), w))
 
 
 def _combine(terms):
@@ -189,7 +197,7 @@ def _reduce(parts, coeffs, den=1):
     W = rows(W)
     # U = -N P0^-1 = -sum c^k P_k P0^-1 / den, each P_k P0^-1 in lowest terms
     U, e = _combine((-c, _lowest(flat(smul(rows(E), W)), d * w))
-                    for c, (E, d) in zip(coeffs, P[1:]))
+                    for c, (E, d) in zip(coeffs, P))
     P0inv, U = (W, w), (rows(U), den * e)
     R, e = _combine(zip(coeffs, R))
     Q, S, R = (rows(Q[0]), Q[1]), (rows(S[0]), S[1]), (rows(R), den * e)
@@ -248,46 +256,47 @@ def central_invariants_dirac(tensors, n, upoint):
     """Evaluate the defect formula of the reduced pencil at a point with
     rational canonical coordinates, the roots lam of p(z) = det(g2 - z g1).
 
-    The tensors are evaluated at the point first, and p is interpolated
-    from its values at z = 0, ..., n.  At a simple root lam the
-    symmetric g2 - lam g1 has a one-dimensional kernel, spanned by v, and
-    dlam_k = v.(d_k g2 - lam d_k g1).v / v.g1.v (Hellmann-Feynman; the
-    adjugate there is c v v^T with c != 0, so p'(lam) = -c v.g1.v and
-    the denominator is nonzero).  Each tensor is one block of the formula.
+    g2, g1 and their gradients are read as integers G2, G1, dG2, dG1 over
+    one d, and p is interpolated from det(G2 - z G1) at z = 0, ..., n.  At
+    a simple root lam = r/s the symmetric s G2 - r G1 has a kernel spanned
+    by one integer v, and dlam_k = (s v.dG2_k.v - r v.dG1_k.v) / s v.G1.v
+    (Hellmann-Feynman; the adjugate there is c v v^T with c != 0, so
+    p'(lam) = -c v.g1.v and the denominator is nonzero).  Each tensor is
+    one block of the formula.
 
     upoint: values of u^1..u^n.  Returns (roots, invariants).
     """
     if len(upoint) != n:
         raise ValueError("expected %d coordinates, got %d" % (n, len(upoint)))
+    nn = n * n
 
     def entries(keys):
         return [x for key in keys for row in tensors[key] for x in row]
 
     def shaped(nums, d):        # consecutive n x n matrices
         M = [Fraction(x, d) for x in nums]
-        return [[M[i:i + n] for i in range(j, j + n * n, n)] for j in range(0, len(M), n * n)]
+        return [[M[i:i + n] for i in range(j, j + nn, n)] for j in range(0, len(M), nn)]
 
-    def pencil(z, g2, g1):
-        return [[a - z * b for a, b in zip(r2, r1)] for r2, r1 in zip(g2, g1)]
-
-    def form(M, v):             # v.(M v)
-        return sum(x * sum(a * y for a, y in zip(row, v)) for x, row in zip(v, M))
+    def pencil(s, r):           # the rows of s G2 - r G1
+        return [[s * a - r * b for a, b in zip(G2[i:i + n], G1[i:i + n])] for i in range(0, nn, n)]
 
     # every entry read once: g2 and g1 with their gradients, then the rest
     keys = ['g2', 'g1'] + [key for key in tensors if key not in ('g2', 'g1')]
     first, grads, d = evaluate(entries(keys[:2]), upoint, grad=True)
     vals = dict(zip(keys, shaped(first, d) + shaped(*evaluate(entries(keys[2:]), upoint))))
-    dg = [shaped([g[k] for g in grads], d) for k in range(n)]  # (d_k g2, d_k g1)
-    g2, g1 = vals['g2'], vals['g1']
+    G2, G1 = first[:nn], first[nn:]
+    dG = [h for g in zip(*grads) for h in (g[:nn], g[nn:])]    # dG2_k, dG1_k for each k
     zs = range(n + 1)
-    roots = rational_roots(interpolate(zs, [determinant(pencil(z, g2, g1)) for z in zs]))
+    roots = rational_roots(interpolate(zs, [determinant(pencil(1, z)) for z in zs]))
     if roots is None:
         raise DegeneratePoint("irrational canonical coordinates")
     dlams = []
     for lam in roots:
-        v, = nullspace(pencil(lam, g2, g1))
-        den = form(g1, v)
-        dlams.append([(form(d2, v) - lam * form(d1, v)) / den for d2, d1 in dg])
+        r, s = lam.numerator, lam.denominator
+        v = kernel_vector(pencil(s, r))
+        vv = [x * y for x in v for y in v]
+        f = [sum(map(mul, M, vv)) for M in [G1] + dG]   # v.M.v, M flat and vv = v v^T
+        dlams.append([Fraction(s * f2 - r * f1, s * f[0]) for f2, f1 in zip(f[1::2], f[2::2])])
     blocks = {BLOCKS[key]: [(j, k, x) for j, row in enumerate(T)
                             for k, x in enumerate(row) if x]
               for key, T in vals.items()}

@@ -1,15 +1,20 @@
 """Exact Lie algebra data: Cartan matrices, matrix realizations,
-principal gradings and slice bases, and the one exact elimination
-(`echelon`, `back_sweep`) over Fraction.
+principal gradings and slice bases; the one Fraction elimination
+(`echelon`, `back_sweep`), and the integer `determinant` (Bareiss) and
+`kernel_vector` of the point route.
 
 A sparse matrix is its entries {(row, column): x} of the nonzero x, the
 one format of the stored basis and generators and of the slice data,
-since Chevalley bases are very sparse.  The products (`smul`, `scomm`)
+since Chevalley bases are very sparse.  Stored entries are int where
+integral, keyed by one shared table of index pairs (`shared`), so that
+what a pass keeps stays small.  The products (`smul`, `scomm`)
 run on rows {row: {column: x}} over any ring.  The dense helpers, on
 lists of rows with the one shared ZERO, go through them.
 """
 
 from fractions import Fraction
+from math import gcd, lcm, prod
+from operator import mul
 
 
 # ---------------------------------------------------------------------------
@@ -119,34 +124,30 @@ def fold(typ, n):
 
 
 # ---------------------------------------------------------------------------
-# exact elimination over Fraction
+# exact elimination: Fraction sweeps, and integer determinants
 
 def echelon(rows):
-    """Forward sweep: (echelon rows, pivot columns, determinant of a
-    square input), `int` entries made Fractions.  Each pivot row is
-    divided by its pivot and subtracted from the rows below with a
-    nonzero in its column.  The rows above are left to `back_sweep`, as
-    a determinant never reads them and one-pass Gauss-Jordan (Montante)
-    would update them.
+    """Forward sweep: (echelon rows, pivot columns), `int` entries made
+    Fractions.  Each pivot row is divided by its pivot and subtracted
+    from the rows below with a nonzero in its column.  The rows above are
+    left to `back_sweep`.
 
-    >>> echelon([[0, 2], [1, 1]])[1:]      # a row swap flips the sign
-    ([0, 1], Fraction(-2, 1))
+    >>> echelon([[0, 2], [1, 1]])[1]
+    [0, 1]
     """
     M = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in rows]
-    nr, piv, det = len(M), [], Fraction(1)
+    nr, piv = len(M), []
     for c in range(len(M[0])):
         r = len(piv)
         pr = next((i for i in range(r, nr) if M[i][c]), None)
         if pr is None:
             continue
-        if pr != r:
-            M[r], M[pr], det = M[pr], M[r], -det
-        p = M[r][c]
-        det, inv = det * p, 1 / p
+        M[r], M[pr] = M[pr], M[r]
+        inv = 1 / M[r][c]
         M[r] = [x * inv if x else x for x in M[r]]
         _clear(M[r + 1:], c, M[r])
         piv.append(c)
-    return M, piv, det if len(piv) == nr else Fraction(0)
+    return M, piv
 
 
 def _clear(rows, c, prow):
@@ -167,14 +168,54 @@ def back_sweep(M, piv):
 
 
 def determinant(rows):
-    """Determinant of a square Fraction matrix."""
-    return echelon(rows)[2]
+    """Determinant of a square int or Fraction matrix, one Fraction: the
+    rows cleared of denominators are eliminated fraction-free (Bareiss
+    1968), each division exact and the last pivot the determinant.
+
+    >>> determinant([[0, 2], [Fraction(1, 3), 1]])    # one row swap
+    Fraction(-2, 3)
+    """
+    dens = [lcm(*(x.denominator for x in r)) for r in rows]
+    M = [[x.numerator * (L // x.denominator) for x in r] for r, L in zip(rows, dens)]
+    sign, prev = 1, 1
+    while M:
+        i = next((i for i, r in enumerate(M) if r[0]), None)
+        if i is None:
+            return Fraction(0)
+        if i:
+            M[0], M[i], sign = M[i], M[0], -sign
+        (p, *top), rest = M[0], M[1:]
+        M = [[(p * x - r[0] * y) // prev for x, y in zip(r[1:], top)] for r in rest]
+        prev = p
+    return Fraction(sign * prev, prod(dens))
+
+
+def kernel_vector(rows):
+    """The primitive integer vector spanning the right kernel of a square
+    integer matrix A of corank 1: a nonzero column of adj(A), in the
+    kernel as A adj(A) = det(A) I = 0, over its gcd.  A ValueError for
+    corank 0 (A v != 0) or 2 and more (adj(A) = 0).
+
+    >>> kernel_vector([[1, 2], [2, 4]])
+    [2, -1]
+    """
+    for j in range(len(rows)):
+        minor = rows[:j] + rows[j + 1:]
+        v = [(-1) ** i * determinant([r[:i] + r[i + 1:] for r in minor]).numerator
+             for i in range(len(rows))]
+        if any(v):
+            g = gcd(*v)
+            v = [x // g for x in v]
+            if any(sum(map(mul, r, v)) for r in rows):
+                raise ValueError("matrix has corank 0")
+            return v
+    raise ValueError("matrix has corank 2 or more")
 
 
 def nullspace(rows):
     """Basis of the right kernel: for each free column, 1 there and
     minus the reduced rows' entries at the pivots."""
-    M, piv, _ = echelon(rows)
+    M, piv = echelon(rows)
     back_sweep(M, piv)
     out = []
     for fc in range(len(M[0])):
@@ -190,7 +231,7 @@ def nullspace(rows):
 def solve(rows, rhs):
     """One solution of rows . x = rhs over Fraction, or None."""
     nc = len(rows[0])
-    M, piv, _ = echelon([list(r) + [b] for r, b in zip(rows, rhs)])
+    M, piv = echelon([list(r) + [b] for r, b in zip(rows, rhs)])
     if nc in piv:
         return None
     back_sweep(M, piv)
@@ -204,8 +245,8 @@ def inverse(rows):
     """Exact inverse of a square Fraction matrix, from the sweeps of
     [rows | I]; raises ValueError when it is singular."""
     n = len(rows)
-    M, piv, _ = echelon([list(r) + [int(i == j) for j in range(n)]
-                         for i, r in enumerate(rows)])
+    M, piv = echelon([list(r) + [int(i == j) for j in range(n)]
+                      for i, r in enumerate(rows)])
     if piv[-1] >= n:
         raise ValueError("singular matrix")
     back_sweep(M, piv)
@@ -213,6 +254,7 @@ def inverse(rows):
 
 
 ZERO = Fraction(0)
+_KEYS = {}      # the index pairs of `shared`: positions only, each pair once
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +264,13 @@ def sparse(M):
     """The entries of a dense matrix."""
     return {(r, c): x for r, row in enumerate(M) for c, x in enumerate(row)
             if x is not ZERO and x}
+
+
+def shared(E):
+    """The entries E as stored: integral ones as int, the keys from one
+    table of index pairs, so that stored matrices share their positions."""
+    return {_KEYS.setdefault(k, k): x.numerator if x.denominator == 1 else x
+            for k, x in E.items()}
 
 
 def dense(E, n, m=None):
@@ -337,18 +386,21 @@ class MatrixLieAlgebra:
         self.size = len(X[0])
         self.form_scale = Fraction(form_scale)
         self.dim = dim
-        self._X, self._Y = [sparse(x) for x in X], [sparse(y) for y in Y]
-        self._H = [scomm(x, y) for x, y in zip(self._X, self._Y)]
+        self._X, self._Y = ([shared(sparse(m)) for m in M] for M in (X, Y))
+        self._H = [shared(scomm(x, y)) for x, y in zip(self._X, self._Y)]
         self._close_basis()
         self._principal()
 
-    # the dense views of the stored entries
-    X = property(lambda self: [dense(m, self.size) for m in self._X])
-    Y = property(lambda self: [dense(m, self.size) for m in self._Y])
-    H = property(lambda self: [dense(m, self.size) for m in self._H])
-    I_plus = property(lambda self: dense(self._Ip, self.size))
-    I_minus = property(lambda self: dense(self._Im, self.size))
-    rho = property(lambda self: dense(self._rho, self.size))
+    def _dense(self, E):
+        return dense({k: Fraction(x) for k, x in E.items()}, self.size)
+
+    # the dense Fraction views of the stored entries
+    X = property(lambda self: [self._dense(m) for m in self._X])
+    Y = property(lambda self: [self._dense(m) for m in self._Y])
+    H = property(lambda self: [self._dense(m) for m in self._H])
+    I_plus = property(lambda self: self._dense(self._Ip))
+    I_minus = property(lambda self: self._dense(self._Im))
+    rho = property(lambda self: self._dense(self._rho))
 
     def form(self, a, b):
         return mtrace_prod(a, b) * self.form_scale
@@ -358,54 +410,52 @@ class MatrixLieAlgebra:
         tracking the combination of basis vectors used."""
         r = dict(E)
         expr = [ZERO] * len(self.basis)
-        for p, (row, ex) in self._red.items():
+        for p, (row, inv, k, others) in self._red.items():
             f = r.get(p)
             if f:
+                f *= inv        # an int where integral: the row stays in integers
+                f = f.numerator if f.denominator == 1 else f
                 for c, x in row.items():
-                    v = r.get(c, Fraction(0)) - f * x
+                    v = r.get(c, 0) - f * x
                     if v:
                         r[c] = v
                     else:
                         r.pop(c, None)
-                for i, x in ex.items():
+                expr[k] += f
+                for i, x in others:
                     expr[i] += f * x
         return r, expr
 
     def _close_basis(self):
-        self.basis = []
-        self.weights = []
-        self._red = {}      # pivot position -> (normalized entries, basis expr)
-
-        def ints(E):        # integral entries as int: the products run in integers
-            return {k: x.numerator if x.denominator == 1 else x for k, x in E.items()}
+        self.basis, self.weights = [], []
+        # pivot position -> (row, 1 / pivot, k, other terms): the row is
+        # basis[k] + sum c_i basis_i over the other terms (i, c_i), m itself
+        # when nothing reduced it; its entries have shared keys, like m's
+        self._red = {}
 
         def try_add(m, w):
             r, used = self._reduce(m)
             if not r:
                 return False
             piv = min(r)
+            self._red[piv] = (r if any(used) else m, Fraction(1) / r[piv], len(used),
+                              tuple((i, -u) for i, u in enumerate(used) if u))
             self.basis.append(m)
-            inv = Fraction(1) / r[piv]
-            row = ints({c: x * inv for c, x in r.items()})
-            # row = inv * (m - sum used_i basis_i), as entries
-            ex = {i: -inv * u for i, u in enumerate(used) if u}
-            ex[len(used)] = inv
-            self._red[piv] = (row, ex)
             self.weights.append(w)
             return True
 
         n = self.n
         unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        gens = ([(ints(x), w) for x, w in zip(self._X, unit)]
-                + [(ints(y), tuple(-e for e in w)) for y, w in zip(self._Y, unit)])
-        for m, w in gens[:n] + [(ints(h), (0,) * n) for h in self._H] + gens[n:]:
+        gens = (list(zip(self._X, unit))
+                + [(y, tuple(-e for e in w)) for y, w in zip(self._Y, unit)])
+        for m, w in gens[:n] + [(h, (0,) * n) for h in self._H] + gens[n:]:
             try_add(m, w)
         frontier = list(zip(self.basis, self.weights))
         while len(self.basis) < self.dim and frontier:
             new = []
             for g, wg in gens:
                 for b, wb in frontier:
-                    c = scomm(g, b)
+                    c = shared(scomm(g, b))
                     w = tuple(x + y for x, y in zip(wg, wb))
                     if try_add(c, w):
                         new.append((c, w))
@@ -433,7 +483,7 @@ class MatrixLieAlgebra:
         for i, Hi in enumerate(self._H):
             for j, Xj in enumerate(self._X):
                 b = scomm(Hi, Xj)
-                vals = {b.get(rc, ZERO) / x for rc, x in Xj.items()}
+                vals = {Fraction(b.get(rc, 0), x) for rc, x in Xj.items()}
                 if len(vals) > 1:
                     raise ValueError("X_%d not a weight vector" % (j + 1))
                 C[i][j] = vals.pop() if vals else Fraction(0)

@@ -1,18 +1,21 @@
 """Command line interface: exit codes, output contract, determinism."""
 
 import hashlib
+import io
 import json
 import os
 import random
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dscentral
-from dscentral import cli, fixtures, invariants
+from dscentral import cli, fixtures, invariants, reference
 
 # The directory that holds the imported package goes first on the child's
 # PYTHONPATH, so the CLI under test is the code the other tests import.
@@ -741,3 +744,39 @@ def test_golden_text_does_not_depend_on_the_variable_order():
                        text=True, env=child_env())
     assert r.returncode == 0, r.stderr
     assert r.stdout == dict(GOLDEN)[args]
+
+
+RATIONAL = re.compile(r'-?\d+(/\d+)?')
+rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 7))
+exceptional_samples = st.one_of(
+    st.tuples(st.just('G2'), st.lists(rationals, min_size=2, max_size=2)),
+    st.tuples(st.just('F4'), st.lists(rationals, min_size=4, max_size=4)),
+    # the perfect-square family, k and t4 zero or negative too
+    st.tuples(st.just('F4'), st.builds(reference.f4_point, rationals,
+                                       st.integers(-6, 6), rationals)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(exceptional_samples)
+def test_exceptional_samples_exit_0_or_2(case):
+    # in process: every G2 and F4 point is a result with rational
+    # invariants or a one-line refusal as a degenerate sample
+    algebra, point = case
+    out, err = io.StringIO(), io.StringIO()
+    before = getattr(sys, 'get_int_max_str_digits', lambda: None)()
+    try:
+        with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as ex:
+            cli.main(['compute', '--algebra', algebra,
+                      '--sample=' + ','.join(str(x) for x in point)])
+    finally:
+        if before is not None:
+            sys.set_int_max_str_digits(before)
+    out, err = out.getvalue(), err.getvalue()
+    if ex.value.code == 0:
+        assert err == ''
+        cs = [e['c'] for e in json.loads(out)['invariants']]
+        assert len(cs) == len(point) and all(RATIONAL.fullmatch(c) for c in cs), out
+    else:
+        assert ex.value.code == 2, (ex.value.code, err)
+        assert out == '' and err.startswith('degenerate sample: ') and err.count('\n') == 1, err
+        assert 'Traceback' not in err

@@ -8,6 +8,7 @@ invariants are evaluated at exact points.
 import hashlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -58,7 +59,7 @@ def test_dual_pairing(g2):
     for i, gu in enumerate(slices['gamma_ups']):
         for j, gam in enumerate(slices['gammas']):
             want = Fraction(1) if i == j else Fraction(0)
-            assert alg.form(gu, gam) == want
+            assert alg.form(liealg.dense(gu, alg.size), gam) == want
 
 
 def test_tensors_match_stored_tables(g2):
@@ -196,7 +197,7 @@ def test_slice_bases_repeated_exponent(n, exponents):
     assert alg.realized_cartan() == liealg.cartan_matrix('D', n)
     slices = slice_bases(alg)
     assert slices['exponents'] == exponents
-    assert [[alg.form(gu, gam) for gam in slices['gammas']]
+    assert [[alg.form(liealg.dense(gu, alg.size), gam) for gam in slices['gammas']]
             for gu in slices['gamma_ups']] == [[int(i == j) for j in range(n)]
                                                for i in range(n)]
     assert len(slices['f']) == n * (2 * n - 1) - n
@@ -227,10 +228,12 @@ def test_numeric_pencil_golden(name, digest):
     assert _pencil_digest(numeric_pencil(alg, slices, up)) == digest
 
 
-def _constraint_matrix(parts, coeffs, den, m):
-    """P = sum c^k P_k / den over the parts (E, d), c^0 = den, dense."""
-    P = [[0] * m for _ in range(m)]
-    for c, (E, d) in zip([den] + coeffs, parts[0]):
+def _constraint_matrix(alg, slices, coeffs, den):
+    """P = P0 + sum c^k P_k / den, dense: P0[a][b] = <I_-, [f_b, f_a]>
+    from the stored f, the P_k from the parts (E, d)."""
+    f = [liealg.dense(E, alg.size) for E in slices['f']]
+    P = [[alg.form(alg.I_minus, liealg.mcomm(fb, fa)) for fb in f] for fa in f]
+    for c, (E, d) in zip(coeffs, slices['parts'][0]):
         for (a, b), v in E.items():
             P[a][b] += c * Fraction(v, d * den)
     return P
@@ -255,14 +258,14 @@ def test_neumann_inverse_times_p_is_identity(case):
     parts = slices['parts']
     (W, w), m = parts[4], len(slices['f'])
     eye = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    P0 = _constraint_matrix(parts, [], den, m)
+    P0 = _constraint_matrix(alg, slices, [], den)
     assert liealg.mmul(P0, _divided(W, w, m)) == eye
-    negN, e = dirac._combine((-c, Pk) for c, Pk in zip(coeffs, parts[0][1:]))
+    negN, e = dirac._combine((-c, Pk) for c, Pk in zip(coeffs, parts[0]))
     U = liealg.smul(liealg.rows(negN), liealg.rows(W)), den * e * w   # -N P0^-1
     ones = liealg.rows({(i, i): 1 for i in range(m)})
     Pinv, d = dirac._times_inverse((ones, 1), (liealg.rows(W), w), U)
     Pinv = _divided(liealg.flat(Pinv), d, m)
-    assert liealg.mmul(_constraint_matrix(parts, coeffs, den, m), Pinv) == eye
+    assert liealg.mmul(_constraint_matrix(alg, slices, coeffs, den), Pinv) == eye
     assert any(isinstance(x, Poly) and not x.is_constant()
                for row in Pinv for x in row) == (case == 'G2')
 
@@ -392,3 +395,42 @@ def test_constraint_parts_need_the_graded_block_form(g2):
     f[0], f[-1] = f[-1], f[0]
     with pytest.raises(ValueError, match=r'not of the form \[\[0, B\], \[-B\^T, 0\]\]'):
         dirac._constraint_parts(alg, dict(slices, f=f))
+
+
+def test_point_route_runs_no_fraction_elimination(g2, monkeypatch):
+    # determinants, kernel vectors and forms run in integers: with the
+    # tensors built, the Fraction sweeps are never entered
+    _, _, tens, _ = g2
+    runs = [lambda: fixtures.fixture_invariants('f4', reference.f4_point(1, 2, Fraction(1, 2))),
+            lambda: fixtures.fixture_invariants('f4', reference.f4_point(-3, 4, Fraction(-2, 3))),
+            lambda: central_invariants_dirac(tens, 2, [Fraction(3), Fraction(2)]),
+            lambda: central_invariants_dirac(tens, 2, [Fraction(-7, 4), Fraction(5, 3)])]
+    want = [run() for run in runs]
+
+    def refuse(*args):
+        raise AssertionError('liealg.echelon called at a point')
+    monkeypatch.setattr(liealg, 'echelon', refuse)
+    assert [run() for run in runs] == want
+
+
+@pytest.mark.parametrize('name', ['g2', 'f4'])
+def test_stored_slice_data_is_compact(name):
+    # generators in integers, duals as entries, each f_a primitive in
+    # integers, the parts without P0, and every stored position shared
+    if name == 'g2':
+        alg = liealg.g2_algebra()
+        slices = g2_slice(alg)
+    else:
+        alg = fixtures.build_algebra('f4')
+        slices = slice_bases(alg, fixtures.load_gammas('f4', alg))
+    assert all(type(x) is int for m in alg._X + alg._Y + alg._H for x in m.values())
+    for gu in slices['gamma_ups']:
+        assert isinstance(gu, dict) and gu and all(gu.values())
+        assert all(0 <= r < alg.size and 0 <= c < alg.size for r, c in gu)
+    for f in slices['f']:
+        assert f and all(type(x) is int for x in f.values())
+        assert gcd(*f.values()) == 1
+    P, R, Q, S, (W, w) = slices['parts']
+    assert len(P) == len(R) == alg.n
+    stored = alg.basis + alg._X + alg._Y + alg._H + [E for E, _ in P + R + [Q, S, (W, w)]]
+    assert all(liealg._KEYS[k] is k for E in stored for k in E)

@@ -2,14 +2,16 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dscentral import liealg
 from dscentral.algebra import Poly
 from dscentral.liealg import (cartan_matrix, root_lengths,
                               lie_central_invariants, fold, determinant,
-                              echelon, inverse, nullspace, solve, mcomm,
+                              echelon, inverse, kernel_vector, nullspace, solve, mcomm,
                               mscale, madd, mzero, g2_algebra)
 
 
@@ -93,6 +95,80 @@ def test_determinant_matches_cofactor_expansion():
             assert determinant(m) == naive_det(m)
 
 
+@st.composite
+def square_matrices(draw, max_size=5):
+    """int or Fraction n x n matrices, n <= max_size; some with zeros atop
+    the first column (row swaps) and some with a row that is a multiple
+    of another (singular)."""
+    n = draw(st.integers(1, max_size))
+    entry = draw(st.sampled_from([st.integers(-5, 5),
+                                  st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))]))
+    M = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    for i in range(draw(st.integers(0, n - 1))):
+        M[i][0] = 0 * M[i][0]
+    if n > 1 and draw(st.booleans()):
+        c = draw(st.integers(-2, 2))
+        M[draw(st.integers(1, n - 1))] = [c * x for x in M[0]]
+    return M
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_determinant_agrees_with_cofactor_expansion(M):
+    got = determinant(M)
+    assert type(got) is Fraction
+    assert got == naive_det(M)
+
+
+def _product(B, C):
+    return [[sum(b * c for b, c in zip(row, col)) for col in zip(*C)] for row in B]
+
+
+@st.composite
+def products(draw, inner):
+    """(n x n product B C through an (n - inner) dimensional space, n)."""
+    n = draw(st.integers(inner + 1, 5))
+    ints = st.integers(-4, 4)
+    B = [[draw(ints) for _ in range(n - inner)] for _ in range(n)]
+    C = [[draw(ints) for _ in range(n)] for _ in range(n - inner)]
+    return _product(B, C), n
+
+
+def _corank(A):
+    return len(nullspace(A))
+
+
+@settings(max_examples=100, deadline=None)
+@given(products(1))
+def test_kernel_vector_is_primitive_and_in_the_kernel(case):
+    A, n = case
+    assume(_corank(A) == 1)
+    v = kernel_vector(A)
+    assert all(type(x) is int for x in v) and any(v)
+    assert gcd(*v) == 1
+    assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in A)
+
+
+@settings(max_examples=50, deadline=None)
+@given(products(2))
+def test_kernel_vector_refuses_corank_two(case):
+    A, n = case
+    with pytest.raises(ValueError, match='corank 2 or more'):
+        kernel_vector(A)
+
+
+def test_kernel_vector_examples():
+    assert kernel_vector([[1, 2], [2, 4]]) == [2, -1]
+    assert kernel_vector([[0]]) == [1]
+    # a zero first adjugate column: v_0 = 0, so the second column is read
+    assert kernel_vector([[1, 0, 0], [0, 1, 1], [0, 2, 2]]) == [0, -1, 1]
+    for A in ([[1, 2], [3, 4]], [[5]], [[2, 1, 0], [1, 2, 1], [0, 1, 2]]):
+        with pytest.raises(ValueError, match='corank 0'):
+            kernel_vector(A)
+    with pytest.raises(ValueError, match='corank 2 or more'):
+        kernel_vector([[0, 0], [0, 0]])
+
+
 @pytest.mark.parametrize('embed, unit, kind', [
     (lambda x: x, Fraction(1), Fraction),         # int entries, promoted
 ], ids=['Fraction'])
@@ -127,8 +203,8 @@ def test_elimination_over_each_scalar(embed, unit, kind):
         assert not any(times(N, v))
     assert determinant([[v[1], v[3]] for v in ns]) != 0
     # every output entry is of the matrix's ring, never a float or an int
-    M, piv, det = echelon(A)
-    outs = entries(M, W, ns) + [det, determinant(S)]
+    M, piv = echelon(A)
+    outs = entries(M, W, ns) + [determinant(A), determinant(S)]
     assert {type(x) for x in outs} == {kind}
 
 
