@@ -4,12 +4,14 @@ their central invariants.
 Subpackage layout:
 
     algebra     sparse differential polynomials
+    upoly       univariate polynomials: interpolation and exact rational roots
     symbols     truncated symbol calculus for pseudodifferential operators
     lax         scalar Lax operators for the classical series
     brackets    Poisson bracket tables from the symbol calculus
     invariants  canonical coordinates and central invariants
-    liealg      exact Lie algebra data (Chevalley-basis matrices, gradings)
-                and the one exact elimination, over Fraction
+    liealg      exact Lie algebra data (Chevalley-basis matrices, gradings),
+                the one Fraction elimination, and the integer determinant
+                and kernel vector of the point route
     dirac       bracket tensors through Dirac reduction on a slice
     frobenius   Frobenius manifold / orbit space constructions
     fixtures    bundled exceptional-algebra data files

@@ -37,8 +37,8 @@ quotients or derivatives wraps.
 
 Points.  `evaluate` reads Polys in u_1..u_n at a rational point without
 forming a Poly: one sweep over the distinct packed monomials, powers of
-the point's numerators, and values and partial derivatives as integer
-numerators over one denominator, divided once per entry by the caller.
+the point's numerators, and values as integer numerators over one
+denominator, divided once per entry by the caller.
 """
 
 from fractions import Fraction
@@ -450,19 +450,17 @@ def u_list(n, u=None):
     return out
 
 
-def evaluate(polys, point, grad=False):
+def evaluate(polys, point):
     """The values of Polys in u_1..u_n at a rational point, as integer
-    numerators over one denominator: (values, den), and with `grad`
-    (values, grads, den), grads[j][k] the numerator of d p_j / d u_(k+1).
-    With the point a / D, C the lcm of the coefficient denominators and T
-    the top degree, den = C D^T: a monomial u^e of degree t reads
-    a^e D^(T - t), and its k-th partial e_k a^(e - 1_k) D^(T - t + 1).
+    numerators over one denominator: (values, den).  With the point a / D,
+    C the lcm of the coefficient denominators and T the top degree,
+    den = C D^T, and a monomial u^e of degree t reads a^e D^(T - t).
     Each distinct monomial is read once; a variable outside the point or
     a negative exponent is a ValueError.
 
     >>> p = Poly.of('u', 1) ** 2 * Fraction(1, 2) + Poly.of('u', 2)
-    >>> evaluate([p], [Fraction(1, 3), 2], grad=True)
-    ([37], [[6, 18]], 18)
+    >>> evaluate([p], [Fraction(1, 3), 2])
+    ([37], 18)
     """
     n, point = len(point), [Fraction(x) for x in point]
     D = lcm(*(x.denominator for x in point))
@@ -480,26 +478,16 @@ def evaluate(polys, point, grad=False):
     T = max(map(sum, exps.values()), default=0)
     pw = [[(x.numerator * (D // x.denominator)) ** t for t in range(T + 1)] for x in point]
     Dp = [D ** t for t in range(T + 1)]
-    weight, partials = {}, {}
-    for m, e in exps.items():
-        t = sum(e)
-        weight[m] = Dp[T - t] * prod(pw[k][x] for k, x in enumerate(e))
-        if grad:
-            partials[m] = [(k, x * Dp[T - t + 1] * prod(pw[j][y - (j == k)]
-                                                          for j, y in enumerate(e)))
-                           for k, x in enumerate(e) if x]
-    values, grads = [], []
+    weight = {m: Dp[T - sum(e)] * prod(pw[k][x] for k, x in enumerate(e))
+              for m, e in exps.items()}
+    values = []
     for p in polys:
-        v, g = 0, [0] * n
+        v = 0
         for m, c in p.terms.items():
             c = c * C if type(c) is int else c.numerator * (C // c.denominator)
             v += c * weight[m]
-            if grad:
-                for k, x in partials[m]:
-                    g[k] += c * x
         values.append(v)
-        grads.append(g)
-    return (values, grads, C * Dp[T]) if grad else (values, C * Dp[T])
+    return values, C * Dp[T]
 
 
 def antiderivative(p, frozen=frozenset()):

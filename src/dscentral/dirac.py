@@ -19,14 +19,15 @@ over one integer denominator, and divides the blocks once at the end:
 
 `central_invariants_dirac` reads every tensor entry at a point once,
 through `algebra.evaluate`, as integers over one denominator, and takes
-the determinants of the pencil, its kernel vectors and the forms of
-the covectors dlam in integers.  It hands the blocks and the dlam to
+the determinants of the pencil and its kernel vectors in integers.  The
+unit field shifts every canonical coordinate by one, so the kernel
+vector v at a root spans dlam and dlam = v / v[unit], with no
+derivative of any tensor.  It hands the blocks and the dlam to
 `invariants.defect_invariants`.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
 from .algebra import Poly, evaluate
 from .liealg import (ZERO, dense, determinant, flat, inverse, kernel_vector, madd, mscale,
@@ -252,54 +253,45 @@ def dirac_tensors(alg, slices):
     return out
 
 
-def central_invariants_dirac(tensors, n, upoint):
+def central_invariants_dirac(tensors, n, upoint, unit=None):
     """Evaluate the defect formula of the reduced pencil at a point with
     rational canonical coordinates, the roots lam of p(z) = det(g2 - z g1).
 
-    g2, g1 and their gradients are read as integers G2, G1, dG2, dG1 over
-    one d, and p is interpolated from det(G2 - z G1) at z = 0, ..., n.  At
-    a simple root lam = r/s the symmetric s G2 - r G1 has a kernel spanned
-    by one integer v, and dlam_k = (s v.dG2_k.v - r v.dG1_k.v) / s v.G1.v
-    (Hellmann-Feynman; the adjugate there is c v v^T with c != 0, so
-    p'(lam) = -c v.g1.v and the denominator is nonzero).  Each tensor is
-    one block of the formula.
+    Every tensor entry is read as an integer over one d, and p is
+    interpolated from det(G2 - z G1) at z = 0, ..., n.  At a simple root
+    lam = r/s the symmetric s G2 - r G1 has a kernel spanned by one
+    integer v, and v spans dlam.  The first bracket is the derivative of
+    the second along the unit field e, so e shifts every lam by one:
+    e(lam) = 1 and dlam = v / v[unit].  A v with v[unit] = 0 is a
+    DegeneratePoint.  Each tensor is one block of the formula.
 
-    upoint: values of u^1..u^n.  Returns (roots, invariants).
+    upoint: values of u^1..u^n.  unit: the 0-based index of the
+    coordinate along e, by default n - 1 (u^n on a slice).  Returns
+    (roots, invariants).
     """
     if len(upoint) != n:
         raise ValueError("expected %d coordinates, got %d" % (n, len(upoint)))
+    unit = n - 1 if unit is None else unit
     nn = n * n
-
-    def entries(keys):
-        return [x for key in keys for row in tensors[key] for x in row]
-
-    def shaped(nums, d):        # consecutive n x n matrices
-        M = [Fraction(x, d) for x in nums]
-        return [[M[i:i + n] for i in range(j, j + nn, n)] for j in range(0, len(M), nn)]
+    nums, d = evaluate([x for T in tensors.values() for row in T for x in row], upoint)
+    vals = dict(zip(tensors, (nums[j:j + nn] for j in range(0, len(nums), nn))))
+    G2, G1 = vals['g2'], vals['g1']
 
     def pencil(s, r):           # the rows of s G2 - r G1
         return [[s * a - r * b for a, b in zip(G2[i:i + n], G1[i:i + n])] for i in range(0, nn, n)]
 
-    # every entry read once: g2 and g1 with their gradients, then the rest
-    keys = ['g2', 'g1'] + [key for key in tensors if key not in ('g2', 'g1')]
-    first, grads, d = evaluate(entries(keys[:2]), upoint, grad=True)
-    vals = dict(zip(keys, shaped(first, d) + shaped(*evaluate(entries(keys[2:]), upoint))))
-    G2, G1 = first[:nn], first[nn:]
-    dG = [h for g in zip(*grads) for h in (g[:nn], g[nn:])]    # dG2_k, dG1_k for each k
     zs = range(n + 1)
     roots = rational_roots(interpolate(zs, [determinant(pencil(1, z)) for z in zs]))
     if roots is None:
         raise DegeneratePoint("irrational canonical coordinates")
     dlams = []
     for lam in roots:
-        r, s = lam.numerator, lam.denominator
-        v = kernel_vector(pencil(s, r))
-        vv = [x * y for x in v for y in v]
-        f = [sum(map(mul, M, vv)) for M in [G1] + dG]   # v.M.v, M flat and vv = v v^T
-        dlams.append([Fraction(s * f2 - r * f1, s * f[0]) for f2, f1 in zip(f[1::2], f[2::2])])
-    blocks = {BLOCKS[key]: [(j, k, x) for j, row in enumerate(T)
-                            for k, x in enumerate(row) if x]
-              for key, T in vals.items()}
+        v = kernel_vector(pencil(lam.denominator, lam.numerator))
+        if not v[unit]:
+            raise DegeneratePoint("dlam vanishes on the unit field at lam = %s" % lam)
+        dlams.append([Fraction(x, v[unit]) for x in v])
+    blocks = {BLOCKS[key]: [(i // n, i % n, Fraction(x, d)) for i, x in enumerate(M) if x]
+              for key, M in vals.items()}
     return roots, defect_invariants(roots, dlams, blocks)[1]
 
 

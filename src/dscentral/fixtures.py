@@ -262,6 +262,11 @@ def _fixture_tensors(directory, name):
     # call on one document, so never hand these Polys out
     fx, pen = load_pencil(name, directory)
     n = fx['rank']
+    # the invariants need e = d/dt_unit: e(lam) = 1, and A21 = d A22/dt_unit
+    ones = [x == 1 for x in fx['e']]
+    if ones.count(True) != 1 or any(x != 0 for x, one in zip(fx['e'], ones) if not one):
+        raise FixtureError("the unit field of %r is not a coordinate field" % name)
+    unit = ones.index(True)
     A22 = [[None] * n for _ in range(n)]
     for key, val in fx.get('tensors', {}).items():
         if not key.startswith('A22_'):
@@ -278,17 +283,18 @@ def _fixture_tensors(directory, name):
     tensors = {key: [[(x if isinstance(x, Poly) else Poly.num(x)).subs(ren)
                       for x in row] for row in M]
                for key, M in (('g2', pen['g2']), ('g1', pen['g1']), ('A22', A22))}
-    tensors['A21'] = [[tensors['A22'][i][j].diff(('u', 1, 0))
+    tensors['A21'] = [[tensors['A22'][i][j].diff(('u', unit + 1, 0))
                        for j in range(n)] for i in range(n)]
-    return n, tensors
+    return n, unit, tensors
 
 
 def fixture_invariants(name, tpoint, data_dir=DATA_DIR):
     """Central invariants at a flat-coordinate point, from the stored
     potential (leading metrics) and the stored dispersive tensors A22_ij
-    (A21 is the t1 derivative of A22).  The tensors are built once per
-    fixture directory and document.  Returns (roots, invariants)."""
+    (A21 is the derivative of A22 along the unit field, which must be a
+    coordinate field d/dt_k).  The tensors are built once per fixture
+    directory and document.  Returns (roots, invariants)."""
     from .dirac import central_invariants_dirac
-    n, tensors = _fixture_tensors(data_dir, name)
-    return central_invariants_dirac(tensors, n, list(tpoint))
+    n, unit, tensors = _fixture_tensors(data_dir, name)
+    return central_invariants_dirac(tensors, n, list(tpoint), unit)
 

@@ -363,11 +363,6 @@ def mcomm(A, B):
     return dense(scomm(sparse(A), sparse(B)), len(A))
 
 
-def mtrace_prod(A, B):
-    """tr(AB)."""
-    return spair(sparse(A), sparse(B))
-
-
 class MatrixLieAlgebra:
     """A simple Lie algebra realized by matrices, generated by Chevalley
     triples (X_i, Y_i) in some faithful representation.
@@ -377,8 +372,7 @@ class MatrixLieAlgebra:
     the root of `basis[k]` over the simple roots (zero for the Cartan
     elements).  X, Y, H, I_plus, I_minus and rho are stored as entries
     too, and read as dense matrices, as are the matrices that
-    `from_coords` and `root_vector` return and that `coords` and `form`
-    take.
+    `from_coords` and `root_vector` return and that `coords` takes.
     """
 
     def __init__(self, n, X, Y, form_scale, dim):
@@ -401,9 +395,6 @@ class MatrixLieAlgebra:
     I_plus = property(lambda self: self._dense(self._Ip))
     I_minus = property(lambda self: self._dense(self._Im))
     rho = property(lambda self: self._dense(self._rho))
-
-    def form(self, a, b):
-        return mtrace_prod(a, b) * self.form_scale
 
     def _reduce(self, E):
         """Reduce the entries of a matrix against the stored pivot rows,

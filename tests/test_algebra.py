@@ -362,14 +362,12 @@ def u4_polys(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(u4_polys(), max_size=4), st.lists(coords, min_size=4, max_size=4))
-def test_evaluate_agrees_with_subs_and_diff(ps, pt):
+def test_evaluate_agrees_with_subs(ps, pt):
     sub = dict(zip(U4, pt))
-    vals, grads, d = evaluate(ps, pt, grad=True)
-    assert (vals, d) == evaluate(ps, pt)
-    assert all(type(x) is int for x in vals + [y for g in grads for y in g] + [d])
-    for p, x, g in zip(ps, vals, grads):
+    vals, d = evaluate(ps, pt)
+    assert all(type(x) is int for x in vals + [d])
+    for p, x in zip(ps, vals):
         assert Fraction(x, d) == p.subs(sub).constant()
-        assert [Fraction(y, d) for y in g] == [p.diff(v).subs(sub).constant() for v in U4]
 
 
 def test_evaluate_refuses_other_variables_and_negative_exponents():

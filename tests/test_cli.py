@@ -290,6 +290,9 @@ def test_malformed_fixture_values_exit_3(tmp_path):
         (header, body.replace('F = 1/2*t1**2*t4 + ', 'F = '), 'singular'),
         # a unit field that is not flat
         (header, body.replace('e2 = 0\n', 'e2 = t2\n'), 'not flat'),
+        # a flat unit field that is not a coordinate field: A21 = d A22/dt1
+        # and e(lam) = 1 would both be wrong
+        (header, body.replace('e1 = 1\n', 'e1 = 2\n'), 'not a coordinate field'),
         # a constant potential: eta vanishes
         (header, re.sub('(?m)^F = .*$', 'F = 1', body), 'singular'),
     ]

@@ -32,6 +32,11 @@ def _p(x):
     return x if isinstance(x, Poly) else Poly.num(x)
 
 
+def _form(alg, A, B):
+    """The normalized invariant form tr(AB) * form_scale of dense matrices."""
+    return liealg.spair(liealg.sparse(A), liealg.sparse(B)) * alg.form_scale
+
+
 def cofactor_det(m):
     """Determinant by expansion along the first row, over any ring."""
     if len(m) == 1:
@@ -59,7 +64,7 @@ def test_dual_pairing(g2):
     for i, gu in enumerate(slices['gamma_ups']):
         for j, gam in enumerate(slices['gammas']):
             want = Fraction(1) if i == j else Fraction(0)
-            assert alg.form(liealg.dense(gu, alg.size), gam) == want
+            assert _form(alg, liealg.dense(gu, alg.size), gam) == want
 
 
 def test_tensors_match_stored_tables(g2):
@@ -155,6 +160,20 @@ def test_degenerate_directions_detected(g2):
         central_invariants_dirac(tens, 2, [Fraction(0), Fraction(1)])
 
 
+@pytest.mark.parametrize('unit', [None, 0], ids=['u2', 'u1'])
+def test_kernel_vector_off_the_unit_field_is_degenerate(unit):
+    # constant diagonal tensors: the kernel vectors at the roots 1 and 2
+    # are (1, 0) and (0, 1), and one of them has no unit component; that
+    # is a DegeneratePoint (exit 2), not a division by zero
+    from dscentral.invariants import DegeneratePoint
+
+    def diag(a, b):
+        return [[Poly.num(a), Poly()], [Poly(), Poly.num(b)]]
+    tens = {'g2': diag(1, 2), 'g1': diag(1, 1), 'A22': diag(1, 1), 'A21': diag(0, 0)}
+    with pytest.raises(DegeneratePoint, match='unit field'):
+        central_invariants_dirac(tens, 2, [Fraction(1), Fraction(1)], unit)
+
+
 def test_default_slice_agrees_up_to_scaling(g2):
     # the graded kernel without pinned generators spans the same lines
     alg, slices, _, _ = g2
@@ -197,7 +216,7 @@ def test_slice_bases_repeated_exponent(n, exponents):
     assert alg.realized_cartan() == liealg.cartan_matrix('D', n)
     slices = slice_bases(alg)
     assert slices['exponents'] == exponents
-    assert [[alg.form(liealg.dense(gu, alg.size), gam) for gam in slices['gammas']]
+    assert [[_form(alg, liealg.dense(gu, alg.size), gam) for gam in slices['gammas']]
             for gu in slices['gamma_ups']] == [[int(i == j) for j in range(n)]
                                                for i in range(n)]
     assert len(slices['f']) == n * (2 * n - 1) - n
@@ -232,7 +251,7 @@ def _constraint_matrix(alg, slices, coeffs, den):
     """P = P0 + sum c^k P_k / den, dense: P0[a][b] = <I_-, [f_b, f_a]>
     from the stored f, the P_k from the parts (E, d)."""
     f = [liealg.dense(E, alg.size) for E in slices['f']]
-    P = [[alg.form(alg.I_minus, liealg.mcomm(fb, fa)) for fb in f] for fa in f]
+    P = [[_form(alg, alg.I_minus, liealg.mcomm(fb, fa)) for fb in f] for fa in f]
     for c, (E, d) in zip(coeffs, slices['parts'][0]):
         for (a, b), v in E.items():
             P[a][b] += c * Fraction(v, d * den)
@@ -349,12 +368,13 @@ def test_pointwise_defect_formula_matches_symbolic_f4(monkeypatch):
     fast = [_outcome(fixtures.fixture_invariants, 'f4', t) for t in points]
     calls = []
 
-    def symbolic(*args):
-        calls.append(args)
-        return _symbolic_invariants(*args)
+    def symbolic(tensors, n, upoint, unit):
+        # the Jacobi formula reads dlam off p(z; u), with no unit field
+        calls.append(unit)
+        return _symbolic_invariants(tensors, n, upoint)
     monkeypatch.setattr(dirac, 'central_invariants_dirac', symbolic)
     slow = [_outcome(fixtures.fixture_invariants, 'f4', t) for t in points]
-    assert len(calls) == len(points)
+    assert calls == [0] * len(points)      # the document's unit field is d/dt1
     assert fast == slow
     assert sum(isinstance(o, str) for o in fast) >= 2
     assert sum(not isinstance(o, str) for o in fast) >= 4

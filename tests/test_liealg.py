@@ -355,7 +355,7 @@ def test_matrix_kernels_match_dense_formulas():
                 assert M == want[key], (kind, trial, key)
                 assert all(type(x) is kind or x is liealg.ZERO
                            for row in M for x in row), (kind, trial, key)
-            assert liealg.mtrace_prod(A, B) == sum(
+            assert liealg.spair(liealg.sparse(A), liealg.sparse(B)) == sum(
                 (prod[i][i] for i in range(n)), zero)
         # rectangular products
         A = sparse(3, 5, 0.3)
