@@ -18,12 +18,12 @@ over one integer denominator, and divides the blocks once at the end:
   denominator, at lam = 0, 1, 2, the levels read off the differences.
 
 `central_invariants_dirac` reads every tensor entry at a point once,
-through `algebra.evaluate`, as integers over one denominator, and takes
-the determinants of the pencil and its kernel vectors in integers.  The
-unit field shifts every canonical coordinate by one, so the kernel
-vector v at a root spans dlam and dlam = v / v[unit], with no
-derivative of any tensor.  It hands the blocks and the dlam to
-`invariants.defect_invariants`.
+through `algebra.evaluate`, as integers over one denominator d, and
+takes the determinants of the pencil and its kernel vectors in
+integers.  The unit field shifts every canonical coordinate by one, so
+the kernel vector v at a root spans dlam and dlam = v / v[unit], with
+no derivative of any tensor.  `invariants.defect_invariants` runs on
+the v and the integer blocks, and each c is multiplied by d v[unit]^2.
 """
 
 from fractions import Fraction
@@ -82,7 +82,7 @@ def slice_bases(alg, gammas=None):
         ms = [scombine((x, b) for x, b in zip(v, alg.basis) if x) for v in cand]
         W = inverse([[form(m, j) for j in idx] for m in ms])
         for j, row in zip(idx, W):
-            gups[j] = scombine(zip(row, ms))
+            gups[j] = shared(scombine(zip(row, ms)))
     if any(form(gu, j) != int(i == j) for i, gu in enumerate(gups) for j in range(n)):
         raise ValueError("dual basis pairing failed")
     # n = positive part of the graded basis
@@ -90,7 +90,9 @@ def slice_bases(alg, gammas=None):
     nonpos = [i for i, g in enumerate(alg.grades) if g <= 0]
     # complement: annihilator of the gamma_i inside h + n^-
     ann = nullspace([[spair(alg.basis[k], gam) for k in nonpos] for gam in sg])
-    ndual = [scombine((x, alg.basis[k]) for k, x in zip(nonpos, v) if x) for v in ann]
+    # an f_a may be scaled: a vector on one basis element is that element
+    terms = [[(x, alg.basis[k]) for k, x in zip(nonpos, v) if x] for v in ann]
+    ndual = [t[0][1] if len(t) == 1 else scombine(t) for t in terms]
     if len(npos) != len(ndual):
         raise ValueError("slice complement has wrong dimension")
     f = []
@@ -263,7 +265,8 @@ def central_invariants_dirac(tensors, n, upoint, unit=None):
     integer v, and v spans dlam.  The first bracket is the derivative of
     the second along the unit field e, so e shifts every lam by one:
     e(lam) = 1 and dlam = v / v[unit].  A v with v[unit] = 0 is a
-    DegeneratePoint.  Each tensor is one block of the formula.
+    DegeneratePoint.  The formula runs on the v and on the integers over
+    d, one block per tensor, and each c is then scaled by d v[unit]^2.
 
     upoint: values of u^1..u^n.  unit: the 0-based index of the
     coordinate along e, by default n - 1 (u^n on a slice).  Returns
@@ -284,15 +287,15 @@ def central_invariants_dirac(tensors, n, upoint, unit=None):
     roots = rational_roots(interpolate(zs, [determinant(pencil(1, z)) for z in zs]))
     if roots is None:
         raise DegeneratePoint("irrational canonical coordinates")
-    dlams = []
+    vs = []
     for lam in roots:
-        v = kernel_vector(pencil(lam.denominator, lam.numerator))
-        if not v[unit]:
+        vs.append(kernel_vector(pencil(lam.denominator, lam.numerator)))
+        if not vs[-1][unit]:
             raise DegeneratePoint("dlam vanishes on the unit field at lam = %s" % lam)
-        dlams.append([Fraction(x, v[unit]) for x in v])
-    blocks = {BLOCKS[key]: [(i // n, i % n, Fraction(x, d)) for i, x in enumerate(M) if x]
+    blocks = {BLOCKS[key]: [(i // n, i % n, x) for i, x in enumerate(M) if x]
               for key, M in vals.items()}
-    return roots, defect_invariants(roots, dlams, blocks)[1]
+    cs = defect_invariants(roots, vs, blocks)[1]
+    return roots, [c * (d * v[unit] ** 2) for c, v in zip(cs, vs)]
 
 
 def numeric_pencil(alg, slices, upoint):

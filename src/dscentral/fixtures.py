@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 
 from .algebra import Poly, decode
-from .liealg import mzero, madd, transpose, MatrixLieAlgebra
+from .liealg import mzero, madd, scombine, shared, sparse, transpose, MatrixLieAlgebra, Stored
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), 'data')
 
@@ -213,8 +213,8 @@ def load_frobenius(name, data_dir=DATA_DIR):
 
 
 def load_gammas(name, alg, data_dir=DATA_DIR):
-    """Slice generators: linear forms over root vectors X_<n1n2...> and
-    the simple generators X1..Xn."""
+    """Slice generators, as `liealg.Stored`: linear forms over root
+    vectors X_<n1n2...> and the simple generators X1..Xn."""
     sec = load_document(name, data_dir)['sections'].get('gamma')
     if sec is None:
         raise FixtureError("no gamma section in %r" % name)
@@ -224,9 +224,9 @@ def load_gammas(name, alg, data_dir=DATA_DIR):
     matrix_of = {}
     for lab in labels:
         if lab.startswith('X_'):
-            matrix_of[lab] = alg.root_vector([int(c) for c in lab[2:]])
+            matrix_of[lab] = sparse(alg.root_vector([int(c) for c in lab[2:]]))
         elif lab.startswith('X'):
-            matrix_of[lab] = alg.X[int(lab[1:]) - 1]
+            matrix_of[lab] = sparse(alg.X[int(lab[1:]) - 1])
         else:
             raise FixtureError("unknown gamma name %r" % lab)
     vm = {lab: Poly.of(lab) for lab in labels}
@@ -235,13 +235,13 @@ def load_gammas(name, alg, data_dir=DATA_DIR):
         p = parse_expr(e, vm)
         if not isinstance(p, Poly):         # a constant
             raise FixtureError("gamma %r is not a linear form" % e)
-        g = mzero(len(alg.X[0]))
+        terms = []
         for m, c in p.terms.items():
             pairs = decode(m)
             if len(pairs) != 1 or pairs[0][1] != 1:
                 raise FixtureError("gamma %r is not a linear form" % e)
-            g = madd(g, matrix_of[pairs[0][0][0]], c)
-        out.append(g)
+            terms.append((c, matrix_of[pairs[0][0][0]]))
+        out.append(Stored(shared(scombine(terms)), alg.size))
     return out
 
 

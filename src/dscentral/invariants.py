@@ -1,9 +1,10 @@
 """Canonical coordinates and central invariants of bihamiltonian pencils.
 
 `defect_invariants` is the defect formula of Dubrovin, Liu and Zhang at
-a point with canonical coordinates lam_i.  With B_a^s the delta^(s)
-block of bracket a and E_a^s(k, i) = dlam_k B_a^s dlam_i, the pencil is
-diagonal there, E_1^1(k, i) = f_i delta_ki and E_2^1(i, i) = lam_i f_i, and
+a point with canonical coordinates lam_i, exact over int or Fraction.
+With B_a^s the delta^(s) block of bracket a and E_a^s(k, i) = dlam_k
+B_a^s dlam_i, the pencil is diagonal there, E_1^1(k, i) = f_i delta_ki
+and E_2^1(i, i) = lam_i f_i, and
 
     c_i = ( E_2^3(i, i) - lam_i E_1^3(i, i)
             + sum_{k != i} (E_2^2(k, i) - lam_i E_1^2(k, i))^2 / (f_k (lam_k - lam_i)) )
@@ -12,6 +13,7 @@ diagonal there, E_1^1(k, i) = f_i delta_ki and E_2^1(i, i) = lam_i f_i, and
 
 import functools
 from fractions import Fraction
+from operator import mul
 
 from .algebra import evaluate, u_list
 from .upoly import (DegeneratePoint, derivative, from_roots, integral,
@@ -23,24 +25,32 @@ def defect_invariants(lams, dlams, blocks):
 
     lams: the distinct canonical coordinates; dlams[i]: the components
     of dlam_i; blocks[(a, s)]: B_a^s as 0-based (j, k, value) triples, a
-    missing block being zero.
+    missing or empty block being zero.  Over int (the Dirac point route)
+    or Fraction (`central_invariants`), each E is a dot product in the
+    scalars and each quotient an exact Fraction.  Scaling dlam_i by a
+    and the blocks by b scales f_i by a^2 b and c_i by 1 / (a^2 b).
 
     >>> blocks = {(1, 1): [(0, 0, 2), (1, 1, 1)], (2, 1): [(0, 0, 2), (1, 1, -1)],
     ...           (2, 3): [(0, 0, 6), (1, 1, 3)]}
     >>> defect_invariants([1, -1], [[1, 0], [0, 1]], blocks)
-    ([Fraction(2, 1), Fraction(1, 1)], [Fraction(1, 2), Fraction(1, 1)])
+    ([2, 1], [Fraction(1, 2), Fraction(1, 1)])
+    >>> blocks[(2, 2)] = [(0, 1, 1), (1, 0, 1)]
+    >>> defect_invariants([1, -1], [[1, 0], [0, 1]], blocks)[1]
+    [Fraction(11, 24), Fraction(13, 12)]
     """
     n = len(lams)
 
     def E(key):
         # E(k, i) = dlam_k . (B dlam_i), the columns B dlam_i formed once
+        if not blocks.get(key):
+            return lambda k, i: 0
         cols = []
         for y in dlams:
-            col = [Fraction(0)] * len(y)
-            for j, k, v in blocks.get(key, ()):
+            col = [0] * len(y)
+            for j, k, v in blocks[key]:
                 col[j] += v * y[k]
             cols.append(col)
-        return lambda k, i: sum(x * c for x, c in zip(dlams[k], cols[i]))
+        return lambda k, i: sum(map(mul, dlams[k], cols[i]))
 
     E11, E21, E12, E22, E13, E23 = (E((a, s)) for s in (1, 2, 3) for a in (1, 2))
     f = []
@@ -52,12 +62,12 @@ def defect_invariants(lams, dlams, blocks):
             raise DegeneratePoint("second metric not lam * first")
     if any(x == 0 for x in f):
         raise DegeneratePoint("vanishing diagonal metric entry")
-    delta2 = (1, 2) in blocks or (2, 2) in blocks   # else the cross terms vanish
+    delta2 = blocks.get((1, 2)) or blocks.get((2, 2))   # else the cross terms vanish
 
     def c(i, lam):
-        cross = sum(((E22(k, i) - lam * E12(k, i)) ** 2 / (f[k] * (lams[k] - lam))
-                     for k in range(n) if k != i and delta2), Fraction(0))
-        return (E23(i, i) - lam * E13(i, i) + cross) / (3 * f[i] ** 2)
+        cross = sum((Fraction((E22(k, i) - lam * E12(k, i)) ** 2, f[k] * (lams[k] - lam))
+                     for k in range(n) if k != i and delta2), 0)
+        return Fraction(E23(i, i) - lam * E13(i, i) + cross, 3 * f[i] ** 2)
     return f, [c(i, lam) for i, lam in enumerate(lams)]
 
 

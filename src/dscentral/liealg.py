@@ -261,16 +261,43 @@ _KEYS = {}      # the index pairs of `shared`: positions only, each pair once
 # sparse matrices
 
 def sparse(M):
-    """The entries of a dense matrix."""
+    """The entries of a matrix; a `Stored` one's own, not to be changed."""
+    if isinstance(M, Stored):
+        return M.entries
     return {(r, c): x for r, row in enumerate(M) for c, x in enumerate(row)
             if x is not ZERO and x}
+
+
+def _compact(x):
+    """x as stored: an int where integral."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def shared(E):
     """The entries E as stored: integral ones as int, the keys from one
     table of index pairs, so that stored matrices share their positions."""
-    return {_KEYS.setdefault(k, k): x.numerator if x.denominator == 1 else x
-            for k, x in E.items()}
+    return {_KEYS.setdefault(k, k): _compact(x) for k, x in E.items()}
+
+
+class Stored:
+    """A square matrix kept as its entries and read as its dense rows of
+    Fraction, built afresh at each read."""
+    __slots__ = ('entries', 'size')
+
+    def __init__(self, entries, size):
+        self.entries, self.size = entries, size
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        return iter(dense({k: Fraction(x) for k, x in self.entries.items()}, self.size))
+
+    def __getitem__(self, r):
+        return list(self)[r]
+
+    def __eq__(self, other):
+        return list(self) == other
 
 
 def dense(E, n, m=None):
@@ -370,9 +397,8 @@ class MatrixLieAlgebra:
     The basis is built by bracket closure and consists of root vectors,
     each stored as its entries: `weights[k]` holds the coefficients of
     the root of `basis[k]` over the simple roots (zero for the Cartan
-    elements).  X, Y, H, I_plus, I_minus and rho are stored as entries
-    too, and read as dense matrices, as are the matrices that
-    `from_coords` and `root_vector` return and that `coords` takes.
+    elements).  X, Y, H, I_plus, I_minus, rho and what `root_vector`
+    returns are entries read as dense matrices (`Stored`).
     """
 
     def __init__(self, n, X, Y, form_scale, dim):
@@ -385,16 +411,13 @@ class MatrixLieAlgebra:
         self._close_basis()
         self._principal()
 
-    def _dense(self, E):
-        return dense({k: Fraction(x) for k, x in E.items()}, self.size)
-
     # the dense Fraction views of the stored entries
-    X = property(lambda self: [self._dense(m) for m in self._X])
-    Y = property(lambda self: [self._dense(m) for m in self._Y])
-    H = property(lambda self: [self._dense(m) for m in self._H])
-    I_plus = property(lambda self: self._dense(self._Ip))
-    I_minus = property(lambda self: self._dense(self._Im))
-    rho = property(lambda self: self._dense(self._rho))
+    X = property(lambda self: [Stored(m, self.size) for m in self._X])
+    Y = property(lambda self: [Stored(m, self.size) for m in self._Y])
+    H = property(lambda self: [Stored(m, self.size) for m in self._H])
+    I_plus = property(lambda self: Stored(self._Ip, self.size))
+    I_minus = property(lambda self: Stored(self._Im, self.size))
+    rho = property(lambda self: Stored(self._rho, self.size))
 
     def _reduce(self, E):
         """Reduce the entries of a matrix against the stored pivot rows,
@@ -404,8 +427,7 @@ class MatrixLieAlgebra:
         for p, (row, inv, k, others) in self._red.items():
             f = r.get(p)
             if f:
-                f *= inv        # an int where integral: the row stays in integers
-                f = f.numerator if f.denominator == 1 else f
+                f = _compact(f * inv)       # the row stays in integers
                 for c, x in row.items():
                     v = r.get(c, 0) - f * x
                     if v:
@@ -429,7 +451,7 @@ class MatrixLieAlgebra:
             if not r:
                 return False
             piv = min(r)
-            self._red[piv] = (r if any(used) else m, Fraction(1) / r[piv], len(used),
+            self._red[piv] = (r if any(used) else m, _compact(Fraction(1, r[piv])), len(used),
                               tuple((i, -u) for i, u in enumerate(used) if u))
             self.basis.append(m)
             self.weights.append(w)
@@ -455,15 +477,12 @@ class MatrixLieAlgebra:
             raise ValueError("closure gave dim %d, expected %d"
                              % (len(self.basis), self.dim))
 
-    def _coords(self, E):
-        r, expr = self._reduce(E)
+    def coords(self, m):
+        """Coordinates of a matrix in the basis."""
+        r, expr = self._reduce(sparse(m))
         if r:
             raise ValueError("matrix outside the algebra")
         return expr
-
-    def coords(self, m):
-        """Coordinates of a matrix in the basis."""
-        return self._coords(sparse(m))
 
     def from_coords(self, x):
         return dense(scombine((c, b) for c, b in zip(x, self.basis) if c), self.size)
@@ -486,19 +505,20 @@ class MatrixLieAlgebra:
         a = solve(Ct, [Fraction(2)] * self.n)
         if a is None:
             raise ValueError("principal sl2 system unsolvable")
-        self._Ip = scombine(zip(a, self._X))
-        self._rho = scombine((ai / 2, h) for ai, h in zip(a, self._H))
+        self._Ip = shared(scombine(zip(a, self._X)))
+        self._rho = shared(scombine((ai / 2, h) for ai, h in zip(a, self._H)))
         self._Im = scombine((1, y) for y in self._Y)
         # [rho, X_j] = X_j, so the principal grade of a root vector is the
-        # height of its root
-        self.grades = [Fraction(sum(w)) for w in self.weights]
+        # height of its root; one Fraction object per grade value
+        one = {}
+        self.grades = [one.setdefault(g, Fraction(g)) for g in map(sum, self.weights)]
         if scomm(self._Ip, self._Im) != scombine([(2, self._rho)]):
             raise ValueError("principal sl2 relations fail")
 
     def ad_matrix(self, m):
         """ad m in basis coordinates (columns = images of basis vectors)."""
         m = sparse(m)
-        cols = [self._coords(scomm(m, b)) for b in self.basis]
+        cols = [self.coords(Stored(scomm(m, b), self.size)) for b in self.basis]
         return [list(r) for r in zip(*cols)]
 
     def graded_kernel(self, m):
@@ -515,22 +535,19 @@ class MatrixLieAlgebra:
 
     def root_vector(self, nvec):
         """The root space element for the root sum n_i alpha_i, scaled so
-        that the first nonzero entry in row-major order is 1."""
+        that the first nonzero entry in row-major order is 1, as `Stored`."""
         nvec = tuple(nvec)
         found = [b for b, w in zip(self.basis, self.weights) if w == nvec]
         if len(found) != 1:
             raise ValueError("root space has dimension %d" % len(found))
         m, = found
-        return mscale(dense(m, self.size), Fraction(1) / m[min(m)])
+        return Stored(shared(scombine([(Fraction(1, m[min(m)]), m)])), self.size)
 
 
 def g2_algebra():
     """G2 in its 7-dimensional representation; <a, b> = tr(ab)/2."""
     def E(pairs):
-        m = mzero(7)
-        for i, j, c in pairs:
-            m[i - 1][j - 1] = Fraction(c)
-        return m
+        return Stored({(i - 1, j - 1): c for i, j, c in pairs}, 7)
     X1 = E([(1, 2, 1), (3, 4, 2), (4, 5, 1), (6, 7, 1)])
     X2 = E([(2, 3, 1), (5, 6, 1)])
     Y1 = E([(2, 1, 1), (4, 3, 1), (5, 4, 2), (7, 6, 1)])

@@ -5,8 +5,10 @@ exact tables, in the slice coordinates and in the flat ones, and the
 invariants are evaluated at exact points.
 """
 
+import gc
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -433,6 +435,48 @@ def test_point_route_runs_no_fraction_elimination(g2, monkeypatch):
     assert [run() for run in runs] == want
 
 
+def _fraction_route(tensors, n, upoint, unit, roots):
+    """Reference for the integer point route: the tensors at the point as
+    Fractions, dlam = v / v[unit] for v in the Fraction kernel of
+    g2 - lam g1, and the defect formula over Fraction."""
+    usub = {('u', i + 1, 0): Fraction(x) for i, x in enumerate(upoint)}
+    vals = {key: [[x.subs(usub).constant() for x in row] for row in M]
+            for key, M in tensors.items()}
+    dlams = []
+    for lam in roots:
+        v, = liealg.nullspace(liealg.madd(vals['g2'], vals['g1'], -lam))
+        dlams.append([x / v[unit] for x in v])
+    blocks = {dirac.BLOCKS[key]: [(i, j, x) for i, row in enumerate(M)
+                                  for j, x in enumerate(row) if x]
+              for key, M in vals.items()}
+    return invariants.defect_invariants(roots, dlams, blocks)[1]
+
+
+@pytest.mark.parametrize('name', ['G2', 'F4'])
+def test_integer_route_equals_fraction_route(g2, name):
+    # dlam and the blocks stay integers, and each c_i is rescaled by
+    # d v[unit]^2 at the end: the same invariants as over Fraction
+    from dscentral.upoly import DegeneratePoint
+    if name == 'G2':
+        n, unit, tens = 2, 1, g2[2]
+        rng = random.Random(31)
+        points = [reference.g2_sample(rng) for _ in range(12)]
+    else:
+        n, unit, tens = fixtures._fixture_tensors(fixtures.DATA_DIR, 'f4')
+        rng = random.Random(37)
+        points = [reference.f4_sample(rng) for _ in range(8)]
+    checked = 0
+    for u in points:
+        try:
+            roots, cs = central_invariants_dirac(tens, n, u, unit)
+        except DegeneratePoint:
+            continue
+        assert all(type(c) is Fraction for c in cs)
+        assert cs == _fraction_route(tens, n, u, unit, roots), u
+        checked += 1
+    assert checked >= 6
+
+
 @pytest.mark.parametrize('name', ['g2', 'f4'])
 def test_stored_slice_data_is_compact(name):
     # generators in integers, duals as entries, each f_a primitive in
@@ -450,7 +494,45 @@ def test_stored_slice_data_is_compact(name):
     for f in slices['f']:
         assert f and all(type(x) is int for x in f.values())
         assert gcd(*f.values()) == 1
+    # an f_a on a single primitive integer basis element is that element
+    primitive = [b for b in alg.basis
+                 if all(type(x) is int for x in b.values()) and gcd(*b.values()) == 1]
+    for f in slices['f']:
+        for b in primitive:
+            if f.keys() == b.keys() and len({Fraction(x, b[k]) for k, x in f.items()}) == 1:
+                assert f is b
+    # integral pivot inverses as int, one Fraction object per grade
+    assert all(type(inv) is int for _, inv, _, _ in alg._red.values() if inv.denominator == 1)
+    assert len(set(map(id, alg.grades))) == len(set(alg.grades))
     P, R, Q, S, (W, w) = slices['parts']
     assert len(P) == len(R) == alg.n
     stored = alg.basis + alg._X + alg._Y + alg._H + [E for E, _ in P + R + [Q, S, (W, w)]]
+    if name == 'f4':            # the document's gammas are kept as entries
+        assert all(isinstance(g, liealg.Stored) for g in slices['gammas'])
+        stored += [g.entries for g in slices['gammas']]
     assert all(liealg._KEYS[k] is k for E in stored for k in E)
+
+
+def test_f4_slice_data_kept_is_small():
+    # what build_algebra, load_gammas and slice_bases keep for F4, by
+    # tracemalloc, after a first build has filled the shared tables; dense
+    # gamma matrices alone would break the bound
+    def build():
+        alg = fixtures.build_algebra('f4')
+        gammas = fixtures.load_gammas('f4', alg)
+        return alg, gammas, slice_bases(alg, gammas)
+    build()
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()
+        gc.collect()
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert kept[2]['exponents'] == [1, 5, 7, 11]
+    assert size < 125 * 1024, size
