@@ -10,8 +10,8 @@ Subpackage layout:
     brackets    Poisson bracket tables from the symbol calculus
     invariants  canonical coordinates and central invariants
     liealg      exact Lie algebra data (Chevalley-basis matrices, gradings),
-                the one Fraction elimination, and the integer determinant
-                and kernel vector of the point route
+                the one Fraction elimination (a sparse row reduction), and
+                the one integer route: determinant and kernel vector
     dirac       bracket tensors through Dirac reduction on a slice
     frobenius   Frobenius manifold / orbit space constructions
     fixtures    bundled exceptional-algebra data files

@@ -1,7 +1,8 @@
 """Exact Lie algebra data: Cartan matrices, matrix realizations,
-principal gradings and slice bases; the one Fraction elimination
-(`echelon`, `back_sweep`), and the integer `determinant` (Bareiss) and
-`kernel_vector` of the point route.
+principal gradings and slice bases; the one Fraction elimination,
+`Echelon` (basis closure, `coords`, `nullspace`, `solve`, `inverse`),
+and the point route's one integer route: `determinant` (Bareiss) and
+`kernel_vector`.
 
 A sparse matrix is its entries {(row, column): x} of the nonzero x, the
 one format of the stored basis and generators and of the slice data,
@@ -13,7 +14,7 @@ lists of rows with the one shared ZERO, go through them.
 """
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd
 from operator import mul
 
 
@@ -124,70 +125,71 @@ def fold(typ, n):
 
 
 # ---------------------------------------------------------------------------
-# exact elimination: Fraction sweeps, and integer determinants
+# exact elimination: one Fraction row reduction, and integer determinants
 
-def echelon(rows):
-    """Forward sweep: (echelon rows, pivot columns), `int` entries made
-    Fractions.  Each pivot row is divided by its pivot and subtracted
-    from the rows below with a nonzero in its column.  The rows above are
-    left to `back_sweep`.
-
-    >>> echelon([[0, 2], [1, 1]])[1]
-    [0, 1]
-    """
-    M = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in rows]
-    nr, piv = len(M), []
-    for c in range(len(M[0])):
-        r = len(piv)
-        pr = next((i for i in range(r, nr) if M[i][c]), None)
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv if x else x for x in M[r]]
-        _clear(M[r + 1:], c, M[r])
-        piv.append(c)
-    return M, piv
+ZERO = Fraction(0)
 
 
-def _clear(rows, c, prow):
-    """Subtract multiples of a pivot row with a 1 at column c from rows."""
-    pivot = [(j, y) for j, y in enumerate(prow) if y]
-    for row in rows:
-        f = row[c]
-        if f:
-            for j, y in pivot:
-                row[j] -= f * y
+class Echelon:
+    """Vectors as entries {key: x}, each reduced against the ones added
+    before it with the combination it subtracts tracked; the independent
+    ones are numbered 0, 1, ... in order of addition."""
 
+    def __init__(self):
+        # pivot key -> (row, 1 / pivot, k, other terms): the row is vector k
+        # + sum c_i vector_i over the other terms (i, c_i), the added dict
+        # itself when nothing reduced it
+        self.pivots = {}
 
-def back_sweep(M, piv):
-    """Back sweep, in place on the rows of `echelon`: clears the entries
-    above the pivots, so M is the reduced echelon form."""
-    for r in range(len(piv) - 1, 0, -1):
-        _clear(M[:r], piv[r], M[r])
+    def reduce(self, E):
+        """(remainder, {k: c_k}) with E = remainder + sum c_k vector_k and
+        the remainder zero at every pivot; each c_k a Fraction."""
+        r, used = dict(E), {}
+        for p, (row, inv, k, others) in self.pivots.items():
+            f = r.get(p)
+            if f:
+                f = _compact(f * inv)       # the row stays in integers
+                for c, x in row.items():
+                    v = r.get(c, 0) - f * x
+                    if v:
+                        r[c] = v
+                    else:
+                        r.pop(c, None)
+                used[k] = used.get(k, ZERO) + f
+                for i, x in others:
+                    used[i] = used.get(i, ZERO) + f * x
+        return r, used
+
+    def add(self, E):
+        """None when E is independent of the vectors added before, which
+        stores it; else E's combination of them, as `reduce` gives it."""
+        r, used = self.reduce(E)
+        if not r:
+            return used
+        piv = min(r)
+        self.pivots[piv] = (r if any(used.values()) else E, _compact(Fraction(1, r[piv])),
+                            len(self.pivots), tuple(sorted((i, -u) for i, u in used.items() if u)))
+        return None
 
 
 def determinant(rows):
-    """Determinant of a square int or Fraction matrix, one Fraction: the
-    rows cleared of denominators are eliminated fraction-free (Bareiss
-    1968), each division exact and the last pivot the determinant.
+    """Determinant of a square integer matrix, an int, by fraction-free
+    elimination (Bareiss 1968); each division is exact.
 
-    >>> determinant([[0, 2], [Fraction(1, 3), 1]])    # one row swap
-    Fraction(-2, 3)
+    >>> determinant([[0, 2], [3, 1]])    # one row swap
+    -6
     """
-    dens = [lcm(*(x.denominator for x in r)) for r in rows]
-    M = [[x.numerator * (L // x.denominator) for x in r] for r, L in zip(rows, dens)]
-    sign, prev = 1, 1
+    M, sign, prev = list(rows), 1, 1
     while M:
         i = next((i for i, r in enumerate(M) if r[0]), None)
         if i is None:
-            return Fraction(0)
+            return 0
         if i:
             M[0], M[i], sign = M[i], M[0], -sign
         (p, *top), rest = M[0], M[1:]
         M = [[(p * x - r[0] * y) // prev for x, y in zip(r[1:], top)] for r in rest]
         prev = p
-    return Fraction(sign * prev, prod(dens))
+    return sign * prev
 
 
 def kernel_vector(rows):
@@ -201,7 +203,7 @@ def kernel_vector(rows):
     """
     for j in range(len(rows)):
         minor = rows[:j] + rows[j + 1:]
-        v = [(-1) ** i * determinant([r[:i] + r[i + 1:] for r in minor]).numerator
+        v = [(-1) ** i * determinant([r[:i] + r[i + 1:] for r in minor])
              for i in range(len(rows))]
         if any(v):
             g = gcd(*v)
@@ -213,47 +215,46 @@ def kernel_vector(rows):
 
 
 def nullspace(rows):
-    """Basis of the right kernel: for each free column, 1 there and
-    minus the reduced rows' entries at the pivots."""
-    M, piv = echelon(rows)
-    back_sweep(M, piv)
-    out = []
-    for fc in range(len(M[0])):
-        if fc not in piv:
-            v = [Fraction(0)] * len(M[0])
-            v[fc] = Fraction(1)
-            for row, pc in zip(M, piv):
-                v[pc] = -row[fc]
-            out.append(v)
+    """Basis of the right kernel, the reduced echelon one: for each
+    column that depends on the columns before it, 1 there and minus its
+    (unique) combination at the independent columns.
+
+    >>> nullspace([[1, 2, 0], [2, 4, 0]]) == [[-2, 1, 0], [0, 0, 1]]
+    True
+    """
+    ech, piv, out = Echelon(), [], []
+    for j, col in enumerate(zip(*rows)):
+        c = ech.add({i: x for i, x in enumerate(col) if x})
+        if c is None:
+            piv.append(j)
+            continue
+        v = [ZERO] * len(rows[0])
+        v[j] = Fraction(1)
+        for k, x in c.items():
+            v[piv[k]] = -x
+        out.append(v)
     return out
 
 
 def solve(rows, rhs):
-    """One solution of rows . x = rhs over Fraction, or None."""
+    """One solution of rows . x = rhs over Fraction, or None: the kernel
+    vector of [rows | -rhs] whose free column is the last one."""
     nc = len(rows[0])
-    M, piv = echelon([list(r) + [b] for r, b in zip(rows, rhs)])
-    if nc in piv:
-        return None
-    back_sweep(M, piv)
-    x = [Fraction(0)] * nc
-    for row, pc in zip(M, piv):
-        x[pc] = row[nc]
-    return x
+    return next((v[:nc] for v in nullspace([list(r) + [-b] for r, b in zip(rows, rhs)])
+                 if v[nc]), None)
 
 
 def inverse(rows):
-    """Exact inverse of a square Fraction matrix, from the sweeps of
-    [rows | I]; raises ValueError when it is singular."""
-    n = len(rows)
-    M, piv = echelon([list(r) + [int(i == j) for j in range(n)]
-                      for i, r in enumerate(rows)])
-    if piv[-1] >= n:
-        raise ValueError("singular matrix")
-    back_sweep(M, piv)
-    return [row[n:] for row in M]
+    """Exact inverse of a square matrix over Fraction, column k the
+    combination of its columns giving e_k; a ValueError when singular."""
+    n, ech = len(rows), Echelon()
+    for j in range(n):
+        if ech.add({i: r[j] for i, r in enumerate(rows) if r[j]}) is not None:
+            raise ValueError("singular matrix")
+    cols = [ech.reduce({k: 1})[1] for k in range(n)]
+    return [[c.get(i, ZERO) for c in cols] for i in range(n)]
 
 
-ZERO = Fraction(0)
 _KEYS = {}      # the index pairs of `shared`: positions only, each pair once
 
 
@@ -419,40 +420,14 @@ class MatrixLieAlgebra:
     I_minus = property(lambda self: Stored(self._Im, self.size))
     rho = property(lambda self: Stored(self._rho, self.size))
 
-    def _reduce(self, E):
-        """Reduce the entries of a matrix against the stored pivot rows,
-        tracking the combination of basis vectors used."""
-        r = dict(E)
-        expr = [ZERO] * len(self.basis)
-        for p, (row, inv, k, others) in self._red.items():
-            f = r.get(p)
-            if f:
-                f = _compact(f * inv)       # the row stays in integers
-                for c, x in row.items():
-                    v = r.get(c, 0) - f * x
-                    if v:
-                        r[c] = v
-                    else:
-                        r.pop(c, None)
-                expr[k] += f
-                for i, x in others:
-                    expr[i] += f * x
-        return r, expr
-
     def _close_basis(self):
         self.basis, self.weights = [], []
-        # pivot position -> (row, 1 / pivot, k, other terms): the row is
-        # basis[k] + sum c_i basis_i over the other terms (i, c_i), m itself
-        # when nothing reduced it; its entries have shared keys, like m's
-        self._red = {}
+        # the basis in one Echelon: its pivot rows have shared keys, like m's
+        self._echelon = Echelon()
 
         def try_add(m, w):
-            r, used = self._reduce(m)
-            if not r:
+            if self._echelon.add(m) is not None:
                 return False
-            piv = min(r)
-            self._red[piv] = (r if any(used) else m, _compact(Fraction(1, r[piv])), len(used),
-                              tuple((i, -u) for i, u in enumerate(used) if u))
             self.basis.append(m)
             self.weights.append(w)
             return True
@@ -479,10 +454,10 @@ class MatrixLieAlgebra:
 
     def coords(self, m):
         """Coordinates of a matrix in the basis."""
-        r, expr = self._reduce(sparse(m))
+        r, used = self._echelon.reduce(sparse(m))
         if r:
             raise ValueError("matrix outside the algebra")
-        return expr
+        return [used.get(k, ZERO) for k in range(len(self.basis))]
 
     def from_coords(self, x):
         return dense(scombine((c, b) for c, b in zip(x, self.basis) if c), self.size)
@@ -524,7 +499,7 @@ class MatrixLieAlgebra:
     def graded_kernel(self, m):
         """Kernel of ad m for a homogeneous m, by principal grade: dict
         grade -> coord vectors.  ad m then maps each grade to one grade,
-        so every vector of the echelon kernel basis is homogeneous."""
+        so every vector of the reduced echelon kernel basis is homogeneous."""
         out = {}
         for v in nullspace(self.ad_matrix(m)):
             grades = {self.grades[i] for i, x in enumerate(v) if x}

@@ -421,7 +421,7 @@ def test_constraint_parts_need_the_graded_block_form(g2):
 
 def test_point_route_runs_no_fraction_elimination(g2, monkeypatch):
     # determinants, kernel vectors and forms run in integers: with the
-    # tensors built, the Fraction sweeps are never entered
+    # tensors built, the one Fraction row reduction is never entered
     _, _, tens, _ = g2
     runs = [lambda: fixtures.fixture_invariants('f4', reference.f4_point(1, 2, Fraction(1, 2))),
             lambda: fixtures.fixture_invariants('f4', reference.f4_point(-3, 4, Fraction(-2, 3))),
@@ -430,9 +430,12 @@ def test_point_route_runs_no_fraction_elimination(g2, monkeypatch):
     want = [run() for run in runs]
 
     def refuse(*args):
-        raise AssertionError('liealg.echelon called at a point')
-    monkeypatch.setattr(liealg, 'echelon', refuse)
+        raise AssertionError('liealg.Echelon.reduce called at a point')
+    monkeypatch.setattr(liealg.Echelon, 'reduce', refuse)
     assert [run() for run in runs] == want
+    # the spy does fire on the elimination
+    with pytest.raises(AssertionError, match='Echelon.reduce called'):
+        liealg.nullspace([[1, 2], [2, 4]])
 
 
 def _fraction_route(tensors, n, upoint, unit, roots):
@@ -502,7 +505,9 @@ def test_stored_slice_data_is_compact(name):
             if f.keys() == b.keys() and len({Fraction(x, b[k]) for k, x in f.items()}) == 1:
                 assert f is b
     # integral pivot inverses as int, one Fraction object per grade
-    assert all(type(inv) is int for _, inv, _, _ in alg._red.values() if inv.denominator == 1)
+    pivots = alg._echelon.pivots.values()
+    assert len(pivots) == alg.dim
+    assert all(type(inv) is int for _, inv, _, _ in pivots if inv.denominator == 1)
     assert len(set(map(id, alg.grades))) == len(set(alg.grades))
     P, R, Q, S, (W, w) = slices['parts']
     assert len(P) == len(R) == alg.n

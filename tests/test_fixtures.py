@@ -262,12 +262,28 @@ def test_e6_algebra(e6):
     assert e6.realized_cartan() == cartan_matrix('E', 6)
 
 
-def test_e6_slice_exponents(e6):
+def _entries_digest(Es):
+    """The first 16 hex digits of the sha256 of the sorted (key, repr of
+    entry) pairs of each E, joined by ';'."""
+    text = ';'.join(str(sorted((k, repr(x)) for k, x in E.items())) for E in Es)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize('name,nf,exponents,digest', [
+    ('e6', 72, [1, 4, 5, 7, 8, 11], '7f9079acb57c5982'),
+    ('e7', 126, [1, 5, 7, 9, 11, 13, 17], '98f5a34751fac91c'),
+    ('e8', 240, [1, 7, 11, 13, 17, 19, 23, 29], '73526bca53f9031c'),
+], ids=['e6', 'e7', 'e8'])
+def test_slice_exponents(e6, name, nf, exponents, digest):
+    # E8 is the row reduction's largest input: 3 969 closure additions
+    # and two 248 x 248 kernels; the digest of the duals and the f_a was
+    # recorded with the dense Gauss-Jordan sweeps
     from dscentral.dirac import slice_bases
-    gammas = load_gammas('e6', e6)
-    sl = slice_bases(e6, gammas)
-    assert len(sl['f']) == 72
-    assert sl['exponents'] == [1, 4, 5, 7, 8, 11]
+    alg = e6 if name == 'e6' else build_algebra(name)
+    sl = slice_bases(alg, load_gammas(name, alg))
+    assert len(sl['f']) == nf
+    assert sl['exponents'] == exponents
+    assert _entries_digest(sl['gamma_ups'] + sl['f']) == digest
 
 
 def test_e6_potential_checks():

@@ -11,7 +11,7 @@ from dscentral import liealg
 from dscentral.algebra import Poly
 from dscentral.liealg import (cartan_matrix, root_lengths,
                               lie_central_invariants, fold, determinant,
-                              echelon, inverse, kernel_vector, nullspace, solve, mcomm,
+                              inverse, kernel_vector, nullspace, solve, mcomm,
                               mscale, madd, mzero, g2_algebra)
 
 
@@ -57,7 +57,7 @@ def test_solve_nullspace():
     rng = random.Random(5)
     for _ in range(10):
         n = rng.randint(2, 4)
-        A = [[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
+        A = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         x = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
         b = [sum(A[i][j] * x[j] for j in range(n)) for i in range(n)]
         sol = solve(A, b)
@@ -71,16 +71,11 @@ def test_solve_nullspace():
     assert len(ns) == 2
 
 
-def rnd_frac_matrix(rng, n):
-    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-             for _ in range(n)] for _ in range(n)]
-
-
 def naive_det(m):
     n = len(m)
     if n == 1:
         return m[0][0]
-    tot = Fraction(0)
+    tot = 0
     for j in range(n):
         sub = [row[:j] + row[j + 1:] for row in m[1:]]
         tot += (-1) ** j * m[0][j] * naive_det(sub)
@@ -91,33 +86,160 @@ def test_determinant_matches_cofactor_expansion():
     rng = random.Random(11)
     for n in (2, 3, 4):
         for _ in range(5):
-            m = rnd_frac_matrix(rng, n)
+            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             assert determinant(m) == naive_det(m)
 
 
+INTS = st.integers(-5, 5)
+FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
 @st.composite
-def square_matrices(draw, max_size=5):
-    """int or Fraction n x n matrices, n <= max_size; some with zeros atop
-    the first column (row swaps) and some with a row that is a multiple
-    of another (singular)."""
-    n = draw(st.integers(1, max_size))
-    entry = draw(st.sampled_from([st.integers(-5, 5),
-                                  st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))]))
-    M = [[draw(entry) for _ in range(n)] for _ in range(n)]
-    for i in range(draw(st.integers(0, n - 1))):
+def matrices(draw, entry, square=False, max_size=5):
+    """r x c matrices of `entry`, r = c when square, r, c <= max_size;
+    some with zeros atop the first column (row swaps), some with a zero
+    column, and some with a row that is a multiple of the first
+    (singular)."""
+    r = draw(st.integers(1, max_size))
+    c = r if square else draw(st.integers(1, max_size))
+    M = [[draw(entry) for _ in range(c)] for _ in range(r)]
+    for i in range(draw(st.integers(0, r - 1))):
         M[i][0] = 0 * M[i][0]
-    if n > 1 and draw(st.booleans()):
-        c = draw(st.integers(-2, 2))
-        M[draw(st.integers(1, n - 1))] = [c * x for x in M[0]]
+    if draw(st.integers(0, 3)) == 0:
+        j = draw(st.integers(0, c - 1))
+        for row in M:
+            row[j] = 0 * row[j]
+    if r > 1 and draw(st.booleans()):
+        k = draw(st.integers(-2, 2))
+        M[draw(st.integers(1, r - 1))] = [k * x for x in M[0]]
     return M
 
 
 @settings(max_examples=150, deadline=None)
-@given(square_matrices())
+@given(matrices(INTS, square=True))
 def test_determinant_agrees_with_cofactor_expansion(M):
     got = determinant(M)
-    assert type(got) is Fraction
+    assert type(got) is int
     assert got == naive_det(M)
+
+
+# the dense Gauss-Jordan sweeps that `Echelon` replaced, kept as the
+# reference that nullspace, solve and inverse equal exactly
+
+def echelon(rows):
+    """Forward sweep: (echelon rows, pivot columns), int entries made
+    Fractions.  Each pivot row is divided by its pivot and subtracted
+    from the rows below with a nonzero in its column."""
+    M = [[Fraction(x) for x in r] for r in rows]
+    nr, piv = len(M), []
+    for c in range(len(M[0])):
+        r = len(piv)
+        pr = next((i for i in range(r, nr) if M[i][c]), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        inv = 1 / M[r][c]
+        M[r] = [x * inv if x else x for x in M[r]]
+        _clear(M[r + 1:], c, M[r])
+        piv.append(c)
+    return M, piv
+
+
+def _clear(rows, c, prow):
+    """Subtract multiples of a pivot row with a 1 at column c from rows."""
+    pivot = [(j, y) for j, y in enumerate(prow) if y]
+    for row in rows:
+        f = row[c]
+        if f:
+            for j, y in pivot:
+                row[j] -= f * y
+
+
+def reduced_echelon(rows):
+    """The reduced echelon form and its pivot columns."""
+    M, piv = echelon(rows)
+    for r in range(len(piv) - 1, 0, -1):
+        _clear(M[:r], piv[r], M[r])
+    return M, piv
+
+
+def dense_nullspace(rows):
+    M, piv = reduced_echelon(rows)
+    out = []
+    for fc in range(len(M[0])):
+        if fc not in piv:
+            v = [Fraction(0)] * len(M[0])
+            v[fc] = Fraction(1)
+            for row, pc in zip(M, piv):
+                v[pc] = -row[fc]
+            out.append(v)
+    return out
+
+
+def dense_solve(rows, rhs):
+    nc = len(rows[0])
+    M, piv = reduced_echelon([list(r) + [b] for r, b in zip(rows, rhs)])
+    if nc in piv:
+        return None
+    x = [Fraction(0)] * nc
+    for row, pc in zip(M, piv):
+        x[pc] = row[nc]
+    return x
+
+
+def dense_inverse(rows):
+    n = len(rows)
+    M, piv = reduced_echelon([list(r) + [int(i == j) for j in range(n)]
+                              for i, r in enumerate(rows)])
+    if piv[-1] >= n:
+        raise ValueError("singular matrix")
+    return [row[n:] for row in M]
+
+
+def _all_fractions(*vectors):
+    return all(type(x) is Fraction for v in vectors for x in v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([INTS, FRACTIONS]).flatmap(matrices), st.data())
+def test_elimination_equals_dense_gauss_jordan(M, data):
+    # square, wide and tall shapes, zero columns, repeated rows, singular
+    ns = nullspace(M)
+    assert ns == dense_nullspace(M)
+    assert _all_fractions(*ns)
+    # a right-hand side in the column span, or off it
+    x = data.draw(st.lists(INTS, min_size=len(M[0]), max_size=len(M[0])))
+    off = data.draw(st.lists(FRACTIONS, min_size=len(M), max_size=len(M)))
+    t = data.draw(st.sampled_from([0, 1]))
+    rhs = [sum(a * y for a, y in zip(row, x)) + t * o for row, o in zip(M, off)]
+    sol = solve(M, rhs)
+    assert sol == dense_solve(M, rhs)
+    assert sol is None or _all_fractions(sol)
+    if len(M) == len(M[0]):
+        try:
+            want = dense_inverse(M)
+        except ValueError:
+            with pytest.raises(ValueError, match='singular matrix'):
+                inverse(M)
+        else:
+            W = inverse(M)
+            assert W == want
+            assert _all_fractions(*W)
+
+
+def test_one_row_reduction_tracks_its_combinations():
+    ech = liealg.Echelon()
+    assert ech.add({0: 2, 1: 4}) is None
+    assert ech.add({1: 3}) is None
+    # dependent: the combination of the vectors added before it
+    assert ech.add({0: 1, 1: 5}) == {0: Fraction(1, 2), 1: Fraction(1)}
+    assert ech.add({}) == {}
+    r, used = ech.reduce({0: 4, 2: 1})
+    assert r == {2: 1} and used == {0: Fraction(2), 1: Fraction(-8, 3)}
+    # a row that nothing reduced is kept as the caller's dict
+    E = {5: 7}
+    assert ech.add(E) is None
+    assert ech.pivots[5][0] is E
 
 
 def _product(B, C):
@@ -169,43 +291,38 @@ def test_kernel_vector_examples():
         kernel_vector([[0, 0], [0, 0]])
 
 
-@pytest.mark.parametrize('embed, unit, kind', [
-    (lambda x: x, Fraction(1), Fraction),         # int entries, promoted
-], ids=['Fraction'])
-def test_elimination_over_each_scalar(embed, unit, kind):
-    def of(rows):
-        return [[embed(x) for x in row] for row in rows]
-
+def test_elimination_over_each_scalar():
+    # int entries, promoted to Fraction by the elimination
     def entries(*ms):
         return [x for m in ms for row in m for x in row]
 
     def times(A, v):
-        return [sum((a * x for a, x in zip(row, v)), 0 * unit) for row in A]
+        return [sum((a * x for a, x in zip(row, v)), 0) for row in A]
 
     # a row swap at the first pivot flips the determinant's sign
-    assert determinant(of([[0, 1], [1, 0]])) == -unit ** 2
-    A = of([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-    assert determinant(A) == 4 * unit ** 3
+    assert determinant([[0, 1], [1, 0]]) == -1
+    A = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    assert determinant(A) == 4
     W = inverse(A)
     for j in range(3):
         col = times(A, [row[j] for row in W])
-        assert col == [unit if i == j else 0 for i in range(3)]
+        assert col == [int(i == j) for i in range(3)]
     # singular: the determinant is 0 and the inverse refuses
-    S = of([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+    S = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
     assert determinant(S) == 0
     with pytest.raises(ValueError, match='singular'):
         inverse(S)
     # rank 2 of 4 columns: two independent kernel vectors
-    N = of([[1, 2, 0, 1], [2, 4, 1, 3], [3, 6, 1, 4]])
+    N = [[1, 2, 0, 1], [2, 4, 1, 3], [3, 6, 1, 4]]
     ns = nullspace(N)
     assert len(ns) == 4 - 2
     for v in ns:
         assert not any(times(N, v))
-    assert determinant([[v[1], v[3]] for v in ns]) != 0
-    # every output entry is of the matrix's ring, never a float or an int
-    M, piv = echelon(A)
-    outs = entries(M, W, ns) + [determinant(A), determinant(S)]
-    assert {type(x) for x in outs} == {kind}
+    assert determinant([[int(v[1]), int(v[3])] for v in ns]) != 0
+    # every elimination output is a Fraction, never a float or an int;
+    # the determinants are ints
+    assert {type(x) for x in entries(W, ns)} == {Fraction}
+    assert {type(determinant(A)), type(determinant(S))} == {int}
 
 
 def test_solve_inconsistent():
