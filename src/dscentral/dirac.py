@@ -30,8 +30,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import Poly, evaluate
-from .liealg import (ZERO, dense, determinant, flat, inverse, kernel_vector, madd, mscale,
-                     nullspace, rows, scombine, scomm, shared, smul, sparse, spair, transpose)
+from .liealg import (dense, determinant, flat, inverse, kernel_vector, madd, nullspace, rows,
+                     scombine, scomm, shared, smul, sparse, spair)
 from .invariants import defect_invariants
 from .upoly import DegeneratePoint, interpolate, rational_roots
 
@@ -39,14 +39,14 @@ from .upoly import DegeneratePoint, interpolate, rational_roots
 def slice_bases(alg, gammas=None):
     """The transversal slice data of a matrix Lie algebra.
 
-    Returns a dict with keys 'gammas' (matrices spanning Ker ad I_+ by
+    Returns a dict with keys 'gammas' (entries spanning Ker ad I_+ by
     grade), 'gamma_ups' (dual basis in Ker ad I_-, <gamma^i, gamma_j> =
     delta, as entries), 'f' (basis of n + its dual complement inside
     h + n^-, each as primitive integer entries), 'exponents' and 'parts'
     (`_constraint_parts`).
 
-    The gamma_i can be supplied explicitly to pin a normalization; the
-    duals are always recomputed from the pairing.
+    The gamma_i, anything `liealg.sparse` reads, can be supplied to pin
+    a normalization; the duals are always recomputed from the pairing.
     """
     n = alg.n
     if gammas is None:
@@ -58,7 +58,7 @@ def slice_bases(alg, gammas=None):
                 exps.append(g)
     else:
         exps = []
-        for g in gammas:
+        for g in map(sparse, gammas):
             c = alg.coords(g)
             grades = {alg.grades[i] for i, x in enumerate(c) if x}
             if len(grades) != 1:
@@ -149,11 +149,12 @@ def _constraint_parts(alg, slices):
     if 2 * len(B) != len(P[0]) or any(P[0].get((b + h, a)) != -x for (a, b), x in B.items()):
         raise ValueError("constraint matrix not of the form [[0, B], [-B^T, 0]]")
     try:
-        Binv = inverse(dense(B, h))
+        Binv = sparse(inverse(dense(B, h)))
     except ValueError:
         raise ValueError("degenerate constraint matrix") from None
-    (W,), w = _integral([sparse([[ZERO] * h + [-x for x in r] for r in transpose(Binv)]
-                                + [r + [ZERO] * h for r in Binv])])
+    W = {(c, h + r): -x for (r, c), x in Binv.items()}
+    W.update({(h + r, c): x for (r, c), x in Binv.items()})
+    (W,), w = _integral([W])
     return ([(E, dx * sd) for E in P[1:]],
             [(pairs([scomm(gu, x) for gu in gups]), e * dx * sd) for x in xs[1:]],
             (pairs(fs), sd), (pairs(gups), e * sd),
@@ -319,6 +320,6 @@ def numeric_pencil(alg, slices, upoint):
 def g2_slice(alg):
     """The transversal slice of the rank 2 algebra with the historical
     normalization of the grade 1 and grade 5 generators."""
-    g1 = madd(mscale(alg.X[0], Fraction(3, 5)), alg.X[1])
-    g2 = mscale(alg.root_vector((3, 2)), -1)
+    g1 = scombine([(Fraction(3, 5), alg.X[0]), (1, alg.X[1])])
+    g2 = scombine([(-1, alg.root_vector((3, 2)))])
     return slice_bases(alg, [g1, g2])

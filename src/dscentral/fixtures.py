@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 
 from .algebra import Poly, decode
-from .liealg import mzero, madd, scombine, shared, sparse, transpose, MatrixLieAlgebra, Stored
+from .liealg import scombine, shared, MatrixLieAlgebra, Stored
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), 'data')
 
@@ -100,9 +100,10 @@ def parse_expr(text, varmap):
 
 
 def parse_triplets(text, size, where='a triplet list'):
-    """'i,j,num/den; ...' -> dense Fraction matrix, 1 <= i, j <= size;
-    a malformed triplet is a FixtureError naming `where`."""
-    m = mzero(size)
+    """'i,j,num/den; ...' -> the entries {(i - 1, j - 1): x} of their
+    sum, 1 <= i, j <= size, without zeros; a malformed triplet is a
+    FixtureError naming `where`."""
+    m = {}
     for part in text.split(';'):
         part = part.strip()
         if not part:
@@ -114,8 +115,8 @@ def parse_triplets(text, size, where='a triplet list'):
         if not (1 <= i <= size and 1 <= j <= size):
             raise FixtureError("triplet %r in %s has an index outside 1..%d"
                                % (part, where, size))
-        m[i - 1][j - 1] += _number(fields[2], where)
-    return m
+        m[i - 1, j - 1] = m.get((i - 1, j - 1), 0) + _number(fields[2], where)
+    return {k: x for k, x in m.items() if x}
 
 
 def load_document(name, data_dir=DATA_DIR):
@@ -161,7 +162,7 @@ def load_document(name, data_dir=DATA_DIR):
 def build_algebra(name, data_dir=DATA_DIR):
     """MatrixLieAlgebra from a fixture document.  Y entries may be given
     as explicit triplets or as 'transpose' plus optional correction
-    triplets."""
+    triplets; generators that miss index rep_size are a FixtureError."""
     doc = load_document(name, data_dir)
     h = doc['header']
     size, dim, rank = (h.number(k, int) for k in ('rep_size', 'dim', 'rank'))
@@ -172,17 +173,18 @@ def build_algebra(name, data_dir=DATA_DIR):
 
     X = [triplets(gens['X%d' % i], 'X%d' % i) for i in range(1, rank + 1)]
     Y = []
-    for i in range(1, rank + 1):
+    for i, x in enumerate(X, 1):
         spec = gens['Y%d' % i]
         if spec.startswith('transpose'):
-            m = transpose(X[i - 1])
-            rest = spec[len('transpose'):].strip()
-            if rest:
-                m = madd(m, triplets(rest, 'Y%d' % i))
+            Y.append(scombine([(1, {(c, r): v for (r, c), v in x.items()}),
+                               (1, triplets(spec[len('transpose'):], 'Y%d' % i))]))
         else:
-            m = triplets(spec, 'Y%d' % i)
-        Y.append(m)
-    return MatrixLieAlgebra(rank, X, Y, h.number('form_scale'), dim)
+            Y.append(triplets(spec, 'Y%d' % i))
+    alg = MatrixLieAlgebra(rank, X, Y, h.number('form_scale'), dim)
+    if alg.size != size:
+        raise FixtureError("the generators of %r have size %d, not rep_size %d"
+                           % (name, alg.size, size))
+    return alg
 
 
 def load_frobenius(name, data_dir=DATA_DIR):
@@ -213,22 +215,21 @@ def load_frobenius(name, data_dir=DATA_DIR):
 
 
 def load_gammas(name, alg, data_dir=DATA_DIR):
-    """Slice generators, as `liealg.Stored`: linear forms over root
-    vectors X_<n1n2...> and the simple generators X1..Xn."""
+    """Slice generators, as `liealg.Stored`: linear forms over the
+    simple generators X1..Xn and the positive root vectors X_<n1n2...>."""
     sec = load_document(name, data_dir)['sections'].get('gamma')
     if sec is None:
         raise FixtureError("no gamma section in %r" % name)
     exprs = [sec['gamma%d' % i] for i in range(1, alg.n + 1)]
     # every name; parse_expr below rejects what is not an expression
     labels = set(re.findall(r'[A-Za-z_]\w*', ' '.join(exprs)))
-    matrix_of = {}
-    for lab in labels:
-        if lab.startswith('X_'):
-            matrix_of[lab] = sparse(alg.root_vector([int(c) for c in lab[2:]]))
-        elif lab.startswith('X'):
-            matrix_of[lab] = sparse(alg.X[int(lab[1:]) - 1])
-        else:
-            raise FixtureError("unknown gamma name %r" % lab)
+    simple = {'X%d' % i: x for i, x in enumerate(alg.X, 1)}
+    roots = {'X_' + ''.join(map(str, w)): w for w in alg.weights if min(w) >= 0 and any(w)}
+    unknown = labels - simple.keys() - roots.keys()
+    if unknown:
+        raise FixtureError("unknown gamma name %r" % min(unknown))
+    matrix_of = {lab: simple[lab] if lab in simple else alg.root_vector(roots[lab])
+                 for lab in labels}
     vm = {lab: Poly.of(lab) for lab in labels}
     out = []
     for e in exprs:

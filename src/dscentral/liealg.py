@@ -4,13 +4,13 @@ principal gradings and slice bases; the one Fraction elimination,
 and the point route's one integer route: `determinant` (Bareiss) and
 `kernel_vector`.
 
-A sparse matrix is its entries {(row, column): x} of the nonzero x, the
-one format of the stored basis and generators and of the slice data,
-since Chevalley bases are very sparse.  Stored entries are int where
-integral, keyed by one shared table of index pairs (`shared`), so that
-what a pass keeps stays small.  The products (`smul`, `scomm`)
-run on rows {row: {column: x}} over any ring.  The dense helpers, on
-lists of rows with the one shared ZERO, go through them.
+A Lie matrix is its entries {(row, column): x} of the nonzero x, the
+one format from the generators to the slice data, since Chevalley bases
+are very sparse.  Stored entries are int where integral, keyed by one
+shared table of index pairs (`shared`), so that what a pass keeps stays
+small.  The products (`smul`, `scomm`) run on rows {row: {column: x}}
+over any ring.  The dense helpers, on lists of rows with the one shared
+ZERO, go through them; `Stored` reads entries as dense rows.
 """
 
 from fractions import Fraction
@@ -262,7 +262,10 @@ _KEYS = {}      # the index pairs of `shared`: positions only, each pair once
 # sparse matrices
 
 def sparse(M):
-    """The entries of a matrix; a `Stored` one's own, not to be changed."""
+    """The entries of a matrix: entries as given, a `Stored` one's own
+    (neither to be changed), dense rows without their zeros."""
+    if isinstance(M, dict):
+        return M
     if isinstance(M, Stored):
         return M.entries
     return {(r, c): x for r, row in enumerate(M) for c, x in enumerate(row)
@@ -282,7 +285,8 @@ def shared(E):
 
 class Stored:
     """A square matrix kept as its entries and read as its dense rows of
-    Fraction, built afresh at each read."""
+    Fraction, built afresh at each read: the slice generators that
+    `fixtures.load_gammas` returns."""
     __slots__ = ('entries', 'size')
 
     def __init__(self, entries, size):
@@ -294,19 +298,10 @@ class Stored:
     def __iter__(self):
         return iter(dense({k: Fraction(x) for k, x in self.entries.items()}, self.size))
 
-    def __getitem__(self, r):
-        return list(self)[r]
-
-    def __eq__(self, other):
-        return list(self) == other
-
 
 def dense(E, n, m=None):
     """The dense n x m matrix of the entries E, ZERO elsewhere."""
-    out = mzero(n, m)
-    for (r, c), x in E.items():
-        out[r][c] = x
-    return out
+    return [[E.get((r, c), ZERO) for c in range(m or n)] for r in range(n)]
 
 
 def rows(E):
@@ -365,21 +360,9 @@ def spair(A, B):
 
 # dense matrices: lists of rows, through the sparse kernels
 
-def mzero(n, m=None):
-    return [[ZERO] * (m or n) for _ in range(n)]
-
-
 def madd(A, B, s=1):
     """A + s B."""
     return dense(scombine([(1, sparse(A)), (s, sparse(B))]), len(A), len(A[0]))
-
-
-def transpose(A):
-    return [list(r) for r in zip(*A)]
-
-
-def mscale(A, s):
-    return [[a * s if a is not ZERO and a else ZERO for a in row] for row in A]
 
 
 def mmul(A, B):
@@ -398,27 +381,21 @@ class MatrixLieAlgebra:
     The basis is built by bracket closure and consists of root vectors,
     each stored as its entries: `weights[k]` holds the coefficients of
     the root of `basis[k]` over the simple roots (zero for the Cartan
-    elements).  X, Y, H, I_plus, I_minus, rho and what `root_vector`
-    returns are entries read as dense matrices (`Stored`).
+    elements).  X, Y, H, I_plus, I_minus and rho are entries too, as are
+    what `root_vector` and `from_coords` return and what `coords` and
+    `ad_matrix` take.  The generators may be given as anything `sparse`
+    reads; `size` is 1 + the largest index of their entries.
     """
 
     def __init__(self, n, X, Y, form_scale, dim):
         self.n = n
-        self.size = len(X[0])
         self.form_scale = Fraction(form_scale)
         self.dim = dim
-        self._X, self._Y = ([shared(sparse(m)) for m in M] for M in (X, Y))
-        self._H = [shared(scomm(x, y)) for x, y in zip(self._X, self._Y)]
+        self.X, self.Y = ([shared(sparse(m)) for m in M] for M in (X, Y))
+        self.size = 1 + max((max(k) for m in self.X + self.Y for k in m), default=-1)
+        self.H = [shared(scomm(x, y)) for x, y in zip(self.X, self.Y)]
         self._close_basis()
         self._principal()
-
-    # the dense Fraction views of the stored entries
-    X = property(lambda self: [Stored(m, self.size) for m in self._X])
-    Y = property(lambda self: [Stored(m, self.size) for m in self._Y])
-    H = property(lambda self: [Stored(m, self.size) for m in self._H])
-    I_plus = property(lambda self: Stored(self._Ip, self.size))
-    I_minus = property(lambda self: Stored(self._Im, self.size))
-    rho = property(lambda self: Stored(self._rho, self.size))
 
     def _close_basis(self):
         self.basis, self.weights = [], []
@@ -434,9 +411,9 @@ class MatrixLieAlgebra:
 
         n = self.n
         unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        gens = (list(zip(self._X, unit))
-                + [(y, tuple(-e for e in w)) for y, w in zip(self._Y, unit)])
-        for m, w in gens[:n] + [(h, (0,) * n) for h in self._H] + gens[n:]:
+        gens = (list(zip(self.X, unit))
+                + [(y, tuple(-e for e in w)) for y, w in zip(self.Y, unit)])
+        for m, w in gens[:n] + [(h, (0,) * n) for h in self.H] + gens[n:]:
             try_add(m, w)
         frontier = list(zip(self.basis, self.weights))
         while len(self.basis) < self.dim and frontier:
@@ -453,20 +430,21 @@ class MatrixLieAlgebra:
                              % (len(self.basis), self.dim))
 
     def coords(self, m):
-        """Coordinates of a matrix in the basis."""
-        r, used = self._echelon.reduce(sparse(m))
+        """Coordinates of the entries m in the basis."""
+        r, used = self._echelon.reduce(m)
         if r:
             raise ValueError("matrix outside the algebra")
         return [used.get(k, ZERO) for k in range(len(self.basis))]
 
     def from_coords(self, x):
-        return dense(scombine((c, b) for c, b in zip(x, self.basis) if c), self.size)
+        """The entries of sum x_k basis[k]."""
+        return scombine((c, b) for c, b in zip(x, self.basis) if c)
 
     def realized_cartan(self):
         """C[i][j] = alpha_j(H_i), read off from [H_i, X_j] = C X_j."""
-        C = mzero(self.n, self.n)
-        for i, Hi in enumerate(self._H):
-            for j, Xj in enumerate(self._X):
+        C = [[ZERO] * self.n for _ in range(self.n)]
+        for i, Hi in enumerate(self.H):
+            for j, Xj in enumerate(self.X):
                 b = scomm(Hi, Xj)
                 vals = {Fraction(b.get(rc, 0), x) for rc, x in Xj.items()}
                 if len(vals) > 1:
@@ -480,20 +458,19 @@ class MatrixLieAlgebra:
         a = solve(Ct, [Fraction(2)] * self.n)
         if a is None:
             raise ValueError("principal sl2 system unsolvable")
-        self._Ip = shared(scombine(zip(a, self._X)))
-        self._rho = shared(scombine((ai / 2, h) for ai, h in zip(a, self._H)))
-        self._Im = scombine((1, y) for y in self._Y)
+        self.I_plus = shared(scombine(zip(a, self.X)))
+        self.rho = shared(scombine((ai / 2, h) for ai, h in zip(a, self.H)))
+        self.I_minus = scombine((1, y) for y in self.Y)
         # [rho, X_j] = X_j, so the principal grade of a root vector is the
         # height of its root; one Fraction object per grade value
         one = {}
         self.grades = [one.setdefault(g, Fraction(g)) for g in map(sum, self.weights)]
-        if scomm(self._Ip, self._Im) != scombine([(2, self._rho)]):
+        if scomm(self.I_plus, self.I_minus) != scombine([(2, self.rho)]):
             raise ValueError("principal sl2 relations fail")
 
     def ad_matrix(self, m):
         """ad m in basis coordinates (columns = images of basis vectors)."""
-        m = sparse(m)
-        cols = [self.coords(Stored(scomm(m, b), self.size)) for b in self.basis]
+        cols = [self.coords(scomm(m, b)) for b in self.basis]
         return [list(r) for r in zip(*cols)]
 
     def graded_kernel(self, m):
@@ -510,19 +487,19 @@ class MatrixLieAlgebra:
 
     def root_vector(self, nvec):
         """The root space element for the root sum n_i alpha_i, scaled so
-        that the first nonzero entry in row-major order is 1, as `Stored`."""
+        that the first nonzero entry in row-major order is 1, as entries."""
         nvec = tuple(nvec)
         found = [b for b, w in zip(self.basis, self.weights) if w == nvec]
         if len(found) != 1:
             raise ValueError("root space has dimension %d" % len(found))
         m, = found
-        return Stored(shared(scombine([(Fraction(1, m[min(m)]), m)])), self.size)
+        return shared(scombine([(Fraction(1, m[min(m)]), m)]))
 
 
 def g2_algebra():
     """G2 in its 7-dimensional representation; <a, b> = tr(ab)/2."""
     def E(pairs):
-        return Stored({(i - 1, j - 1): c for i, j, c in pairs}, 7)
+        return {(i - 1, j - 1): c for i, j, c in pairs}
     X1 = E([(1, 2, 1), (3, 4, 2), (4, 5, 1), (6, 7, 1)])
     X2 = E([(2, 3, 1), (5, 6, 1)])
     Y1 = E([(2, 1, 1), (4, 3, 1), (5, 4, 2), (7, 6, 1)])

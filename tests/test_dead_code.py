@@ -137,6 +137,17 @@ def test_package_has_no_dead_code():
     assert unreferenced(package, bench) == []
 
 
+def test_only_bench_names_lack_a_caller_in_the_package():
+    # the tracer, the workloads and the bench self-tests look these up by
+    # name; any other function without a caller in the package is dead
+    # or test-only
+    pkg = os.path.dirname(dscentral.__file__)
+    package = _read(sorted(glob.glob(os.path.join(pkg, '*.py'))))
+    assert unreferenced(package, {}) == [
+        'brackets.bracket_density', 'dirac.numeric_pencil', 'fixtures.build_algebra',
+        'fixtures.load_gammas', 'liealg.mcomm', 'liealg.mmul']
+
+
 def test_import_check_sees_each_scope():
     tree = ast.parse('import os, os.path as osp\n'
                      'import a.b\n'

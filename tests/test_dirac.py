@@ -35,7 +35,8 @@ def _p(x):
 
 
 def _form(alg, A, B):
-    """The normalized invariant form tr(AB) * form_scale of dense matrices."""
+    """The normalized invariant form tr(AB) * form_scale of two matrices,
+    entries or dense rows."""
     return liealg.spair(liealg.sparse(A), liealg.sparse(B)) * alg.form_scale
 
 
@@ -200,12 +201,12 @@ def d_algebra(n):
     trace form: X_i = E_(i,i+1) - E_(2n-i,2n+1-i) for i < n and
     X_n = E_(n-1,n+1) - E_(n,n+2), Y_i the transpose of X_i."""
     def E(i, j, k, l):
-        m = liealg.mzero(2 * n)
+        m = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
         m[i - 1][j - 1], m[k - 1][l - 1] = Fraction(1), Fraction(-1)
         return m
     X = [E(i, i + 1, 2 * n - i, 2 * n + 1 - i) for i in range(1, n)]
     X.append(E(n - 1, n + 1, n, n + 2))
-    Y = [liealg.transpose(x) for x in X]
+    Y = [[list(r) for r in zip(*x)] for x in X]
     return liealg.MatrixLieAlgebra(n, X, Y, Fraction(1, 2), n * (2 * n - 1))
 
 
@@ -490,7 +491,12 @@ def test_stored_slice_data_is_compact(name):
     else:
         alg = fixtures.build_algebra('f4')
         slices = slice_bases(alg, fixtures.load_gammas('f4', alg))
-    assert all(type(x) is int for m in alg._X + alg._Y + alg._H for x in m.values())
+    # the algebra's matrices are entries with shared keys, none a dense view
+    views = alg.X + alg.Y + alg.H + [alg.I_plus, alg.I_minus, alg.rho,
+                                     alg.root_vector(max(alg.weights, key=sum)),
+                                     alg.from_coords([1] * alg.dim)]
+    assert all(type(m) is dict and m for m in views)
+    assert all(type(x) is int for m in alg.X + alg.Y + alg.H for x in m.values())
     for gu in slices['gamma_ups']:
         assert isinstance(gu, dict) and gu and all(gu.values())
         assert all(0 <= r < alg.size and 0 <= c < alg.size for r, c in gu)
@@ -511,10 +517,13 @@ def test_stored_slice_data_is_compact(name):
     assert len(set(map(id, alg.grades))) == len(set(alg.grades))
     P, R, Q, S, (W, w) = slices['parts']
     assert len(P) == len(R) == alg.n
-    stored = alg.basis + alg._X + alg._Y + alg._H + [E for E, _ in P + R + [Q, S, (W, w)]]
+    stored = alg.basis + views + [E for E, _ in P + R + [Q, S, (W, w)]]
+    gammas = slices['gammas']
     if name == 'f4':            # the document's gammas are kept as entries
-        assert all(isinstance(g, liealg.Stored) for g in slices['gammas'])
-        stored += [g.entries for g in slices['gammas']]
+        assert all(isinstance(g, liealg.Stored) for g in gammas)
+        gammas = [g.entries for g in gammas]
+    assert all(type(g) is dict for g in gammas)
+    stored += gammas
     assert all(liealg._KEYS[k] is k for E in stored for k in E)
 
 

@@ -19,7 +19,7 @@ from dscentral import fixtures, frobenius, reference
 from dscentral.fixtures import (FixtureError, parse_expr, parse_triplets,
                                 load_document, build_algebra, load_frobenius,
                                 load_gammas, fixture_invariants)
-from dscentral.liealg import cartan_matrix, madd, mcomm
+from dscentral.liealg import cartan_matrix, dense, scombine, scomm, spair
 
 
 DOCUMENTS = ['e6', 'e7', 'e8', 'f4', 'g2']
@@ -101,7 +101,11 @@ def test_parse_expr_rejects():
 
 def test_parse_triplets():
     m = parse_triplets('1,2,3; 2,1,-1/2', 2)
-    assert m == [[Fraction(0), Fraction(3)], [Fraction(-1, 2), Fraction(0)]]
+    assert m == {(0, 1): 3, (1, 0): Fraction(-1, 2)}
+    assert all(type(x) is Fraction for x in m.values())
+    assert dense(m, 2) == [[Fraction(0), Fraction(3)], [Fraction(-1, 2), Fraction(0)]]
+    # repeated triplets are summed, and an entry that sums to zero is dropped
+    assert parse_triplets('1,1,1/2; 2,2,1; 1,1,-1/2; 2,2,1/3', 2) == {(1, 1): Fraction(4, 3)}
     for bad, why in (('1,2', 'bad triplet'), ('1,2,3,4', 'bad triplet'),
                      ('0,1,1', 'outside 1..2'), ('1,3,1', 'outside 1..2'),
                      ('-1,1,1', 'outside 1..2'), ('a,1,1', 'bad number'),
@@ -123,6 +127,9 @@ def test_malformed_values_name_the_key(tmp_path):
          "bad triplet '1,2' in 'X1' in \\[generators\\] of 'f4'"),
         (header, body.replace(x1, 'X1 = 0,2,1\n'), build_algebra,
          "triplet '0,2,1' in 'X1' .* outside 1..26"),
+        # generators that miss the last index would read as short rows
+        (header.replace('rep_size: 26', 'rep_size: 27'), body, build_algebra,
+         "the generators of 'f4' have size 26, not rep_size 27"),
         (header.replace('rank: 4', 'rank: four'), body, load_frobenius,
          "'rank' in the header of 'f4'"),
     ]
@@ -149,6 +156,7 @@ def f4():
 def test_f4_algebra(f4):
     alg, _ = f4
     assert alg.dim == 52
+    assert alg.size == 26
     # the document labels the vertices in the opposite order
     perm = [3, 0, 2, 1]
     C = cartan_matrix('F', 4)
@@ -237,12 +245,21 @@ def test_gammas_are_linear_forms(f4, tmp_path):
     write_document(tmp_path, 'f4', header,
                    body.replace(gamma1, gamma1.rstrip('\n') + ' + 2*X1 - X1/2\n'))
     got = load_gammas('f4', alg, str(tmp_path))
-    assert got[0] == madd(gammas[0], alg.X[0], Fraction(3, 2))
-    assert got[1:] == gammas[1:]
-    # ... and products, powers and constants are not linear forms
+    want = scombine([(1, gammas[0].entries), (Fraction(3, 2), alg.X[0])])
+    assert got[0].entries == want
+    assert list(got[0]) == dense(want, alg.size)
+    assert [g.entries for g in got[1:]] == [g.entries for g in gammas[1:]]
+    # ... and products, powers, constants and other names are not linear
+    # forms over the generators and the positive root vectors
     for bad, why in (('X1*X2', 'not a linear form'), ('X1**2', 'not a linear form'),
                      ('3', 'not a linear form'), ('X1 + 1', 'not a linear form'),
-                     ('X1 +', 'bad expression'), ('Y1', 'unknown gamma name')):
+                     ('X1 +', 'bad expression'), ('Y1', "unknown gamma name 'Y1'"),
+                     ('X0', "unknown gamma name 'X0'"), ('X5', "unknown gamma name 'X5'"),
+                     ('X01', "unknown gamma name 'X01'"),
+                     ('X_9999', "unknown gamma name 'X_9999'"),
+                     ('X_001', "unknown gamma name 'X_001'"),
+                     ('X_0000', "unknown gamma name 'X_0000'"),
+                     ('Xa', "unknown gamma name 'Xa'")):
         write_document(tmp_path, 'f4', header,
                        body.replace(gamma1, 'gamma1 = %s\n' % bad))
         with pytest.raises(FixtureError, match=why):
@@ -269,17 +286,18 @@ def _entries_digest(Es):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize('name,nf,exponents,digest', [
-    ('e6', 72, [1, 4, 5, 7, 8, 11], '7f9079acb57c5982'),
-    ('e7', 126, [1, 5, 7, 9, 11, 13, 17], '98f5a34751fac91c'),
-    ('e8', 240, [1, 7, 11, 13, 17, 19, 23, 29], '73526bca53f9031c'),
+@pytest.mark.parametrize('name,size,nf,exponents,digest', [
+    ('e6', 27, 72, [1, 4, 5, 7, 8, 11], '7f9079acb57c5982'),
+    ('e7', 56, 126, [1, 5, 7, 9, 11, 13, 17], '98f5a34751fac91c'),
+    ('e8', 248, 240, [1, 7, 11, 13, 17, 19, 23, 29], '73526bca53f9031c'),
 ], ids=['e6', 'e7', 'e8'])
-def test_slice_exponents(e6, name, nf, exponents, digest):
+def test_slice_exponents(e6, name, size, nf, exponents, digest):
     # E8 is the row reduction's largest input: 3 969 closure additions
     # and two 248 x 248 kernels; the digest of the duals and the f_a was
     # recorded with the dense Gauss-Jordan sweeps
     from dscentral.dirac import slice_bases
     alg = e6 if name == 'e6' else build_algebra(name)
+    assert alg.size == size         # derived from the generators' entries
     sl = slice_bases(alg, load_gammas(name, alg))
     assert len(sl['f']) == nf
     assert sl['exponents'] == exponents
@@ -311,12 +329,10 @@ def _parsed_generators(name):
     for i in range(1, rank + 1):
         spec = gens['Y%d' % i]
         if spec.startswith('transpose'):
-            m = [list(r) for r in zip(*X[i - 1])]
+            m = {(c, r): x for (r, c), x in X[i - 1].items()}
             rest = spec[len('transpose'):].strip()
             if rest:
-                corr = parse_triplets(rest, size)
-                m = [[a + b for a, b in zip(ra, rb)]
-                     for ra, rb in zip(m, corr)]
+                m = scombine([(1, m), (1, parse_triplets(rest, size))])
         else:
             m = parse_triplets(spec, size)
         Y.append(m)
@@ -324,29 +340,22 @@ def _parsed_generators(name):
     return h, X, Y, scale
 
 
-def _nonzero(m):
-    """Sparse view of a dense matrix: (row, col) -> nonzero entry."""
-    return {(r, c): x for r, row in enumerate(m) for c, x in enumerate(row) if x}
-
-
 def _check_chevalley(name, typ, rank):
+    # on the entries of the generators, without building the algebra
     _, X, Y, scale = _parsed_generators(name)
     C = cartan_matrix(typ, rank)
-    H = [mcomm(X[i], Y[i]) for i in range(rank)]
+    H = [scomm(X[i], Y[i]) for i in range(rank)]
     for i in range(rank):
-        assert all(r == c for r, c in _nonzero(H[i])), (name, 'H%d' % (i + 1))
-    Xnz = [_nonzero(x) for x in X]
+        assert all(r == c for r, c in H[i]), (name, 'H%d' % (i + 1))
     for i in range(rank):
         for j in range(rank):
-            got = _nonzero(mcomm(H[i], X[j]))
-            want = {rc: C[i][j] * x for rc, x in Xnz[j].items()} if C[i][j] else {}
+            got = scomm(H[i], X[j])
+            want = {rc: C[i][j] * x for rc, x in X[j].items()} if C[i][j] else {}
             assert got == want, (name, i + 1, j + 1)
     for i in range(rank):
         for j in range(rank):
-            tr = sum((x * Y[j][c][r] for (r, c), x in Xnz[i].items()),
-                     Fraction(0))
             want = Fraction(1) / scale if i == j else Fraction(0)
-            assert tr == want, (name, 'pairing', i + 1, j + 1)
+            assert spair(X[i], Y[j]) == want, (name, 'pairing', i + 1, j + 1)
 
 
 def test_e7_generator_relations():
@@ -354,7 +363,7 @@ def test_e7_generator_relations():
 
 
 def test_e8_generator_relations():
-    # 248 x 248 commutators, compared as maps of their nonzero entries
+    # 248 x 248 commutators, as entries
     _check_chevalley('e8', 'E', 8)
 
 

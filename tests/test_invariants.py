@@ -205,7 +205,7 @@ def _change_coordinates(dlams, blocks, J):
         B = [[Fraction(0)] * m for _ in range(m)]
         for j, k, v in entries:
             B[j][k] += v
-        JBJt = liealg.mmul(liealg.mmul(J, B), liealg.transpose(J))
+        JBJt = liealg.mmul(liealg.mmul(J, B), [list(r) for r in zip(*J)])
         out[key] = [(a, b, x) for a, row in enumerate(JBJt)
                     for b, x in enumerate(row) if x]
     return ([[sum(Jinv[j][a] * d[j] for j in range(m)) for a in range(m)]

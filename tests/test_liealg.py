@@ -12,7 +12,7 @@ from dscentral.algebra import Poly
 from dscentral.liealg import (cartan_matrix, root_lengths,
                               lie_central_invariants, fold, determinant,
                               inverse, kernel_vector, nullspace, solve, mcomm,
-                              mscale, madd, mzero, g2_algebra)
+                              madd, dense, scombine, scomm, g2_algebra)
 
 
 def test_cartan_matrices_well_formed():
@@ -333,6 +333,7 @@ def test_solve_inconsistent():
 def test_g2_model_structure():
     alg = g2_algebra()
     assert alg.dim == 14
+    assert alg.size == 7
     assert len(alg.basis) == 14
     assert alg.realized_cartan() == cartan_matrix('G', 2)
     # principal grades run from -5 to 5
@@ -341,7 +342,8 @@ def test_g2_model_structure():
 
 def test_g2_principal_sl2():
     alg = g2_algebra()
-    assert mcomm(alg.I_plus, alg.I_minus) == mscale(alg.rho, 2)
+    Ip, Im, rho = (dense(m, alg.size) for m in (alg.I_plus, alg.I_minus, alg.rho))
+    assert mcomm(Ip, Im) == [[2 * x for x in row] for row in rho]
 
 
 def test_g2_root_vector_of_simple_roots():
@@ -353,9 +355,9 @@ def test_g2_root_vector_of_simple_roots():
 def test_g2_chevalley_tower():
     alg = g2_algebra()
     # the highest root vector, with the sign of the grade 5 slice generator
-    top = mscale(alg.root_vector((3, 2)), -1)
-    assert mcomm(alg.X[0], top) == mzero(7)
-    assert mcomm(alg.X[1], top) == mzero(7)
+    top = scombine([(-1, alg.root_vector((3, 2)))])
+    assert scomm(alg.X[0], top) == {}
+    assert scomm(alg.X[1], top) == {}
     # and lives at grade 5
     c = alg.coords(top)
     grades = {alg.grades[i] for i, x in enumerate(c) if x}
@@ -396,14 +398,13 @@ def test_root_vector_every_root(name):
     roots = _roots(C)
     assert len(roots) == alg.dim - alg.n
     assert sum(1 for r in roots if min(r) >= 0) == len(roots) // 2
-    size = len(alg.X[0])
     for nvec in roots:
         m = alg.root_vector(list(nvec))
-        assert m != mzero(size)
-        assert next(x for row in m for x in row if x) == 1
+        assert m
+        assert next(x for row in dense(m, alg.size) for x in row if x) == 1
         for i, Hi in enumerate(alg.H):
             lam = sum(C[i][j] * nvec[j] for j in range(alg.n))
-            assert mcomm(Hi, m) == mscale(m, lam), (nvec, i)
+            assert scomm(Hi, m) == scombine([(lam, m)]), (nvec, i)
 
 
 @pytest.mark.parametrize('name', ['g2', 'f4'])
@@ -462,12 +463,10 @@ def test_matrix_kernels_match_dense_formulas():
                       for j in range(n)] for i in range(n)]
             want = {
                 'madd': [[a + s * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)],
-                'mscale': [[a * s for a in row] for row in A],
                 'mmul': prod,
                 'mcomm': [[x - y for x, y in zip(rx, ry)] for rx, ry in zip(prod, rprod)],
             }
-            got = {'madd': madd(A, B, s), 'mscale': mscale(A, s),
-                   'mmul': liealg.mmul(A, B), 'mcomm': mcomm(A, B)}
+            got = {'madd': madd(A, B, s), 'mmul': liealg.mmul(A, B), 'mcomm': mcomm(A, B)}
             for key, M in got.items():
                 assert M == want[key], (kind, trial, key)
                 assert all(type(x) is kind or x is liealg.ZERO
