@@ -56,9 +56,10 @@ def slice_bases(alg, gammas=None):
             for v in gk[g]:
                 gammas.append(alg.from_coords(v))
                 exps.append(g)
+        sg = gammas
     else:
-        exps = []
-        for g in map(sparse, gammas):
+        sg, exps = [sparse(g) for g in gammas], []
+        for g in sg:
             c = alg.coords(g)
             grades = {alg.grades[i] for i, x in enumerate(c) if x}
             if len(grades) != 1:
@@ -69,7 +70,7 @@ def slice_bases(alg, gammas=None):
     # in each grade, the duals are the candidates of the opposite grade
     # times the inverse of their pairing with the gammas of that grade
     gkm = alg.graded_kernel(alg.I_minus)
-    gups, sg = [None] * n, [sparse(g) for g in gammas]
+    gups = [None] * n
 
     def form(E, j):
         return spair(E, sg[j]) * alg.form_scale

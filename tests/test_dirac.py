@@ -183,9 +183,9 @@ def test_default_slice_agrees_up_to_scaling(g2):
     free = slice_bases(alg)
     assert free['exponents'] == [1, 5]
     for a, b in zip(free['gammas'], slices['gammas']):
-        # proportional matrices
-        ra = [x for row in a for x in row]
-        rb = [x for row in b for x in row]
+        # proportional matrices, compared value by value
+        ra = [x for row in liealg.dense(a, alg.size) for x in row]
+        rb = [x for row in liealg.dense(b, alg.size) for x in row]
         k = None
         for x, y in zip(ra, rb):
             if x or y:
