@@ -17,7 +17,7 @@ variables.
 from fractions import Fraction
 from math import comb, lcm
 
-from .algebra import Poly, _quo, _settle, accumulate, antiderivative, decode, mul_into
+from .algebra import Poly, _quo, _settle, accumulate, decode, mul_into
 from .symbols import Symbol
 from .lax import (capital_lambda, capital_lambda_tilde, dispersionless_symbol,
                   lambda_xpoly, u_power)
@@ -45,16 +45,24 @@ def variational_symbol(series, n, fam='a', K=4):
 
 
 def gy_exact(comm, frozen=frozenset()):
-    """Scalar symbol g with eps d_x g = res(comm), comm = [L, Y], via an
-    exact antiderivative of the residue; only the p^-1 part of comm is
-    read."""
+    """Scalar symbol g with eps d_x g = res(comm), comm = [L, Y], read
+    from the p^-1 part of comm: with L's coefficients frozen, each term
+    is one jet of order >= 1 times frozen factors; g lowers that jet."""
     out = Symbol({}, comm.K)
     for e, pol in comm.residue().items():
         if e >= 1:
-            out._merge((0, e - 1), antiderivative(pol, frozen))
+            out._merge((0, e - 1), pol.map_free(frozen, _lower_jet))
         elif not pol.is_zero():
             raise ValueError("residue of [L, Y] has an eps^0 part")
     return out
+
+
+def _lower_jet(pairs):
+    # the step of `gy_exact` on the part of a term outside the frozen families
+    if len(pairs) != 1 or pairs[0][1] != 1 or not pairs[0][0][2]:
+        raise ValueError("not a total x-derivative")
+    (fam, i, k), _ = pairs[0]
+    return (((fam, i, k - 1), 1),), 1
 
 
 def _a_to_b(sym):
@@ -70,8 +78,10 @@ def bracket_density(series, n, K=4):
 
     The density is
 
-        res((L Y)_+ L X) - res(X L (Y L)_+)  [+ res(X [L, g]) / (n + 1) for A]
+        res((L Y)_+ L X) - res(X L (Y L)_+)  [- g res([L, X]) / (n + 1) for A]
 
+    with eps d_x g = res([L, Y]): modulo total x-derivatives the A term
+    is the sl(n + 1) correction res(X [L, g]) / (n + 1), res being cyclic.
     It is `_scaled_density` divided by its denominator.
     """
     dens, den = _scaled_density(series, n, K)
@@ -87,8 +97,8 @@ def _scaled_density(series, n, K):
 
     X is scaled by D, the lcm of its coefficient denominators, and Y
     with it; the weights of X are binomials, halved for B, C and D, so
-    D is 1 for A and at most 2 otherwise.  For A the g-pair weight
-    1/(n + 1) becomes a factor n + 1 on the other two pairs.  So
+    D is 1 for A and at most 2 otherwise.  For A the weight 1/(n + 1)
+    of -g res([L, X]) becomes a factor n + 1 on the two pairs.  So
     den = D^2, times n + 1 for A, and with the integer weights of the
     star product every coefficient product is one of ints.
 
@@ -100,10 +110,12 @@ def _scaled_density(series, n, K):
     Each star product is formed once:
     - Y is X with the family a renamed b, and for A, Y L is X L renamed;
     - L Y starts at p^0, the lowest power its positive part reads, and
-      at p^-1 for A, where res([L, Y]) = res(L Y - Y L) gives g;
+      at p^-1 for A, where res([L, Y]) = res(L Y - Y L) gives g, and
+      res([L, X]) = res(L X - X L) is read from L X at p^-1 alone;
     - (L Y)_+ L starts at p^(-1 - top), top the highest p-power of X,
       the lowest power that meets X in the residue;
-    - of each last product only the p^-1 part is formed.
+    - of each last product only the p^-1 part is formed, and of g times
+      res([L, X]) only the terms up to eps^K.
     """
     frozen = frozenset({'u', 'rho'})
     lsym = dispersionless_symbol(series, n, K=K)
@@ -118,15 +130,16 @@ def _scaled_density(series, n, K):
     XL = X.star(lsym, frozen)
     YL = _a_to_b(XL)
     g = gy_exact(LY - YL, frozen)
-    pairs = [(n + 1, LYL, X),
-             (-n - 1, XL, YL.positive()),
-             (1, X, lsym.commutator(g, frozen))]
     out = {}
-    for weight, left, right in pairs:
+    for weight, left, right in [(n + 1, LYL, X), (-n - 1, XL, YL.positive())]:
         for e, pol in left.star(right, frozen, -1, -1).residue().items():
             acc = out.setdefault(e, {})
             for m, c in pol.terms.items():
                 accumulate(acc, m, c * weight)
+    for e2, r in (XL - lsym.star(X, frozen, -1, -1)).residue().items():
+        for (_, e1), gp in g.c.items():
+            if e1 + e2 <= K:
+                mul_into(out.setdefault(e1 + e2, {}), gp, r)
     return {e: Poly(t) for e, t in out.items() if t}, D * D * (n + 1)
 
 

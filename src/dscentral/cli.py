@@ -432,7 +432,7 @@ def _parser():
     p.add_argument('--check', action='store_true')
     p.add_argument('--fold', nargs=2, metavar=('SOURCE', 'TARGET'),
                    help='source and target diagram, e.g. --fold B3 G2')
-    p.add_argument('--format', dest='fmt', choices=FORMATS, default='tsv')
+    p.add_argument('--format', dest='fmt', choices=('json', 'tsv'), default='tsv')
 
     p = command(coeffs)
     p.add_argument('--series', choices=SERIES, required=True)

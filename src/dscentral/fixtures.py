@@ -54,13 +54,10 @@ def _number(text, where, kind=Fraction):
 
 def parse_expr(text, varmap):
     """Expression over +,-,*,/,** with integer literals and names from
-    varmap; division of constants is exact and an exponent is a constant
-    nonnegative integer.  Returns Poly (or Fraction wrapped in Poly)."""
-    try:
-        tree = ast.parse(text.strip(), mode='eval')
-    except SyntaxError as ex:
-        raise FixtureError("bad expression: %s" % ex)
-
+    varmap; division of constants is exact, an exponent is a constant
+    integer in [0, 2^14) (the Poly range), and an expression nested too
+    deeply or of too high a degree is a FixtureError.  Returns a Poly,
+    or a Fraction for a constant."""
     def ev(node):
         if isinstance(node, ast.Expression):
             return ev(node.body)
@@ -85,7 +82,7 @@ def parse_expr(text, varmap):
             if isinstance(node.op, ast.Mult):
                 return a * b
             if isinstance(node.op, ast.Pow):
-                if not isinstance(b, Fraction) or b.denominator != 1 or b < 0:
+                if not isinstance(b, Fraction) or b.denominator != 1 or not 0 <= b < 1 << 14:
                     raise FixtureError("bad exponent")
                 return a ** int(b)
             if isinstance(node.op, ast.Div):
@@ -96,7 +93,12 @@ def parse_expr(text, varmap):
                 raise FixtureError("division by a non-constant")
         raise FixtureError("unsupported syntax %r" % node)
 
-    return ev(tree)
+    try:
+        return ev(ast.parse(text.strip(), mode='eval'))
+    except SyntaxError as ex:
+        raise FixtureError("bad expression: %s" % ex)
+    except (RecursionError, OverflowError) as ex:
+        raise FixtureError("expression too deep or too large: %s" % ex) from None
 
 
 def parse_triplets(text, size, where='a triplet list'):

@@ -120,9 +120,6 @@ class Symbol:
                                  p1f, tower[k])
         return Symbol({key: Poly(_settle(t)) for key, t in out.items()}, K)
 
-    def commutator(self, other, frozen=frozenset()):
-        return self.star(other, frozen) - other.star(self, frozen)
-
     def positive(self):
         return Symbol({k: p for k, p in self.c.items() if k[0] >= 0}, self.K)
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dscentral.algebra import (Poly, _canon, antiderivative, decode, evaluate, exponent,
+from dscentral.algebra import (Poly, _canon, _quo, accumulate, decode, evaluate, exponent,
                                monomial)
 
 
@@ -182,6 +182,42 @@ def test_subs_evaluates():
     got = p.subs({('u', 1, 0): Poly.num(Fraction(1, 2)),
                   ('u', 2, 0): Poly.num(2)})
     assert got.constant() == Fraction(25, 4)
+
+
+# The greedy inverse of the total x-derivative, a reference for
+# `brackets.gy_exact`, which lowers one jet in one step.
+
+def antiderivative(p, frozen=frozenset()):
+    """Inverse of the total x-derivative; raises ValueError if `p` is not
+    a total derivative.  Greedy: repeatedly strip the term with the
+    highest-order jet variable, in which a total derivative is linear."""
+    rem = dict(p.terms)
+    out = {}
+    for _ in range(20000):
+        if not rem:
+            return Poly(out)
+        best = None
+        for m, c in rem.items():
+            pairs = decode(m)
+            top = max(((v[2], v) for v, e in pairs if v[0] not in frozen), default=None)
+            if top is None or top[1][2] == 0:
+                raise ValueError("not a total x-derivative")
+            key = (top[0], pairs)
+            if best is None or key > best[0]:
+                best = (key, m, c, top[1])
+        _, m, c, v = best
+        if exponent(m, v) != 1:
+            raise ValueError("not a total x-derivative")
+        v2 = (v[0], v[1], v[2] - 1)
+        e2 = exponent(m, v2) + 1
+        if not e2:              # v / v2 integrates to a logarithm
+            raise ValueError("not a total x-derivative")
+        cand = Poly({monomial(((v, -1), (v2, 1)), m): _quo(c, e2)})
+        for m2, c2 in cand.terms.items():
+            accumulate(out, m2, c2)
+        for m2, c2 in cand.xdiff(frozen).terms.items():
+            accumulate(rem, m2, -c2)
+    raise ValueError("antiderivative did not terminate")
 
 
 def test_antiderivative_roundtrip():

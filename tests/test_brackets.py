@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from dscentral.algebra import Poly, accumulate, decode, monomial
-from dscentral import invariants
+from dscentral import brackets, invariants
 from dscentral.brackets import (FROZEN, _a_to_b, _Frac, _scaled_density, bracket_density,
                                 bracket_table, ibp_reduce, generating_poly,
                                 closed_form_small, closed_form_capital,
@@ -18,6 +18,8 @@ from dscentral.brackets import (FROZEN, _a_to_b, _Frac, _scaled_density, bracket
                                 variational_symbol)
 from dscentral.lax import dispersionless_symbol, u_power
 from dscentral.symbols import Symbol
+from test_algebra import antiderivative
+from test_symbols import commutator
 
 
 def _swap_ab(p):
@@ -120,15 +122,15 @@ def full_product_density(series, n, which, u, K=4):
         t = st(st(st(lsym, Y).positive(), lsym), X) \
             - st(st(X, lsym), st(Y, lsym).positive())
         if series == 'A':
-            g = gy_exact(lsym.commutator(Y, frozen), frozen)
-            t = t + st(X, lsym.commutator(g, frozen)).scale(Fraction(1, n + 1))
+            g = gy_exact(commutator(lsym, Y, frozen), frozen)
+            t = t + st(X, commutator(lsym, g, frozen)).scale(Fraction(1, n + 1))
     elif series == 'A':
-        t = st(Y.commutator(X, frozen), lsym)
+        t = st(commutator(Y, X, frozen), lsym)
     elif series == 'B':
         Ds = Symbol.from_p_poly({1: 1}, K)
         t = st(lsym, st(st(Y, Ds), X) - st(st(X, Ds), Y))
     elif series == 'C':
-        t = st(lsym, Y.commutator(X, frozen))
+        t = st(lsym, commutator(Y, X, frozen))
     else:
         Ds = Symbol.from_p_poly({1: 1}, K)
         Xp, Yp = X.positive(), Y.positive()
@@ -157,10 +159,12 @@ CLASSICAL = ([('A', n) for n in range(1, 7)] + [('B', n) for n in range(2, 6)]
              + [('C', n) for n in range(2, 6)] + [('D', n) for n in range(3, 6)])
 
 
-def unshared_density(series, n, K):
+def unshared_density(series, n, K, full_commutator=False):
     """Reference: the second-bracket density with every star product
     formed in full and on its own, Y built from the family b directly;
-    only the p^-1 part of each last product is taken."""
+    only the p^-1 part of each last product is taken.  The A correction
+    is -g res([L, X]) / (n + 1), cut at eps^K, or with `full_commutator`
+    res(X [L, g]) / (n + 1), equal to it modulo total x-derivatives."""
     frozen = frozenset({'u', 'rho'})
     lsym = dispersionless_symbol(series, n, K=K)
     X = variational_symbol(series, n, 'a', K)
@@ -168,10 +172,16 @@ def unshared_density(series, n, K):
     st = lambda A, B: A.star(B, frozen)
     pairs = [(1, st(st(lsym, Y).positive(), lsym), X),
              (-1, st(X, lsym), st(Y, lsym).positive())]
-    if series == 'A':
-        g = gy_exact(lsym.commutator(Y, frozen), frozen)
-        pairs.append((Fraction(1, n + 1), X, lsym.commutator(g, frozen)))
     out = {}
+    if series == 'A':
+        g = gy_exact(commutator(lsym, Y, frozen), frozen)
+        if full_commutator:
+            pairs.append((Fraction(1, n + 1), X, commutator(lsym, g, frozen)))
+        else:
+            for e2, r in commutator(lsym, X, frozen).residue().items():
+                for (_, e1), gp in g.c.items():
+                    if e1 + e2 <= K:
+                        out[e1 + e2] = out.get(e1 + e2, Poly()) - gp * r / (n + 1)
     for sign, left, right in pairs:
         for e, pol in st(left, right).residue().items():
             out[e] = out.get(e, Poly()) + pol * sign
@@ -186,6 +196,53 @@ def test_shared_products_match_unshared_density(series, n, K):
     # sharing X L, renaming it to Y L and bounding the products below
     # leaves the density the same term for term
     assert bracket_density(series, n, K) == unshared_density(series, n, K)
+
+
+@pytest.mark.parametrize('n,K', [pytest.param(n, K, id='A%d-K%d' % (n, K))
+                                 for K in (3, 4, 5, 6) for n in range(1, 9)])
+def test_a_correction_is_the_commutator_modulo_derivatives(n, K):
+    # res(X [L, g]) = -g res([L, X]) up to a total x-derivative, as g is
+    # a multiplication operator and res is cyclic: the normal forms agree
+    dens, den = _scaled_density('A', n, K)
+    want = {k: p / den for k, p in normal_form(dens).items()}
+    assert normal_form(unshared_density('A', n, K, full_commutator=True)) == want
+
+
+def greedy_gy(comm, frozen):
+    """Reference for `gy_exact`: the greedy antiderivative of each
+    residue term."""
+    return Symbol({(0, e - 1): antiderivative(p, frozen)
+                   for e, p in comm.residue().items() if e >= 1}, comm.K)
+
+
+@pytest.mark.parametrize('K', [3, 4, 5])
+def test_one_jet_step_matches_the_greedy_antiderivative(monkeypatch, K):
+    # every residue that gy_exact receives, symbolic in u or at a sampled
+    # point, gives the greedy antiderivative dict for dict
+    seen, exact = [], gy_exact
+    def recording(comm, frozen=frozenset()):
+        seen.append((comm, frozen))
+        return exact(comm, frozen)
+    monkeypatch.setattr(brackets, 'gy_exact', recording)
+    monkeypatch.setitem(globals(), 'gy_exact', recording)
+    rng = random.Random(43)
+    for n in range(1, 8):
+        _scaled_density('A', n, K)
+        full_product_density('A', n, 2, invariants.random_sample('A', n, rng), K)
+    assert len(seen) == 14
+    for comm, frozen in seen:
+        assert exact(comm, frozen) == greedy_gy(comm, frozen)
+
+
+def test_one_jet_step_refuses_what_is_not_a_total_derivative():
+    # each term of the residue must be one jet of order >= 1, to the
+    # first power, times frozen factors
+    frozen = frozenset({'u', 'rho'})
+    u, b, b1 = Poly.of('u', 1), Poly.of('b', 1), Poly.of('b', 1, 1)
+    assert gy_exact(Symbol({(-1, 2): u * b1}, 4), frozen) == Symbol({(0, 1): u * b}, 4)
+    for pol in (u * b, b1 ** 2, u, b1 * Poly.of('b', 2, 1)):
+        with pytest.raises(ValueError, match='not a total x-derivative'):
+            gy_exact(Symbol({(-1, 2): pol}, 4), frozen)
 
 
 @pytest.mark.parametrize('series,n', CLASSICAL)

@@ -307,9 +307,13 @@ def test_malformed_fixture_values_exit_3(tmp_path):
 
 
 def test_bad_exponent_or_literal_exits_3(tmp_path):
+    # an exponent outside the Poly range [0, 2^14), also of a constant,
+    # a product beyond that range and a chain too long to parse are
+    # fixture errors, not tracebacks
     from test_fixtures import bundled_parts, write_document
     header, body = bundled_parts('f4')
-    for extra in (' + t1**-1', ' + 0**-1', ' + True'):
+    for extra in (' + t1**-1', ' + 0**-1', ' + True', ' + t2**20000', ' + 2**10**9',
+                  ' + t1**16000 * t1**16000', ' + t1' * 3000):
         text = re.sub('(?m)^F = .*$', lambda m: m.group() + extra, body)
         assert text != body
         write_document(tmp_path, 'f4', header, text)
@@ -357,6 +361,13 @@ def test_table_json():
     byname = {e['algebra']: e['invariants'] for e in rows}
     assert byname['G2'] == ['1/8', '1/24']
     assert byname['F4'] == ['1/24', '1/24', '1/12', '1/12']
+
+
+def test_table_formats_are_json_and_tsv():
+    # table has no pretty layout of its own, so the option is refused
+    assert_fails(run('table', '--format', 'pretty'), 4)
+    r = run('table', '--format', 'tsv')
+    assert r.returncode == 0 and r.stdout == run('table').stdout, r.stderr
 
 
 def test_table_fold():
