@@ -3,19 +3,22 @@ second class constraints, for exact matrix Lie algebra data.
 
 At the slice point q = I_- + sum u^k gamma_k the constraint blocks are
 affine in (1, u^1, ..., u^n).  `slice_bases` builds their parts once,
-with the slices (`_constraint_parts`), and one chain, `_reduce`, turns
-them into the second-bracket blocks.  The pencil's shift lam rides on
-u^n, the unit field, so the first bracket is the derivative of the
-second along it.  The constraint matrix is P0 + N, P0 constant and N
-raising the principal grade, so its inverse is a finite series.  The
-chain runs it over sparse rows of integral ring elements, each matrix
-over one integer denominator, and divides the blocks once at the end:
+with the slices (`_constraint_parts`, one product f_a x per f_a and
+affine part x), and one chain, `_reduce`, turns them into the
+second-bracket blocks.  The pencil's shift lam rides on u^n, the unit
+field, so the first bracket is the derivative of the second along it.
+The constraint matrix is P0 + N, P0 constant and N raising the
+principal grade, so its inverse is a finite series, each term kept in
+lowest terms.  The chain runs it over sparse rows of integral ring
+elements, each matrix over one integer denominator, and divides the
+blocks once at the end:
 
 - `dirac_tensors`: Poly with int coefficients in the u^k, the
   first-bracket tensors the d/du^n derivatives of the second-bracket
   ones;
-- `numeric_pencil`: int at one point, the u^k over their common
-  denominator, at lam = 0, 1, 2, the levels read off the differences.
+- `numeric_pencil`: one chain at one point, the u^k over their common
+  denominator and the shift lam symbolic, so entries are int or Poly in
+  lam; the two levels are the lam^0 and lam^1 parts.
 
 `central_invariants_dirac` reads every tensor entry at a point once,
 through `algebra.evaluate`, as integers over one denominator d, and
@@ -67,9 +70,9 @@ def slice_bases(alg, gammas=None):
             exps.append(grades.pop())
     if len(gammas) != n:
         raise ValueError("expected %d slice generators" % n)
-    # in each grade, the duals are the candidates of the opposite grade
-    # times the inverse of their pairing with the gammas of that grade
-    gkm = alg.graded_kernel(alg.I_minus)
+    # in each grade, the duals are the candidates of the opposite grade,
+    # the kernel of ad I_- there, times the inverse of their pairing with
+    # the gammas of that grade
     gups = [None] * n
 
     def form(E, j):
@@ -77,10 +80,11 @@ def slice_bases(alg, gammas=None):
 
     for g in sorted(set(exps)):
         idx = [j for j, e in enumerate(exps) if e == g]
-        cand = gkm.get(-g, [])
+        low = [b for b, h in zip(alg.basis, alg.grades) if h == -g]
+        cand = nullspace(list(zip(*(alg.coords(scomm(alg.I_minus, b)) for b in low))))
         if len(cand) != len(idx):
             raise ValueError("no dual generators at grade %s" % g)
-        ms = [scombine((x, b) for x, b in zip(v, alg.basis) if x) for v in cand]
+        ms = [scombine((x, b) for x, b in zip(v, low) if x) for v in cand]
         W = inverse([[form(m, j) for j in idx] for m in ms])
         for j, row in zip(idx, W):
             gups[j] = shared(scombine(zip(row, ms)))
@@ -118,12 +122,13 @@ def _constraint_parts(alg, slices):
 
     P[a][b] = <q, [f_b, f_a]> and R[i][a] = <q, [f_a, gamma^i]> are
     affine in (1, u^1, ..., u^n): their parts come from x_0 = I_- and
-    x_k = gamma_k, with <x, [f_b, f_a]> = <[f_a, x], f_b> and
-    <x, [f_a, gamma^i]> = <[gamma^i, x], f_a>, so only the brackets
-    [f_a, x_k] and [gamma^i, x_k] are formed, each paired with
-    every f_b in one sparse product.  The blocks do not change when an
-    f_a is scaled, and each has integer entries, the products run in
-    integers.  Returns (P parts, R parts, Q, S, P0^-1) with Q[a][b] =
+    x_k = gamma_k.  With A[a][b] = tr(f_a x f_b), <x, [f_b, f_a]> =
+    <[f_a, x], f_b> = A[a][b] - A[b][a], so a P part takes one product
+    f_a x per a, each f_a and x turned into rows once, paired with every
+    f_b in one sparse product; R takes the brackets [gamma^i, x_k], as
+    <x, [f_a, gamma^i]> = <[gamma^i, x], f_a>.  The blocks do not change
+    when an f_a is scaled, and each has integer entries, the products run
+    in integers.  Returns (P parts, R parts, Q, S, P0^-1) with Q[a][b] =
     <f_a, f_b> and S[i][a] = <gamma^i, f_a>, each matrix a pair (integer
     entries, denominator); the P and R parts are those of u^1..u^n, as
     _reduce reads P0 only through its inverse and R has no constant part.
@@ -142,7 +147,10 @@ def _constraint_parts(alg, slices):
     def pairs(ms):
         return shared(flat(smul(dict(enumerate(ms)), F)))
 
-    P = [pairs([scomm(fa, x) for fa in fs]) for x in xs]
+    frows, P = [rows(f) for f in fs], []
+    for x in map(rows, xs):
+        A = pairs([flat(smul(fa, x)) for fa in frows])
+        P.append(shared(scombine([(1, A), (-1, {(b, a): v for (a, b), v in A.items()})])))
     # f_a, f_b pair in P0 only when their grades sum to 1, so with f = n +
     # its complement P0 = [[0, B], [-B^T, 0]] and P0^-1 = [[0, -B^-T], [B^-1, 0]]
     h = len(fs) // 2
@@ -170,24 +178,31 @@ def _combine(terms):
 
 
 def _lowest(E, d):
-    """Integer entries over d, their common factor with d cancelled."""
-    g = gcd(d, *E.values())
-    return {k: x // g for k, x in E.items()}, d // g
+    """Integral entries (int or Poly) over d, their common factor with d
+    cancelled."""
+    g = d
+    for x in E.values():
+        g = gcd(g, *x.terms.values()) if isinstance(x, Poly) else gcd(g, x)
+        if g == 1:
+            return E, d
+    return {k: Poly({m: c // g for m, c in x.terms.items()}) if isinstance(x, Poly)
+            else x // g for k, x in E.items()}, d // g
 
 
 def _times_inverse(X, P0inv, U):
     """X P^-1 = sum_k X P0^-1 U^k for P = P0 + N, U = -N P0^-1, each
-    matrix its rows of integral entries over a denominator.  N raises the
-    principal grade, so U is nilpotent and the terms vanish once k passes
-    the number of nonzero rows of U; one that does not is a ValueError."""
-    (term, d), (Um, du) = (smul(X[0], P0inv[0]), X[1] * P0inv[1]), U
+    matrix its rows of integral entries over a denominator.  Each term
+    is kept in lowest terms (`_lowest`), and the sum is taken over the
+    lcm of their denominators.  N raises the principal grade, so U is
+    nilpotent and the terms vanish once k passes the number of nonzero
+    rows of U; one that does not is a ValueError."""
+    (Um, du), term = U, _lowest(flat(smul(X[0], P0inv[0])), X[1] * P0inv[1])
     terms = [term]
     for _ in range(len(Um) + 1):
-        term = smul(term, Um)
-        if not term:
-            m = len(terms) - 1
-            return (rows(scombine((du ** (m - k), flat(t)) for k, t in enumerate(terms))),
-                    d * du ** m)
+        term = _lowest(flat(smul(rows(term[0]), Um)), term[1] * du)
+        if not term[0]:
+            E, d = _combine((1, t) for t in terms)
+            return rows(E), d
         terms.append(term)
     raise ValueError("constraint series does not terminate")
 
@@ -234,6 +249,7 @@ def _reduce(parts, coeffs, den=1):
 LEVELS = (('g2', 'g1'), ('A12', 'A11'), ('A22', 'A21'))
 BLOCKS = {key: (a, s) for s, keys in enumerate(LEVELS, 1)
           for a, key in zip((2, 1), keys)}
+SHIFT = ('lam', 0, 0)           # the pencil's shift in `numeric_pencil`
 
 
 def dirac_tensors(alg, slices):
@@ -301,21 +317,34 @@ def central_invariants_dirac(tensors, n, upoint, unit=None):
 
 
 def numeric_pencil(alg, slices, upoint):
-    """All six reduced tensors as Fraction matrices at one slice point,
-    via evaluations at three values of the shift parameter."""
+    """All six reduced tensors as Fraction matrices at one slice point.
+
+    One chain runs with the shift symbolic: the coefficients are the
+    u^k over their common denominator den, the last one c^n + den lam,
+    so the entries are int where lam does not reach and Poly in lam
+    where it does.  The second-bracket tensors are the lam^0 parts and
+    the first-bracket ones the lam^1 parts, the chain's values at lam = 1
+    and 0 subtracted; a lam^2 or higher term is a ValueError."""
+    if len(upoint) != alg.n:
+        raise ValueError("expected %d coordinates, got %d" % (alg.n, len(upoint)))
     up = [Fraction(u) for u in upoint]
     den = lcm(*(u.denominator for u in up))
     c = [int(u * den) for u in up]          # the shift lam rides on u^n
-    vals = [_reduce(slices['parts'], c[:-1] + [c[-1] + lam * den], den) for lam in (0, 1, 2)]
-    out = {}
-    for idx, (k2, k1) in enumerate(LEVELS):
-        a0 = vals[0][idx]
-        a1 = madd(vals[1][idx], a0, -1)
-        chk = madd(madd(vals[2][idx], a0, -1), a1, -2)
-        if any(x for row in chk for x in row):
-            raise ValueError("shift dependence not linear at this point")
-        out[k2], out[k1] = a0, a1
+    lam, out = Poly.from_var(SHIFT), {}
+    for (k2, k1), M in zip(LEVELS, _reduce(slices['parts'], c[:-1] + [c[-1] + den * lam], den)):
+        v0, v1 = ([[_at_shift(x, t) for x in row] for row in M] for t in (0, 1))
+        out[k2], out[k1] = v0, madd(v1, v0, -1)
     return out
+
+
+def _at_shift(x, t):
+    """The value at lam = t of a Fraction or a Poly in lam of degree <= 1."""
+    if not isinstance(x, Poly):
+        return x
+    cs = x.coeffs_in(SHIFT)
+    if any(e > 1 for e in cs):
+        raise ValueError("shift dependence not linear at this point")
+    return sum((p.constant() * t ** e for e, p in cs.items()), Fraction(0))
 
 
 def g2_slice(alg):

@@ -233,21 +233,64 @@ def _pencil_digest(N):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _slices(name):
+    """The algebra and its slice data: G2 with the historical slice, the
+    others from their documents."""
+    if name == 'G2':
+        alg = liealg.g2_algebra()
+        return alg, g2_slice(alg)
+    alg = fixtures.build_algebra(name.lower())
+    return alg, slice_bases(alg, fixtures.load_gammas(name.lower(), alg))
+
+
 @pytest.mark.parametrize('name,digest', [('D5', 'e577f82a29a6c03b'),
+                                         ('F4', '474d9862d99b34fb'),
                                          ('E6', '2ff45dd9bc858d24'),
-                                         ('E7', '044b72e93eac390d')],
-                         ids=['D5', 'E6', 'E7'])
+                                         ('E7', '044b72e93eac390d'),
+                                         ('E8', '9d8983645d6d9b36')],
+                         ids=['D5', 'F4', 'E6', 'E7', 'E8'])
 def test_numeric_pencil_golden(name, digest):
-    # 40, 72 and 126 constraints (the benchmark's F4 point has 48); the
-    # digests were recorded with the chain over Fraction matrices
+    # 40, 48, 72, 126 and 240 constraints; the digests were recorded with
+    # the chain over Fraction matrices (D5, E6, E7) and with three integer
+    # chains at the shifts 0, 1 and 2 (F4, E8)
     if name == 'D5':
         alg = d_algebra(5)
         slices = slice_bases(alg)
     else:
-        alg = fixtures.build_algebra(name.lower())
-        slices = slice_bases(alg, fixtures.load_gammas(name.lower(), alg))
+        alg, slices = _slices(name)
     up = [Fraction(k + 2, 3) for k in range(1, alg.n + 1)]
     assert _pencil_digest(numeric_pencil(alg, slices, up)) == digest
+
+
+@pytest.mark.parametrize('size', [3, 5], ids=['short', 'long'])
+def test_numeric_pencil_needs_one_coordinate_per_generator(size):
+    # a short point cut the parts short and a long one was cut itself,
+    # each giving a pencil of the wrong size with the shift on the wrong
+    # coordinate
+    alg, slices = _slices('F4')
+    with pytest.raises(ValueError, match='expected 4 coordinates, got %d' % size):
+        numeric_pencil(alg, slices, [Fraction(k + 2, 3) for k in range(1, size + 1)])
+
+
+@pytest.mark.parametrize('name', ['G2', 'F4'])
+def test_numeric_pencil_refuses_a_shift_not_entering_linearly(name):
+    # with the P and R parts reversed the shift rides on u^1, and the
+    # blocks are no longer affine in it
+    alg, slices = _slices(name)
+    P, R, Q, S, W = slices['parts']
+    swapped = dict(slices, parts=(P[::-1], R[::-1], Q, S, W))
+    up = [Fraction(k + 2, 3) for k in range(1, alg.n + 1)]
+    with pytest.raises(ValueError, match='shift dependence not linear at this point'):
+        numeric_pencil(alg, swapped, up)
+
+
+def test_shift_check_sees_every_power():
+    # lam (lam - 1) (lam - 2) vanishes at the three shifts 0, 1 and 2 that
+    # a second difference reads, but it is not linear
+    lam = Poly.from_var(dirac.SHIFT)
+    assert dirac._at_shift(Fraction(1, 3) + 2 * lam, 1) == Fraction(7, 3)
+    with pytest.raises(ValueError, match='not linear'):
+        dirac._at_shift(lam * (lam - 1) * (lam - 2), 0)
 
 
 def _constraint_matrix(alg, slices, coeffs, den):
