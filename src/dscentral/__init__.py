@@ -4,7 +4,8 @@ their central invariants.
 Subpackage layout:
 
     algebra     sparse differential polynomials
-    upoly       univariate polynomials: interpolation and exact rational roots
+    upoly       univariate polynomials: integer interpolation at 0..n and
+                exact rational roots
     symbols     truncated symbol calculus for pseudodifferential operators
     lax         scalar Lax operators for the classical series
     brackets    Poisson bracket tables from the symbol calculus

@@ -36,13 +36,17 @@ such a monomial can be an operand, so no chain of products, powers,
 quotients or derivatives wraps.
 
 Points.  `evaluate` reads Polys in u_1..u_n at a rational point without
-forming a Poly: one sweep over the distinct packed monomials, powers of
-the point's numerators, and values as integer numerators over one
-denominator, divided once per entry by the caller.
+forming a Poly, in two steps.  `Prepared` is the part that does not
+depend on the point: each distinct packed monomial decoded once, and
+the coefficients as integer numerators over one denominator.  The point
+step takes the powers of the point's numerators and one integer dot
+product per Poly, and the caller divides each value once.  Data read
+at many points keeps its `Prepared` and hands that to `evaluate`.
 """
 
 from fractions import Fraction
-from math import lcm, prod
+from math import inf, lcm
+from operator import mul
 
 _W = 16                         # bits per variable field
 _MASK = (1 << _W) - 1
@@ -450,41 +454,79 @@ def u_list(n, u=None):
     return out
 
 
+class Prepared:
+    """Polys in u_1..u_n read once for `evaluate`: each distinct monomial
+    as its degree and (0-based u index, exponent) pairs, and each
+    distinct Poly as a row, the indices of its monomials and its
+    coefficients times C, the lcm of all their denominators, so
+    integers; `slots` gives the row of each Poly (a symmetric tensor
+    repeats its entries).  Whether a monomial lies in u_1..u_n depends on
+    the point's n; that check waits for `evaluate`."""
+
+    __slots__ = ("monomials", "rows", "slots", "C", "T", "tops", "needs", "need")
+
+    def __init__(self, polys):
+        polys = list(polys)
+        self.C = C = lcm(*(c.denominator for p in polys for c in p.terms.values()
+                           if type(c) is not int))
+        index, distinct, self.rows, self.slots = {}, {}, [], []
+        for p in polys:
+            slot = distinct.setdefault(p, len(distinct))
+            if slot == len(self.rows):
+                idx = [index.setdefault(m, len(index)) for m in p.terms]
+                self.rows.append((idx, [c * C if type(c) is int
+                                        else c.numerator * (C // c.denominator)
+                                        for c in p.terms.values()]))
+            self.slots.append(slot)
+        # needs: (the least n with the monomial in u_1..u_n, inf if there
+        # is none, the monomial), as decode sorts u_k by k; tops: the top
+        # exponent of each u_k, for the powers of the point
+        self.monomials, self.needs, self.tops = [], [], {}
+        for m in index:
+            pairs, need = [], 0
+            for (family, k, order), e in decode(m):
+                if family != 'u' or order or k < 1 or e < 0:
+                    need = inf
+                    break
+                pairs.append((k - 1, e))
+                self.tops[k - 1] = max(self.tops.get(k - 1, 0), e)
+                need = k
+            self.monomials.append((sum(e for _, e in pairs), pairs))
+            self.needs.append((need, m))
+        self.need = max((need for need, _ in self.needs), default=0)
+        self.T = max((t for t, _ in self.monomials), default=0)
+
+
 def evaluate(polys, point):
     """The values of Polys in u_1..u_n at a rational point, as integer
     numerators over one denominator: (values, den).  With the point a / D,
     C the lcm of the coefficient denominators and T the top degree,
     den = C D^T, and a monomial u^e of degree t reads a^e D^(T - t).
-    Each distinct monomial is read once; a variable outside the point or
-    a negative exponent is a ValueError.
+    `polys` is a list of Polys or the `Prepared` of one, for data read at
+    many points.  Each distinct monomial is read once; a variable outside
+    the point or a negative exponent is a ValueError.
 
     >>> p = Poly.of('u', 1) ** 2 * Fraction(1, 2) + Poly.of('u', 2)
     >>> evaluate([p], [Fraction(1, 3), 2])
     ([37], 18)
+    >>> prepared = Prepared([p, Poly.of('u', 2)])
+    >>> evaluate(prepared, [1, 2]), evaluate(prepared, [3, 0])
+    (([5, 4], 2), ([9, 0], 2))
     """
+    prep = polys if isinstance(polys, Prepared) else Prepared(polys)
     n, point = len(point), [Fraction(x) for x in point]
-    D = lcm(*(x.denominator for x in point))
-    fields = [(k, _SHIFT[('u', k + 1, 0)]) for k in range(n) if ('u', k + 1, 0) in _SHIFT]
-    C = lcm(*(c.denominator for p in polys for c in p.terms.values() if type(c) is not int))
-    exps = {}
-    for m in set().union(*(p.terms for p in polys)):
-        e, back = [0] * n, 0
-        for k, sh in fields:
-            x = e[k] = ((m + _OFFS) >> sh & _MASK) - _OFF
-            back += x << sh
-        if back != m or min(e, default=0) < 0:
-            raise ValueError("not a polynomial in u_1..u_%d: %s" % (n, Poly({m: 1})))
-        exps[m] = e
-    T = max(map(sum, exps.values()), default=0)
-    pw = [[(x.numerator * (D // x.denominator)) ** t for t in range(T + 1)] for x in point]
+    if prep.need > n:
+        m = next(m for need, m in prep.needs if need > n)
+        raise ValueError("not a polynomial in u_1..u_%d: %s" % (n, Poly({m: 1})))
+    D, T = lcm(*(x.denominator for x in point)), prep.T
+    pw = {k: [(x.numerator * (D // x.denominator)) ** e for e in range(prep.tops[k] + 1)]
+          for k, x in enumerate(point) if k in prep.tops}
     Dp = [D ** t for t in range(T + 1)]
-    weight = {m: Dp[T - sum(e)] * prod(pw[k][x] for k, x in enumerate(e))
-              for m, e in exps.items()}
-    values = []
-    for p in polys:
-        v = 0
-        for m, c in p.terms.items():
-            c = c * C if type(c) is int else c.numerator * (C // c.denominator)
-            v += c * weight[m]
-        values.append(v)
-    return values, C * Dp[T]
+    weight = []
+    for t, pairs in prep.monomials:
+        w = Dp[T - t]
+        for k, e in pairs:
+            w *= pw[k][e]
+        weight.append(w)
+    values = [sum(map(mul, cs, map(weight.__getitem__, idx))) for idx, cs in prep.rows]
+    return [values[slot] for slot in prep.slots], prep.C * Dp[T]

@@ -21,12 +21,16 @@ blocks once at the end:
   lam; the two levels are the lam^0 and lam^1 parts.
 
 `central_invariants_dirac` reads every tensor entry at a point once,
-through `algebra.evaluate`, as integers over one denominator d, and
-takes the determinants of the pencil and its kernel vectors in
-integers.  The unit field shifts every canonical coordinate by one, so
-the kernel vector v at a root spans dlam and dlam = v / v[unit], with
-no derivative of any tensor.  `invariants.defect_invariants` runs on
-the v and the integer blocks, and each c is multiplied by d v[unit]^2.
+through `algebra.evaluate`, as integers over one denominator d;
+`point_invariants`, which the fixture route runs on its cached
+`algebra.Prepared` entries, does the rest in integers.  p(z) =
+det(g2 - z g1) comes from the n + 1 determinants at z = 0..n as
+n! p(z) (`upoly.scaled_interpolate`), and the kernel vectors at its
+roots are integer too.  The unit field shifts every canonical
+coordinate by one, so the kernel vector v at a root spans dlam and
+dlam = v / v[unit], with no derivative of any tensor.
+`invariants.defect_invariants` runs on the v and the integer blocks,
+and each c is multiplied by d v[unit]^2.
 """
 
 from fractions import Fraction
@@ -36,7 +40,7 @@ from .algebra import Poly, evaluate
 from .liealg import (dense, determinant, flat, inverse, kernel_vector, madd, nullspace, rows,
                      scombine, scomm, shared, smul, sparse, spair)
 from .invariants import defect_invariants
-from .upoly import DegeneratePoint, interpolate, rational_roots
+from .upoly import DegeneratePoint, rational_roots, scaled_interpolate
 
 
 def slice_bases(alg, gammas=None):
@@ -273,12 +277,19 @@ def dirac_tensors(alg, slices):
     return out
 
 
+def tensor_entries(tensors):
+    """The entries of a dict of n x n matrices, matrix by matrix and row
+    by row: the order in which `point_invariants` reads them."""
+    return [x for T in tensors.values() for row in T for x in row]
+
+
 def central_invariants_dirac(tensors, n, upoint, unit=None):
     """Evaluate the defect formula of the reduced pencil at a point with
     rational canonical coordinates, the roots lam of p(z) = det(g2 - z g1).
 
-    Every tensor entry is read as an integer over one d, and p is
-    interpolated from det(G2 - z G1) at z = 0, ..., n.  At a simple root
+    Every tensor entry is read as an integer over one d, and n! p is
+    interpolated in integers from det(G2 - z G1) at z = 0, ..., n; a
+    degree below n (det g1 = 0) is a DegeneratePoint.  At a simple root
     lam = r/s the symmetric s G2 - r G1 has a kernel spanned by one
     integer v, and v spans dlam.  The first bracket is the derivative of
     the second along the unit field e, so e shifts every lam by one:
@@ -290,19 +301,27 @@ def central_invariants_dirac(tensors, n, upoint, unit=None):
     coordinate along e, by default n - 1 (u^n on a slice).  Returns
     (roots, invariants).
     """
+    return point_invariants(list(tensors), tensor_entries(tensors), n, upoint, unit)
+
+
+def point_invariants(keys, entries, n, upoint, unit=None):
+    """`central_invariants_dirac` for the tensors named by keys, given by
+    their `tensor_entries` or the `algebra.Prepared` of those."""
     if len(upoint) != n:
         raise ValueError("expected %d coordinates, got %d" % (n, len(upoint)))
     unit = n - 1 if unit is None else unit
     nn = n * n
-    nums, d = evaluate([x for T in tensors.values() for row in T for x in row], upoint)
-    vals = dict(zip(tensors, (nums[j:j + nn] for j in range(0, len(nums), nn))))
+    nums, d = evaluate(entries, upoint)
+    vals = dict(zip(keys, (nums[j:j + nn] for j in range(0, len(nums), nn))))
     G2, G1 = vals['g2'], vals['g1']
 
     def pencil(s, r):           # the rows of s G2 - r G1
         return [[s * a - r * b for a, b in zip(G2[i:i + n], G1[i:i + n])] for i in range(0, nn, n)]
 
-    zs = range(n + 1)
-    roots = rational_roots(interpolate(zs, [determinant(pencil(1, z)) for z in zs]))
+    p = scaled_interpolate([determinant(pencil(1, z)) for z in range(n + 1)])
+    if len(p) <= n:             # the z^n coefficient is n! (-1)^n det G1
+        raise DegeneratePoint("first metric degenerate at this point")
+    roots = rational_roots(p)
     if roots is None:
         raise DegeneratePoint("irrational canonical coordinates")
     vs = []

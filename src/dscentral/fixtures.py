@@ -20,7 +20,7 @@ import os
 import re
 from fractions import Fraction
 
-from .algebra import Poly, decode
+from .algebra import Poly, Prepared, decode
 from .liealg import scombine, shared, MatrixLieAlgebra, Stored
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), 'data')
@@ -262,7 +262,9 @@ def load_pencil(name, data_dir=DATA_DIR):
 @functools.lru_cache(maxsize=None)
 def _fixture_tensors(directory, name):
     # keyed by the directory load_frobenius reads from; shared by every
-    # call on one document, so never hand these Polys out
+    # call on one document, so never hand these Polys out.  Returns
+    # (n, unit, tensors, their entries prepared for algebra.evaluate).
+    from .dirac import tensor_entries
     fx, pen = load_pencil(name, directory)
     n = fx['rank']
     # the invariants need e = d/dt_unit: e(lam) = 1, and A21 = d A22/dt_unit
@@ -288,16 +290,18 @@ def _fixture_tensors(directory, name):
                for key, M in (('g2', pen['g2']), ('g1', pen['g1']), ('A22', A22))}
     tensors['A21'] = [[tensors['A22'][i][j].diff(('u', unit + 1, 0))
                        for j in range(n)] for i in range(n)]
-    return n, unit, tensors
+    return n, unit, tensors, Prepared(tensor_entries(tensors))
 
 
 def fixture_invariants(name, tpoint, data_dir=DATA_DIR):
     """Central invariants at a flat-coordinate point, from the stored
     potential (leading metrics) and the stored dispersive tensors A22_ij
     (A21 is the derivative of A22 along the unit field, which must be a
-    coordinate field d/dt_k).  The tensors are built once per fixture
-    directory and document.  Returns (roots, invariants)."""
-    from .dirac import central_invariants_dirac
-    n, unit, tensors = _fixture_tensors(data_dir, name)
-    return central_invariants_dirac(tensors, n, list(tpoint), unit)
+    coordinate field d/dt_k).  The tensors are built and their entries
+    prepared once per fixture directory and document, and each point
+    runs `dirac.point_invariants` on the prepared entries.  Returns
+    (roots, invariants)."""
+    from .dirac import point_invariants
+    n, unit, tensors, prepared = _fixture_tensors(data_dir, name)
+    return point_invariants(list(tensors), prepared, n, list(tpoint), unit)
 

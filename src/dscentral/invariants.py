@@ -15,7 +15,7 @@ import functools
 from fractions import Fraction
 from operator import mul
 
-from .algebra import evaluate, u_list
+from .algebra import Prepared, evaluate, u_list
 from .upoly import (DegeneratePoint, derivative, from_roots, integral,
                     rational_roots, value)
 
@@ -106,20 +106,23 @@ def canonical_coordinates(series, n, u):
 
 @functools.lru_cache(maxsize=None)
 def _symbolic_tables(series, n, K):
-    # shared by every call on one algebra: never hand these Polys out
+    # shared by every call on one algebra: never hand these Polys out.
+    # Returns the two tables and their entries prepared for evaluate.
     from . import brackets
     second = brackets.bracket_table(series, n, 2, K=K)
-    return brackets.unit_derivative(series, second), second
+    tables = brackets.unit_derivative(series, second), second
+    return tables, Prepared(pol for table in tables for pol in table.values())
 
 
 def tables_at(series, n, u, K=4):
     """The two bracket tables at a point: dict (i, j, s) -> Fraction,
     without the entries that vanish there.  The symbolic tables are
-    built once per (series, n, K); at each point `algebra.evaluate` reads
-    every entry of both once, over one denominator."""
+    built and their entries prepared once per (series, n, K); at each
+    point `algebra.evaluate` reads every entry of both once, over one
+    denominator."""
     point = [x.constant() for x in u_list(n, u)]
-    tables = _symbolic_tables(series, n, K)
-    nums, d = evaluate([pol for table in tables for pol in table.values()], point)
+    tables, prepared = _symbolic_tables(series, n, K)
+    nums, d = evaluate(prepared, point)
     it = iter(nums)
     return tuple({key: Fraction(x, d) for key, x in zip(table, it) if x} for table in tables)
 

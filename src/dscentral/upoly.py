@@ -32,21 +32,26 @@ def derivative(p):
     return [k * c for k, c in enumerate(p)][1:]
 
 
-def interpolate(xs, ys):
-    """The polynomial of degree below len(xs) through the points (x, y),
-    the xs distinct, trailing zeros dropped (Newton's divided differences).
+def scaled_interpolate(ys):
+    """n! p for the polynomial p of degree at most n = len(ys) - 1 with
+    p(z) = ys[z] at z = 0, ..., n, trailing zeros dropped; integer ys
+    give integer coefficients.  By forward differences,
+    p(z) = sum_k Delta^k y_0 z(z-1)...(z-k+1) / k!, so n! p is
+    sum_k (n!/k!) Delta^k y_0 times the falling factorials, expanded by
+    Horner's rule in that basis.
 
-    >>> interpolate([0, 1, 2], [1, 2, 5])
-    [Fraction(1, 1), Fraction(0, 1), Fraction(1, 1)]
+    >>> scaled_interpolate([1, 2, 5])      # z^2 + 1, times 2!
+    [2, 0, 2]
     """
-    xs, c = list(xs), [Fraction(y) for y in ys]
-    for j in range(1, len(c)):
-        for i in range(len(c) - 1, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
-    p = []
-    for x, ck in zip(reversed(xs), reversed(c)):
-        p = [b - x * a for a, b in zip(p + [0], [0] + p)]    # p (z - x) + ck
-        p[0] += ck
+    diffs, row = [], list(ys)
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    p, scale = [], 1
+    for k in reversed(range(len(diffs))):
+        p = [b - k * a for a, b in zip(p + [0], [0] + p)]    # p (z - k)
+        p[0] += diffs[k] * scale
+        scale *= k
     while p and not p[-1]:
         p.pop()
     return p

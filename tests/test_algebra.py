@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dscentral.algebra import (Poly, _canon, _quo, accumulate, decode, evaluate, exponent,
-                               monomial)
+from dscentral.algebra import (Poly, Prepared, _canon, _quo, accumulate, decode, evaluate,
+                               exponent, monomial)
 
 
 def rnd_poly(rng, nterms=3, families=('u',), maxorder=2):
@@ -411,3 +411,55 @@ def test_evaluate_refuses_other_variables_and_negative_exponents():
     for p in (u1 * Poly.of('u', 3), u1 + Poly.of('x', 1), u1 + Poly.of('u', 2, 0, -1)):
         with pytest.raises(ValueError, match=r'not a polynomial in u_1\.\.u_2'):
             evaluate([Poly.num(1), p], [1, 2])
+
+
+@st.composite
+def shared_polys(draw):
+    """Polys over one small pool of monomials in u_1..u_4, the constant
+    one among them, so that monomials recur across Polys; a Poly may be
+    empty or constant, and coefficients are int or Fraction."""
+    pool = [Poly.num(1)] + [
+        Poly.of('u', draw(st.integers(1, 4)), 0, draw(st.integers(1, 3)))
+        * Poly.of('u', draw(st.integers(1, 4)), 0, draw(st.integers(0, 2)))
+        for _ in range(draw(st.integers(0, 4)))]
+    out = []
+    for _ in range(draw(st.integers(0, 5))):
+        p = Poly()
+        for m in draw(st.lists(st.sampled_from(pool), max_size=4)):
+            p = p + m * draw(st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6)))
+        out.append(p)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(shared_polys(), st.lists(st.lists(coords, min_size=4, max_size=4), min_size=1, max_size=4))
+def test_prepared_evaluation_equals_one_shot(ps, points):
+    # one Prepared read at several points: each value is the one-shot
+    # evaluate's, and subs agrees, so no point leaves state behind; the
+    # first two Polys recur, as the entries of a symmetric tensor do
+    ps = ps + ps[:2]
+    prepared = Prepared(ps)
+    for pt in points:
+        vals, d = evaluate(prepared, pt)
+        assert (vals, d) == evaluate(ps, pt)
+        sub = dict(zip(U4, pt))
+        assert [Fraction(x, d) for x in vals] == [p.subs(sub).constant() for p in ps]
+
+
+def test_prepared_evaluation_refuses_at_the_point():
+    # the ValueError comes from evaluate, with the one-shot text: whether
+    # a monomial lies in u_1..u_n depends on the point
+    u1 = Poly.of('u', 1)
+    cases = [(u1 * Poly.of('u', 3), '1*u_1^(0)*u_3^(0)'), (u1 + Poly.of('x', 1), '1*x_1^(0)'),
+             (u1 + Poly.of('u', 2, 0, -1), '1*u_2^(0)**-1'), (Poly.of('u', 1, 1), '1*u_1^(1)'),
+             (Poly.of('u', 0), '1*u_0^(0)')]
+    for p, mono in cases:
+        prepared = Prepared([Poly.num(1), p])
+        text = 'not a polynomial in u_1..u_2: ' + mono
+        for polys in ([Poly.num(1), p], prepared):
+            with pytest.raises(ValueError) as ex:
+                evaluate(polys, [1, 2])
+            assert str(ex.value) == text
+    # u_3 is fine at a point with three coordinates
+    prepared = Prepared([u1 * Poly.of('u', 3)])
+    assert evaluate(prepared, [2, 0, 5]) == evaluate([u1 * Poly.of('u', 3)], [2, 0, 5]) == ([10], 1)

@@ -177,6 +177,16 @@ def test_kernel_vector_off_the_unit_field_is_degenerate(unit):
         central_invariants_dirac(tens, 2, [Fraction(1), Fraction(1)], unit)
 
 
+def test_first_metric_degenerate_at_the_point_is_refused():
+    # det g1 = 0 drops the z^n term of p(z), which would leave one root
+    # and one invariant for n = 2
+    from dscentral.invariants import DegeneratePoint
+    tens = {'g2': [[Poly.of('u', 1), Poly()], [Poly(), Poly.num(1)]],
+            'g1': [[Poly.num(1), Poly()], [Poly(), Poly()]]}
+    with pytest.raises(DegeneratePoint, match='first metric degenerate at this point'):
+        central_invariants_dirac(tens, 2, [Fraction(3), Fraction(1)], 0)
+
+
 def test_default_slice_agrees_up_to_scaling(g2):
     # the graded kernel without pinned generators spans the same lines
     alg, slices, _, _ = g2
@@ -413,12 +423,15 @@ def test_pointwise_defect_formula_matches_symbolic_f4(monkeypatch):
                [Fraction(3), Fraction(-1), Fraction(1, 2), Fraction(2)]]
     fast = [_outcome(fixtures.fixture_invariants, 'f4', t) for t in points]
     calls = []
+    _, _, tensors, prepared = fixtures._fixture_tensors(fixtures.DATA_DIR, 'f4')
 
-    def symbolic(tensors, n, upoint, unit):
-        # the Jacobi formula reads dlam off p(z; u), with no unit field
+    def symbolic(keys, entries, n, upoint, unit):
+        # the point route gets the cached prepared entries; the Jacobi
+        # formula reads dlam off p(z; u), with no unit field
+        assert keys == list(tensors) and entries is prepared
         calls.append(unit)
         return _symbolic_invariants(tensors, n, upoint)
-    monkeypatch.setattr(dirac, 'central_invariants_dirac', symbolic)
+    monkeypatch.setattr(dirac, 'point_invariants', symbolic)
     slow = [_outcome(fixtures.fixture_invariants, 'f4', t) for t in points]
     assert calls == [0] * len(points)      # the document's unit field is d/dt1
     assert fast == slow
@@ -451,6 +464,33 @@ def test_point_evaluation_calls_neither_subs_nor_diff(g2, monkeypatch):
     monkeypatch.setattr(Poly, 'diff', refuse)
     monkeypatch.setattr(Poly, 'subs', refuse)
     assert [run() for run in runs] == want
+
+
+def test_cached_entries_are_prepared_once(g2, monkeypatch):
+    # the fixture tensors and the symbol tables are prepared for
+    # algebra.evaluate when their cache entry is made, not at each point;
+    # central_invariants_dirac, with no cache, prepares at each call
+    from dscentral import algebra
+    _, _, tens, _ = g2
+    made = []
+    init = algebra.Prepared.__init__
+
+    def spy(self, polys):
+        made.append(1)
+        init(self, polys)
+    monkeypatch.setattr(algebra.Prepared, '__init__', spy)
+    fixtures._fixture_tensors.cache_clear()
+    invariants._symbolic_tables.cache_clear()
+    rng = random.Random(41)
+    for _ in range(5):
+        _outcome(fixtures.fixture_invariants, 'f4', reference.f4_sample(rng))
+    assert len(made) == 1
+    for roots in ([1, -2], [2, 3], [-1, 4]):
+        invariants.central_invariants('C', 3, invariants.sample_from_roots('C', 3, roots))
+    assert len(made) == 2
+    for u in ([Fraction(3), Fraction(2)], [Fraction(-7, 4), Fraction(5, 3)]):
+        central_invariants_dirac(tens, 2, u)
+    assert len(made) == 4
 
 
 def test_constraint_parts_need_the_graded_block_form(g2):
@@ -509,7 +549,7 @@ def test_integer_route_equals_fraction_route(g2, name):
         rng = random.Random(31)
         points = [reference.g2_sample(rng) for _ in range(12)]
     else:
-        n, unit, tens = fixtures._fixture_tensors(fixtures.DATA_DIR, 'f4')
+        n, unit, tens, _ = fixtures._fixture_tensors(fixtures.DATA_DIR, 'f4')
         rng = random.Random(37)
         points = [reference.f4_sample(rng) for _ in range(8)]
     checked = 0
