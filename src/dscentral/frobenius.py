@@ -2,7 +2,10 @@
 reflection group orbit spaces.
 
 Coordinates are the variables ('t', i); vector fields are given by
-their component lists (Poly or numbers).
+their component lists (Poly or numbers).  Each metric is one congruence
+A M A^T: g2 = eta^-1 E(Hess F) eta^-1 from a potential, the Hessian
+eta W eta back from g2, and J G^-1 J^T on the orbit space.  A potential
+comes back from its Hessian by Euler's identity, with no linear solve.
 """
 
 from fractions import Fraction
@@ -19,50 +22,47 @@ def _as_poly(x):
     return x if isinstance(x, Poly) else Poly.num(x)
 
 
+def _sum(polys):
+    return sum(polys, Poly())
+
+
 def vec_apply(vec, f):
     """Derivative of f along the vector field with the given components."""
-    out = Poly()
-    for i, c in enumerate(vec, start=1):
-        out = out + _as_poly(c) * f.diff(tvar(i))
-    return out
+    return _sum(_as_poly(c) * f.diff(tvar(i)) for i, c in enumerate(vec, start=1))
+
+
+def _congruence(A, M):
+    """The Poly matrix A M A^T, the zero entries of A skipped."""
+    rows = [[(k, a) for k, a in enumerate(row) if a] for row in A]
+    AM = [[_sum(a * M[k][l] for k, a in row) for l in range(len(M))] for row in rows]
+    return [[_sum(ami[l] * a for l, a in row) for row in rows] for ami in AM]
+
+
+def _hessian(F, n):
+    """The matrix of second derivatives of F in t_1..t_n."""
+    grad = [F.diff(tvar(k)) for k in range(1, n + 1)]
+    return [[dk.diff(tvar(l)) for l in range(1, n + 1)] for dk in grad]
 
 
 def eta_from_potential(F, e, n):
     """eta_ij = third derivative of the potential along the unit field;
     must be a constant matrix."""
-    eF = vec_apply(e, F)
-    eta = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            d = eF.diff(tvar(i)).diff(tvar(j))
-            if not d.is_constant():
-                raise ValueError("unit direction not flat for this potential")
-            row.append(d.constant())
-        eta.append(row)
-    return eta
+    eta = _hessian(vec_apply(e, F), n)
+    if not all(d.is_constant() for row in eta for d in row):
+        raise ValueError("unit direction not flat for this potential")
+    return [[d.constant() for d in row] for row in eta]
 
 
 def pencil_from_potential(F, E, e, n):
     """Contravariant metrics of the Frobenius pencil:
 
-        g2^ij = sum_m E^m eta^ik eta^jl F_mkl,   g1^ij = eta^ij.
+        g2 = eta^-1 E(Hess F) eta^-1,   g1 = eta^-1.
     """
     F = _as_poly(F)
     eta = eta_from_potential(F, e, n)
     etainv = liealg.inverse(eta)
-    g2 = [[Poly() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = Poly()
-            for k in range(n):
-                for l in range(n):
-                    if etainv[i][k] == 0 or etainv[j][l] == 0:
-                        continue
-                    d2 = F.diff(tvar(k + 1)).diff(tvar(l + 1))
-                    acc = acc + vec_apply(E, d2) * (etainv[i][k] * etainv[j][l])
-            g2[i][j] = acc
-    g1 = [[Poly.num(etainv[i][j]) for j in range(n)] for i in range(n)]
+    g2 = _congruence(etainv, [[vec_apply(E, d2) for d2 in row] for row in _hessian(F, n)])
+    g1 = [[Poly.num(x) for x in row] for row in etainv]
     return {'g2': g2, 'g1': g1, 'eta': eta}
 
 
@@ -121,38 +121,33 @@ def _match_coefficients(cands, equations):
 
 
 def potential_from_metrics(g2, eta, degrees, n):
-    """Reconstruct the potential from the second metric via
+    """Reconstruct the potential F from the second metric: its Hessian is
 
-        eta^ik eta^jl d_k d_l F = h / (deg_i + deg_j - 2) g2^ij,
+        H = eta W eta,   W^ij = h / (deg_i + deg_j - 2) g2^ij,
 
-    h = max degree.  The result is the quasihomogeneous solution of
-    degree 2h + 2; raises ValueError if the system is inconsistent.
+    h = max degree.  F is quasihomogeneous of degree c = 2h + 2, so
+    Euler's identity gives it from H with no solve:
+
+        d_l F = sum_k deg_k t_k H_kl / (c - deg_l),
+        F = sum_l deg_l t_l d_l F / c.
+
+    This equals solving for one coefficient per monomial of degree c and
+    total degree >= 3: every degree lies in [1, h], so no monomial of
+    degree c has total degree below 3, and on the polynomials of degree c
+    the Euler sum is exact.  Both give the same F and refuse the same
+    metrics: a ValueError when the Hessian of the result is not H.
     """
     h = max(degrees)
-    # target Hessian: H_kl = eta_ki eta_lj h/(di+dj-2) g2^ij
-    H = [[Poly() for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        for l in range(n):
-            acc = Poly()
-            for i in range(n):
-                for j in range(n):
-                    if eta[k][i] == 0 or eta[l][j] == 0:
-                        continue
-                    w = Fraction(h) / (degrees[i] + degrees[j] - 2)
-                    acc = acc + g2[i][j] * (eta[k][i] * eta[l][j] * w)
-            H[k][l] = acc
-    cands = [m for m in _monomials(degrees, 2 * h + 2) if sum(m) >= 3]
-    polys = [_mono_poly(m) for m in cands]
-    F = _match_coefficients(cands, [
-        (H[k][l], [p.diff(tvar(k + 1)).diff(tvar(l + 1)) for p in polys])
-        for k in range(n) for l in range(k, n)])
-    if F is None:
+    c = 2 * h + 2
+    W = [[g2[i][j] * (Fraction(h) / (degrees[i] + degrees[j] - 2)) for j in range(n)]
+         for i in range(n)]
+    H = _congruence(eta, W)
+    t = [Poly.of('t', k) for k in range(1, n + 1)]
+    grad = [_sum(t[k] * H[k][l] * degrees[k] for k in range(n)) / (c - degrees[l])
+            for l in range(n)]
+    F = _sum(t[l] * grad[l] * degrees[l] for l in range(n)) / c
+    if _hessian(F, n) != H:
         raise ValueError("metric is not potential")
-    # verify
-    for k in range(n):
-        for l in range(n):
-            if not (F.diff(tvar(k + 1)).diff(tvar(l + 1)) - H[k][l]).is_zero():
-                raise ValueError("reconstruction check failed")
     return F
 
 
@@ -169,10 +164,7 @@ def orbit_metrics_a(n):
     """
     # w_1..w_n independent, w_{n+1} = -sum
     ws = [Poly.of('w', a) for a in range(1, n + 1)]
-    wlast = Poly()
-    for w in ws:
-        wlast = wlast - w
-    allw = ws + [wlast]
+    allw = ws + [-_sum(ws)]
     # y_i = coefficient of p^(i-1) in prod (p - w_a)
     prod = Poly.num(1)
     for w in allw:
@@ -183,15 +175,7 @@ def orbit_metrics_a(n):
     Ginv = [[(Fraction(1) if a == b else Fraction(0)) - Fraction(1, n + 1)
              for b in range(n)] for a in range(n)]
     dy = [[ys[i].diff(('w', a + 1, 0)) for a in range(n)] for i in range(n)]
-    g2w = [[Poly() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = Poly()
-            for a in range(n):
-                for b in range(n):
-                    if Ginv[a][b]:
-                        acc = acc + dy[i][a] * dy[j][b] * Ginv[a][b]
-            g2w[i][j] = acc
+    g2w = _congruence(dy, Ginv)
     # rewrite the symmetric polynomials in the y's by matching
     # coefficients on quasihomogeneous candidates
     degy = [n + 2 - i for i in range(1, n + 1)]
