@@ -11,7 +11,8 @@ by integration by parts; C[i, j, s] is then the delta^(s) coefficient of
 
 Closed-form counterparts of the leading coefficients are provided for
 cross-checking; they are exact Laurent polynomials in two auxiliary
-variables.
+variables x, y.  Each is one numerator over (x - y)^k, divided out
+exactly by k synthetic divisions (`_over`), plus a polynomial part.
 """
 
 from fractions import Fraction
@@ -247,55 +248,25 @@ def generating_poly(table, series, n, s, capital=False):
     return Poly(_settle(out))
 
 
-class _Frac:
-    # num / base**k, where every term of one closed form has the same base
-    # x - y; a sum keeps the larger power, and expand() divides by the base
-    # k times
-    def __init__(self, num, base=None, k=1):
-        self.num = num if isinstance(num, Poly) else Poly.num(num)
-        self.base, self.k = base, 0 if base is None else k
-
-    def _quotient(self, num):
-        # num / (x - y) by synthetic division in x, or None when it leaves
-        # a remainder: with num = sum c_j x^j, q_(j-1) = c_j + y q_j from
-        # the top power down, and the remainder is c_low + y q_low
-        x, y = (decode(m)[0][0] for m in sorted(self.base.terms, key=self.base.terms.get,
-                                                reverse=True))
-        cols = num.coeffs_in(x)
-        if not cols:
-            return Poly()
-        low, quot, q, yp = min(cols), {}, Poly(), Poly.from_var(y)
-        for j in range(max(cols), low - 1, -1):
+def _over(num, x, y, k):
+    """num / (x - y)^k, x and y named as in `Poly.of`, by k synthetic
+    divisions in x: with num = sum c_j x^j, Laurent powers allowed, the
+    quotient has q_(j-1) = c_j + y q_j from the top power down, and the
+    remainder c_low + y q_low must vanish."""
+    yp = Poly.of(y)
+    for _ in range(k):
+        cols = num.coeffs_in((x, 0, 0))
+        low, quot, q = min(cols, default=0), {}, Poly()
+        for j in range(max(cols, default=0), low - 1, -1):
             nq = dict(cols[j].terms) if j in cols else {}
             mul_into(nq, q, yp)
             q = Poly(_settle(nq))
-            if j == low:
-                return None if q else Poly(quot)
-            mul_into(quot, q, Poly.of(*x, exp=j - 1))
-
-    def __add__(self, other):
-        lo, hi = sorted((self, other), key=lambda f: f.k)
-        num, k = hi.num, hi.k
-        # cancel the base from the higher part while it divides, so that
-        # the lower part is raised by a smaller power of it
-        while k > lo.k:
-            q = hi._quotient(num)
-            if q is None:
-                break
-            num, k = q, k - 1
-        low = lo.num * hi.base ** (k - lo.k) if k > lo.k else lo.num
-        return _Frac(low + num, hi.base, k)
-
-    def __sub__(self, other):
-        return self + _Frac(-other.num, other.base, other.k)
-
-    def expand(self):
-        num = self.num
-        for _ in range(self.k):
-            num = self._quotient(num)
-            if num is None:
+            if j > low:
+                mul_into(quot, q, Poly.of(x, exp=j - 1))
+            elif q:
                 raise ValueError("not an exact division")
-        return num
+        num = Poly(quot)
+    return num
 
 
 def _lam_tower(series, n, name, capital=False, tilde=False):
@@ -313,104 +284,96 @@ def _lam_tower(series, n, name, capital=False, tilde=False):
 
 def closed_form_small(series, n, a, s):
     """Leading bracket coefficients of the A series as exact Laurent
-    polynomials in p, q, for a = 1, 2 and s = 1, 2, 3.
+    polynomials in p, q, for a = 1, 2 and s = 1, 2, 3: one numerator over
+    (q - p)^s, plus a polynomial part for a = 2.  The numerator at s is
+    the one at s - 1 plus one term in (q - p)^(s - 1).
 
     B, C and D have their closed forms in `closed_form_capital`.
     """
     if series != 'A':
         raise ValueError("small-variable closed forms: series A only")
+    if a not in (1, 2) or s not in (1, 2, 3):
+        raise ValueError("no closed form for (a, s) = %r" % ((a, s),))
     lp = _lam_tower(series, n, 'p')
     lq = _lam_tower(series, n, 'q')
-    p, q = Poly.of('p'), Poly.of('q')
-    qp = q - p
+    qp = Poly.of('q') - Poly.of('p')
     nn = Fraction(1, n + 1)
-    if (a, s) == (1, 1):
-        return _Frac(lp[1] - lq[1], p - q).expand()
-    if (a, s) == (2, 1):
-        return (_Frac(lp[1] * lq[0] - lq[1] * lp[0], p - q)
-                + _Frac(lp[1] * lq[1] * nn)).expand()
-    if (a, s) == (1, 2):
-        return (_Frac(lq[1] - lp[1], qp, 2)
-                - _Frac((lq[2] + lp[2]) / 2, qp)).expand()
-    if (a, s) == (1, 3):
-        return (_Frac(lq[1] - lp[1], qp, 3)
-                - _Frac((lq[2] + lp[2]) / 2, qp, 2)
-                + _Frac((lq[3] - lp[3]) / 6, qp)).expand()
-    if (a, s) == (2, 2):
-        return (_Frac(lq[1] * lp[0] - lq[0] * lp[1], qp, 2)
-                - _Frac((lq[2] * lp[0] - 2 * lq[1] * lp[1] + lq[0] * lp[2]) / 2, qp)
-                - _Frac((lq[2] * lp[1] - lq[1] * lp[2]) * Fraction(1, 2) * nn)).expand()
-    if (a, s) == (2, 3):
-        return (_Frac(lq[1] * lp[0] - lq[0] * lp[1], qp, 3)
-                - _Frac((lq[2] * lp[0] - 2 * lq[1] * lp[1] + lq[0] * lp[2]) / 2, qp, 2)
-                + _Frac((lq[3] * lp[0] - 3 * lq[2] * lp[1] + 3 * lq[1] * lp[2] - lq[0] * lp[3]) / 6, qp)
-                + _Frac((2 * lq[3] * lp[1] - 3 * lq[2] * lp[2] + 2 * lq[1] * lp[3]) * Fraction(1, 12) * nn)).expand()
-    raise ValueError("no closed form for (a, s) = %r" % ((a, s),))
+    if a == 1:
+        num = lq[1] - lp[1]
+        if s > 1:
+            num = num - (lq[2] + lp[2]) / 2 * qp
+        if s > 2:
+            num = num + (lq[3] - lp[3]) / 6 * qp ** 2
+        return _over(num, 'q', 'p', s)
+    num = lq[1] * lp[0] - lq[0] * lp[1]
+    if s == 1:
+        return _over(num, 'q', 'p', 1) + lp[1] * lq[1] * nn
+    num = num - (lq[2] * lp[0] - 2 * lq[1] * lp[1] + lq[0] * lp[2]) / 2 * qp
+    if s == 2:
+        return _over(num, 'q', 'p', 2) - (lq[2] * lp[1] - lq[1] * lp[2]) * nn / 2
+    num = num + ((lq[3] * lp[0] - 3 * lq[2] * lp[1] + 3 * lq[1] * lp[2] - lq[0] * lp[3]) / 6
+                 * qp ** 2)
+    return (_over(num, 'q', 'p', 3)
+            + (2 * lq[3] * lp[1] - 3 * lq[2] * lp[2] + 2 * lq[1] * lp[3]) * nn / 12)
 
 
 def closed_form_capital(series, n, a, s):
     """Generating polynomials of the delta' and eps^2 delta''' blocks in
-    the capital variables P, Q."""
+    the capital variables P, Q, for a = 1, 2 and s = 1, 3: each one
+    numerator over (P - Q)^s, plus a polynomial part."""
+    if series not in ('B', 'C', 'D'):
+        raise ValueError("unknown series %r" % series)
+    if a not in (1, 2) or s not in (1, 3):
+        raise ValueError("no closed form for (a, s) = %r" % ((a, s),))
     L = _lam_tower(series, n, 'P', capital=True)
     M = _lam_tower(series, n, 'Q', capital=True)
     P, Q = Poly.of('P'), Poly.of('Q')
-    PQ = P - Q
+    if s == 1:
+        if a == 2:
+            num = 2 * (P * L[1] * M[0] - Q * M[1] * L[0])
+        elif series in ('B', 'C'):
+            num = 2 * (P * L[1] - Q * M[1])
+        else:
+            num = 2 * (P * Q * (L[1] - M[1]) + P * M[0] - Q * L[0])
+        return _over(num, 'P', 'Q', 1)
+    d = P - Q
     lam0 = Poly.of('u', 1)                  # Lam(0) = u_1
-    if (a, s) == (2, 1):
-        return _Frac(2 * (P * L[1] * M[0] - Q * M[1] * L[0]), PQ).expand()
-    if (a, s) == (1, 1):
-        if series in ('B', 'C'):
-            return _Frac(2 * (P * L[1] - Q * M[1]), PQ).expand()
-        return _Frac(2 * (P * Q * (L[1] - M[1]) + P * M[0] - Q * L[0]), PQ).expand()
-    if s != 3:
-        raise ValueError("no closed form for (a, s) = %r" % ((a, s),))
-    if series == 'B':
-        if a == 2:
-            f = (_Frac((P + Q) ** 2 * (L[1] * M[0] - M[1] * L[0]), PQ, 3)
-                 + _Frac(4 * (P ** 2 * L[3] * M[0] - Q ** 2 * M[3] * L[0]) / 3, PQ)
-                 + _Frac(2 * P * Q * (L[1] * M[2] - M[1] * L[2]), PQ)
-                 + _Frac(2 * (P * L[2] * M[0] - Q * M[2] * L[0]), PQ)
-                 + _Frac(3 * L[1] * M[1])
-                 - _Frac(2 * P * Q * (L[2] * M[0] - 2 * L[1] * M[1] + L[0] * M[2]), PQ, 2))
-        else:
-            f = (_Frac((P + Q) ** 2 * (L[1] - M[1]), PQ, 3)
-                 + _Frac(4 * (P ** 2 * L[3] - Q ** 2 * M[3]) / 3, PQ)
-                 + _Frac(2 * (P * L[2] - Q * M[2]), PQ)
-                 - _Frac(2 * P * Q * (L[2] + M[2]), PQ, 2))
-        return f.expand()
-    if series == 'C':
-        PQ2 = P ** 2 + 6 * P * Q + Q ** 2
-        if a == 2:
-            f = (_Frac(PQ2 * (L[1] * M[0] - M[1] * L[0]) / 2, PQ, 3)
-                 + _Frac(4 * (P ** 2 * L[3] * M[0] - Q ** 2 * M[3] * L[0]) / 3, PQ)
-                 + _Frac(2 * P * Q * (L[1] * M[2] - M[1] * L[2]), PQ)
-                 + _Frac(P * L[2] * M[0] - Q * M[2] * L[0], PQ)
-                 + _Frac(L[1] * M[1])
-                 - _Frac(2 * P * Q * (L[2] * M[0] - 2 * L[1] * M[1] + L[0] * M[2]), PQ, 2))
-        else:
-            f = (_Frac(PQ2 * (L[1] - M[1]) / 2, PQ, 3)
-                 + _Frac(4 * (P ** 2 * L[3] - Q ** 2 * M[3]) / 3, PQ)
-                 + _Frac(P * L[2] - Q * M[2], PQ)
-                 - _Frac(2 * P * Q * (L[2] + M[2]), PQ, 2))
-        return f.expand()
-    if series == 'D':
+    pq_inv = Poly.of('P', exp=-1) * Poly.of('Q', exp=-1)
+    extra = 0
+    if (series, a) == ('B', 2):
+        num = ((P + Q) ** 2 * (L[1] * M[0] - M[1] * L[0])
+               - 2 * P * Q * (L[2] * M[0] - 2 * L[1] * M[1] + L[0] * M[2]) * d
+               + (4 * (P ** 2 * L[3] * M[0] - Q ** 2 * M[3] * L[0]) / 3
+                  + 2 * P * Q * (L[1] * M[2] - M[1] * L[2])
+                  + 2 * (P * L[2] * M[0] - Q * M[2] * L[0])) * d ** 2)
+        extra = 3 * L[1] * M[1]
+    elif (series, a) == ('B', 1):
+        num = ((P + Q) ** 2 * (L[1] - M[1])
+               - 2 * P * Q * (L[2] + M[2]) * d
+               + (4 * (P ** 2 * L[3] - Q ** 2 * M[3]) / 3 + 2 * (P * L[2] - Q * M[2])) * d ** 2)
+    elif (series, a) == ('C', 2):
+        num = ((P ** 2 + 6 * P * Q + Q ** 2) * (L[1] * M[0] - M[1] * L[0]) / 2
+               - 2 * P * Q * (L[2] * M[0] - 2 * L[1] * M[1] + L[0] * M[2]) * d
+               + (4 * (P ** 2 * L[3] * M[0] - Q ** 2 * M[3] * L[0]) / 3
+                  + 2 * P * Q * (L[1] * M[2] - M[1] * L[2])
+                  + P * L[2] * M[0] - Q * M[2] * L[0]) * d ** 2)
+        extra = L[1] * M[1]
+    elif (series, a) == ('C', 1):
+        num = ((P ** 2 + 6 * P * Q + Q ** 2) * (L[1] - M[1]) / 2
+               - 2 * P * Q * (L[2] + M[2]) * d
+               + (4 * (P ** 2 * L[3] - Q ** 2 * M[3]) / 3 + P * L[2] - Q * M[2]) * d ** 2)
+    elif a == 2:
+        num = (4 * P * Q * (L[1] * M[0] - M[1] * L[0])
+               - 2 * P * Q * (L[2] * M[0] - 2 * L[1] * M[1] + L[0] * M[2]) * d
+               + (4 * (P ** 2 * L[3] * M[0] - Q ** 2 * M[3] * L[0]) / 3
+                  + 2 * P * Q * (L[1] * M[2] - M[1] * L[2])
+                  + (P ** 2 * L[1] * M[0] - Q ** 2 * M[1] * L[0]) * pq_inv) * d ** 2)
+        extra = -L[1] * M[1] - lam0 * (P * L[1] + Q * M[1]) * pq_inv
+    else:
         Lt = _lam_tower(series, n, 'P', capital=True, tilde=True)
         Mt = _lam_tower(series, n, 'Q', capital=True, tilde=True)
-        pq_inv = Poly.of('P', exp=-1) * Poly.of('Q', exp=-1)
-        if a == 2:
-            f = (_Frac(4 * P * Q * (L[1] * M[0] - M[1] * L[0]), PQ, 3)
-                 + _Frac(4 * (P ** 2 * L[3] * M[0] - Q ** 2 * M[3] * L[0]) / 3, PQ)
-                 + _Frac(2 * P * Q * (L[1] * M[2] - M[1] * L[2]), PQ)
-                 - _Frac(L[1] * M[1])
-                 - _Frac(2 * P * Q * (L[2] * M[0] - 2 * L[1] * M[1] + L[0] * M[2]), PQ, 2)
-                 + _Frac((P ** 2 * L[1] * M[0] - Q ** 2 * M[1] * L[0]) * pq_inv, PQ)
-                 - _Frac(lam0 * (P * L[1] + Q * M[1]) * pq_inv))
-        else:
-            f = (_Frac(4 * P * Q * (P * L[3] - Q * M[3]) / 3, PQ)
-                 - _Frac(2 * P * Q * (P * L[2] + Q * M[2]), PQ, 2)
-                 + _Frac(4 * P * Q * (P ** 2 * Lt[1] - Q ** 2 * Mt[1]), PQ, 3)
-                 + _Frac(P * Q * (Lt[1] - Mt[1]), PQ)
-                 - _Frac(lam0 * (P + Q) * pq_inv))
-        return f.expand()
-    raise ValueError("unknown series %r" % series)
-
+        num = (4 * P * Q * (P ** 2 * Lt[1] - Q ** 2 * Mt[1])
+               - 2 * P * Q * (P * L[2] + Q * M[2]) * d
+               + (4 * P * Q * (P * L[3] - Q * M[3]) / 3 + P * Q * (Lt[1] - Mt[1])) * d ** 2)
+        extra = -lam0 * (P + Q) * pq_inv
+    return _over(num, 'P', 'Q', 3) + extra

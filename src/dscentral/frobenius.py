@@ -38,10 +38,20 @@ def _congruence(A, M):
     return [[_sum(ami[l] * a for l, a in row) for row in rows] for ami in AM]
 
 
+def _symmetric(n, entry):
+    """The symmetric n x n matrix with entries entry(k, l), each formed
+    once for k <= l and mirrored."""
+    out = [[None] * n for _ in range(n)]
+    for k in range(n):
+        for l in range(k, n):
+            out[k][l] = out[l][k] = entry(k, l)
+    return out
+
+
 def _hessian(F, n):
     """The matrix of second derivatives of F in t_1..t_n."""
     grad = [F.diff(tvar(k)) for k in range(1, n + 1)]
-    return [[dk.diff(tvar(l)) for l in range(1, n + 1)] for dk in grad]
+    return _symmetric(n, lambda k, l: grad[k].diff(tvar(l + 1)))
 
 
 def eta_from_potential(F, e, n):
@@ -61,7 +71,8 @@ def pencil_from_potential(F, E, e, n):
     F = _as_poly(F)
     eta = eta_from_potential(F, e, n)
     etainv = liealg.inverse(eta)
-    g2 = _congruence(etainv, [[vec_apply(E, d2) for d2 in row] for row in _hessian(F, n)])
+    H = _hessian(F, n)
+    g2 = _congruence(etainv, _symmetric(n, lambda k, l: vec_apply(E, H[k][l])))
     g1 = [[Poly.num(x) for x in row] for row in etainv]
     return {'g2': g2, 'g1': g1, 'eta': eta}
 

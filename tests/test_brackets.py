@@ -4,6 +4,7 @@ The table computation runs the full symbol pipeline; every comparison
 here is an exact identity of Laurent polynomials, no tolerances.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import pytest
 
 from dscentral.algebra import Poly, accumulate, decode, monomial
 from dscentral import brackets, invariants
-from dscentral.brackets import (FROZEN, _a_to_b, _Frac, _scaled_density, bracket_density,
+from dscentral.brackets import (FROZEN, _a_to_b, _over, _scaled_density, bracket_density,
                                 bracket_table, ibp_reduce, generating_poly,
                                 closed_form_small, closed_form_capital,
                                 gy_exact, normal_form, unit_derivative,
@@ -58,7 +59,7 @@ def test_table_has_no_eps0_block():
         assert all(s >= 1 for (_, _, s) in t)
 
 
-@pytest.mark.parametrize('series,n', [('A', 1), ('A', 2), ('A', 3)])
+@pytest.mark.parametrize('series,n', [('A', 1), ('A', 2), ('A', 3), ('A', 4)])
 def test_closed_forms_a(series, n):
     for a in (1, 2):
         t = bracket_table(series, n, a)
@@ -68,7 +69,7 @@ def test_closed_forms_a(series, n):
             assert (g - ref).is_zero(), (a, s)
 
 
-@pytest.mark.parametrize('series,n', [('B', 2), ('C', 2), ('D', 3)])
+@pytest.mark.parametrize('series,n', [('B', 2), ('B', 3), ('C', 2), ('C', 3), ('D', 3), ('D', 4)])
 def test_closed_forms_capital(series, n):
     for a in (1, 2):
         t = bracket_table(series, n, a)
@@ -96,6 +97,35 @@ def test_closed_form_unavailable_cases():
         closed_form_small('A', 2, 1, 4)
     with pytest.raises(ValueError):
         closed_form_capital('B', 2, 1, 2)
+    # a series without capital forms is refused at every (a, s), not
+    # answered with the D forms
+    for series in ('A', 'X'):
+        for a in (1, 2):
+            with pytest.raises(ValueError, match="unknown series %r" % series):
+                closed_form_capital(series, 3, a, 1)
+    # and so is an a other than 1 and 2
+    with pytest.raises(ValueError, match="no closed form"):
+        closed_form_capital('B', 2, 3, 3)
+
+
+# every closed form that exists at A1-A8, B2-B8, C2-C8 and D3-D8, and the
+# error text of every one that does not, one line per (series, n, a, s)
+CLOSED_FORMS_DIGEST = '2463e5bab75050da'
+
+
+def test_closed_forms_digest():
+    h = hashlib.sha256()
+    for series, lo in (('A', 1), ('B', 2), ('C', 2), ('D', 3)):
+        closed = closed_form_small if series == 'A' else closed_form_capital
+        for n in range(lo, 9):
+            for a in (1, 2):
+                for s in (1, 2, 3):
+                    try:
+                        text = str(closed(series, n, a, s))
+                    except ValueError as ex:
+                        text = 'ValueError: %s' % ex
+                    h.update(('%s%d a=%d s=%d: %s\n' % (series, n, a, s, text)).encode())
+    assert h.hexdigest()[:16] == CLOSED_FORMS_DIGEST
 
 
 def test_generating_roundtrip():
@@ -402,45 +432,24 @@ def test_ibp_reduce_rejects_what_it_cannot_integrate():
     assert ibp_reduce(a2 * b1 * b2) == a2 * b1 * b2
 
 
-def test_frac_sum_cancels_the_base_only_while_it_divides():
-    p, q = Poly.of('p'), Poly.of('q')
-    base = p - q
-    cases = [(_Frac(p * base, base, 3), _Frac(q, base, 1)),      # one power cancels
-             (_Frac(p, base, 2), _Frac(q + 1, base, 1)),         # none cancels
-             (_Frac(p * q * base ** 2, base, 2), _Frac(q)),      # all cancel
-             (_Frac(q ** 2, base, 2), _Frac(p ** 2, base, 2))]   # equal powers
-    for x, y in cases:
-        for f in (x + y, y + x):
-            hi = max(x.k, y.k)
-            lo_num = x.num if x.k < y.k else y.num
-            hi_num = y.num if x.k < y.k else x.num
-            # the same sum as raising the lower part all the way
-            raised = lo_num * base ** (hi - min(x.k, y.k)) + hi_num
-            assert f.num * base ** (hi - f.k) == raised
-    assert ((cases[0][0] + cases[0][1]).num, (cases[0][0] + cases[0][1]).k) == (p + q * base, 2)
-    assert ((cases[1][0] + cases[1][1]).num, (cases[1][0] + cases[1][1]).k) == (p + (q + 1) * base, 2)
-    assert (cases[2][0] + cases[2][1]).expand() == p * q + q
-    # an expansion that divides only once the parts are summed
-    f = _Frac(p, base, 2) + _Frac(q, base, 1) + _Frac(q * base ** 2 - q * base - p, base, 2)
-    assert f.k == 2 and f.expand() == q
-
-
-def test_frac_quotient_by_the_base_is_exact_division():
-    # synthetic division by x - y, for either sign of the base and for
-    # Laurent numerators, inverts the product, and reports a remainder
+def test_over_inverts_the_product_by_a_power_of_the_base():
+    # k synthetic divisions by x - y, for either orientation of x and y
+    # and for Laurent numerators, undo the product by (x - y)^k, and a
+    # remainder is refused
     rng = random.Random(5)
-    p, q, u = Poly.of('p'), Poly.of('q'), Poly.of('u', 1)
-    for base in (p - q, q - p):
-        f = _Frac(Poly(), base)
-        for _ in range(40):
-            num = Poly()
-            for _ in range(rng.randint(1, 5)):
-                num = num + (Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                             * Poly.of('p', exp=rng.randint(-2, 3))
-                             * Poly.of('q', exp=rng.randint(-2, 3)) * u ** rng.randint(0, 2))
-            assert f._quotient(num * base) == num
-            if not num.is_zero():
-                rem = num * base + u * Poly.of('q', exp=rng.randint(-2, 3))
-                assert f._quotient(rem) is None
-    with pytest.raises(ValueError, match="not an exact division"):
-        _Frac(p, p - q, 1).expand()
+    u = Poly.of('u', 1)
+    for x, y in (('p', 'q'), ('q', 'p')):
+        base = Poly.of(x) - Poly.of(y)
+        for k in (1, 2, 3):
+            assert _over(Poly(), x, y, k) == Poly()
+            for _ in range(15):
+                num = Poly()
+                for _ in range(rng.randint(1, 5)):
+                    num = num + (Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                                 * Poly.of('p', exp=rng.randint(-2, 3))
+                                 * Poly.of('q', exp=rng.randint(-2, 3)) * u ** rng.randint(0, 2))
+                assert _over(num * base ** k, x, y, k) == num
+                if not num.is_zero():
+                    rem = num * base ** k + u * Poly.of(y, exp=rng.randint(-2, 3)) * base ** (k - 1)
+                    with pytest.raises(ValueError, match="not an exact division"):
+                        _over(rem, x, y, k)
