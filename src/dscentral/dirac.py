@@ -23,11 +23,13 @@ blocks once at the end:
 `central_invariants_dirac` reads every tensor entry at a point once,
 through `algebra.evaluate`, as integers over one denominator d;
 `point_invariants`, which the fixture route runs on its cached
-`algebra.Prepared` entries, does the rest in integers.  p(z) =
-det(g2 - z g1) comes from the n + 1 determinants at z = 0..n as
-n! p(z) (`upoly.scaled_interpolate`), and the kernel vectors at its
-roots are integer too.  The unit field shifts every canonical
-coordinate by one, so the kernel vector v at a root spans dlam and
+`algebra.Prepared` entries, does the rest in integers.  The pencil
+G2 - z G1 is divided by its content, which changes neither its roots
+nor its primitive kernel vectors.  p(z) = det(g2 - z g1) comes from the
+n + 1 determinants at z = 0..n as n! p(z) (`upoly.scaled_interpolate`),
+and the kernel vector v at a root lam = r/s from one fraction-free
+elimination of s G2 - r G1 (`liealg.kernel_vector`).  The unit field e
+shifts every canonical coordinate by one, so v spans dlam and
 dlam = v / v[unit], with no derivative of any tensor.
 `invariants.defect_invariants` runs on the v and the integer blocks,
 and each c is multiplied by d v[unit]^2.
@@ -285,17 +287,10 @@ def tensor_entries(tensors):
 
 def central_invariants_dirac(tensors, n, upoint, unit=None):
     """Evaluate the defect formula of the reduced pencil at a point with
-    rational canonical coordinates, the roots lam of p(z) = det(g2 - z g1).
-
-    Every tensor entry is read as an integer over one d, and n! p is
-    interpolated in integers from det(G2 - z G1) at z = 0, ..., n; a
-    degree below n (det g1 = 0) is a DegeneratePoint.  At a simple root
-    lam = r/s the symmetric s G2 - r G1 has a kernel spanned by one
-    integer v, and v spans dlam.  The first bracket is the derivative of
-    the second along the unit field e, so e shifts every lam by one:
-    e(lam) = 1 and dlam = v / v[unit].  A v with v[unit] = 0 is a
-    DegeneratePoint.  The formula runs on the v and on the integers over
-    d, one block per tensor, and each c is then scaled by d v[unit]^2.
+    rational canonical coordinates, the roots lam of p(z) = det(g2 - z g1),
+    in integers as the module docstring says.  A degree of p below n
+    (det g1 = 0) and a kernel vector v with v[unit] = 0 are
+    DegeneratePoints.
 
     upoint: values of u^1..u^n.  unit: the 0-based index of the
     coordinate along e, by default n - 1 (u^n on a slice).  Returns
@@ -313,7 +308,9 @@ def point_invariants(keys, entries, n, upoint, unit=None):
     nn = n * n
     nums, d = evaluate(entries, upoint)
     vals = dict(zip(keys, (nums[j:j + nn] for j in range(0, len(nums), nn))))
-    G2, G1 = vals['g2'], vals['g1']
+    # the pencil over its content: the same roots and primitive kernels
+    g = gcd(*vals['g2'], *vals['g1']) or 1
+    G2, G1 = ([x // g for x in vals[key]] for key in ('g2', 'g1'))
 
     def pencil(s, r):           # the rows of s G2 - r G1
         return [[s * a - r * b for a, b in zip(G2[i:i + n], G1[i:i + n])] for i in range(0, nn, n)]

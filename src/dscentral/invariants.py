@@ -13,6 +13,7 @@ and E_2^1(i, i) = lam_i f_i, and
 
 import functools
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .algebra import Prepared, evaluate, u_list
@@ -27,7 +28,7 @@ def defect_invariants(lams, dlams, blocks):
     of dlam_i; blocks[(a, s)]: B_a^s as 0-based (j, k, value) triples, a
     missing or empty block being zero.  Over int (the Dirac point route)
     or Fraction (`central_invariants`), each E is a dot product in the
-    scalars and each quotient an exact Fraction.  Scaling dlam_i by a
+    scalars and each c_i one Fraction, formed last.  Scaling dlam_i by a
     and the blocks by b scales f_i by a^2 b and c_i by 1 / (a^2 b).
 
     >>> blocks = {(1, 1): [(0, 0, 2), (1, 1, 1)], (2, 1): [(0, 0, 2), (1, 1, -1)],
@@ -53,22 +54,28 @@ def defect_invariants(lams, dlams, blocks):
         return lambda k, i: sum(map(mul, dlams[k], cols[i]))
 
     E11, E21, E12, E22, E13, E23 = (E((a, s)) for s in (1, 2, 3) for a in (1, 2))
+    # with y_k = L lam_k, L the lcm of the lam denominators, 3 L f_i^2 c_i is
+    # L E23 - y_i E13 + sum (L E22 - y_i E12)^2 / (f_k (y_k - y_i)), one num / den
+    L = lcm(*(lam.denominator for lam in lams))
+    ys = [lam.numerator * (L // lam.denominator) for lam in lams]
     f = []
     for i in range(n):
         if any(E11(k, i) for k in range(n) if k != i):
             raise DegeneratePoint("first metric not diagonal")
         f.append(E11(i, i))
-        if E21(i, i) != lams[i] * f[i]:
+        if L * E21(i, i) != ys[i] * f[i]:
             raise DegeneratePoint("second metric not lam * first")
     if any(x == 0 for x in f):
         raise DegeneratePoint("vanishing diagonal metric entry")
     delta2 = blocks.get((1, 2)) or blocks.get((2, 2))   # else the cross terms vanish
 
-    def c(i, lam):
-        cross = sum((Fraction((E22(k, i) - lam * E12(k, i)) ** 2, f[k] * (lams[k] - lam))
-                     for k in range(n) if k != i and delta2), 0)
-        return Fraction(E23(i, i) - lam * E13(i, i) + cross, 3 * f[i] ** 2)
-    return f, [c(i, lam) for i, lam in enumerate(lams)]
+    def c(i, y):
+        num, den = 0, 1
+        for k in (k for k in range(n) if k != i and delta2):
+            b = f[k] * (ys[k] - y)
+            num, den = num * b + (L * E22(k, i) - y * E12(k, i)) ** 2 * den, den * b
+        return Fraction((L * E23(i, i) - y * E13(i, i)) * den + num, 3 * L * f[i] ** 2 * den)
+    return f, [c(i, y) for i, y in enumerate(ys)]
 
 
 def canonical_coordinates(series, n, u):

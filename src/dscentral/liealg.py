@@ -1,8 +1,8 @@
 """Exact Lie algebra data: Cartan matrices, matrix realizations,
 principal gradings and slice bases; the one Fraction elimination,
 `Echelon` (basis closure, `coords`, `nullspace`, `solve`, `inverse`),
-and the point route's one integer route: `determinant` (Bareiss) and
-`kernel_vector`.
+and the point route's one integer route, fraction-free (Bareiss): the
+`determinant` and one Gauss-Jordan elimination per `kernel_vector`.
 
 A Lie matrix is its entries {(row, column): x} of the nonzero x, the
 one format from the generators to the slice data, since Chevalley bases
@@ -195,17 +195,33 @@ def determinant(rows):
 def kernel_vector(rows):
     """The primitive integer vector spanning the right kernel of a square
     integer matrix A of corank 1: a nonzero column of adj(A), in the
-    kernel as A adj(A) = det(A) I = 0, over its gcd.  A ValueError for
-    corank 0 (A v != 0) or 2 and more (adj(A) = 0).
+    kernel as A adj(A) = det(A) I = 0, over its gcd.  For the first j
+    whose other rows have rank n - 1, one fraction-free Gauss-Jordan
+    elimination of those rows gives the (-1)^i det(A without row j and
+    column i): s D at the free column f and -s M[k][f] at the pivot of
+    row k, D the last pivot and s = (-1)^f times the row-swap parity.  A
+    ValueError for corank 0 (A v != 0) or 2 and more (no such j).
 
     >>> kernel_vector([[1, 2], [2, 4]])
     [2, -1]
     """
-    for j in range(len(rows)):
-        minor = rows[:j] + rows[j + 1:]
-        v = [(-1) ** i * determinant([r[:i] + r[i + 1:] for r in minor])
-             for i in range(len(rows))]
-        if any(v):
+    n = len(rows)
+    for j in range(n):
+        M, sign, prev, piv = [*rows[:j], *rows[j + 1:]], 1, 1, []
+        for c in range(n):
+            k = len(piv)
+            i = next((i for i in range(k, n - 1) if M[i][c]), None)
+            if i is not None:
+                M[k], M[i], sign = M[i], M[k], sign if i == k else -sign
+                top, p = M[k], M[k][c]
+                M = [r if h == k else [(p * x - r[c] * y) // prev for x, y in zip(r, top)]
+                     for h, r in enumerate(M)]
+                prev = p
+                piv.append(c)
+        if len(piv) == n - 1:
+            f = n * (n - 1) // 2 - sum(piv)         # the free column
+            s, col = -sign if f % 2 else sign, dict(zip(piv, M))
+            v = [s * prev if c == f else -s * col[c][f] for c in range(n)]
             g = gcd(*v)
             v = [x // g for x in v]
             if any(sum(map(mul, r, v)) for r in rows):

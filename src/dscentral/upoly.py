@@ -139,57 +139,68 @@ def _variations(values):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _single_root(q, a, b):
-    """The root of q in (a, b], where q has exactly one, simple root, if
-    it is an integer, else None.  Bisects on the sign of q alone."""
-    vb = value(q, b)
-    if vb == 0:
-        return b
-    while b - a > 1:
-        m = (a + b) // 2
-        vm = value(q, m)
-        if vm == 0:
-            return m
-        if (vm > 0) == (vb > 0):
-            b, vb = m, vm
-        else:
-            a = m
-    return None
+def _at_infinity(seq):
+    """V(-inf) and V(+inf) of a Sturm sequence, from its leading terms."""
+    return (_variations([p[-1] * (-1) ** (len(p) - 1) for p in seq]),
+            _variations([p[-1] for p in seq]))
 
 
 def _integer_roots(seq):
-    """Ascending integer roots of the squarefree monic q = seq[0], given
-    its Sturm sequence."""
-    q = seq[0]
-    d = len(q) - 1
-    # V is constant beyond the roots of q, so the values at -B and B are
-    # the signs of the leading coefficients at -inf and +inf
-    vlo = _variations([p[-1] * (-1) ** (len(p) - 1) for p in seq])
-    vhi = _variations([p[-1] for p in seq])
-    if vlo - vhi == d:
-        # all roots real: their squares sum to q_{d-1}^2 - 2 q_{d-2}
-        bound = math.isqrt(q[d - 1] ** 2 - 2 * (q[d - 2] if d > 1 else 0)) + 1
-    else:
-        bound = 1 + max(abs(c) for c in q[:-1])   # Cauchy
-    out = []
-    # (a, V(a), b, V(b)): V(a) - V(b) roots lie in (a, b]
+    """The integer roots of the squarefree monic q = seq[0], given its
+    Sturm sequence.  V(a) - V(b) roots lie in (a, b], so each interval
+    that holds one is bisected on integers down to (b - 1, b], where
+    q(b) decides.  The start is Fujiwara's bound 2 max |q_(d-k)|^(1/k)
+    on every root, rounded up to a power of 2."""
+    (vlo, vhi), q, out = _at_infinity(seq), seq[0], []
+    bound = 2 << max(-(-abs(c).bit_length() // k) for k, c in enumerate(reversed(q[:-1]), 1))
     stack = [(-bound, vlo, bound, vhi)]
     while stack:
         a, va, b, vb = stack.pop()
-        if va - vb == 1:
-            y = _single_root(q, a, b)
-            if y is not None:
-                out.append(y)
-        elif va - vb > 1:
-            if b - a == 1:
-                # several roots, and only b can be an integer
-                if value(q, b) == 0:
-                    out.append(b)
+        if va == vb:
+            continue
+        if b - a == 1:
+            if value(q, b) == 0:
+                out.append(b)
+            continue
+        m = (a + b) // 2
+        vm = _variations([value(p, m) for p in seq])
+        stack += [(m, vm, b, vb), (a, va, m, vm)]
+    return out
+
+
+def _descend(seq):
+    """The roots of the squarefree monic q = seq[0], given its Sturm
+    sequence, descending, if they are all real integers, else None.
+    Above the largest root r of a real-rooted q, a Newton step stays at
+    or above r, so the integer steps y - floor(q(y)/q'(y)) do too; where
+    the floor is 0, the Sturm count above y - 1 shows a root in
+    (y - 1, y), not an integer.  Each root found is divided out.  The
+    start is past the Laguerre-Samuelson bound mean + sqrt(d - 1) sigma."""
+    def above(q):
+        d, s1 = len(q) - 1, -q[-2]
+        s2 = s1 * s1 - 2 * (q[-3] if d > 1 else 0)
+        return (s1 + math.isqrt((d - 1) * (d * s2 - s1 * s1)) + 1) // d + 1
+    (vlo, vhi), q, out = _at_infinity(seq), seq[0], []
+    if vlo - vhi < len(q) - 1:
+        return None
+    y = above(q)
+    while len(q) > 2:
+        v = dv = 0
+        for c in reversed(q):
+            v, dv = v * y + c, dv * y + v
+        if v and v >= dv:
+            y -= v // dv
+            continue
+        if v:
+            if _variations([value(p, y - 1) for p in seq]) - vhi > len(out):
+                return None
+            y -= 1
+            if value(q, y):
                 continue
-            m = (a + b) // 2
-            vm = _variations([value(p, m) for p in seq])
-            stack += [(m, vm, b, vb), (a, va, m, vm)]
-    return sorted(out)
+        out.append(y)
+        q = _exquo(q, [-y, 1])
+        y = min(y, above(q))
+    return out + [-q[0]]
 
 
 def rational_roots(p):
@@ -201,10 +212,11 @@ def rational_roots(p):
     Exact, float-free and without factoring: a rational root x of the
     primitive integer polynomial p (degree d, leading coefficient
     lc > 0) is y / lc for an integer root y of the monic integer
-    polynomial q(y) = lc^(d-1) p(y / lc).  The real roots of q are
-    isolated with a Sturm sequence by bisecting on integers, and an
-    interval that holds one root is bisected on the sign of q until q
-    vanishes at an integer or the interval is (l, l+1).
+    polynomial q(y) = lc^(d-1) p(y / lc).  A Sturm sequence of q tells
+    whether q is squarefree with d real roots; if so, `_descend` finds
+    them from above in integer Newton steps.  With a repeated root, the
+    integer roots of the squarefree part (`_integer_roots`) are tested
+    against gcd(q, q').
 
     >>> rational_roots([-1, -1, 6])
     [Fraction(-1, 3), Fraction(1, 2)]
@@ -224,14 +236,11 @@ def rational_roots(p):
     seq = _sturm(q)
     g = seq[-1]
     if len(g) > 1:
-        # g = gcd(q, q') holds the repeated roots; the integer ones are
-        # among the integer roots of the squarefree part q / g
-        g = g if g[-1] > 0 else [-c for c in g]
-        if any(value(g, y) == 0
-               for y in _integer_roots(_sturm(_exquo(q, g)))):
+        # g = gcd(q, q') holds the repeated roots, and so does its
+        # squarefree part g / gcd(g, g'), both monic up to sign
+        g, h = (c if c[-1] > 0 else [-x for x in c] for c in (g, _sturm(g)[-1]))
+        if _integer_roots(_sturm(_exquo(g, h))):
             raise DegeneratePoint("repeated critical point")
         return None
-    ys = _integer_roots(seq)
-    if len(ys) != deg:
-        return None
-    return [Fraction(y, lc) for y in ys]
+    ys = _descend(seq) if d == deg else None
+    return None if ys is None else [Fraction(y, lc) for y in reversed(ys)]

@@ -393,6 +393,28 @@ def test_coeffs_check():
         assert 'MISMATCH' not in r.stdout
 
 
+@pytest.mark.parametrize('block', [(1, 2), (1, 3), (2, 2)])
+def test_coeffs_check_compares_the_blocks_missing_from_the_table(monkeypatch, capsys, block):
+    # A1 prints a=1 s=1 and a=2 s=1, 3 only; a nonzero closed form at a
+    # block the table lacks is a mismatch, and stdout does not change
+    from dscentral import brackets
+    from dscentral.algebra import Poly
+    args = ['coeffs', '--series', 'A', '--rank', '1', '--check']
+    cli.main(args, standalone_mode=False)
+    want = capsys.readouterr().out
+    real = brackets.closed_form_small
+
+    def wrong(series, n, a, s):
+        return Poly.of('p') if (a, s) == block else real(series, n, a, s)
+    monkeypatch.setattr(brackets, 'closed_form_small', wrong)
+    with pytest.raises(SystemExit) as ex:
+        cli.main(args)
+    assert ex.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == want and 'MISMATCH' not in out
+    assert err == 'mismatch: coefficient mismatch at [%r]\n' % (block,)
+
+
 def test_verify_suites():
     for suite in ('properties', 'an', 'g2'):
         r = run('verify', suite)

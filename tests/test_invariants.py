@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dscentral import brackets, dirac, invariants, liealg, reference
+from dscentral import brackets, dirac, fixtures, invariants, liealg, reference
 from dscentral.invariants import (DegeneratePoint, canonical_coordinates,
                                   central_invariants, defect_invariants,
                                   residue_identity, sample_from_roots,
@@ -242,6 +242,99 @@ def test_defect_formula_is_coordinate_free(monkeypatch):
             assert defect_invariants(lams, *moved) == want
             moves += 1
     assert moves >= 2 * len(cases)
+
+
+def defect_invariants_by_fractions(lams, dlams, blocks):
+    """Reference: the defect formula with one Fraction per cross term
+    and lam_i E_1^s(k, i) formed as it stands, the form that
+    `defect_invariants` replaced by one integer pair per invariant."""
+    n = len(lams)
+
+    def E(key):
+        B = blocks.get(key) or []
+        return lambda k, i: sum(v * dlams[k][j] * dlams[i][m] for j, m, v in B)
+
+    E11, E21, E12, E22, E13, E23 = (E((a, s)) for s in (1, 2, 3) for a in (1, 2))
+    f = []
+    for i in range(n):
+        if any(E11(k, i) for k in range(n) if k != i):
+            raise DegeneratePoint("first metric not diagonal")
+        f.append(E11(i, i))
+        if E21(i, i) != lams[i] * f[i]:
+            raise DegeneratePoint("second metric not lam * first")
+    if any(x == 0 for x in f):
+        raise DegeneratePoint("vanishing diagonal metric entry")
+    delta2 = blocks.get((1, 2)) or blocks.get((2, 2))
+
+    def c(i, lam):
+        cross = sum((Fraction((E22(k, i) - lam * E12(k, i)) ** 2, f[k] * (lams[k] - lam))
+                     for k in range(n) if k != i and delta2), 0)
+        return Fraction(E23(i, i) - lam * E13(i, i) + cross, 3 * f[i] ** 2)
+    return f, [c(i, lam) for i, lam in enumerate(lams)]
+
+
+def _defect_outcome(formula, lams, dlams, blocks):
+    try:
+        f, cs = formula(lams, dlams, blocks)
+    except DegeneratePoint as ex:
+        return 'DegeneratePoint: %s' % ex
+    assert all(type(c) is Fraction for c in cs)
+    return f, cs
+
+
+@st.composite
+def diagonal_pencils(draw):
+    """(lams, dlams, blocks) with distinct lam of unlike denominators,
+    dlam_i = a_i e_i and the first metric diagonal; the blocks over int
+    or Fraction, the second metric at times off lam times the first."""
+    n = draw(st.integers(1, 4))
+    lams = draw(st.lists(st.fractions(-20, 20, max_denominator=12), min_size=n, max_size=n,
+                         unique=True))
+    ints = st.integers(-9, 9)
+    scalar = draw(st.sampled_from([ints, st.fractions(-9, 9, max_denominator=5)]))
+    a = [draw(st.sampled_from([1, -1])) * draw(st.integers(1, 9)) for _ in range(n)]
+    f = [draw(scalar) for _ in range(n)]
+    lams = [int(x) if x.denominator == 1 and draw(st.booleans()) else x for x in lams]
+    blocks = {(1, 1): [(i, i, x) for i, x in enumerate(f)],
+              (2, 1): [(i, i, lam * x + draw(st.sampled_from([0, 0, 0, 1])))
+                       for i, (lam, x) in enumerate(zip(lams, f))]}
+    for key in draw(st.sets(st.sampled_from([(1, 2), (2, 2), (1, 3), (2, 3)]))):
+        xs = draw(st.lists(scalar, min_size=n * n, max_size=n * n))
+        blocks[key] = [(j // n, j % n, x) for j, x in enumerate(xs)]
+    return lams, [[x if j == i else 0 for j in range(n)] for i, x in enumerate(a)], blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(diagonal_pencils())
+def test_integer_pair_defect_formula_matches_the_fraction_one(case):
+    assert (_defect_outcome(defect_invariants, *case)
+            == _defect_outcome(defect_invariants_by_fractions, *case))
+
+
+def test_integer_pair_defect_formula_on_every_route(monkeypatch):
+    # the doctest cases, the symbol route (Fraction blocks) and the G2 and
+    # F4 point routes (int blocks)
+    blocks = {(1, 1): [(0, 0, 2), (1, 1, 1)], (2, 1): [(0, 0, 2), (1, 1, -1)],
+              (2, 3): [(0, 0, 6), (1, 1, 3)]}
+    cases = [([1, -1], [[1, 0], [0, 1]], blocks),
+             ([1, -1], [[1, 0], [0, 1]], {**blocks, (2, 2): [(0, 1, 1), (1, 0, 1)]})]
+    rng = random.Random(5)
+    for series, n in (('A', 3), ('B', 3), ('C', 2), ('D', 3)):
+        u = random_sample(series, n, rng)
+        cases.append(_inputs_of_defect_invariants(
+            monkeypatch, invariants, lambda: central_invariants(series, n, u)))
+    alg = liealg.g2_algebra()
+    tens = dirac.dirac_tensors(alg, dirac.g2_slice(alg))
+    points = [(lambda u=reference.g2_sample(rng): dirac.central_invariants_dirac(tens, 2, u))
+              for _ in range(2)]
+    points += [lambda t=reference.f4_sample(rng): fixtures.fixture_invariants('f4', t)
+               for _ in range(2)]
+    cases += [_inputs_of_defect_invariants(monkeypatch, dirac, run) for run in points]
+    assert {type(x) for _, _, b in cases for e in b.values() for *_, x in e} == {int, Fraction}
+    assert any(lam.denominator > 1 for lams, _, _ in cases for lam in lams)
+    for case in cases:
+        want = defect_invariants_by_fractions(*case)
+        assert defect_invariants(*case) == want
 
 
 def test_table_row_derivation_matches_the_stored_rank_4_rows():

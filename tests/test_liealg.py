@@ -279,11 +279,69 @@ def test_kernel_vector_refuses_corank_two(case):
         kernel_vector(A)
 
 
+def kernel_vector_by_minors(rows):
+    """Reference: the n-minor adjugate route that `kernel_vector` replaced.
+    For the first j whose minors are not all zero, the vector of
+    (-1)^i det(A without row j and column i) over its gcd."""
+    for j in range(len(rows)):
+        minor = rows[:j] + rows[j + 1:]
+        v = [(-1) ** i * determinant([r[:i] + r[i + 1:] for r in minor])
+             for i in range(len(rows))]
+        if any(v):
+            g = gcd(*v)
+            v = [x // g for x in v]
+            if any(sum(a * x for a, x in zip(r, v)) for r in rows):
+                raise ValueError("matrix has corank 0")
+            return v
+    raise ValueError("matrix has corank 2 or more")
+
+
+@st.composite
+def square_matrices(draw):
+    """An n x n integer matrix, n <= 6: any entries (mostly corank 0), a
+    product through a smaller space (corank >= 1), or, generically,
+    corank 1 with the left kernel w zero at rows 0..j-1, so that the rows
+    without row i have rank n - 1 first at i = j <= 2."""
+    n, scale = draw(st.integers(1, 6)), draw(st.sampled_from([1, 10 ** 12]))
+    ints = st.integers(-4, 4).map(lambda x: x * scale)
+    kind = draw(st.sampled_from(['any', 'product', 'drop']))
+    if kind == 'any':
+        return [[draw(ints) for _ in range(n)] for _ in range(n)]
+    if kind == 'product':
+        inner = draw(st.integers(0, n - 1))
+        B = [[draw(ints) for _ in range(inner)] for _ in range(n)]
+        C = [[draw(ints) for _ in range(n)] for _ in range(inner)]
+        return [[sum(b * c for b, c in zip(row, col)) for col in zip(*C)] if inner else [0] * n
+                for row in B]
+    j = draw(st.integers(0, min(2, n - 1)))
+    A = [[draw(ints) for _ in range(n)] for _ in range(n)]
+    w = [0] * j + [1] + [draw(ints) for _ in range(n - j - 1)]
+    A[j] = [-sum(wi * r[c] for i, (wi, r) in enumerate(zip(w, A)) if i != j) for c in range(n)]
+    return A
+
+
+def _kernel_or_error(kernel, A):
+    try:
+        return kernel([list(r) for r in A])
+    except ValueError as ex:
+        return 'ValueError: %s' % ex
+
+
+@settings(max_examples=400, deadline=None)
+@given(square_matrices())
+def test_kernel_vector_matches_the_minor_route(A):
+    assert _kernel_or_error(kernel_vector, A) == _kernel_or_error(kernel_vector_by_minors, A)
+
+
 def test_kernel_vector_examples():
     assert kernel_vector([[1, 2], [2, 4]]) == [2, -1]
     assert kernel_vector([[0]]) == [1]
     # a zero first adjugate column: v_0 = 0, so the second column is read
     assert kernel_vector([[1, 0, 0], [0, 1, 1], [0, 2, 2]]) == [0, -1, 1]
+    # the rows without row 0, and those without row 1, have rank 2 of 3:
+    # the third column is read
+    A = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 2, 2]]
+    assert kernel_vector(A) == kernel_vector_by_minors(A) == [0, 0, 1, -1]
     for A in ([[1, 2], [3, 4]], [[5]], [[2, 1, 0], [1, 2, 1], [0, 1, 2]]):
         with pytest.raises(ValueError, match='corank 0'):
             kernel_vector(A)
